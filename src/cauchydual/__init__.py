@@ -2,6 +2,8 @@
 rational symbol construction and subnormality certificates for the Cauchy
 dual of the shift."""
 
+__version__ = "0.1.0"
+
 from .polyrat import (
     Polynomial,
     LaurentHermitian,
@@ -43,13 +45,12 @@ from .certify import (
     LevelStat,
     NecessaryMeasure,
     MomentCheck,
-    cross_gram,
+    pole_pairing,
+    coincidence_classes,
     orthogonality_test,
     agler_pole_test,
     agler_taylor_test,
     necessary_measure_test,
-    gamma_moments,
-    completely_monotone_test,
     rank1_representing_measure,
     exactness_applies,
     run_certificates,
@@ -57,8 +58,6 @@ from .certify import (
     VERDICT_REFUTED,
     VERDICT_INCONCLUSIVE,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Polynomial", "LaurentHermitian", "PartialFractionExpansion",
@@ -72,9 +71,9 @@ __all__ = [
     "rank1_taylor", "kernel_coeffs", "rank1_kernel_closed_form",
     "mate_rank1", "gram_monomials_rank1", "cauchy_dual_kernel_rank1",
     "CertificateConfig", "CertificateReport", "LevelStat",
-    "NecessaryMeasure", "MomentCheck", "cross_gram", "orthogonality_test",
+    "NecessaryMeasure", "MomentCheck", "pole_pairing", "coincidence_classes",
+    "orthogonality_test",
     "agler_pole_test", "agler_taylor_test", "necessary_measure_test",
-    "gamma_moments", "completely_monotone_test",
     "rank1_representing_measure", "exactness_applies", "run_certificates",
     "VERDICT_CERTIFIED", "VERDICT_REFUTED", "VERDICT_INCONCLUSIVE",
     "__version__",

@@ -12,7 +12,7 @@ waiting for a truncation witness.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,10 +27,6 @@ VERDICT_INCONCLUSIVE = "InconclusiveAtTruncation"
 
 class InsufficientRowsError(ValueError):
     """Taylor table is too short for the requested truncation and levels."""
-
-
-class InsufficientLengthError(ValueError):
-    """Moment sequence is too short for the requested difference depth."""
 
 
 @dataclass(frozen=True)
@@ -49,36 +45,41 @@ class CertificateConfig:
             raise ValueError("tolerances must be positive")
 
 
-def cross_gram(sym: RationalSymbol) -> np.ndarray:
-    """C[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t)) / (a_r conj(a_t)).
+@dataclass(frozen=True, eq=False)
+class PolePairing:
+    """Numerator values paired at the poles.
 
-    Hermitian with nonnegative diagonal; a_r are the Lagrange denominators
-    of the pole set.
+    pair[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t)); cross is the cross
+    Gram matrix C = pair / (a conj(a)^T), hermitian with nonnegative
+    diagonal, where a_r are the Lagrange denominators of the pole set.
     """
-    k = sym.k
-    if k == 0:
-        return np.zeros((0, 0), dtype=complex)
+
+    pair: np.ndarray
+    cross: np.ndarray
+
+
+def pole_pairing(sym: RationalSymbol) -> PolePairing:
+    """Evaluate the numerators at the poles once and pair them."""
+    if sym.k == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return PolePairing(empty, empty)
     alphas = np.asarray(sym.alphas, dtype=complex)
     vals = np.array([[p(a) for a in alphas] for p in sym.numerators])
-    S = vals.conj().T @ vals        # S[r, t] = sum_j p_j(alpha_r)* ... transposed
-    S = S.conj()                    # now S[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t))
+    pair = (vals.conj().T @ vals).conj()
     a = lagrange_denominators(alphas)
-    C = S / np.outer(a, np.conj(a))
-    return 0.5 * (C + C.conj().T)
+    C = pair / np.outer(a, np.conj(a))
+    return PolePairing(pair, 0.5 * (C + C.conj().T))
 
 
-def orthogonality_test(sym: RationalSymbol, cfg: CertificateConfig):
+def orthogonality_test(pairing: PolePairing, cfg: CertificateConfig):
     """Relative size of the worst off-diagonal numerator pairing at the poles.
 
     Returns (residual, passed); a symbol with fewer than two poles passes
     vacuously with residual 0.
     """
-    if sym.k <= 1:
+    pair = pairing.pair
+    if len(pair) <= 1:
         return 0.0, True
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    vals = np.array([[p(a) for a in alphas] for p in sym.numerators])
-    pair = vals.conj().T @ vals
-    pair = pair.conj()              # pair[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t))
     diag = np.abs(np.diag(pair).real)
     off = np.abs(pair - np.diag(np.diag(pair)))
     residual = float(off.max() / max(diag.max(), 1e-300))
@@ -155,6 +156,44 @@ def agler_taylor_test(taylor: kernels.TaylorTable,
         for l in range(1, cfg.levels + 1))
 
 
+# Two pole products closer than COINCIDENCE_TOL share a class; a location
+# closer than SEGMENT_TOL to [0, 1] counts as lying on it.
+COINCIDENCE_TOL = 1e-9
+SEGMENT_TOL = 1e-8
+
+
+@dataclass(frozen=True, eq=False)
+class CoincidenceClasses:
+    """The pole products alpha_r conj(alpha_t), chained into classes of
+    points within COINCIDENCE_TOL of each other. members[c] holds the
+    row-major flat indices of class c in increasing order, classes come in
+    the order of their first member, and locations[c] is the reciprocal of
+    the mean product of class c."""
+
+    products: np.ndarray
+    members: tuple
+    locations: tuple
+
+
+def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
+    """Group the pole products once for the necessary measure and the
+    exactness condition."""
+    alphas = np.asarray(sym.alphas, dtype=complex)
+    products = np.outer(alphas, np.conj(alphas))
+    flat = products.ravel()
+    close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
+    # every product takes the smallest index it is chained to
+    index = label = np.arange(flat.size)
+    while flat.size:
+        lowest = np.where(close, label[None, :], flat.size).min(axis=1)
+        if (lowest == label).all():
+            break
+        label = lowest
+    members = tuple(np.flatnonzero(label == root) for root in index[label == index])
+    locations = tuple(complex(1.0 / np.mean(flat[m])) for m in members)
+    return CoincidenceClasses(products, members, locations)
+
+
 @dataclass(frozen=True)
 class NecessaryMeasure:
     """Aggregated necessary measure: one atom per coincidence class of the
@@ -171,7 +210,7 @@ def _segment_distance(x: complex) -> float:
     return math.hypot(x.real - re, x.imag)
 
 
-def necessary_measure_test(sym: RationalSymbol, cross: np.ndarray,
+def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
                            cfg: CertificateConfig):
     """Aggregate the necessary measure and check it is positive on [0, 1].
 
@@ -179,39 +218,9 @@ def necessary_measure_test(sym: RationalSymbol, cross: np.ndarray,
     segment must be real and nonnegative, all relative to tol_psd times
     the total variation. Failure refutes subnormality outright.
     """
-    k = sym.k
-    if k == 0:
-        return NecessaryMeasure((), (), 0.0, None), True
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    products = np.outer(alphas, np.conj(alphas))
-    raw = cross / products ** 2
-
-    # union-find over coincident products
-    idx = [(r, t) for r in range(k) for t in range(k)]
-    parent = list(range(len(idx)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    flat = products.ravel()
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if abs(flat[i] - flat[j]) <= 1e-9:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(len(idx)):
-        groups.setdefault(find(i), []).append(i)
-
-    locations, weights = [], []
-    for members in groups.values():
-        prod = np.mean(flat[members])
-        locations.append(complex(1.0 / prod))
-        weights.append(complex(raw.ravel()[members].sum()))
+    raw = (cross / classes.products ** 2).ravel()
+    weights = [complex(raw[members].sum()) for members in classes.members]
+    locations = list(classes.locations)
     # deterministic ordering by descending weight then location
     perm = sorted(range(len(weights)),
                   key=lambda i: (-abs(weights[i]), locations[i].real,
@@ -222,7 +231,7 @@ def necessary_measure_test(sym: RationalSymbol, cross: np.ndarray,
     scale = max(sum(abs(w) for w in weights), 1e-300)
     worst, worst_loc = 0.0, None
     for loc, w in zip(locations, weights):
-        if _segment_distance(loc) > 1e-8:
+        if _segment_distance(loc) > SEGMENT_TOL:
             bad = abs(w)
         else:
             bad = max(-w.real, abs(w.imag), 0.0)
@@ -231,36 +240,6 @@ def necessary_measure_test(sym: RationalSymbol, cross: np.ndarray,
     passed = worst <= cfg.tol_psd * scale
     return NecessaryMeasure(tuple(locations), tuple(weights),
                             float(worst / scale), worst_loc), passed
-
-
-def gamma_moments(sym: RationalSymbol, cross: np.ndarray, count: int) -> np.ndarray:
-    """Diagonal moment sequence gamma_m = sum_{r,t} C[r,t] (alpha_r conj(alpha_t))^-(m+2)."""
-    if sym.k == 0:
-        return np.zeros(count)
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    products = np.outer(alphas, np.conj(alphas))
-    out = np.empty(count)
-    for m in range(count):
-        val = complex((cross * products ** (-(m + 2.0))).sum())
-        out[m] = val.real
-    return out
-
-
-def completely_monotone_test(seq, depth: int, levels: int = 12,
-                             tol: float = 1e-10):
-    """Check (-1)^l (forward difference)^l of seq stays >= -tol for
-    l <= levels and positions 0..depth. Returns (passed, worst value)."""
-    arr = np.asarray(seq, dtype=float)
-    if len(arr) < depth + levels + 1:
-        raise InsufficientLengthError(
-            f"need {depth + levels + 1} terms, got {len(arr)}")
-    worst = math.inf
-    for l in range(levels + 1):
-        vals = np.diff(arr, n=l) if l else arr
-        signed = ((-1.0) ** l) * vals[: depth + 1]
-        worst = min(worst, float(signed.min()))
-    scale = max(float(np.abs(arr).max()), 1.0)
-    return worst >= -tol * scale, worst
 
 
 @dataclass(frozen=True, eq=False)
@@ -299,22 +278,18 @@ def rank1_representing_measure(model: kernels.Rank1Model, size: int,
     return MomentCheck(table.K, moments, resid, float(moments[0, 0].real))
 
 
-def exactness_applies(sym: RationalSymbol) -> bool:
-    """True when every off-diagonal pole product alpha_r conj(alpha_t) is a
-    distinct complex number off the ray [1, oo); orthogonality is then
-    necessary as well as sufficient."""
-    if sym.k < 2:
+def exactness_applies(classes: CoincidenceClasses) -> bool:
+    """True when there are at least two poles and every off-diagonal pole
+    product forms a class of its own located off [0, 1], that is, the
+    product is a distinct complex number off the ray [1, oo); orthogonality
+    is then necessary as well as sufficient."""
+    k = len(classes.products)
+    if k < 2:
         return False
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    prods = [alphas[r] * np.conj(alphas[t])
-             for r in range(sym.k) for t in range(sym.k) if r != t]
-    for i, p in enumerate(prods):
-        if _segment_distance(1.0 / p) <= 1e-8:
-            return False
-        for q in prods[i + 1:]:
-            if abs(p - q) <= 1e-9:
-                return False
-    return True
+    diagonal = set(range(0, k * k, k + 1))
+    return all(len(members) == 1 and _segment_distance(loc) > SEGMENT_TOL
+               for members, loc in zip(classes.members, classes.locations)
+               if not diagonal.issuperset(members.tolist()))
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,10 +306,9 @@ class CertificateReport:
     agler_passed: bool
     necessary: NecessaryMeasure
     necessary_passed: bool
-    monotone_passed: bool
-    monotone_worst: float
     exactness: bool
     config: CertificateConfig
+    taylor: kernels.TaylorTable     # the rows the Taylor engine ran on
 
     @property
     def exit_code(self) -> int:
@@ -353,16 +327,15 @@ def run_certificates(sym: RationalSymbol,
     -tol_psd ||M_l|| is a truncation-level pass, and anything else stays
     inconclusive (the 10x hysteresis band).
     """
-    cross = cross_gram(sym)
-    orth_residual, orth_passed = orthogonality_test(sym, cfg)
-    necessary, necessary_passed = necessary_measure_test(sym, cross, cfg)
+    pairing = pole_pairing(sym)
+    classes = coincidence_classes(sym)
+    orth_residual, orth_passed = orthogonality_test(pairing, cfg)
+    necessary, necessary_passed = necessary_measure_test(
+        pairing.cross, classes, cfg)
     taylor = kernels.symbol_taylor(sym, cfg.trunc + cfg.levels)
-    pole_stats = agler_pole_test(sym, cross, cfg)
+    pole_stats = agler_pole_test(sym, pairing.cross, cfg)
     taylor_stats = agler_taylor_test(taylor, cfg)
-    moments = gamma_moments(sym, cross, cfg.trunc + cfg.levels + 1)
-    monotone_passed, monotone_worst = completely_monotone_test(
-        moments, cfg.trunc, cfg.levels, cfg.tol_psd)
-    exact = exactness_applies(sym)
+    exact = exactness_applies(classes)
 
     agler_passed = all(
         st.min_eig >= -cfg.tol_psd * max(st.norm, 1e-300)
@@ -390,5 +363,4 @@ def run_certificates(sym: RationalSymbol,
     return CertificateReport(
         verdict, certified_by, refuted_by, refuted_level, refuted_min_eig,
         orth_residual, orth_passed, pole_stats, taylor_stats, agler_passed,
-        necessary, necessary_passed, monotone_passed, monotone_worst,
-        exact, cfg)
+        necessary, necessary_passed, exact, cfg, taylor)

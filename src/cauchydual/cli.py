@@ -17,10 +17,9 @@ import tempfile
 
 import numpy as np
 
-from . import certify, kernels, symbolpipe
+from . import __version__, certify, kernels, symbolpipe
 
 TOOL_NAME = "cauchydual"
-TOOL_VERSION = "0.1.0"
 RANK1_CHECK_SIZE = 20
 
 EXIT_ERROR = 3
@@ -235,9 +234,9 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
                  result: certify.CertificateReport, quad_points: int,
                  dump_tables: bool) -> dict:
     cfg = result.config
-    taylor = kernels.symbol_taylor(sym, cfg.trunc + cfg.levels)
+    taylor = result.taylor
     report = {
-        "tool": {"name": TOOL_NAME, "version": TOOL_VERSION},
+        "tool": {"name": TOOL_NAME, "version": __version__},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "input": input_echo,
         "input_kind": kind,
@@ -272,8 +271,6 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "agler_taylor": _stats_json(result.agler_taylor),
             "agler_passed": result.agler_passed,
             "necessary": _necessary_json(result.necessary, result.necessary_passed),
-            "monotone": {"passed": result.monotone_passed,
-                         "worst": result.monotone_worst},
             "exactness_applies": result.exactness,
         },
         "exit_code": result.exit_code,
@@ -329,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="quadrature points for the rank-1 measure check "
                              "(default 4096)")
     parser.add_argument("--version", action="version",
-                        version=f"{TOOL_NAME} {TOOL_VERSION}")
+                        version=f"{TOOL_NAME} {__version__}")
     return parser
 
 

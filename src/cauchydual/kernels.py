@@ -119,11 +119,15 @@ class KernelTable:
 
 
 def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> KernelTable:
-    """Kernel coefficient table from the Taylor rows.
+    """Kernel coefficient table from the Taylor rows: K = I - T T^H.
 
-    For m >= n the entry is delta_{m,n} - sum_{k=1}^{n} B_{m-n+k} . B_k*,
-    and the table is completed by hermitian reflection. Requires rows up
-    to index `size`.
+    T is the block-lower-triangular Toeplitz matrix of the rows B_0 = 0,
+    B_1, ..., B_size, so for m >= n the entry is
+    delta_{m,n} - sum_{k=1}^{n} B_{m-n+k} . B_k*. T T^H is accumulated
+    along its diagonals, (T T^H)[m, n] = (T T^H)[m-1, n-1] + B_m . B_n*,
+    and reflected into the upper triangle; a dense product would sum in
+    another order, and the rank-one measure check compares against this
+    table at the level of rounding. Requires rows up to index `size`.
     """
     if size is None:
         size = taylor.n_rows
@@ -131,20 +135,11 @@ def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> KernelTable:
         raise ValueError("size must be nonnegative")
     if taylor.n_rows < size:
         raise ValueError(f"need {size} rows, table has {taylor.n_rows}")
-    S = taylor.rows @ taylor.rows.conj().T
-    K = np.eye(size + 1, dtype=complex)
-    for d in range(0, size + 1):
-        # diagonal m = n + d; partial sums of S[d+i, i] over i
-        length = size - d
-        if length < 1:
-            continue
-        diag = np.array([S[d + i, i] for i in range(length)])
-        sums = np.cumsum(diag)
-        for n in range(1, length + 1):
-            K[n + d, n] -= sums[n - 1]
-            if d > 0:
-                K[n, n + d] = np.conj(K[n + d, n])
-    return KernelTable(size, K)
+    S = taylor.rows @ taylor.rows.conj().T    # S[m-1, n-1] = B_m . B_n*
+    TT = np.zeros((size + 1, size + 1), dtype=complex)   # lower triangle of T T^H
+    for n in range(1, size + 1):
+        TT[n:, n] = TT[n - 1:-1, n - 1] + S[n - 1:size, n - 1]
+    return KernelTable(size, np.eye(size + 1) - TT - np.tril(TT, -1).conj().T)
 
 
 def rank1_kernel_closed_form(gamma: complex, beta: complex, size: int) -> np.ndarray:
@@ -175,12 +170,9 @@ class Rank1Model:
     rho: float
     sigma: complex
     nu: float
-    phi: np.ndarray
 
     def phi_coefficients(self, count: int) -> np.ndarray:
         """Taylor coefficients of phi on indices 0..count."""
-        if count < len(self.phi) - 1:
-            return self.phi[: count + 1].copy()
         out = np.zeros(count + 1, dtype=complex)
         ratio = self.sigma / self.rho
         out[1:] = (self.gamma / self.rho) * np.power(ratio, np.arange(count))
@@ -219,10 +211,7 @@ def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
     ).max()
     if resid > 1e-10:
         raise RuntimeError(f"mate identity residual {resid:.3e}")
-
-    phi = np.zeros(41, dtype=complex)
-    phi[1:] = (gamma / rho) * np.power(sigma / rho, np.arange(40))
-    return Rank1Model(gamma, beta, rho, sigma, nu, phi)
+    return Rank1Model(gamma, beta, rho, sigma, nu)
 
 
 def gram_monomials_rank1(model: Rank1Model, size: int) -> np.ndarray:

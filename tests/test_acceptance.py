@@ -18,8 +18,8 @@ from cauchydual.certify import (
     CertificateConfig,
     agler_pole_matrix,
     agler_taylor_matrix,
-    cross_gram,
     orthogonality_test,
+    pole_pairing,
     rank1_representing_measure,
     run_certificates,
 )
@@ -111,7 +111,7 @@ def test_criterion_03_antipodal_orthogonality_certified():
     for _ in range(50):
         c1, c2 = rng.uniform(0.1, 10.0, size=2)
         sym = closed_form_antipodal(c1, c2).to_symbol()
-        residual, passed = orthogonality_test(sym, CFG)
+        residual, passed = orthogonality_test(pole_pairing(sym), CFG)
         worst = max(worst, residual)
         assert passed and residual <= 1e-9
         assert run_certificates(sym).verdict == VERDICT_CERTIFIED
@@ -141,7 +141,7 @@ def test_criterion_05_engine_equivalence():
         symbols.append(measure_to_symbol(_random_measure(rng, int(rng.integers(2, 4)))))
     worst = 0.0
     for sym in symbols:
-        cross = cross_gram(sym)
+        cross = pole_pairing(sym).cross
         taylor = symbol_taylor(sym, 40 + 12)
         for level in range(1, 13):
             A = agler_pole_matrix(sym, cross, level, 40)
@@ -281,7 +281,7 @@ def test_criterion_11_truncation_monotonicity():
     worst = 0.0
     for name in FIXTURE_NAMES:
         sym = load_fixture_symbol(name)
-        cross = cross_gram(sym)
+        cross = pole_pairing(sym).cross
         taylor = symbol_taylor(sym, 40 + 12)
         for level in range(1, 13):
             for build in (lambda n: agler_pole_matrix(sym, cross, level, n),

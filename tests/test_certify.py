@@ -11,16 +11,14 @@ from cauchydual.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     CertificateConfig,
-    InsufficientLengthError,
     InsufficientRowsError,
     agler_pole_matrix,
     agler_taylor_matrix,
-    completely_monotone_test,
-    cross_gram,
+    coincidence_classes,
     exactness_applies,
-    gamma_moments,
     necessary_measure_test,
     orthogonality_test,
+    pole_pairing,
     rank1_representing_measure,
     run_certificates,
 )
@@ -32,6 +30,14 @@ from cauchydual.symbolpipe import (
     rotate_measure,
     single_atom_symbol,
     symbol_from_parts,
+)
+
+from conftest import FIXTURE_NAMES, load_fixture_symbol
+from monotone_oracle import (
+    InsufficientLengthError,
+    completely_monotone_test,
+    gamma_moments,
+    monotone_passed,
 )
 
 CFG = CertificateConfig()
@@ -58,7 +64,7 @@ def make_orthogonal_pair(eps=0.0, s=0.25):
 
 def test_cross_gram_matches_hand_loop():
     sym = make_refuter()
-    got = cross_gram(sym)
+    got = pole_pairing(sym).cross
     alphas = sym.alphas
     denoms = [alphas[0] - alphas[1], alphas[1] - alphas[0]]
     expected = np.empty((2, 2), dtype=complex)
@@ -73,7 +79,7 @@ def test_cross_gram_matches_hand_loop():
 
 def test_cross_gram_hermitian_and_psd():
     for sym in (make_refuter(), closed_form_antipodal(2.0, 0.7).to_symbol()):
-        C = cross_gram(sym)
+        C = pole_pairing(sym).cross
         assert np.abs(C - C.conj().T).max() <= 1e-13 * np.abs(C).max()
         assert np.linalg.eigvalsh(C).min() >= -1e-12 * np.abs(C).max()
 
@@ -86,18 +92,18 @@ def test_orthogonality_antipodal_passes():
     for _ in range(10):
         c1, c2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
         sym = closed_form_antipodal(c1, c2).to_symbol()
-        residual, passed = orthogonality_test(sym, CFG)
+        residual, passed = orthogonality_test(pole_pairing(sym), CFG)
         assert passed and residual <= 1e-9
 
 
 def test_orthogonality_refuter_value():
-    residual, passed = orthogonality_test(make_refuter(), CFG)
+    residual, passed = orthogonality_test(pole_pairing(make_refuter()), CFG)
     assert not passed
     assert abs(residual - 0.4743) <= 1e-3
 
 
 def test_orthogonality_vacuous_for_single_pole():
-    residual, passed = orthogonality_test(single_atom_symbol(1.0), CFG)
+    residual, passed = orthogonality_test(pole_pairing(single_atom_symbol(1.0)), CFG)
     assert passed and residual == 0.0
 
 
@@ -106,7 +112,7 @@ def test_orthogonality_vacuous_for_single_pole():
 
 def test_engine_equivalence_spot_checks():
     for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), make_refuter()):
-        cross = cross_gram(sym)
+        cross = pole_pairing(sym).cross
         taylor = symbol_taylor(sym, 20 + 12)
         for level in (1, 5, 12):
             A = agler_pole_matrix(sym, cross, level, 20)
@@ -126,7 +132,7 @@ def test_certified_cases_pass_both_engines():
         assert rep.agler_passed
         for st in rep.agler_pole + rep.agler_taylor:
             assert st.min_eig >= -CFG.tol_psd * max(st.norm, 1e-300)
-        assert rep.monotone_passed
+        assert monotone_passed(sym, CFG)
         assert rep.exit_code == 0
 
 
@@ -155,7 +161,7 @@ def test_refuter_full_report():
     thresh = -10.0 * CFG.tol_psd
     assert any(st.min_eig < thresh * max(st.norm, 1e-300) for st in rep.agler_pole)
     assert any(st.min_eig < thresh * max(st.norm, 1e-300) for st in rep.agler_taylor)
-    assert not rep.monotone_passed
+    assert not monotone_passed(make_refuter(), CFG)
 
 
 def test_exactness_window_refutes_at_level_zero():
@@ -194,9 +200,10 @@ def test_rotated_certified_family_stays_certified():
         phase = rng.uniform(0.0, 2.0 * np.pi)
         mu = rotate_measure(CircleMeasure((0.0, np.pi), (c1, c2)),
                             cmath.exp(1j * phase))
-        rep = run_certificates(measure_to_symbol(mu))
+        sym = measure_to_symbol(mu)
+        rep = run_certificates(sym)
         assert rep.verdict == VERDICT_CERTIFIED
-        assert rep.agler_passed and rep.monotone_passed
+        assert rep.agler_passed and monotone_passed(sym, CFG)
 
 
 # ------------------------------------------------------------ necessary measure
@@ -204,7 +211,8 @@ def test_rotated_certified_family_stays_certified():
 
 def test_necessary_measure_antipodal_locations():
     sym = closed_form_antipodal(1.0, 1.0).to_symbol()
-    necessary, passed = necessary_measure_test(sym, cross_gram(sym), CFG)
+    necessary, passed = necessary_measure_test(
+        pole_pairing(sym).cross, coincidence_classes(sym), CFG)
     assert passed
     assert len(necessary.locations) == 2
     locs = sorted(necessary.locations, key=lambda x: x.real)
@@ -222,7 +230,8 @@ def test_necessary_measure_antipodal_locations():
 
 def test_necessary_measure_single_atom():
     sym = single_atom_symbol(1.0)
-    necessary, passed = necessary_measure_test(sym, cross_gram(sym), CFG)
+    necessary, passed = necessary_measure_test(
+        pole_pairing(sym).cross, coincidence_classes(sym), CFG)
     assert passed
     assert len(necessary.locations) == 1
     eta = (3.0 - math.sqrt(5.0)) / 2.0
@@ -233,7 +242,8 @@ def test_necessary_measure_single_atom():
 def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
-        necessary, _ = necessary_measure_test(sym, cross_gram(sym), CFG)
+        necessary, _ = necessary_measure_test(
+            pole_pairing(sym).cross, coincidence_classes(sym), CFG)
         pairs = sorted(zip(necessary.locations, necessary.weights),
                        key=lambda lw: (round(lw[0].real, 9), round(lw[0].imag, 9)))
         conj_pairs = sorted(
@@ -250,7 +260,7 @@ def test_necessary_measure_weights_close_under_conjugation():
 
 def test_gamma_moments_match_kernel_diagonal():
     for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), make_refuter()):
-        cross = cross_gram(sym)
+        cross = pole_pairing(sym).cross
         moments = gamma_moments(sym, cross, 30)
         taylor = symbol_taylor(sym, 31)
         norms2 = taylor.row_norms() ** 2
@@ -273,10 +283,36 @@ def test_completely_monotone_examples():
 
 def test_antipodal_moments_completely_monotone():
     sym = closed_form_antipodal(4.0, 1.0).to_symbol()
-    moments = gamma_moments(sym, cross_gram(sym), 53)
+    moments = gamma_moments(sym, pole_pairing(sym).cross, 53)
     passed, worst = completely_monotone_test(moments, 40, 12)
     assert passed
     assert worst >= -1e-10 * max(1.0, moments.max())
+
+
+def test_monotone_oracle_implied_by_necessary_measure():
+    # gamma_m are the moments of the necessary measure's atoms, so the
+    # truncated monotone test must pass wherever the exact check on the
+    # atoms passes; this is why the battery no longer runs it
+    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
+    rng = np.random.default_rng(2103)
+    for _ in range(120):
+        k = int(rng.integers(1, 7))
+        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
+        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
+        if k > 1 and gaps.min() < 0.05:
+            continue
+        weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
+        try:
+            symbols.append(measure_to_symbol(
+                CircleMeasure(tuple(thetas), tuple(weights))))
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+    checked = 0
+    for sym in symbols:
+        if run_certificates(sym).necessary_passed:
+            checked += 1
+            assert monotone_passed(sym, CFG)
+    assert len(symbols) >= 100 and checked >= 20
 
 
 # ------------------------------------------------------- representing measure
@@ -314,25 +350,89 @@ def test_rank1_density_is_nonnegative():
         assert model.nu >= 0
 
 
+def _union_find_classes(sym):
+    """Pairwise union-find over the pole products, the reference grouping:
+    (members, mean product) per class, classes by first member."""
+    alphas = np.asarray(sym.alphas, dtype=complex)
+    flat = np.outer(alphas, np.conj(alphas)).ravel()
+    parent = list(range(len(flat)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            if abs(flat[i] - flat[j]) <= 1e-9:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(len(flat)):
+        groups.setdefault(find(i), []).append(i)
+    return [(members, np.mean(flat[members])) for members in groups.values()]
+
+
+def _pairwise_exactness(sym):
+    """Reference scan: every off-diagonal product is off the ray [1, oo)
+    and farther than 1e-9 from every other off-diagonal product."""
+    if sym.k < 2:
+        return False
+    alphas = np.asarray(sym.alphas, dtype=complex)
+    prods = [alphas[r] * np.conj(alphas[t])
+             for r in range(sym.k) for t in range(sym.k) if r != t]
+    for i, p in enumerate(prods):
+        x = 1.0 / p
+        if math.hypot(x.real - min(max(x.real, 0.0), 1.0), x.imag) <= 1e-8:
+            return False
+        if any(abs(p - q) <= 1e-9 for q in prods[i + 1:]):
+            return False
+    return True
+
+
+def test_coincidence_classes_match_union_find():
+    ray = cmath.exp(1j * np.pi / 5)
+    symbols = [make_refuter(), single_atom_symbol(1.0),
+               symbol_from_parts([], []),
+               closed_form_antipodal(1.0, 1.0).to_symbol(),
+               symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]),
+               symbol_from_parts([2.0 * ray, 3.0 * ray, 5.0],
+                                 [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]),
+               symbol_from_parts([2.0 * ray, 3.0 * ray * cmath.exp(0.3j), 5.0],
+                                 [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]),
+               measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0))),
+               measure_to_symbol(CircleMeasure((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
+                                               (1.0,) * 6))]
+    for sym in symbols:
+        classes = coincidence_classes(sym)
+        expected = _union_find_classes(sym)
+        assert [m.tolist() for m in classes.members] == [m for m, _ in expected]
+        assert list(classes.locations) == [complex(1.0 / p) for _, p in expected]
+        assert exactness_applies(classes) == _pairwise_exactness(sym)
+
+
 # ------------------------------------------------------------------- exactness
 
 
 def test_exactness_applies_cases():
-    assert exactness_applies(make_refuter())
-    assert not exactness_applies(closed_form_antipodal(1.0, 1.0).to_symbol())
-    assert not exactness_applies(single_atom_symbol(1.0))
-    # real pair: the two cross products coincide
+    assert exactness_applies(coincidence_classes(make_refuter()))
     assert not exactness_applies(
-        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]))
+        coincidence_classes(closed_form_antipodal(1.0, 1.0).to_symbol()))
+    assert not exactness_applies(coincidence_classes(single_atom_symbol(1.0)))
+    # real pair: the two cross products coincide
+    assert not exactness_applies(coincidence_classes(
+        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]])))
     # common ray: a cross product lands on [1, infinity)
     ray = cmath.exp(1j * np.pi / 5)
-    assert not exactness_applies(symbol_from_parts(
+    assert not exactness_applies(coincidence_classes(symbol_from_parts(
         [2.0 * ray, 3.0 * ray, 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]])))
     # generic triple: distinct products, all off the ray
-    assert exactness_applies(symbol_from_parts(
+    assert exactness_applies(coincidence_classes(symbol_from_parts(
         [2.0 * ray, 3.0 * ray * cmath.exp(0.3j), 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]])))
 
 
 # --------------------------------------------------------------- configuration

@@ -8,9 +8,9 @@ import sys
 import numpy as np
 import pytest
 
+from cauchydual import __version__, kernels
 from cauchydual.cli import (
     EXIT_ERROR,
-    TOOL_VERSION,
     InputError,
     _fmt_float,
     main,
@@ -141,7 +141,7 @@ def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
     assert exc.value.code == 0
-    assert TOOL_VERSION in capsys.readouterr().out
+    assert __version__ in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("argv", [
@@ -213,6 +213,21 @@ def test_dump_tables_shapes(tmp_path, capsys):
     assert all(len(entry) == 2 for row in K for entry in row)
     rows = rep["tables"]["B_rows"]
     assert len(rows) == 52 and all(len(r) == rep["pipeline"]["k"] for r in rows)
+    capsys.readouterr()
+
+
+def test_report_builds_taylor_table_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    original = kernels.symbol_taylor
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(kernels, "symbol_taylor", counting)
+    rc, out = _run_report(tmp_path, "antipodal_1_1", "--dump-tables")
+    assert rc == 0 and out.exists()
+    assert len(calls) == 1
     capsys.readouterr()
 
 

@@ -113,6 +113,36 @@ def test_kernel_table_against_grid_evaluation():
             1.0, float(np.abs(direct).max()))
 
 
+def _kernel_coeffs_loop(taylor, size):
+    """The entrywise recursion kernel_coeffs vectorizes, summed in the
+    same order."""
+    S = taylor.rows @ taylor.rows.conj().T
+    K = np.eye(size + 1, dtype=complex)
+    for d in range(0, size + 1):
+        length = size - d
+        if length < 1:
+            continue
+        sums = np.cumsum([S[d + i, i] for i in range(length)])
+        for n in range(1, length + 1):
+            K[n + d, n] -= sums[n - 1]
+            if d > 0:
+                K[n, n + d] = np.conj(K[n + d, n])
+    return K
+
+
+def test_kernel_table_equals_entrywise_loop():
+    # same arithmetic in the same order, so the tables agree bit for bit
+    tables = [rank1_taylor(0.4, 0.3 + 0.2j, 40),
+              symbol_taylor(closed_form_antipodal(1.0, 1.0).to_symbol(), 40),
+              symbol_taylor(REFUTER, 40),
+              symbol_taylor(measure_to_symbol(
+                  CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0))), 40)]
+    for tab in tables:
+        for size in (0, 1, 17, 40):
+            assert np.array_equal(kernel_coeffs(tab, size).K,
+                                  _kernel_coeffs_loop(tab, size))
+
+
 def test_kernel_table_structure():
     sym = closed_form_antipodal(4.0, 1.0).to_symbol()
     K = kernel_coeffs(symbol_taylor(sym, 30), 30).K
