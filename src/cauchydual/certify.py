@@ -63,10 +63,9 @@ def pole_pairing(sym: RationalSymbol) -> PolePairing:
     if sym.k == 0:
         empty = np.zeros((0, 0), dtype=complex)
         return PolePairing(empty, empty)
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    vals = np.array([[p(a) for a in alphas] for p in sym.numerators])
+    vals = sym.numerators_at_poles
     pair = (vals.conj().T @ vals).conj()
-    a = lagrange_denominators(alphas)
+    a = lagrange_denominators(np.asarray(sym.alphas, dtype=complex))
     C = pair / np.outer(a, np.conj(a))
     return PolePairing(pair, 0.5 * (C + C.conj().T))
 
@@ -93,67 +92,64 @@ class LevelStat:
     norm: float
 
 
-def agler_pole_matrix(sym: RationalSymbol, cross: np.ndarray,
-                      level: int, size: int) -> np.ndarray:
-    """Level-l truncation built from the pole data:
-
-        M[m, n] = sum_{r,t} C[r,t] (1 - 1/(alpha_r conj(alpha_t)))^l
-                  * alpha_r^-(m+2) conj(alpha_t)^-(n+2).
-    """
-    if sym.k == 0:
-        return np.zeros((size, size), dtype=complex)
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    G = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
-    V = alphas[:, None] ** (-(np.arange(size, dtype=float)[None, :] + 2.0))
-    M = V.T @ (cross * G ** level) @ np.conj(V)
-    return 0.5 * (M + M.conj().T)
-
-
-def agler_taylor_matrix(taylor: kernels.TaylorTable,
-                        level: int, size: int) -> np.ndarray:
-    """The same truncation from raw Taylor rows:
-
-        M[m, n] = sum_{j=0}^{l} (-1)^j binom(l, j) B_{m+1+j} . B_{n+1+j}*.
-
-    Needs rows up to index size + level.
-    """
-    if taylor.n_rows < size + level:
-        raise InsufficientRowsError(
-            f"need {size + level} rows for size {size} at level {level}, "
-            f"table has {taylor.n_rows}")
-    S = taylor.rows @ taylor.rows.conj().T
-    M = np.zeros((size, size), dtype=complex)
-    for j in range(level + 1):
-        M += (-1.0) ** j * math.comb(level, j) * S[j: j + size, j: j + size]
-    return 0.5 * (M + M.conj().T)
-
-
-def _level_stats(matrix_at) -> tuple:
-    stats = []
-    for level, M in matrix_at:
-        evals = np.linalg.eigvalsh(M) if M.size else np.zeros(1)
-        stats.append(LevelStat(level, float(evals.min()),
-                               float(np.abs(evals).max())))
-    return tuple(stats)
+def _level_stat(level: int, evals: np.ndarray) -> LevelStat:
+    return LevelStat(level, float(evals.min()), float(np.abs(evals).max()))
 
 
 def agler_pole_test(sym: RationalSymbol, cross: np.ndarray,
                     cfg: CertificateConfig) -> tuple:
-    """LevelStat per level 1..levels from the pole engine."""
-    return _level_stats(
-        (l, agler_pole_matrix(sym, cross, l, cfg.trunc))
-        for l in range(1, cfg.levels + 1))
+    """LevelStat per level 1..levels of the N x N pole-side truncation
+
+        M_l[m, n] = sum_{r,t} C[r,t] (1 - 1/(alpha_r conj(alpha_t)))^l
+                    * alpha_r^-(m+2) conj(alpha_t)^-(n+2),
+
+    N = cfg.trunc. M_l = V^T X_l conj(V) with V[r, m] = alpha_r^-(m+2) and
+    the k x k core X_l = C o G^l, so its rank is at most r = min(k, N).
+    With V^T = Q R (R is r x k), the nonzero eigenvalues of M_l are those
+    of the r x r matrix R X_l R^H, and the other N - r are exactly zero.
+    """
+    N = cfg.trunc
+    if sym.k == 0:
+        return tuple(LevelStat(l, 0.0, 0.0) for l in range(1, cfg.levels + 1))
+    alphas = np.asarray(sym.alphas, dtype=complex)
+    G = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
+    R = np.linalg.qr(
+        alphas[None, :] ** (-(np.arange(N, dtype=float)[:, None] + 2.0)),
+        mode="r")
+    stats, core = [], cross
+    for level in range(1, cfg.levels + 1):
+        core = core * G
+        H = R @ core @ R.conj().T
+        evals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
+        if N > len(R):
+            evals = np.append(evals, 0.0)
+        stats.append(_level_stat(level, evals))
+    return tuple(stats)
 
 
 def agler_taylor_test(taylor: kernels.TaylorTable,
                       cfg: CertificateConfig) -> tuple:
-    """LevelStat per level 1..levels from the Taylor engine."""
-    if taylor.n_rows < cfg.trunc + cfg.levels:
+    """LevelStat per level 1..levels of the same truncation from the raw
+    Taylor rows:
+
+        M_l[m, n] = sum_{j=0}^{l} (-1)^j binom(l, j) B_{m+1+j} . B_{n+1+j}*.
+
+    With S[m, n] = B_{m+1} . B_{n+1}* and D_l the l-th forward difference
+    along the diagonal, D_l[m, n] = D_{l-1}[m, n] - D_{l-1}[m+1, n+1], the
+    level-l matrix is D_l[:N, :N]. Needs rows up to index N + levels.
+    """
+    N, L = cfg.trunc, cfg.levels
+    if taylor.n_rows < N + L:
         raise InsufficientRowsError(
-            f"need {cfg.trunc + cfg.levels} rows, table has {taylor.n_rows}")
-    return _level_stats(
-        (l, agler_taylor_matrix(taylor, l, cfg.trunc))
-        for l in range(1, cfg.levels + 1))
+            f"need {N + L} rows, table has {taylor.n_rows}")
+    rows = taylor.rows[:N + L]
+    D = rows @ rows.conj().T
+    D = 0.5 * (D + D.conj().T)
+    stats = []
+    for level in range(1, L + 1):
+        D = D[:-1, :-1] - D[1:, 1:]
+        stats.append(_level_stat(level, np.linalg.eigvalsh(D[:N, :N])))
+    return tuple(stats)
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location

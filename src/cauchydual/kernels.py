@@ -78,9 +78,7 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
         raise ValueError("poles must lie outside the closed unit disc")
     denoms = lagrange_denominators(alphas)
     # weight[j, i] = p_j(alpha_i) / (alpha_i a_i)
-    weight = np.array(
-        [[p(a) for a in alphas] for p in sym.numerators], dtype=complex)
-    weight /= (alphas * denoms)[None, :]
+    weight = sym.numerators_at_poles / (alphas * denoms)[None, :]
     powers = alphas[None, :] ** (-np.arange(1, n_rows + 1, dtype=float)[:, None])
     rows = -(powers @ weight.T)
 

@@ -42,6 +42,9 @@ POLE_GAP = 1e-9
 CIRCLE_ROOT_TOL = 1e-7
 # absolute tolerance when matching a root w against the mirror 1/conj(w)
 MIRROR_PAIR_TOL = 1e-6
+# a factorization input counts as positive on the circle when its smallest
+# sample exceeds this fraction of its largest
+POSITIVITY_GATE = 1e-10
 
 
 @dataclass(frozen=True)
@@ -245,9 +248,9 @@ def fejer_riesz_factor(R: LaurentHermitian, samples: int = 4096):
     """Factor R(z) = gamma * prod_j |z - alpha_j|^2 on |z| = 1.
 
     R must be strictly positive on the circle (checked on `samples`
-    equispaced points: min > 1e-10 * max). The roots of z^k R(z) come in
-    mirror pairs (w, 1/conj(w)); the representatives outside the closed
-    unit disc are returned sorted by (argument, modulus), and
+    equispaced points: min > POSITIVITY_GATE * max). The roots of z^k R(z)
+    come in mirror pairs (w, 1/conj(w)); the representatives outside the
+    closed unit disc are returned sorted by (argument, modulus), and
 
         gamma = R(1) / prod_j |1 - alpha_j|^2.
 
@@ -267,10 +270,15 @@ def fejer_riesz_factor(R: LaurentHermitian, samples: int = 4096):
     """
     theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
     vals = R.values_on_circle(np.exp(1j * theta))
-    vmax = float(vals.max())
-    if vmax <= 0.0 or float(vals.min()) <= 1e-10 * vmax:
+    vmin, vmax = float(vals.min()), float(vals.max())
+    if vmax <= 0.0:
         raise NotPositiveOnCircleError(
-            f"min sample {vals.min():.3e} vs max {vmax:.3e}")
+            f"max of {samples} circle samples is {vmax:.3e}, not positive")
+    if vmin <= POSITIVITY_GATE * vmax:
+        raise NotPositiveOnCircleError(
+            f"relative sampling gate: min/max of {samples} circle samples is "
+            f"{vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
+            f"(min {vmin:.3e}, max {vmax:.3e})")
     k = R.bandwidth
     if k == 0:
         return float(R.upper[0].real), []

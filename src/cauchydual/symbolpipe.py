@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -234,6 +235,18 @@ class RationalSymbol:
     eta: np.ndarray
     chol: np.ndarray
     gamma_fr: float | None = None
+
+    @cached_property
+    def numerators_at_poles(self) -> np.ndarray:
+        """vals[j, r] = p_j(alpha_r), one array Horner pass per numerator,
+        computed on first use and shared by the pole pairing and the
+        Taylor rows."""
+        alphas = np.asarray(self.alphas, dtype=complex)
+        vals = np.empty((len(self.numerators), len(alphas)), dtype=complex)
+        for j, p in enumerate(self.numerators):
+            vals[j] = p(alphas)
+        vals.flags.writeable = False
+        return vals
 
 
 def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:

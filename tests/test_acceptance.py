@@ -16,8 +16,6 @@ import numpy as np
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     CertificateConfig,
-    agler_pole_matrix,
-    agler_taylor_matrix,
     orthogonality_test,
     pole_pairing,
     rank1_representing_measure,
@@ -39,6 +37,7 @@ from cauchydual.symbolpipe import (
     single_atom_symbol,
 )
 
+from agler_oracle import agler_pole_matrix, agler_taylor_matrix
 from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_symbol
 
 CFG = CertificateConfig()

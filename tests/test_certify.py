@@ -6,14 +6,15 @@ import math
 import numpy as np
 import pytest
 
+from cauchydual import polyrat
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     CertificateConfig,
     InsufficientRowsError,
-    agler_pole_matrix,
-    agler_taylor_matrix,
+    agler_pole_test,
+    agler_taylor_test,
     coincidence_classes,
     exactness_applies,
     necessary_measure_test,
@@ -32,6 +33,7 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
+from agler_oracle import agler_pole_matrix, agler_taylor_matrix, oracle_stats
 from conftest import FIXTURE_NAMES, load_fixture_symbol
 from monotone_oracle import (
     InsufficientLengthError,
@@ -46,6 +48,31 @@ SQ2 = math.sqrt(2.0)
 
 def make_refuter():
     return symbol_from_parts([2.0, 1.5j], [[0.0, 0.3], [0.0, 0.0, 0.3]])
+
+
+def make_six_equal_atoms():
+    return measure_to_symbol(CircleMeasure(tuple(np.arange(6.0)), (1.0,) * 6))
+
+
+def _fixtures_and_seeded_batch(seed, draws):
+    """The five fixture symbols, then the pipeline's symbols for `draws`
+    random measures: k <= 6 atoms at gaps >= 0.05, weights log-uniform in
+    [0.1, 5]."""
+    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
+    rng = np.random.default_rng(seed)
+    for _ in range(draws):
+        k = int(rng.integers(1, 7))
+        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
+        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
+        if k > 1 and gaps.min() < 0.05:
+            continue
+        weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
+        try:
+            symbols.append(measure_to_symbol(
+                CircleMeasure(tuple(thetas), tuple(weights))))
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+    return symbols
 
 
 def make_orthogonal_pair(eps=0.0, s=0.25):
@@ -82,6 +109,29 @@ def test_cross_gram_hermitian_and_psd():
         C = pole_pairing(sym).cross
         assert np.abs(C - C.conj().T).max() <= 1e-13 * np.abs(C).max()
         assert np.linalg.eigvalsh(C).min() >= -1e-12 * np.abs(C).max()
+
+
+def test_numerators_at_poles_equal_scalar_horner():
+    symbols = _fixtures_and_seeded_batch(59, 60) + [make_refuter()]
+    for sym in symbols:
+        scalar = np.array([[complex(p(a)) for a in sym.alphas]
+                           for p in sym.numerators], dtype=complex)
+        assert np.array_equal(sym.numerators_at_poles, scalar)
+    assert len(symbols) >= 50
+
+
+def test_certificates_evaluate_numerators_once(monkeypatch):
+    sym = measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
+    calls = []
+    poly_eval = polyrat.poly_eval
+
+    def counting(p, z):
+        calls.append(np.shape(z))
+        return poly_eval(p, z)
+
+    monkeypatch.setattr(polyrat, "poly_eval", counting)
+    run_certificates(sym)
+    assert calls == [(sym.k,)] * len(sym.numerators)
 
 
 # -------------------------------------------------------------- orthogonality
@@ -139,8 +189,50 @@ def test_certified_cases_pass_both_engines():
 def test_insufficient_rows_for_taylor_engine():
     taylor = symbol_taylor(make_refuter(), 15)
     with pytest.raises(InsufficientRowsError):
-        agler_taylor_matrix(taylor, 6, 10)
-    assert agler_taylor_matrix(taylor, 5, 10).shape == (10, 10)
+        agler_taylor_test(taylor, CertificateConfig(levels=6, trunc=10))
+    assert len(agler_taylor_test(taylor, CertificateConfig(levels=5, trunc=10))) == 5
+
+
+def test_engines_match_oracle_eigvalsh():
+    six = make_six_equal_atoms()
+    cases = [(sym, CFG) for sym in _fixtures_and_seeded_batch(31, 30)]
+    cases += [(symbol_from_parts([], []), CFG),
+              (six, CertificateConfig(levels=5, trunc=3)),
+              (six, CertificateConfig(levels=5, trunc=6)),
+              (make_refuter(), CertificateConfig(levels=8, trunc=2))]
+    assert len(cases) >= 25
+    for sym, cfg in cases:
+        cross = pole_pairing(sym).cross
+        taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
+        for got, want, tol in (
+                (agler_pole_test(sym, cross, cfg), oracle_stats(
+                    lambda l, n: agler_pole_matrix(sym, cross, l, n), cfg), 1e-12),
+                (agler_taylor_test(taylor, cfg), oracle_stats(
+                    lambda l, n: agler_taylor_matrix(taylor, l, n), cfg), 1e-10)):
+            assert [st.level for st in got] == list(range(1, cfg.levels + 1))
+            for st, ref in zip(got, want):
+                assert abs(st.min_eig - ref.min_eig) <= tol * ref.norm
+                assert abs(st.norm - ref.norm) <= tol * ref.norm
+
+
+def test_pole_engine_eigensolves_at_rank(monkeypatch):
+    sides = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def recording(a, *args, **kwargs):
+        sides.append(np.shape(a))
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+    six = make_six_equal_atoms()
+    for sym in (make_refuter(), single_atom_symbol(1.0), six,
+                symbol_from_parts([], [])):
+        cross = pole_pairing(sym).cross
+        for trunc in (2, 3, 40, 200):
+            sides.clear()
+            agler_pole_test(sym, cross, CertificateConfig(levels=7, trunc=trunc))
+            side = min(sym.k, trunc)
+            assert sides == ([(side, side)] * 7 if side else [])
 
 
 # ----------------------------------------------------------- verdict plumbing
@@ -293,20 +385,7 @@ def test_monotone_oracle_implied_by_necessary_measure():
     # gamma_m are the moments of the necessary measure's atoms, so the
     # truncated monotone test must pass wherever the exact check on the
     # atoms passes; this is why the battery no longer runs it
-    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
-    rng = np.random.default_rng(2103)
-    for _ in range(120):
-        k = int(rng.integers(1, 7))
-        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
-        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
-        if k > 1 and gaps.min() < 0.05:
-            continue
-        weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
-        try:
-            symbols.append(measure_to_symbol(
-                CircleMeasure(tuple(thetas), tuple(weights))))
-        except (ValueError, ArithmeticError, RuntimeError):
-            continue    # the pipeline's conditioning limit, not this test's
+    symbols = _fixtures_and_seeded_batch(2103, 120)
     checked = 0
     for sym in symbols:
         if run_certificates(sym).necessary_passed:

@@ -258,6 +258,17 @@ def test_fejer_riesz_rejects_sign_changes():
         fejer_riesz_factor(LaurentHermitian.from_upper([-1.0]))
 
 
+def test_fejer_riesz_names_the_relative_gate():
+    # 2 + 2e-12 + 2 cos(t) is positive but dips to about 5e-13 of its
+    # maximum, below the relative gate
+    with pytest.raises(NotPositiveOnCircleError) as err:
+        fejer_riesz_factor(
+            LaurentHermitian.from_upper([2.0 + 2e-12, 1.0]), samples=4)
+    message = str(err.value)
+    assert "relative sampling gate" in message and "1e-10" in message
+    assert "min/max of 4 circle samples is 5.000e-13" in message
+
+
 def test_fejer_riesz_rejects_root_hiding_between_samples():
     # root just off the circle, angularly between two sample points, so the
     # positivity sampling misses the dip and the root gate must catch it
