@@ -120,29 +120,51 @@ def parse_input_document(doc) -> tuple[str, symbolpipe.RationalSymbol]:
 
 # ------------------------------------------------------------ JSON output
 
-def _fmt_float(x: float) -> str:
-    if not math.isfinite(x):
-        raise ValueError("non-finite float in report")
-    if x == 0.0:
-        return "0"   # canonical zero, so report bytes survive a JSON round trip
-    return f"{x:.17g}"
-
-
 def _cpx(z: complex) -> list:
-    return [float(np.real(z)), float(np.imag(z))]
+    z = complex(z)
+    return [z.real, z.imag]
 
 
 def _cmatrix(M: np.ndarray) -> list:
-    return [[_cpx(z) for z in row] for row in np.atleast_2d(M)]
+    M = np.atleast_2d(M)
+    return np.stack((M.real, M.imag), -1).tolist()
 
 
 def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str))
 
 
+def _fill_floats(template: str, values) -> str:
+    """Fill the %.17g fields of `template` with `values`. Adding 0.0 turns
+    -0.0 into 0.0, so every zero prints as the canonical "0" and report
+    bytes survive a JSON round trip."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError("non-finite float in report")
+    return template % tuple([x + 0.0 for x in values])
+
+
+def _float_rows(items: list, pad: str) -> str | None:
+    """Text of a list of floats, or of a list of equal-length lists of
+    floats, from one template; None for any other shape."""
+    kinds = set(map(type, items))
+    if kinds == {float}:
+        return _fill_floats("[" + ", ".join(["%.17g"] * len(items)) + "]", items)
+    if kinds != {list} or len(set(map(len, items))) != 1:
+        return None
+    values = [x for row in items for x in row]
+    if set(map(type, values)) != {float}:
+        return None
+    row = "[" + ", ".join(["%.17g"] * len(items[0])) + "]"
+    sep = ",\n" + pad + "  "
+    return _fill_floats(
+        "[\n" + pad + "  " + sep.join([row] * len(items)) + "\n" + pad + "]",
+        values)
+
+
 def render_json(obj, indent: int = 0) -> str:
-    """Serializer with fixed float formatting; lists of scalars stay on
-    one line, everything else is indented two spaces per level."""
+    """Serializer with fixed float formatting (17 significant digits, zero
+    as "0"); lists of scalars stay on one line, everything else is indented
+    two spaces per level."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -151,7 +173,7 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fmt_float(obj)
+        return _fill_floats("%.17g", (obj,))
     if isinstance(obj, str):
         return json.dumps(obj)
     if isinstance(obj, dict):
@@ -162,22 +184,31 @@ def render_json(obj, indent: int = 0) -> str:
             for key, val in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        items = list(obj)
-        if not items:
+        if not obj:
             return "[]"
-        if all(_is_scalar(v) for v in items):
-            return "[" + ", ".join(render_json(v) for v in items) + "]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in items)
+        if isinstance(obj, list):
+            text = _float_rows(obj, pad)
+            if text is not None:
+                return text
+        if all(map(_is_scalar, obj)):
+            return "[" + ", ".join(map(render_json, obj)) + "]"
+        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def write_atomic(path: str, text: str):
+    """Write through a temporary file and rename it over `path`. The file
+    gets the mode a plain `open` would give, 0o666 less the umask, not the
+    0o600 of `mkstemp`."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -256,7 +287,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "eta": _cmatrix(sym.eta) if sym.k else [],
             "taylor_digest": {
                 "n_rows": taylor.n_rows,
-                "row_norms": [float(v) for v in taylor.row_norms()],
+                "row_norms": taylor.row_norms().tolist(),
             },
         },
         "certificates": {
@@ -323,15 +354,19 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-tables", action="store_true",
                         help="include kernel and Taylor tables in the report")
     parser.add_argument("--quad-points", type=int, default=4096, metavar="Q",
-                        help="quadrature points for the rank-1 measure check "
-                             "(default 4096)")
+                        help="quadrature points for the rank-1 measure check, "
+                             "at least 1 (default 4096)")
     parser.add_argument("--version", action="version",
                         version=f"{TOOL_NAME} {__version__}")
     return parser
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.quad_points < 1:
+        parser.error(f"argument --quad-points: must be at least 1, "
+                     f"got {args.quad_points}")
     try:
         with open(args.input) as handle:
             document = json.load(handle)
@@ -350,6 +385,7 @@ def main(argv=None) -> int:
         result = certify.run_certificates(sym, cfg)
         report = build_report(document, kind, sym, result,
                               args.quad_points, args.dump_tables)
+        text = render_json(report) + "\n" if args.report else None
     except InputError as exc:
         print(f"error: invalid input field {exc}", file=sys.stderr)
         return EXIT_ERROR
@@ -360,7 +396,7 @@ def main(argv=None) -> int:
 
     if args.report:
         try:
-            write_atomic(args.report, render_json(report) + "\n")
+            write_atomic(args.report, text)
         except OSError as exc:
             print(f"error: cannot write {args.report}: {exc}", file=sys.stderr)
             return EXIT_ERROR

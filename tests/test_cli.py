@@ -2,23 +2,28 @@
 
 import json
 import math
+import os
+import stat
 import subprocess
 import sys
 
 import numpy as np
 import pytest
 
-from cauchydual import __version__, kernels
+from cauchydual import __version__, certify, cli, kernels
 from cauchydual.cli import (
     EXIT_ERROR,
     InputError,
-    _fmt_float,
+    _cmatrix,
+    _cpx,
+    build_report,
     main,
     parse_input_document,
     render_json,
     write_atomic,
 )
 
+import render_oracle
 from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_doc
 
 
@@ -76,15 +81,19 @@ def test_parse_rejections_name_the_field(doc, needle):
 
 
 def test_fmt_float_canonical_zero_and_round_trip():
-    assert _fmt_float(0.0) == "0"
-    assert _fmt_float(-0.0) == "0"
+    assert render_json(0.0) == "0"
+    assert render_json(-0.0) == "0"
+    assert render_json([-0.0, 0.0]) == "[0, 0]"
     rng = np.random.default_rng(31)
     samples = list(rng.normal(size=50)) + [1e-300, 1e300, 0.1, 2.0 / 3.0]
     for x in samples:
-        assert float(_fmt_float(float(x))) == float(x)
+        assert float(render_json(float(x))) == float(x)
+    row = [float(x) for x in samples]
+    assert json.loads(render_json(row)) == row
+    assert json.loads(render_json([row, row[::-1]])) == [row, row[::-1]]
     for bad in (float("nan"), float("inf"), float("-inf")):
         with pytest.raises(ValueError):
-            _fmt_float(bad)
+            render_json(bad)
 
 
 def test_render_json_round_trips_and_inlines_scalar_rows():
@@ -93,6 +102,89 @@ def test_render_json_round_trips_and_inlines_scalar_rows():
     text = render_json(obj)
     assert json.loads(text) == obj
     assert "[1.5, 2, 3]" in render_json({"row": [1.5, 2.0, 3.0]})
+
+
+def _fixture_reports(dump_tables: bool):
+    for name in FIXTURE_NAMES:
+        doc = load_fixture_doc(name)
+        kind, sym = parse_input_document(doc)
+        result = certify.run_certificates(sym, certify.CertificateConfig())
+        yield name, build_report(doc, kind, sym, result, 4096, dump_tables)
+
+
+@pytest.mark.parametrize("dump_tables", [False, True])
+def test_render_json_matches_oracle_on_fixture_reports(dump_tables):
+    for name, report in _fixture_reports(dump_tables):
+        assert render_json(report) == render_oracle.render_json(report), name
+
+
+def _spread_floats(rng, n: int) -> list:
+    """Floats over the whole exponent range, subnormals included."""
+    mantissa = rng.standard_normal(n)
+    return (mantissa * 10.0 ** rng.integers(-310, 300, size=n)).tolist()
+
+
+_RNG = np.random.default_rng(7)
+RENDER_EDGE_CASES = [
+    [[-0.0, 1.5], [0.0, -0.0]],                 # -0.0 inside a table row
+    [-0.0, 2.0, -3.25e-300],                     # -0.0 inside a scalar row
+    [[1, 2.0], [3.0, 4.0]],                      # int mixed into a float row
+    [[1.0, 2.0], [3, 4]],
+    [1, 2.5, True, None, "x"],                   # mixed scalar row
+    [[True, 1.0], [2.0, 3.0]],
+    [[1.0, 2.0], [3.0]],                         # ragged rows
+    [[1.0, 2.0], [3.0, 4.0, 5.0], [6.0, 7.0]],
+    [(1.0, 2.0), (3.0, 4.0)],                    # tuples
+    (1.0, -0.0),
+    ([1.0, 2.0], [3.0, 4.0]),
+    [[1.0, 2.0], (3.0, 4.0)],
+    [np.float64(-0.0), np.float64(1.0 / 3.0)],   # np.float64 scalars
+    [[np.float64(1.0), 2.0], [3.0, 4.0]],
+    np.float64(-0.0),
+    np.float64(2.0 / 3.0),
+    [], {}, [[]], [[], []], [{}], [[[]]],        # empties, nested empties
+    {"a": [], "b": {}, "c": [[], {}]},
+    [[[1.0, -0.0], [0.0, 1.0]], [[2.0, 5e-324], [1e308, -1e-308]]],
+    {"k": [[0.1, 0.2], [0.3, 0.4]], "n": [[1.0, 2.0, 3.0]], "s": [1.0]},
+    [[{"x": 1.0}, 2.0]],
+    _spread_floats(_RNG, 200),
+    [_spread_floats(_RNG, 2) for _ in range(60)],
+    [[_spread_floats(_RNG, 2) for _ in range(7)] for _ in range(5)],
+]
+
+
+@pytest.mark.parametrize("case", RENDER_EDGE_CASES)
+def test_render_json_matches_oracle_on_edge_cases(case):
+    for obj in (case, {"outer": {"inner": case}}, [[case], case]):
+        assert render_json(obj) == render_oracle.render_json(obj)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("where", ["table", "row", "scalar", "mixed"])
+def test_render_json_rejects_non_finite(bad, where):
+    obj = {"table": {"t": [[1.0, 2.0], [0.5, bad], [3.0, 4.0]]},
+           "row": [1.0, bad, -0.0],
+           "scalar": {"x": bad},
+           "mixed": [[1, bad], [2.0, 3.0]]}[where]
+    for render in (render_json, render_oracle.render_json):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            render(obj)
+
+
+def test_cmatrix_and_cpx_match_entrywise_conversion():
+    rng = np.random.default_rng(11)
+    M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    M[0, 0] = complex(-0.0, -0.0)
+    for A in (M, M[1], M.real, np.zeros((0, 2), dtype=complex)):
+        want = [[[float(np.real(z)), float(np.imag(z))] for z in row]
+                for row in np.atleast_2d(A)]
+        got = _cmatrix(A)
+        assert got == want
+        assert all(type(x) is float for row in got for pair in row for x in pair)
+        assert render_json(got) == render_oracle.render_json(want)
+    for z in (M[2, 1], 1.5, -2, np.float64(0.25), complex(3.0, -0.0)):
+        assert _cpx(z) == [float(np.real(z)), float(np.imag(z))]
+        assert all(type(x) is float for x in _cpx(z))
 
 
 def test_write_atomic_leaves_no_droppings(tmp_path):
@@ -137,6 +229,23 @@ def test_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch):
+    # A report that cannot be rendered is an error (exit 3), not a verdict:
+    # exit 1 would read as RefutedAtLevel.
+    original = cli.build_report
+
+    def with_nan(*args):
+        report = original(*args)
+        report["certificates"]["orth_residual"] = float("nan")
+        return report
+
+    monkeypatch.setattr(cli, "build_report", with_nan)
+    rc, out = _run_report(tmp_path, "refuter")
+    assert rc == EXIT_ERROR
+    assert "error: non-finite float in report" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -148,6 +257,8 @@ def test_version_flag(capsys):
     ["--input", "x.json", "--bogus", "7"],   # unknown flag
     [],                                       # required --input missing
     ["--input", "x.json", "--levels", "ten"], # non-integer value
+    ["--input", "x.json", "--quad-points", "0"],   # no quadrature points
+    ["--input", "x.json", "--quad-points", "-3"],
 ])
 def test_usage_errors_exit_with_input_error_code(argv, capsys):
     # Exit code 2 belongs to the inconclusive verdict; command-line mistakes
@@ -202,6 +313,17 @@ def test_report_symbol_round_trip_same_verdict(tmp_path, capsys):
     assert rc2 == rc == 0
     assert rep2["certificates"]["verdict"] == rep["certificates"]["verdict"]
     assert rep2["exit_code"] == rep["exit_code"]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077, 0o002], ids=lambda m: f"{m:03o}")
+def test_report_mode_follows_umask(umask, tmp_path, capsys):
+    previous = os.umask(umask)
+    try:
+        _, out = _run_report(tmp_path, "antipodal_1_1")
+    finally:
+        os.umask(previous)
+    assert stat.S_IMODE(out.stat().st_mode) == 0o666 & ~umask
     capsys.readouterr()
 
 
