@@ -5,7 +5,7 @@ Usage, from the repository root:
     PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_4.json
 
 For each fixture, with and without --dump-tables, three medians over
---repeats runs: `cli.main` writing the report to a temporary directory,
+REPEATS runs: `cli.main` writing the report to a temporary directory,
 and `build_report` and `render_json` on the same input and the same
 certificate result. Each timed call gets one untimed warm-up call first.
 Times come from time.perf_counter inside this one process; nothing on the
@@ -33,13 +33,14 @@ from cauchydual import __version__, certify, cli
 FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
 QUAD_POINTS = 4096   # the CLI default
+REPEATS = 21         # timed runs per median
 
 
-def timed_ms(fn, repeats: int) -> dict:
-    """Median and quartiles, in ms, of `repeats` calls after one warm-up."""
+def timed_ms(fn) -> dict:
+    """Median and quartiles, in ms, of REPEATS calls after one warm-up."""
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append((time.perf_counter() - start) * 1e3)
@@ -47,7 +48,7 @@ def timed_ms(fn, repeats: int) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def fixture_rows(name: str, repeats: int, tmp: str) -> list:
+def fixture_rows(name: str, tmp: str) -> list:
     in_path = os.path.join(FIXTURES, f"{name}.json")
     out_path = os.path.join(tmp, f"{name}.report.json")
     with open(in_path) as handle:
@@ -74,9 +75,9 @@ def fixture_rows(name: str, repeats: int, tmp: str) -> list:
             "fixture": name,
             "dump_tables": dump_tables,
             "report_bytes": len((cli.render_json(report) + "\n").encode()),
-            "cli_main_ms": timed_ms(run_main, repeats),
-            "build_report_ms": timed_ms(build, repeats),
-            "render_json_ms": timed_ms(lambda: cli.render_json(report), repeats),
+            "cli_main_ms": timed_ms(run_main),
+            "build_report_ms": timed_ms(build),
+            "render_json_ms": timed_ms(lambda: cli.render_json(report)),
         })
     return rows
 
@@ -87,17 +88,13 @@ def main(argv=None) -> int:
                         help="name of this row set, e.g. parent or change")
     parser.add_argument("--out", required=True, metavar="PATH",
                         help="BENCH_<n>.json to create or update")
-    parser.add_argument("--repeats", type=int, default=21,
-                        help="timed runs per median, at least 20 (default 21)")
     args = parser.parse_args(argv)
-    if args.repeats < 20:
-        parser.error("--repeats must be at least 20")
 
     names = sorted(name[:-len(".golden.json")] for name in os.listdir(FIXTURES)
                    if name.endswith(".golden.json"))
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for name in names
-                for row in fixture_rows(name, args.repeats, tmp)]
+                for row in fixture_rows(name, tmp)]
 
     bench = {"row_sets": {}}
     if os.path.exists(args.out):
@@ -105,14 +102,14 @@ def main(argv=None) -> int:
             bench = json.load(handle)
     bench["description"] = (
         "CLI report timings per fixture, with and without --dump-tables: "
-        "median and quartiles in ms of --repeats runs of cli.main, "
+        f"median and quartiles in ms of {REPEATS} runs of cli.main, "
         "build_report and render_json (scripts/bench.py)")
     bench["row_sets"][args.label] = {
         "version": __version__,
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
-        "repeats": args.repeats,
+        "repeats": REPEATS,
         "rows": rows,
     }
     with open(args.out, "w") as handle:

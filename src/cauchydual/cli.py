@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -199,16 +198,13 @@ def render_json(obj, indent: int = 0) -> str:
 
 def write_atomic(path: str, text: str):
     """Write through a temporary file and rename it over `path`. The file
-    gets the mode a plain `open` would give, 0o666 less the umask, not the
-    0o600 of `mkstemp`."""
+    is created with mode 0o666, so it gets the umask as a plain `open` would."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".report-", suffix=".tmp")
+    tmp = os.path.join(directory, f".report-{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as handle:
             handle.write(text)
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
