@@ -15,30 +15,31 @@ from cauchydual import (CertificateConfig, CircleMeasure, measure_to_symbol,
                         run_certificates)
 
 
+MIN_ATOMS = 1
+MIN_WEIGHT = 0.1
+MAX_WEIGHT = 5.0
+# clustered atoms make the interpolation Gram ill-conditioned and the
+# pipeline rejects the output; keep samples well separated
+MIN_GAP = 0.3
+LEVELS = 12
+TRUNC = 40
+
+
 @dataclass(frozen=True)
 class ScanConfig:
     samples: int = 40
     seed: int = 0
-    min_atoms: int = 1
     max_atoms: int = 4
-    min_weight: float = 0.1
-    max_weight: float = 5.0
-    # clustered atoms make the interpolation Gram ill-conditioned and the
-    # pipeline rejects the output; keep samples well separated
-    min_gap: float = 0.3
-    levels: int = 12
-    trunc: int = 40
 
 
 def draw_measure(rng: np.random.Generator, cfg: ScanConfig) -> CircleMeasure:
-    k = int(rng.integers(cfg.min_atoms, cfg.max_atoms + 1))
+    k = int(rng.integers(MIN_ATOMS, cfg.max_atoms + 1))
     while True:
         thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
         gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
-        if k == 1 or gaps.min() > cfg.min_gap:
+        if k == 1 or gaps.min() > MIN_GAP:
             break
-    weights = np.exp(rng.uniform(np.log(cfg.min_weight),
-                                 np.log(cfg.max_weight), size=k))
+    weights = np.exp(rng.uniform(np.log(MIN_WEIGHT), np.log(MAX_WEIGHT), size=k))
     return CircleMeasure(tuple(thetas), tuple(weights))
 
 
@@ -52,7 +53,7 @@ def main():
                      max_atoms=args.max_atoms)
 
     rng = np.random.default_rng(cfg.seed)
-    ccfg = CertificateConfig(levels=cfg.levels, trunc=cfg.trunc)
+    ccfg = CertificateConfig(levels=LEVELS, trunc=TRUNC)
     tally = Counter()
     by_size = Counter()
     for i in range(cfg.samples):

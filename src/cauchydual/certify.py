@@ -60,9 +60,6 @@ class PolePairing:
 
 def pole_pairing(sym: RationalSymbol) -> PolePairing:
     """Evaluate the numerators at the poles once and pair them."""
-    if sym.k == 0:
-        empty = np.zeros((0, 0), dtype=complex)
-        return PolePairing(empty, empty)
     vals = sym.numerators_at_poles
     pair = (vals.conj().T @ vals).conj()
     a = lagrange_denominators(np.asarray(sym.alphas, dtype=complex))
@@ -258,14 +255,17 @@ def rank1_representing_measure(model: kernels.Rank1Model, size: int,
     the kernel table entry K[m][n]; the max residual over m, n <= size is
     reported. (Expanding the density in powers of e^{i theta} shows the
     m >= n entry carries beta^{m-n}, matching the table orientation.)
+
+    The quadrature moment of z^m conj(z)^n is the mean of e^{i(m-n) theta}
+    times the density over the quad_points nodes, which is entry
+    (m - n) mod quad_points of the density's inverse DFT.
     """
     theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
     unit = np.exp(1j * theta)
     density = 1.0 - model.nu * (2.0 * (1.0 / (1.0 - np.conj(unit) * model.beta)).real - 1.0)
-    E = unit[None, :] ** np.arange(size + 1)[:, None]     # E[m, q] = e^{i m theta_q}
-    weighted = E * density[None, :] / quad_points
-    moments = weighted @ np.conj(E).T                     # [m, n] = mean of e^{i(m-n)theta} density
-    bpow = np.power(model.beta, np.arange(size + 1))
+    m = np.arange(size + 1)
+    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % quad_points]
+    bpow = np.power(model.beta, m)
     moments += model.nu * np.outer(bpow, np.conj(bpow))
 
     table = kernels.kernel_coeffs(

@@ -45,6 +45,10 @@ MIRROR_PAIR_TOL = 1e-6
 # a factorization input counts as positive on the circle when its smallest
 # sample exceeds this fraction of its largest
 POSITIVITY_GATE = 1e-10
+# equispaced circle points on which that gate is checked
+POSITIVITY_SAMPLES = 4096
+# relative tolerance for the two sides of a full Laurent band to be conjugate
+HERMITIAN_BAND_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -126,13 +130,9 @@ def poly_roots(p: Polynomial) -> list[complex]:
 def lagrange_denominators(poles) -> np.ndarray:
     """a_r = prod_{t != r} (poles[r] - poles[t]); the empty product is 1."""
     ps = np.asarray(poles, dtype=complex)
-    n = len(ps)
-    out = np.ones(n, dtype=complex)
-    for r in range(n):
-        for t in range(n):
-            if t != r:
-                out[r] *= ps[r] - ps[t]
-    return out
+    diff = ps[:, None] - ps[None, :]
+    np.fill_diagonal(diff, 1.0)
+    return diff.prod(axis=1)
 
 
 @dataclass(frozen=True)
@@ -207,11 +207,11 @@ class LaurentHermitian:
         return LaurentHermitian(tuple([head] + tail))
 
     @staticmethod
-    def from_full(full: Iterable[complex], tol: float = 1e-9) -> "LaurentHermitian":
+    def from_full(full: Iterable[complex]) -> "LaurentHermitian":
         """Build from a full band (d_{-k}, ..., d_k), averaging the two sides.
 
-        The input must already be hermitian to within tol relative to its
-        largest entry; the average makes the symmetry exact.
+        The input must already be hermitian to within HERMITIAN_BAND_TOL
+        relative to its largest entry; the average makes the symmetry exact.
         """
         arr = np.asarray(list(full), dtype=complex)
         if len(arr) % 2 != 1:
@@ -219,7 +219,7 @@ class LaurentHermitian:
         k = len(arr) // 2
         scale = max(np.abs(arr).max(), 1e-300)
         sym = 0.5 * (arr[k:] + np.conj(arr[k::-1]))
-        if np.abs(arr[k:] - np.conj(arr[k::-1])).max() > tol * scale:
+        if np.abs(arr[k:] - np.conj(arr[k::-1])).max() > HERMITIAN_BAND_TOL * scale:
             raise ValueError("band is not hermitian within tolerance")
         return LaurentHermitian.from_upper(sym)
 
@@ -244,10 +244,10 @@ class LaurentHermitian:
         return vals
 
 
-def fejer_riesz_factor(R: LaurentHermitian, samples: int = 4096):
+def fejer_riesz_factor(R: LaurentHermitian):
     """Factor R(z) = gamma * prod_j |z - alpha_j|^2 on |z| = 1.
 
-    R must be strictly positive on the circle (checked on `samples`
+    R must be strictly positive on the circle (checked on POSITIVITY_SAMPLES
     equispaced points: min > POSITIVITY_GATE * max). The roots of z^k R(z)
     come in mirror pairs (w, 1/conj(w)); the representatives outside the
     closed unit disc are returned sorted by (argument, modulus), and
@@ -268,16 +268,17 @@ def fejer_riesz_factor(R: LaurentHermitian, samples: int = 4096):
         If any root sits within CIRCLE_ROOT_TOL of the circle, or the
         mirror pairing cannot be completed within MIRROR_PAIR_TOL.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False)
+    theta = np.linspace(0.0, 2.0 * np.pi, POSITIVITY_SAMPLES, endpoint=False)
     vals = R.values_on_circle(np.exp(1j * theta))
     vmin, vmax = float(vals.min()), float(vals.max())
     if vmax <= 0.0:
         raise NotPositiveOnCircleError(
-            f"max of {samples} circle samples is {vmax:.3e}, not positive")
+            f"max of {POSITIVITY_SAMPLES} circle samples is {vmax:.3e}, "
+            "not positive")
     if vmin <= POSITIVITY_GATE * vmax:
         raise NotPositiveOnCircleError(
-            f"relative sampling gate: min/max of {samples} circle samples is "
-            f"{vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
+            f"relative sampling gate: min/max of {POSITIVITY_SAMPLES} circle "
+            f"samples is {vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
             f"(min {vmin:.3e}, max {vmax:.3e})")
     k = R.bandwidth
     if k == 0:

@@ -26,6 +26,9 @@ from .polyrat import (
     fejer_riesz_factor,
 )
 
+# circle points on which a symbol's Schur bound is checked
+SCHUR_SAMPLES = 512
+
 
 class EmptyMeasureError(ValueError):
     """Operation needs at least one atom."""
@@ -236,6 +239,35 @@ class RationalSymbol:
     chol: np.ndarray
     gamma_fr: float | None = None
 
+    def __post_init__(self):
+        """Admit only the class the certificates are stated for: numerators
+        vanishing at 0 of degree at most k, k simple poles outside the
+        closed disc, and sum_j |p_j/q|^2 <= 1 on the circle, checked on
+        SCHUR_SAMPLES points."""
+        for j, p in enumerate(self.numerators):
+            if p.coeffs and abs(p.coeffs[0]) > 1e-14 * max(
+                    1.0, max(abs(c) for c in p.coeffs)):
+                raise ValueError(f"numerator {j} has nonzero constant term")
+            if p.coeffs and p.degree > self.k:
+                raise ValueError(f"numerator {j} has degree {p.degree} > {self.k}")
+        alphas = np.asarray(self.alphas, dtype=complex)
+        if len(alphas) != self.k:
+            raise ValueError(f"{len(alphas)} poles for a rank-{self.k} symbol")
+        for i in range(self.k):
+            if abs(alphas[i]) <= 1.0:
+                raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
+            for j in range(i + 1, self.k):
+                if abs(alphas[i] - alphas[j]) <= POLE_GAP:
+                    raise ValueError(f"poles {alphas[i]} and {alphas[j]} coincide")
+        zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, SCHUR_SAMPLES, endpoint=False))
+        num = np.zeros(SCHUR_SAMPLES)
+        for p in self.numerators:
+            num += np.abs(p(zs)) ** 2
+        den = np.abs(self.q(zs)) ** 2
+        excess = float((num / den).max())
+        if excess > 1.0 + 1e-8:
+            raise ValueError(f"symbol violates the Schur bound: max row norm {excess}")
+
     @cached_property
     def numerators_at_poles(self) -> np.ndarray:
         """vals[j, r] = p_j(alpha_r), one array Horner pass per numerator,
@@ -258,46 +290,14 @@ def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:
     return out
 
 
-def _validate_symbol(sym: RationalSymbol, samples: int = 512) -> None:
-    for j, p in enumerate(sym.numerators):
-        if p.coeffs and abs(p.coeffs[0]) > 1e-14 * max(
-                1.0, max(abs(c) for c in p.coeffs)):
-            raise ValueError(f"numerator {j} has nonzero constant term")
-        if p.coeffs and p.degree > sym.k:
-            raise ValueError(f"numerator {j} has degree {p.degree} > {sym.k}")
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    if len(alphas) != sym.k:
-        raise ValueError(f"{len(alphas)} poles for a rank-{sym.k} symbol")
-    for i in range(sym.k):
-        if abs(alphas[i]) <= 1.0:
-            raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
-        for j in range(i + 1, sym.k):
-            if abs(alphas[i] - alphas[j]) <= POLE_GAP:
-                raise ValueError(f"poles {alphas[i]} and {alphas[j]} coincide")
-    if sym.k == 0:
-        return
-    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, samples, endpoint=False))
-    num = np.zeros(samples)
-    for p in sym.numerators:
-        num += np.abs(p(zs)) ** 2
-    den = np.abs(sym.q(zs)) ** 2
-    excess = float((num / den).max())
-    if excess > 1.0 + 1e-8:
-        raise ValueError(f"symbol violates the Schur bound: max row norm {excess}")
-
-
 def symbol_from_parts(alphas: Sequence[complex],
                       numerators: Sequence[Sequence[complex]],
                       gamma_fr: float | None = None) -> RationalSymbol:
-    """Assemble and validate a symbol from raw poles and numerator coefficients."""
+    """Assemble a symbol from raw poles and numerator coefficients."""
     k = len(numerators)
     if len(alphas) != k:
         raise ValueError(f"{len(alphas)} poles with {k} numerators")
     polys = tuple(Polynomial.from_coeffs(cs) for cs in numerators)
-    if k == 0:
-        return RationalSymbol(0, (), Polynomial.from_coeffs([1.0]), (),
-                              np.zeros((0, 0), dtype=complex),
-                              np.zeros((0, 0), dtype=complex), gamma_fr)
     for t, p in enumerate(polys):
         if p.coeffs and p.degree > k:
             raise ValueError(f"numerator {t} has degree {p.degree} > {k}")
@@ -307,10 +307,8 @@ def symbol_from_parts(alphas: Sequence[complex],
     eta = C.conj().T @ C
     eta = 0.5 * (eta + eta.conj().T)
     chol = _phase_fixed_upper(np.linalg.qr(C)[1])
-    sym = RationalSymbol(k, polys, Polynomial.from_roots(alphas),
-                         tuple(map(complex, alphas)), eta, chol, gamma_fr)
-    _validate_symbol(sym)
-    return sym
+    return RationalSymbol(k, polys, Polynomial.from_roots(alphas),
+                          tuple(map(complex, alphas)), eta, chol, gamma_fr)
 
 
 def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
@@ -328,9 +326,7 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     The empty measure yields the zero symbol with k = 0.
     """
     if mu.size == 0:
-        return RationalSymbol(0, (), Polynomial.from_coeffs([1.0]), (),
-                              np.zeros((0, 0), dtype=complex),
-                              np.zeros((0, 0), dtype=complex), 1.0)
+        return symbol_from_parts((), (), gamma_fr=1.0)
     outer = outer_from_measure(mu)
     gram = gram_from_outer(mu, outer)
     k = mu.size
@@ -375,10 +371,8 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
         Polynomial.from_coeffs(np.concatenate([[0.0], P[t, :]]))
         for t in range(k)
     )
-    sym = RationalSymbol(k, polys, outer.q, outer.alphas, A_psd, P,
-                         outer.gamma_fr)
-    _validate_symbol(sym)
-    return sym
+    return RationalSymbol(k, polys, outer.q, outer.alphas, A_psd, P,
+                          outer.gamma_fr)
 
 
 def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:

@@ -13,6 +13,7 @@ from cauchydual.certify import (
     VERDICT_REFUTED,
     CertificateConfig,
     InsufficientRowsError,
+    LevelStat,
     agler_pole_test,
     agler_taylor_test,
     coincidence_classes,
@@ -24,6 +25,7 @@ from cauchydual.certify import (
     run_certificates,
 )
 from cauchydual.kernels import mate_rank1, symbol_taylor
+from cauchydual.polyrat import Polynomial
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -285,6 +287,23 @@ def test_zero_symbol_certified():
     assert rep.exit_code == 0
 
 
+def test_empty_measure_is_the_zero_symbol():
+    built = measure_to_symbol(CircleMeasure())
+    zero = symbol_from_parts((), ())
+    for sym in (built, zero):
+        assert (sym.k, sym.numerators, sym.alphas) == (0, (), ())
+        assert sym.q == Polynomial((1.0 + 0.0j,))
+        for matrix in (sym.eta, sym.chol):
+            assert matrix.shape == (0, 0) and matrix.dtype == complex
+    assert built.gamma_fr == 1.0 and zero.gamma_fr is None
+    rep = run_certificates(built)
+    assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")
+    zeros = tuple(LevelStat(l, 0.0, 0.0) for l in range(1, CFG.levels + 1))
+    assert rep.agler_pole == zeros and rep.agler_taylor == zeros
+    assert rep.taylor.rows.shape == (CFG.trunc + CFG.levels, 0)
+    assert rep.necessary.locations == () and not rep.exactness
+
+
 def test_rotated_certified_family_stays_certified():
     rng = np.random.default_rng(14)
     for _ in range(6):
@@ -414,6 +433,35 @@ def test_rank1_representing_measure_tangent_model():
     check = rank1_representing_measure(model, 20)
     assert check.max_residual <= 1e-7
     assert abs(check.mass - 1.0) <= 1e-9
+
+
+def _moments_by_power_matrix(model, size, quad_points):
+    """The quadrature as a dense product, E[m, q] = e^{i m theta_q} against
+    the density, plus the atom at beta: the reference for the moments that
+    rank1_representing_measure takes from one inverse DFT."""
+    theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
+    unit = np.exp(1j * theta)
+    density = 1.0 - model.nu * (
+        2.0 * (1.0 / (1.0 - np.conj(unit) * model.beta)).real - 1.0)
+    E = unit[None, :] ** np.arange(size + 1)[:, None]
+    moments = (E * density[None, :] / quad_points) @ np.conj(E).T
+    bpow = np.power(model.beta, np.arange(size + 1))
+    return moments + model.nu * np.outer(bpow, np.conj(bpow))
+
+
+def test_rank1_moments_match_power_matrix_quadrature():
+    sym = single_atom_symbol(1.0)
+    tangent = mate_rank1(-sym.numerators[0].coeffs[1] / sym.alphas[0],
+                         1.0 / sym.alphas[0])
+    for model in (mate_rank1(0.5, 0.0), mate_rank1(0.4, 0.3 + 0.2j), tangent):
+        # fewer nodes than the 41 distinct m - n alias in both derivations;
+        # the moments are at most about 1, and the two summation orders
+        # measured up to 6 ulp apart here (at 7 nodes)
+        for quad_points in (1, 7, 41, 100, 4096):
+            check = rank1_representing_measure(model, 20, quad_points)
+            oracle = _moments_by_power_matrix(model, 20, quad_points)
+            gap = np.abs(check.moments - oracle).max()
+            assert gap <= 16 * np.finfo(float).eps
 
 
 def test_rank1_density_is_nonnegative():

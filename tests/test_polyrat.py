@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cauchydual import polyrat
 from cauchydual.polyrat import (
     CIRCLE_ROOT_TOL,
     DegreeTooLargeError,
@@ -258,12 +259,12 @@ def test_fejer_riesz_rejects_sign_changes():
         fejer_riesz_factor(LaurentHermitian.from_upper([-1.0]))
 
 
-def test_fejer_riesz_names_the_relative_gate():
+def test_fejer_riesz_names_the_relative_gate(monkeypatch):
     # 2 + 2e-12 + 2 cos(t) is positive but dips to about 5e-13 of its
     # maximum, below the relative gate
+    monkeypatch.setattr(polyrat, "POSITIVITY_SAMPLES", 4)
     with pytest.raises(NotPositiveOnCircleError) as err:
-        fejer_riesz_factor(
-            LaurentHermitian.from_upper([2.0 + 2e-12, 1.0]), samples=4)
+        fejer_riesz_factor(LaurentHermitian.from_upper([2.0 + 2e-12, 1.0]))
     message = str(err.value)
     assert "relative sampling gate" in message and "1e-10" in message
     assert "min/max of 4 circle samples is 5.000e-13" in message

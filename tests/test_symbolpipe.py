@@ -223,6 +223,19 @@ def test_zero_rank_symbol_from_parts():
     assert sym.k == 0 and isinstance(sym, RationalSymbol)
 
 
+def test_directly_built_symbol_is_checked():
+    # the constructor itself rejects a symbol outside the admissible class,
+    # without going through symbol_from_parts or measure_to_symbol
+    with pytest.raises(ValueError, match="not outside the closed disc"):
+        RationalSymbol(1, (Polynomial.from_coeffs([0.0, 0.1]),),
+                       Polynomial.from_roots([0.9]), (0.9 + 0.0j,),
+                       np.array([[0.01 + 0.0j]]), np.array([[0.1 + 0.0j]]))
+    with pytest.raises(ValueError, match="Schur bound"):
+        RationalSymbol(1, (Polynomial.from_coeffs([0.0, 1.2]),),
+                       Polynomial.from_roots([1.05]), (1.05 + 0.0j,),
+                       np.array([[1.44 + 0.0j]]), np.array([[1.2 + 0.0j]]))
+
+
 # ------------------------------------------------------- antipodal closed form
 
 
