@@ -48,6 +48,8 @@ from .certify import (
     pole_pairing,
     coincidence_classes,
     orthogonality_test,
+    pole_basis,
+    pole_cores,
     agler_pole_test,
     agler_taylor_test,
     necessary_measure_test,
@@ -72,7 +74,7 @@ __all__ = [
     "mate_rank1", "gram_monomials_rank1", "cauchy_dual_kernel_rank1",
     "CertificateConfig", "CertificateReport", "LevelStat",
     "NecessaryMeasure", "MomentCheck", "pole_pairing", "coincidence_classes",
-    "orthogonality_test",
+    "orthogonality_test", "pole_basis", "pole_cores",
     "agler_pole_test", "agler_taylor_test", "necessary_measure_test",
     "rank1_representing_measure", "exactness_applies", "run_certificates",
     "VERDICT_CERTIFIED", "VERDICT_REFUTED", "VERDICT_INCONCLUSIVE",

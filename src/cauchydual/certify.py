@@ -4,7 +4,8 @@ a row symbol.
 The decision chain is: exact numerator orthogonality at the poles (a
 sufficient condition), the necessary measure supported on [0, 1] (its
 failure is a definitive refutation), and truncated Agler-type positivity
-matrices computed by two independent engines (pole side and Taylor side).
+matrices computed by two engines (pole side and Taylor side) in one shared
+basis, with the Taylor side's distance from that basis measured per level.
 When every off-diagonal pole product is a distinct point outside the ray
 [1, oo), orthogonality is also necessary, so its failure refutes without
 waiting for a truncation witness.
@@ -84,48 +85,84 @@ def orthogonality_test(pairing: PolePairing, cfg: CertificateConfig):
 
 @dataclass(frozen=True)
 class LevelStat:
+    """One Agler level: the smallest eigenvalue and the largest eigenvalue
+    modulus of its N x N truncation. residual and gap measure how far the
+    Taylor engine's matrix lies from the shared pole basis (see
+    agler_taylor_test); the pole engine reads its matrices exactly off
+    that basis and leaves both at 0."""
+
     level: int
     min_eig: float
     norm: float
+    residual: float = 0.0
+    gap: float = 0.0
+
+    def passes(self, tol_psd: float) -> bool:
+        """min_eig >= -tol_psd norm, with residual and gap both at most
+        tol_psd norm: a level whose numbers drifted from the basis by more
+        than the tolerance cannot vouch for positivity."""
+        bound = tol_psd * max(self.norm, 1e-300)
+        return (self.min_eig >= -bound and self.residual <= bound
+                and self.gap <= bound)
 
 
-def _level_stat(level: int, evals: np.ndarray) -> LevelStat:
-    return LevelStat(level, float(evals.min()), float(np.abs(evals).max()))
+def _level_stats(H: np.ndarray, trunc: int, *drift) -> tuple:
+    """LevelStat per level from the hermitian r x r matrices H[l - 1]
+    that stand for N x N matrices of rank r, N = trunc, with one batched
+    eigvalsh; when N > r the N - r zero eigenvalues count as one 0. For
+    r = 0 every stat is 0 and nothing is solved. `drift` holds the
+    residual and gap arrays, if any."""
+    levels, r = len(H), H.shape[-1]
+    lows, norms = np.zeros(levels), np.zeros(levels)
+    if r:
+        evals = np.linalg.eigvalsh(H)
+        if trunc > r:
+            evals = np.concatenate((evals, np.zeros((levels, 1))), axis=1)
+        lows, norms = evals.min(axis=1), np.abs(evals).max(axis=1)
+    return tuple(map(LevelStat, range(1, levels + 1), lows.tolist(),
+                     norms.tolist(), *(values.tolist() for values in drift)))
 
 
-def agler_pole_test(sym: RationalSymbol, cross: np.ndarray,
-                    cfg: CertificateConfig) -> tuple:
+def pole_basis(sym: RationalSymbol, trunc: int) -> tuple:
+    """Reduced QR, V^T = Q R, of the trunc x k matrix
+    V^T[m, r] = (1/alpha_r)^(m+2): Q is trunc x r with orthonormal columns
+    and R is r x k, r = min(k, trunc). Every level matrix of the N x N
+    truncation, N = trunc, is V^T X_l conj(V) for a k x k core X_l, so
+    both engines work in this basis."""
+    return np.linalg.qr(sym.inverse_pole_powers(trunc + 1)[1:])
+
+
+def pole_cores(sym: RationalSymbol, cross: np.ndarray, R: np.ndarray,
+               levels: int) -> np.ndarray:
+    """H[l - 1] = R X_l R^H, hermitian, for l = 1..levels, where
+    X_l = C o G^l with G = 1 - 1/(alpha conj(alpha)^T) is the k x k core
+    of level l: the level's matrix in the pole basis, shape
+    (levels, r, r)."""
+    alphas = np.asarray(sym.alphas, dtype=complex)
+    G = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
+    X = np.empty((levels,) + G.shape, dtype=complex)
+    np.multiply(cross, G, out=X[0])
+    for l in range(1, levels):
+        np.multiply(X[l - 1], G, out=X[l])
+    H = R @ X @ R.conj().T
+    return 0.5 * (H + H.conj().swapaxes(1, 2))
+
+
+def agler_pole_test(cores: np.ndarray, cfg: CertificateConfig) -> tuple:
     """LevelStat per level 1..levels of the N x N pole-side truncation
 
         M_l[m, n] = sum_{r,t} C[r,t] (1 - 1/(alpha_r conj(alpha_t)))^l
                     * alpha_r^-(m+2) conj(alpha_t)^-(n+2),
 
-    N = cfg.trunc. M_l = V^T X_l conj(V) with V[r, m] = alpha_r^-(m+2) and
-    the k x k core X_l = C o G^l, so its rank is at most r = min(k, N).
-    With V^T = Q R (R is r x k), the nonzero eigenvalues of M_l are those
-    of the r x r matrix R X_l R^H, and the other N - r are exactly zero.
+    N = cfg.trunc. M_l = V^T X_l conj(V) = Q (R X_l R^H) Q^H with the
+    pole basis Q, R, so the nonzero eigenvalues of M_l are those of its
+    r x r core from pole_cores, and the other N - r are exactly zero.
     """
-    N = cfg.trunc
-    if sym.k == 0:
-        return tuple(LevelStat(l, 0.0, 0.0) for l in range(1, cfg.levels + 1))
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    G = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
-    R = np.linalg.qr(
-        alphas[None, :] ** (-(np.arange(N, dtype=float)[:, None] + 2.0)),
-        mode="r")
-    stats, core = [], cross
-    for level in range(1, cfg.levels + 1):
-        core = core * G
-        H = R @ core @ R.conj().T
-        evals = np.linalg.eigvalsh(0.5 * (H + H.conj().T))
-        if N > len(R):
-            evals = np.append(evals, 0.0)
-        stats.append(_level_stat(level, evals))
-    return tuple(stats)
+    return _level_stats(cores, cfg.trunc)
 
 
-def agler_taylor_test(taylor: kernels.TaylorTable,
-                      cfg: CertificateConfig) -> tuple:
+def agler_taylor_test(taylor: kernels.TaylorTable, Q: np.ndarray,
+                      cores: np.ndarray, cfg: CertificateConfig) -> tuple:
     """LevelStat per level 1..levels of the same truncation from the raw
     Taylor rows:
 
@@ -134,6 +171,16 @@ def agler_taylor_test(taylor: kernels.TaylorTable,
     With S[m, n] = B_{m+1} . B_{n+1}* and D_l the l-th forward difference
     along the diagonal, D_l[m, n] = D_{l-1}[m, n] - D_{l-1}[m+1, n+1], the
     level-l matrix is D_l[:N, :N]. Needs rows up to index N + levels.
+
+    The eigenvalues are those of P_l = Q^H M_l Q in the pole basis Q, for
+    all levels in one batched eigvalsh, plus a 0 for the N - r directions
+    outside the basis. Two numbers measure what that
+    leaves out: residual = ||M_l - Q P_l Q^H||_F, which bounds how far
+    each eigenvalue of M_l lies from that spectrum (Weyl's inequality) and
+    is where rounding in the differences shows, and
+    gap = ||P_l - cores[l - 1]||_F, the disagreement with the pole
+    engine. The residual is formed directly: sqrt(||M||^2 - ||P||^2)
+    cancels to about 1e-8 of the norm.
     """
     N, L = cfg.trunc, cfg.levels
     if taylor.n_rows < N + L:
@@ -142,11 +189,19 @@ def agler_taylor_test(taylor: kernels.TaylorTable,
     rows = taylor.rows[:N + L]
     D = rows @ rows.conj().T
     D = 0.5 * (D + D.conj().T)
-    stats = []
-    for level in range(1, L + 1):
+    Qh = Q.conj().T
+    P = np.empty_like(cores)
+    squared = np.empty(L)
+    for l in range(L):
         D = D[:-1, :-1] - D[1:, 1:]
-        stats.append(_level_stat(level, np.linalg.eigvalsh(D[:N, :N])))
-    return tuple(stats)
+        M = D[:N, :N]
+        P[l] = Qh @ M @ Q
+        E = Q @ P[l] @ Qh
+        np.subtract(M, E, out=E)
+        squared[l] = np.vdot(E, E).real
+    P = 0.5 * (P + P.conj().swapaxes(1, 2))
+    gap = np.linalg.norm(P - cores, axis=(1, 2))
+    return _level_stats(P, N, np.sqrt(squared), gap)
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location
@@ -319,9 +374,12 @@ def run_certificates(sym: RationalSymbol,
     Orthogonality certifies; a failed necessary measure refutes at level 0;
     when the exactness condition holds, a failed orthogonality test also
     refutes at level 0; otherwise a truncation eigenvalue below
-    -10 tol_psd ||M_l|| refutes at its level, everything above
-    -tol_psd ||M_l|| is a truncation-level pass, and anything else stays
-    inconclusive (the 10x hysteresis band).
+    -10 tol_psd ||M_l|| refutes at its level, and anything else stays
+    inconclusive (the 10x hysteresis band). agler_passed says that every
+    level of both engines passes (LevelStat.passes): its eigenvalues lie
+    above -tol_psd ||M_l|| and the Taylor engine's residual and gap lie
+    below tol_psd ||M_l||. Refutation reads min_eig only, so drift out of
+    the pole basis can keep a level from passing but never refutes.
     """
     pairing = pole_pairing(sym)
     classes = coincidence_classes(sym)
@@ -329,13 +387,13 @@ def run_certificates(sym: RationalSymbol,
     necessary, necessary_passed = necessary_measure_test(
         pairing.cross, classes, cfg)
     taylor = kernels.symbol_taylor(sym, cfg.trunc + cfg.levels)
-    pole_stats = agler_pole_test(sym, pairing.cross, cfg)
-    taylor_stats = agler_taylor_test(taylor, cfg)
+    Q, R = pole_basis(sym, cfg.trunc)
+    cores = pole_cores(sym, pairing.cross, R, cfg.levels)
+    pole_stats = agler_pole_test(cores, cfg)
+    taylor_stats = agler_taylor_test(taylor, Q, cores, cfg)
     exact = exactness_applies(classes)
-
-    agler_passed = all(
-        st.min_eig >= -cfg.tol_psd * max(st.norm, 1e-300)
-        for st in pole_stats + taylor_stats)
+    agler_passed = all(st.passes(cfg.tol_psd)
+                       for st in pole_stats + taylor_stats)
 
     certified_by = refuted_by = None
     refuted_level = refuted_min_eig = None

@@ -214,8 +214,10 @@ def write_atomic(path: str, text: str):
 
 # ------------------------------------------------------------- reporting
 
-def _stats_json(stats) -> list:
-    return [{"level": st.level, "min_eig": st.min_eig, "norm": st.norm}
+def _stats_json(stats, *drift) -> list:
+    """Level, min_eig and norm per level, then the named drift fields."""
+    return [{"level": st.level, "min_eig": st.min_eig, "norm": st.norm,
+             **{name: getattr(st, name) for name in drift}}
             for st in stats]
 
 
@@ -295,7 +297,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "orth_residual": result.orth_residual,
             "orth_passed": result.orth_passed,
             "agler_pole": _stats_json(result.agler_pole),
-            "agler_taylor": _stats_json(result.agler_taylor),
+            "agler_taylor": _stats_json(result.agler_taylor, "residual", "gap"),
             "agler_passed": result.agler_passed,
             "necessary": _necessary_json(result.necessary, result.necessary_passed),
             "exactness_applies": result.exactness,

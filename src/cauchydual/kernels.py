@@ -74,8 +74,7 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
     denoms = lagrange_denominators(alphas)
     # weight[j, i] = p_j(alpha_i) / (alpha_i a_i)
     weight = sym.numerators_at_poles / (alphas * denoms)[None, :]
-    powers = alphas[None, :] ** (-np.arange(1, n_rows + 1, dtype=float)[:, None])
-    rows = -(powers @ weight.T)
+    rows = -(sym.inverse_pole_powers(n_rows) @ weight.T)
 
     inv_q = _series_inverse(np.asarray(sym.q.coeffs, dtype=complex), n_rows + 1)
     check = np.zeros_like(rows)

@@ -244,6 +244,9 @@ class RationalSymbol:
         vanishing at 0 of degree at most k, k simple poles outside the
         closed disc, and sum_j |p_j/q|^2 <= 1 on the circle, checked on
         SCHUR_SAMPLES points."""
+        if len(self.numerators) != self.k:
+            raise ValueError(
+                f"{len(self.numerators)} numerators for a rank-{self.k} symbol")
         for j, p in enumerate(self.numerators):
             if p.coeffs and abs(p.coeffs[0]) > 1e-14 * max(
                     1.0, max(abs(c) for c in p.coeffs)):
@@ -279,6 +282,16 @@ class RationalSymbol:
             vals[j] = p(alphas)
         vals.flags.writeable = False
         return vals
+
+    def inverse_pole_powers(self, count: int) -> np.ndarray:
+        """P[m - 1, r] = (1/alpha_r)^m for m = 1..count, by running
+        products of the reciprocal. The reciprocal lies in the open disc,
+        so the powers of a far pole underflow towards 0 where alpha_r^-m
+        would overflow. On the benchmark's measure pool, running products
+        left slightly less rounding drift in the Taylor engine's forward
+        differences than numpy's power of the reciprocal."""
+        inverse = 1.0 / np.asarray(self.alphas, dtype=complex)
+        return np.cumprod(np.broadcast_to(inverse, (count, len(inverse))), axis=0)
 
 
 def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from cauchydual import polyrat
+from cauchydual import kernels, polyrat
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
@@ -20,11 +20,13 @@ from cauchydual.certify import (
     exactness_applies,
     necessary_measure_test,
     orthogonality_test,
+    pole_basis,
+    pole_cores,
     pole_pairing,
     rank1_representing_measure,
     run_certificates,
 )
-from cauchydual.kernels import mate_rank1, symbol_taylor
+from cauchydual.kernels import TaylorTable, mate_rank1, symbol_taylor
 from cauchydual.polyrat import Polynomial
 from cauchydual.symbolpipe import (
     CircleMeasure,
@@ -75,6 +77,12 @@ def _fixtures_and_seeded_batch(seed, draws):
         except (ValueError, ArithmeticError, RuntimeError):
             continue    # the pipeline's conditioning limit, not this test's
     return symbols
+
+
+def _basis_and_cores(sym, cfg):
+    """The pole basis Q and the level cores both engines run on."""
+    Q, R = pole_basis(sym, cfg.trunc)
+    return Q, pole_cores(sym, pole_pairing(sym).cross, R, cfg.levels)
 
 
 def make_orthogonal_pair(eps=0.0, s=0.25):
@@ -189,10 +197,13 @@ def test_certified_cases_pass_both_engines():
 
 
 def test_insufficient_rows_for_taylor_engine():
-    taylor = symbol_taylor(make_refuter(), 15)
+    sym = make_refuter()
+    taylor = symbol_taylor(sym, 15)
+    too_deep = CertificateConfig(levels=6, trunc=10)
+    fits = CertificateConfig(levels=5, trunc=10)
     with pytest.raises(InsufficientRowsError):
-        agler_taylor_test(taylor, CertificateConfig(levels=6, trunc=10))
-    assert len(agler_taylor_test(taylor, CertificateConfig(levels=5, trunc=10))) == 5
+        agler_taylor_test(taylor, *_basis_and_cores(sym, too_deep), too_deep)
+    assert len(agler_taylor_test(taylor, *_basis_and_cores(sym, fits), fits)) == 5
 
 
 def test_engines_match_oracle_eigvalsh():
@@ -206,10 +217,11 @@ def test_engines_match_oracle_eigvalsh():
     for sym, cfg in cases:
         cross = pole_pairing(sym).cross
         taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
+        Q, cores = _basis_and_cores(sym, cfg)
         for got, want, tol in (
-                (agler_pole_test(sym, cross, cfg), oracle_stats(
+                (agler_pole_test(cores, cfg), oracle_stats(
                     lambda l, n: agler_pole_matrix(sym, cross, l, n), cfg), 1e-12),
-                (agler_taylor_test(taylor, cfg), oracle_stats(
+                (agler_taylor_test(taylor, Q, cores, cfg), oracle_stats(
                     lambda l, n: agler_taylor_matrix(taylor, l, n), cfg), 1e-10)):
             assert [st.level for st in got] == list(range(1, cfg.levels + 1))
             for st, ref in zip(got, want):
@@ -218,23 +230,92 @@ def test_engines_match_oracle_eigvalsh():
 
 
 def test_pole_engine_eigensolves_at_rank(monkeypatch):
-    sides = []
+    # both engines: one batched eigvalsh call, no matrix side above min(k, N)
+    sides, calls = [], []
     eigvalsh = np.linalg.eigvalsh
 
     def recording(a, *args, **kwargs):
-        sides.append(np.shape(a))
+        shape = np.shape(a)
+        calls.append(shape)
+        sides.extend([shape[-2:]] * math.prod(shape[:-2]))
         return eigvalsh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", recording)
     six = make_six_equal_atoms()
     for sym in (make_refuter(), single_atom_symbol(1.0), six,
                 symbol_from_parts([], [])):
-        cross = pole_pairing(sym).cross
         for trunc in (2, 3, 40, 200):
-            sides.clear()
-            agler_pole_test(sym, cross, CertificateConfig(levels=7, trunc=trunc))
-            side = min(sym.k, trunc)
-            assert sides == ([(side, side)] * 7 if side else [])
+            cfg = CertificateConfig(levels=7, trunc=trunc)
+            Q, cores = _basis_and_cores(sym, cfg)
+            taylor = symbol_taylor(sym, trunc + 7)
+            for engine in (lambda: agler_pole_test(cores, cfg),
+                           lambda: agler_taylor_test(taylor, Q, cores, cfg)):
+                sides.clear()
+                calls.clear()
+                engine()
+                side = min(sym.k, trunc)
+                assert sides == ([(side, side)] * 7 if side else [])
+                assert len(calls) == (1 if side else 0)
+
+
+def test_taylor_residual_and_gap_match_oracle_matrix():
+    # rows with a part outside the pole basis: the residual and the gap are
+    # those of the oracle's N x N matrix M, ||M - Q Q^H M Q Q^H||_F and
+    # ||Q^H M Q - core||_F
+    rng = np.random.default_rng(44)
+    cfg = CertificateConfig(levels=6, trunc=12)
+    for sym in (make_refuter(), make_six_equal_atoms(),
+                closed_form_antipodal(1.0, 1.0).to_symbol()):
+        Q, cores = _basis_and_cores(sym, cfg)
+        rows = symbol_taylor(sym, cfg.trunc + cfg.levels).rows
+        re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
+        taylor = TaylorTable(sym.k, rows + re + 1j * im)
+        for st in agler_taylor_test(taylor, Q, cores, cfg):
+            M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
+            P = Q.conj().T @ M @ Q
+            residual = np.linalg.norm(M - Q @ P @ Q.conj().T)
+            gap = np.linalg.norm(P - cores[st.level - 1])
+            assert residual > 1e-3 * st.norm
+            assert abs(st.residual - residual) <= 1e-10 * residual
+            assert abs(st.gap - gap) <= 1e-10 * gap
+
+
+def test_level_passes_needs_small_residual_and_gap():
+    tol = CFG.tol_psd
+    assert LevelStat(1, -0.5 * tol, 1.0, 0.5 * tol, 0.5 * tol).passes(tol)
+    assert LevelStat(1, 0.0, 0.0).passes(tol)
+    assert not LevelStat(1, -2.0 * tol, 1.0).passes(tol)
+    assert not LevelStat(1, 0.0, 1.0, residual=2.0 * tol).passes(tol)
+    assert not LevelStat(1, 0.0, 1.0, gap=2.0 * tol).passes(tol)
+
+
+def test_taylor_drift_keeps_agler_from_passing():
+    # antipodal_1_1 at L=80: every eigenvalue passes, but the differences
+    # drifted out of the pole basis by more than tol_psd, so the levels
+    # cannot vouch for positivity; orthogonality still certifies
+    cfg = CertificateConfig(levels=80, trunc=40)
+    rep = run_certificates(load_fixture_symbol("antipodal_1_1"), cfg)
+    bound = [cfg.tol_psd * st.norm for st in rep.agler_taylor]
+    assert all(st.min_eig >= -cfg.tol_psd * st.norm
+               for st in rep.agler_pole + rep.agler_taylor)
+    assert any(st.residual > b for st, b in zip(rep.agler_taylor, bound))
+    assert not rep.agler_passed
+    assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")
+
+
+def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
+    # Taylor rows of the same poles with the numerators scaled by 0.9 lie
+    # in the pole basis (no residual) and have positive levels, but they
+    # disagree with the pole cores
+    original = kernels.symbol_taylor
+    monkeypatch.setattr(kernels, "symbol_taylor", lambda sym, n: TaylorTable(
+        sym.k, 0.9 * original(sym, n).rows))
+    rep = run_certificates(single_atom_symbol(1.0))
+    tol = CFG.tol_psd
+    assert all(st.min_eig >= -tol * st.norm and st.residual <= tol * st.norm
+               for st in rep.agler_pole + rep.agler_taylor)
+    assert all(st.gap > tol * st.norm for st in rep.agler_taylor)
+    assert not rep.agler_passed
 
 
 # ----------------------------------------------------------- verdict plumbing

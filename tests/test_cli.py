@@ -6,6 +6,7 @@ import os
 import stat
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,19 @@ def test_error_exits(tmp_path, capsys):
                     "numerators": [[[0.0, 0.0], [1.2, 0.0]]]}}))
     assert main(["--input", str(schur)]) == EXIT_ERROR
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("modulus", [1e7, 1e10, 1e20])
+def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
+    # inverse pole powers underflow towards 0 instead of overflowing
+    path = tmp_path / "far.json"
+    path.write_text(json.dumps(
+        {"symbol": {"alphas": [[modulus, 0.0]],
+                    "numerators": [[[0.0, 0.0], [1e-10, 0.0]]]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("CertifiedSubnormal ")
 
 
 def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch):

@@ -236,6 +236,14 @@ def test_directly_built_symbol_is_checked():
                        np.array([[1.44 + 0.0j]]), np.array([[1.2 + 0.0j]]))
 
 
+def test_directly_built_symbol_needs_one_numerator_per_pole():
+    poles = (2.0 + 0.0j, -3.0 + 0.0j)
+    with pytest.raises(ValueError, match="1 numerators for a rank-2 symbol"):
+        RationalSymbol(2, (Polynomial.from_coeffs([0.0, 0.1]),),
+                       Polynomial.from_roots(poles), poles,
+                       np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
+
+
 # ------------------------------------------------------- antipodal closed form
 
 
