@@ -3,7 +3,7 @@ grid, and store the rows in a BENCH_<n>.json.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_6.json
+    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_7.json
 
 For each fixture, with and without --dump-tables, three medians over
 REPEATS runs: `cli.main` writing the report to a temporary directory,
@@ -47,7 +47,7 @@ REPEATS = 21         # timed runs per median
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 ENGINE_LAYERS = ("pole_basis", "pole_cores", "agler_pole_test",
-                 "agler_taylor_test")
+                 "agler_taylor_test", "coincidence_classes")
 ENGINE_SEED = 6
 # the measures of the grid: atom gaps above MIN_GAP, weights log-uniform
 # in [MIN_WEIGHT, MAX_WEIGHT], as scripts/random_measure_scan.py draws them

@@ -231,14 +231,18 @@ def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
     flat = products.ravel()
     close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
     # every product takes the smallest index it is chained to
-    index = label = np.arange(flat.size)
+    label = np.arange(flat.size)
     while flat.size:
         lowest = np.where(close, label[None, :], flat.size).min(axis=1)
         if (lowest == label).all():
             break
         label = lowest
-    members = tuple(np.flatnonzero(label == root) for root in index[label == index])
-    locations = tuple(complex(1.0 / np.mean(flat[m])) for m in members)
+    # a label is its class's first member, so a stable sort keeps both orders
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(label[order] == order)
+    members = tuple(np.split(order, starts)[1:])
+    means = np.add.reduceat(flat[order], starts) / np.diff(starts, append=flat.size)
+    locations = tuple((1.0 / means).tolist())
     return CoincidenceClasses(products, members, locations)
 
 
@@ -325,8 +329,8 @@ def rank1_representing_measure(model: kernels.Rank1Model, size: int,
 
     table = kernels.kernel_coeffs(
         kernels.rank1_taylor(model.gamma, model.beta, max(size, 1)), size)
-    resid = float(np.abs(moments - table.K).max())
-    return MomentCheck(table.K, moments, resid, float(moments[0, 0].real))
+    resid = float(np.abs(moments - table).max())
+    return MomentCheck(table, moments, resid, float(moments[0, 0].real))
 
 
 def exactness_applies(classes: CoincidenceClasses) -> bool:

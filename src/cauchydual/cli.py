@@ -282,7 +282,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "alphas": [_cpx(a) for a in sym.alphas],
             "numerators": [[_cpx(c) for c in p.coeffs] for p in sym.numerators],
             "q": [_cpx(c) for c in sym.q.coeffs],
-            "eta": _cmatrix(sym.eta) if sym.k else [],
+            "eta": _cmatrix(sym.eta),
             "taylor_digest": {
                 "n_rows": taylor.n_rows,
                 "row_norms": taylor.row_norms().tolist(),
@@ -307,9 +307,8 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     if sym.k == 1:
         report["rank1"] = _rank1_section(sym, quad_points)
     if dump_tables:
-        table = kernels.kernel_coeffs(taylor, cfg.trunc)
         report["tables"] = {
-            "K": _cmatrix(table.K),
+            "K": _cmatrix(kernels.kernel_coeffs(taylor, cfg.trunc)),
             "B_rows": _cmatrix(taylor.rows),
         }
     return report

@@ -1,11 +1,9 @@
-"""Taylor rows of a row symbol, kernel coefficient tables, and the rank-one
-closed forms: the mate of a one-pole symbol, the Gram matrix of monomials,
-and the Cauchy dual reproducing kernel.
+"""Taylor rows of a row symbol, kernel coefficient tables, and the mate of
+a one-pole symbol.
 
-Wherever a quantity admits two independent derivations (pole expansion vs
-power-series division, rational vs closed-form kernel evaluation) both are
-computed and compared, so a bug in either path shows up as a loud residual
-instead of a silently wrong table.
+The Taylor rows admit two independent derivations (pole expansion and
+power-series division); both are computed and compared, so a bug in
+either path shows up as a loud residual instead of a silently wrong table.
 """
 from __future__ import annotations
 
@@ -22,16 +20,11 @@ class ExtremePointError(ValueError):
     """1 - |b|^2 vanishes in mean on the circle, so no mate exists."""
 
 
-class GridOutsideDiscError(ValueError):
-    """Kernel evaluation grids must stay inside the open unit disc."""
-
-
 @dataclass(frozen=True, eq=False)
 class TaylorTable:
     """Rows B_1, ..., B_N of the symbol: rows[m-1, j] is the coefficient
     of z^m in the j-th component."""
 
-    k: int
     rows: np.ndarray
 
     @property
@@ -87,7 +80,7 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
     if gap > 1e-10 * scale:
         raise RuntimeError(
             f"pole expansion and series division disagree by {gap:.3e}")
-    return TaylorTable(sym.k, rows)
+    return TaylorTable(rows)
 
 
 def rank1_taylor(gamma: complex, beta: complex, n_rows: int) -> TaylorTable:
@@ -98,20 +91,13 @@ def rank1_taylor(gamma: complex, beta: complex, n_rows: int) -> TaylorTable:
         raise ValueError("beta must lie in the open unit disc")
     ms = np.arange(n_rows)
     rows = (complex(gamma) * np.power(complex(beta), ms))[:, None]
-    return TaylorTable(1, rows)
+    return TaylorTable(rows)
 
 
-@dataclass(frozen=True, eq=False)
-class KernelTable:
-    """K[m, n] = the (m, n) normalized Taylor coefficient of the kernel
-    (1 - B(z) B(w)*) / (1 - z conj(w)) at the origin, 0 <= m, n <= size."""
-
-    size: int
-    K: np.ndarray
-
-
-def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> KernelTable:
-    """Kernel coefficient table from the Taylor rows: K = I - T T^H.
+def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> np.ndarray:
+    """Kernel coefficient table from the Taylor rows: K = I - T T^H, where
+    K[m, n], 0 <= m, n <= size, is the (m, n) normalized Taylor coefficient
+    of the kernel (1 - B(z) B(w)*) / (1 - z conj(w)) at the origin.
 
     T is the block-lower-triangular Toeplitz matrix of the rows B_0 = 0,
     B_1, ..., B_size, so for m >= n the entry is
@@ -131,22 +117,7 @@ def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> KernelTable:
     TT = np.zeros((size + 1, size + 1), dtype=complex)   # lower triangle of T T^H
     for n in range(1, size + 1):
         TT[n:, n] = TT[n - 1:-1, n - 1] + S[n - 1:size, n - 1]
-    return KernelTable(size, np.eye(size + 1) - TT - np.tril(TT, -1).conj().T)
-
-
-def rank1_kernel_closed_form(gamma: complex, beta: complex, size: int) -> np.ndarray:
-    """The same table for b = gamma z/(1 - beta z), in closed form."""
-    g2 = abs(gamma) ** 2
-    t = abs(beta) ** 2
-    K = np.eye(size + 1, dtype=complex)
-    for n in range(0, size + 1):
-        ratio = (1.0 - t ** n) / (1.0 - t)
-        for m in range(n, size + 1):
-            if n >= 1:
-                K[m, n] -= g2 * complex(beta) ** (m - n) * ratio
-            if m > n:
-                K[n, m] = np.conj(K[m, n])
-    return K
+    return np.eye(size + 1) - TT - np.tril(TT, -1).conj().T
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,13 +133,6 @@ class Rank1Model:
     rho: float
     sigma: complex
     nu: float
-
-    def phi_coefficients(self, count: int) -> np.ndarray:
-        """Taylor coefficients of phi on indices 0..count."""
-        out = np.zeros(count + 1, dtype=complex)
-        ratio = self.sigma / self.rho
-        out[1:] = (self.gamma / self.rho) * np.power(ratio, np.arange(count))
-        return out
 
 
 def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
@@ -204,54 +168,3 @@ def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
     if resid > 1e-10:
         raise RuntimeError(f"mate identity residual {resid:.3e}")
     return Rank1Model(gamma, beta, rho, sigma, nu)
-
-
-def gram_monomials_rank1(model: Rank1Model, size: int) -> np.ndarray:
-    """Gram matrix <z^m, z^n> of the monomials in the symbol's space.
-
-    With c the Taylor coefficients of phi = b/a,
-
-        <z^m, z^n> = delta_{m,n} + sum_{k=0}^{n} conj(c_{m-n+k}) c_k
-
-    for m >= n, hermitian for m < n.
-    """
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    c = model.phi_coefficients(size)
-    G = np.eye(size + 1, dtype=complex)
-    for d in range(0, size + 1):
-        terms = np.conj(c[d:]) * c[: len(c) - d]
-        sums = np.cumsum(terms)
-        for n in range(0, size + 1 - d):
-            G[n + d, n] += sums[n]
-            if d > 0:
-                G[n, n + d] = np.conj(G[n + d, n])
-    return G
-
-
-def cauchy_dual_kernel_rank1(model: Rank1Model, grid_z, grid_w) -> np.ndarray:
-    """Cauchy dual kernel (1 + phi(z) conj(phi(w))) / (1 - z conj(w)).
-
-    Evaluated two ways, once through phi = b/a as a quotient of rational
-    values and once through the closed form in (rho, sigma); the two
-    tables must agree to 1e-10. Grids must lie in the open unit disc.
-    """
-    zs = np.asarray(grid_z, dtype=complex).ravel()
-    ws = np.asarray(grid_w, dtype=complex).ravel()
-    if len(zs) and np.abs(zs).max() >= 1.0 or len(ws) and np.abs(ws).max() >= 1.0:
-        raise GridOutsideDiscError("kernel grid touches or leaves the unit disc")
-
-    def phi_at(pts):
-        b = model.gamma * pts / (1.0 - model.beta * pts)
-        a = (model.rho - model.sigma * pts) / (1.0 - model.beta * pts)
-        return b / a
-
-    cross = np.outer(zs, np.conj(ws))
-    via_phi = (1.0 + np.outer(phi_at(zs), np.conj(phi_at(ws)))) / (1.0 - cross)
-    closed = (1.0 + abs(model.gamma) ** 2 * cross
-              / np.outer(model.rho - model.sigma * zs,
-                         np.conj(model.rho - model.sigma * ws))) / (1.0 - cross)
-    gap = float(np.abs(via_phi - closed).max()) if via_phi.size else 0.0
-    if gap > 1e-10 * max(1.0, float(np.abs(closed).max()) if closed.size else 1.0):
-        raise RuntimeError(f"kernel evaluations disagree by {gap:.3e}")
-    return closed

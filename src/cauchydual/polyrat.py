@@ -1,5 +1,5 @@
-"""Complex polynomials, simple-pole partial fractions, and circle-positive
-spectral factorization.
+"""Complex polynomials, the Lagrange denominators of a simple pole set, and
+circle-positive spectral factorization.
 
 Everything here is plain double-precision arithmetic over small degrees.
 Polynomials are ascending coefficient tuples, roots come from the balanced
@@ -18,14 +18,6 @@ from numpy.polynomial import polynomial as npoly
 
 class DegreeZeroError(ValueError):
     """Root finding needs degree >= 1."""
-
-
-class PolesNotDistinctError(ValueError):
-    """Pole set contains a pair closer than the allowed gap."""
-
-
-class DegreeTooLargeError(ValueError):
-    """Numerator degree must stay strictly below the number of poles."""
 
 
 class NotPositiveOnCircleError(ValueError):
@@ -133,48 +125,6 @@ def lagrange_denominators(poles) -> np.ndarray:
     diff = ps[:, None] - ps[None, :]
     np.fill_diagonal(diff, 1.0)
     return diff.prod(axis=1)
-
-
-@dataclass(frozen=True)
-class PartialFractionExpansion:
-    """p(z) / prod_i (z - poles[i]) = sum_i residues[i] / (z - poles[i])."""
-
-    poles: tuple[complex, ...]
-    residues: tuple[complex, ...]
-    denominators: tuple[complex, ...]
-
-    def __call__(self, z):
-        zc = np.asarray(z, dtype=complex)
-        acc = np.zeros(zc.shape, dtype=complex)
-        for pole, res in zip(self.poles, self.residues):
-            acc = acc + res / (zc - pole)
-        if zc.ndim == 0:
-            return complex(acc)
-        return acc
-
-
-def partial_fractions_simple(p: Polynomial, poles) -> PartialFractionExpansion:
-    """Residues of p over a set of simple poles.
-
-    Requires deg p < len(poles) and pairwise pole gaps above POLE_GAP, so
-    the expansion has no polynomial part and every residue is p(pole)/a_r
-    with a_r the Lagrange denominator at that pole.
-    """
-    ps = [complex(x) for x in poles]
-    if not ps:
-        raise PolesNotDistinctError("need at least one pole")
-    for i in range(len(ps)):
-        for j in range(i + 1, len(ps)):
-            if abs(ps[i] - ps[j]) <= POLE_GAP:
-                raise PolesNotDistinctError(
-                    f"poles {i} and {j} are within {POLE_GAP}: "
-                    f"{ps[i]} vs {ps[j]}")
-    if p.coeffs and p.degree >= len(ps):
-        raise DegreeTooLargeError(
-            f"numerator degree {p.degree} with only {len(ps)} poles")
-    denoms = lagrange_denominators(ps)
-    residues = tuple(complex(p(a)) / complex(d) for a, d in zip(ps, denoms))
-    return PartialFractionExpansion(tuple(ps), residues, tuple(map(complex, denoms)))
 
 
 @dataclass(frozen=True)

@@ -34,10 +34,6 @@ class EmptyMeasureError(ValueError):
     """Operation needs at least one atom."""
 
 
-class NotUnimodularError(ValueError):
-    """Rotation parameter must lie on the unit circle."""
-
-
 class GramSingularError(ValueError):
     """The atom Gram matrix is numerically singular."""
 
@@ -88,19 +84,6 @@ class CircleMeasure:
 
     def zetas(self) -> np.ndarray:
         return np.exp(1j * np.asarray(self.thetas, dtype=float))
-
-
-def rotate_measure(mu: CircleMeasure, zeta: complex) -> CircleMeasure:
-    """Pull the measure back along z -> zeta * z.
-
-    Every atom location zeta_j moves to conj(zeta) * zeta_j; weights are
-    unchanged. zeta must be unimodular to 1e-12.
-    """
-    zeta = complex(zeta)
-    if abs(abs(zeta) - 1.0) > 1e-12:
-        raise NotUnimodularError(f"|zeta| = {abs(zeta)}")
-    phi = cmath.phase(zeta)
-    return CircleMeasure(tuple(t - phi for t in mu.thetas), mu.weights)
 
 
 def boundary_polynomial(mu: CircleMeasure) -> LaurentHermitian:
@@ -218,32 +201,28 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
 
 @dataclass(frozen=True, eq=False)
 class RationalSymbol:
-    """Row symbol (p_1/q, ..., p_k/q) with numerator matrix eta = chol* chol.
+    """Row symbol (p_1/q, ..., p_k/q) with q = prod_r (z - alpha_r).
 
-    eta[i, j] is positioned so that
+    The poles and the numerators are the whole symbol: k, q and the
+    numerator matrix eta are derived from them. eta[i, j] is positioned so
+    that
 
-        sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}
-
-    and chol is the upper triangular factor with nonnegative diagonal.
-    Pipeline-built symbols read p_t off row t of chol; a symbol assembled
-    from raw numerators keeps those numerators, which match the rows of
-    chol only up to a constant unitary remixing (the kernel above is what
-    is well defined either way).
+        sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
     """
 
-    k: int
-    numerators: tuple[Polynomial, ...]
-    q: Polynomial
     alphas: tuple[complex, ...]
-    eta: np.ndarray
-    chol: np.ndarray
+    numerators: tuple[Polynomial, ...]
     gamma_fr: float | None = None
 
     def __post_init__(self):
-        """Admit only the class the certificates are stated for: numerators
-        vanishing at 0 of degree at most k, k simple poles outside the
-        closed disc, and sum_j |p_j/q|^2 <= 1 on the circle, checked on
-        SCHUR_SAMPLES points."""
+        """Admit only the class the certificates are stated for: finite
+        poles and coefficients, one numerator per pole, each vanishing at 0
+        and of degree at most k, k simple poles outside the closed disc,
+        and sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
+        points."""
+        for value in (*self.alphas, *(c for p in self.numerators for c in p.coeffs)):
+            if not cmath.isfinite(value):
+                raise ValueError(f"pole or numerator coefficient {value} is not finite")
         if len(self.numerators) != self.k:
             raise ValueError(
                 f"{len(self.numerators)} numerators for a rank-{self.k} symbol")
@@ -254,8 +233,6 @@ class RationalSymbol:
             if p.coeffs and p.degree > self.k:
                 raise ValueError(f"numerator {j} has degree {p.degree} > {self.k}")
         alphas = np.asarray(self.alphas, dtype=complex)
-        if len(alphas) != self.k:
-            raise ValueError(f"{len(alphas)} poles for a rank-{self.k} symbol")
         for i in range(self.k):
             if abs(alphas[i]) <= 1.0:
                 raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
@@ -270,6 +247,25 @@ class RationalSymbol:
         excess = float((num / den).max())
         if excess > 1.0 + 1e-8:
             raise ValueError(f"symbol violates the Schur bound: max row norm {excess}")
+
+    @property
+    def k(self) -> int:
+        return len(self.alphas)
+
+    @cached_property
+    def q(self) -> Polynomial:
+        return Polynomial.from_roots(self.alphas)
+
+    @cached_property
+    def eta(self) -> np.ndarray:
+        """eta = C^H C, hermitianized, where row t of C holds the
+        coefficients of z^1, ..., z^k in p_t; read-only."""
+        C = np.array([p.padded(self.k + 1)[1:] for p in self.numerators],
+                     dtype=complex).reshape(self.k, self.k)
+        eta = C.conj().T @ C
+        eta = 0.5 * (eta + eta.conj().T)
+        eta.flags.writeable = False
+        return eta
 
     @cached_property
     def numerators_at_poles(self) -> np.ndarray:
@@ -307,21 +303,9 @@ def symbol_from_parts(alphas: Sequence[complex],
                       numerators: Sequence[Sequence[complex]],
                       gamma_fr: float | None = None) -> RationalSymbol:
     """Assemble a symbol from raw poles and numerator coefficients."""
-    k = len(numerators)
-    if len(alphas) != k:
-        raise ValueError(f"{len(alphas)} poles with {k} numerators")
-    polys = tuple(Polynomial.from_coeffs(cs) for cs in numerators)
-    for t, p in enumerate(polys):
-        if p.coeffs and p.degree > k:
-            raise ValueError(f"numerator {t} has degree {p.degree} > {k}")
-    C = np.zeros((k, k), dtype=complex)
-    for t, p in enumerate(polys):
-        C[t, :] = p.padded(k + 1)[1:]
-    eta = C.conj().T @ C
-    eta = 0.5 * (eta + eta.conj().T)
-    chol = _phase_fixed_upper(np.linalg.qr(C)[1])
-    return RationalSymbol(k, polys, Polynomial.from_roots(alphas),
-                          tuple(map(complex, alphas)), eta, chol, gamma_fr)
+    return RationalSymbol(tuple(map(complex, alphas)),
+                          tuple(Polynomial.from_coeffs(cs) for cs in numerators),
+                          gamma_fr)
 
 
 def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
@@ -334,7 +318,7 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
 
     in the monomials z^a conj(w)^b, drop the vanishing row and column zero,
     project the remaining k x k matrix to the PSD cone, and split it as
-    chol* chol with chol upper triangular. Row t of chol gives p_t.
+    P* P with P upper triangular. Row t of P gives p_t.
 
     The empty measure yields the zero symbol with k = 0.
     """
@@ -380,25 +364,8 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     if split > 1e-10 * max(norm, 1.0):
         raise RuntimeError(f"cholesky split residual {split:.3e}")
 
-    polys = tuple(
-        Polynomial.from_coeffs(np.concatenate([[0.0], P[t, :]]))
-        for t in range(k)
-    )
-    return RationalSymbol(k, polys, outer.q, outer.alphas, A_psd, P,
-                          outer.gamma_fr)
-
-
-def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:
-    """Kernel sum_t p_t(z) conj(p_t(w)) / (q(z) conj(q(w))) on a grid.
-
-    z and w are 1-d arrays; the result has shape (len(z), len(w)).
-    """
-    zs = np.asarray(z, dtype=complex).ravel()
-    ws = np.asarray(w, dtype=complex).ravel()
-    acc = np.zeros((len(zs), len(ws)), dtype=complex)
-    for p in sym.numerators:
-        acc += np.outer(p(zs), np.conj(p(ws)))
-    return acc / np.outer(sym.q(zs), np.conj(sym.q(ws)))
+    return symbol_from_parts(
+        outer.alphas, [np.concatenate([[0.0], row]) for row in P], outer.gamma_fr)
 
 
 @dataclass(frozen=True)

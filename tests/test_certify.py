@@ -32,7 +32,6 @@ from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
     measure_to_symbol,
-    rotate_measure,
     single_atom_symbol,
     symbol_from_parts,
 )
@@ -45,6 +44,7 @@ from monotone_oracle import (
     gamma_moments,
     monotone_passed,
 )
+from symbol_oracle import rotate_measure
 
 CFG = CertificateConfig()
 SQ2 = math.sqrt(2.0)
@@ -269,7 +269,7 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
         Q, cores = _basis_and_cores(sym, cfg)
         rows = symbol_taylor(sym, cfg.trunc + cfg.levels).rows
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
-        taylor = TaylorTable(sym.k, rows + re + 1j * im)
+        taylor = TaylorTable(rows + re + 1j * im)
         for st in agler_taylor_test(taylor, Q, cores, cfg):
             M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
             P = Q.conj().T @ M @ Q
@@ -309,7 +309,7 @@ def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
     # disagree with the pole cores
     original = kernels.symbol_taylor
     monkeypatch.setattr(kernels, "symbol_taylor", lambda sym, n: TaylorTable(
-        sym.k, 0.9 * original(sym, n).rows))
+        0.9 * original(sym, n).rows))
     rep = run_certificates(single_atom_symbol(1.0))
     tol = CFG.tol_psd
     assert all(st.min_eig >= -tol * st.norm and st.residual <= tol * st.norm
@@ -374,8 +374,7 @@ def test_empty_measure_is_the_zero_symbol():
     for sym in (built, zero):
         assert (sym.k, sym.numerators, sym.alphas) == (0, (), ())
         assert sym.q == Polynomial((1.0 + 0.0j,))
-        for matrix in (sym.eta, sym.chol):
-            assert matrix.shape == (0, 0) and matrix.dtype == complex
+        assert sym.eta.shape == (0, 0) and sym.eta.dtype == complex
     assert built.gamma_fr == 1.0 and zero.gamma_fr is None
     rep = run_certificates(built)
     assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")

@@ -12,18 +12,19 @@ from cauchydual.symbolpipe import (
     AntipodalClosedForm,
     CircleMeasure,
     EmptyMeasureError,
-    NotUnimodularError,
     RationalSymbol,
     boundary_polynomial,
     closed_form_antipodal,
-    eta_values,
     gram_from_outer,
     measure_to_symbol,
     outer_from_measure,
-    rotate_measure,
     single_atom_symbol,
     symbol_from_parts,
 )
+
+from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
+from rank1_oracle import GridOutsideDiscError
+from symbol_oracle import NotUnimodularError, eta_values, rotate_measure
 
 SQ2 = math.sqrt(2.0)
 
@@ -157,18 +158,20 @@ def test_pipeline_symbol_structure():
     sym = measure_to_symbol(mu)
     assert sym.k == 3
     assert len(sym.numerators) == 3
+    # row t of the triangular factor holds the coefficients of z^1..z^k in p_t
+    chol = np.array([p.padded(sym.k + 1)[1:] for p in sym.numerators])
     # chol is upper triangular with nonnegative diagonal and eta = chol* chol
-    assert np.abs(np.tril(sym.chol, -1)).max() <= 1e-12 * np.abs(sym.chol).max()
-    diag = np.diag(sym.chol)
+    assert np.abs(np.tril(chol, -1)).max() <= 1e-12 * np.abs(chol).max()
+    diag = np.diag(chol)
     assert np.abs(diag.imag).max() <= 1e-12 * np.abs(diag).max()
     assert diag.real.min() >= 0
-    assert np.abs(sym.chol.conj().T @ sym.chol - sym.eta).max() <= 1e-10 * np.abs(sym.eta).max()
+    assert np.abs(chol.conj().T @ chol - sym.eta).max() <= 1e-10 * np.abs(sym.eta).max()
     # pipeline numerators read off the rows of chol, shifted by one degree
     for t, p in enumerate(sym.numerators):
         coeffs = p.padded(sym.k + 1)
         assert abs(coeffs[0]) <= 1e-14
-        assert np.abs(coeffs[1:] - sym.chol[t, :]).max() <= 1e-12 * max(
-            1.0, np.abs(sym.chol).max())
+        assert np.abs(coeffs[1:] - chol[t, :]).max() <= 1e-12 * max(
+            1.0, np.abs(chol).max())
     # eta is positive semidefinite
     assert np.linalg.eigvalsh(sym.eta).min() >= -1e-10 * np.abs(sym.eta).max()
 
@@ -227,21 +230,39 @@ def test_directly_built_symbol_is_checked():
     # the constructor itself rejects a symbol outside the admissible class,
     # without going through symbol_from_parts or measure_to_symbol
     with pytest.raises(ValueError, match="not outside the closed disc"):
-        RationalSymbol(1, (Polynomial.from_coeffs([0.0, 0.1]),),
-                       Polynomial.from_roots([0.9]), (0.9 + 0.0j,),
-                       np.array([[0.01 + 0.0j]]), np.array([[0.1 + 0.0j]]))
+        RationalSymbol((0.9 + 0.0j,), (Polynomial.from_coeffs([0.0, 0.1]),))
     with pytest.raises(ValueError, match="Schur bound"):
-        RationalSymbol(1, (Polynomial.from_coeffs([0.0, 1.2]),),
-                       Polynomial.from_roots([1.05]), (1.05 + 0.0j,),
-                       np.array([[1.44 + 0.0j]]), np.array([[1.2 + 0.0j]]))
+        RationalSymbol((1.05 + 0.0j,), (Polynomial.from_coeffs([0.0, 1.2]),))
+
+
+@pytest.mark.parametrize("alphas, numerators", [
+    ([math.nan], [[0.0, 0.1]]),
+    ([2.0], [[0.0, math.nan]]),
+    ([math.inf], [[0.0, 0.1]]),
+    ([2.0, math.nan], [[0.0, 0.1], [0.0, 0.0, 0.1]]),
+])
+def test_non_finite_symbol_is_rejected(alphas, numerators):
+    # every comparison with a NaN is False, so without this check such a
+    # symbol passes the admissibility tests and gets a verdict
+    with pytest.raises(ValueError, match="finite"):
+        symbol_from_parts(alphas, numerators)
+
+
+def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
+    rng = np.random.default_rng(31)
+    built = [measure_to_symbol(random_measure(rng, k)) for k in (1, 2, 3, 4, 5, 6)]
+    for sym in list(fixture_symbols.values()) + built:
+        assert sym.k == len(sym.alphas) == len(sym.numerators)
+        assert sym.q == Polynomial.from_roots(sym.alphas)
+        C = np.array([p.padded(sym.k + 1)[1:] for p in sym.numerators])
+        assert np.abs(sym.eta - C.conj().T @ C).max() <= 1e-14 * np.abs(sym.eta).max()
+        assert not sym.eta.flags.writeable
 
 
 def test_directly_built_symbol_needs_one_numerator_per_pole():
     poles = (2.0 + 0.0j, -3.0 + 0.0j)
     with pytest.raises(ValueError, match="1 numerators for a rank-2 symbol"):
-        RationalSymbol(2, (Polynomial.from_coeffs([0.0, 0.1]),),
-                       Polynomial.from_roots(poles), poles,
-                       np.zeros((2, 2), dtype=complex), np.zeros((2, 2), dtype=complex))
+        RationalSymbol(poles, (Polynomial.from_coeffs([0.0, 0.1]),))
 
 
 # ------------------------------------------------------- antipodal closed form
@@ -370,10 +391,10 @@ def test_exception_hierarchy_is_value_error():
     # the command line maps input and math failures to one exit code; every
     # domain error must therefore derive from ValueError
     from cauchydual import polyrat, symbolpipe, kernels
-    for exc in (polyrat.DegreeZeroError, polyrat.PolesNotDistinctError,
-                polyrat.DegreeTooLargeError, polyrat.NotPositiveOnCircleError,
+    for exc in (polyrat.DegreeZeroError, PolesNotDistinctError,
+                DegreeTooLargeError, polyrat.NotPositiveOnCircleError,
                 polyrat.RootOnCircleError, symbolpipe.EmptyMeasureError,
-                symbolpipe.NotUnimodularError, symbolpipe.GramSingularError,
+                NotUnimodularError, symbolpipe.GramSingularError,
                 symbolpipe.EtaNotPSDError, kernels.ExtremePointError,
-                kernels.GridOutsideDiscError):
+                GridOutsideDiscError):
         assert issubclass(exc, ValueError)
