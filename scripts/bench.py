@@ -1,21 +1,28 @@
-"""Time CLI reports on the fixtures and the Agler engines on a k x N x L
-grid, and store the rows in a BENCH_<n>.json.
+"""Time CLI reports on the fixtures, the symbol pipeline per atom count and
+the Agler engines on a k x N x L grid, and store the rows in a
+BENCH_<n>.json.
 
 Usage, from the repository root:
 
-    PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_7.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_8.json
 
 For each fixture, with and without --dump-tables, three medians over
 REPEATS runs: `cli.main` writing the report to a temporary directory,
 and `build_report` and `render_json` on the same input and the same
 certificate result. Each timed call gets one untimed warm-up call first.
 
-The engine grid runs `run_certificates` REPEATS times on one pipeline-built
-symbol per atom count k in ENGINE_KS, at each (N, L) = (--trunc, --levels)
-in ENGINE_SIZES, and records the median and quartiles of the whole call and
-of the time spent inside each of the ENGINE_LAYERS functions the `certify`
-module has (the layers are timed by wrapping the module attributes, so the
-grid also runs on a checkout whose engines take other arguments).
+The pipeline rows run `measure_to_symbol` REPEATS times on one seeded
+measure per atom count k in ENGINE_KS and record the median and quartiles
+of the whole call and of the time spent inside each of PIPELINE_LAYERS:
+`boundary_polynomial`, `fejer_riesz_factor` and `gram_from_outer` as
+`symbolpipe` calls them, and the `RationalSymbol` constructor's check.
+
+The engine grid runs `run_certificates` REPEATS times on the pipeline's
+symbol for the same measures, at each (N, L) = (--trunc, --levels) in
+ENGINE_SIZES, and records the same statistics of the whole call and of the
+time spent inside each of the ENGINE_LAYERS functions the `certify` module
+has. Layers are timed by wrapping the module attributes, so both tables
+also run on a checkout whose functions take other arguments.
 
 Times come from time.perf_counter inside this one process; nothing on the
 host is tuned, so compare rows measured back to back on one machine.
@@ -47,7 +54,16 @@ REPEATS = 21         # timed runs per median
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 ENGINE_LAYERS = ("pole_basis", "pole_cores", "agler_pole_test",
-                 "agler_taylor_test", "coincidence_classes")
+                 "agler_taylor_test", "coincidence_classes",
+                 "necessary_measure_test")
+# (row name, owner, attribute) of the pipeline stages; the constructor is
+# timed through its check, which is all it does beyond storing the fields
+PIPELINE_LAYERS = (
+    ("boundary_polynomial", symbolpipe, "boundary_polynomial"),
+    ("fejer_riesz_factor", symbolpipe, "fejer_riesz_factor"),
+    ("gram_from_outer", symbolpipe, "gram_from_outer"),
+    ("RationalSymbol", symbolpipe.RationalSymbol, "__post_init__"),
+)
 ENGINE_SEED = 6
 # the measures of the grid: atom gaps above MIN_GAP, weights log-uniform
 # in [MIN_WEIGHT, MAX_WEIGHT], as scripts/random_measure_scan.py draws them
@@ -104,9 +120,9 @@ def fixture_rows(name: str, tmp: str) -> list:
     return rows
 
 
-def grid_symbol(k: int) -> symbolpipe.RationalSymbol:
-    """The pipeline's symbol for a seeded random measure with k atoms; a
-    measure the pipeline rejects is redrawn from the same generator."""
+def grid_measure(k: int) -> symbolpipe.CircleMeasure:
+    """A seeded random measure with k atoms that the pipeline accepts; a
+    measure it rejects is redrawn from the same generator."""
     rng = np.random.default_rng([ENGINE_SEED, k])
     while True:
         thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
@@ -114,17 +130,22 @@ def grid_symbol(k: int) -> symbolpipe.RationalSymbol:
         if k > 1 and gaps.min() <= MIN_GAP:
             continue
         weights = np.exp(rng.uniform(np.log(MIN_WEIGHT), np.log(MAX_WEIGHT), size=k))
+        mu = symbolpipe.CircleMeasure(tuple(thetas), tuple(weights))
         try:
-            return symbolpipe.measure_to_symbol(
-                symbolpipe.CircleMeasure(tuple(thetas), tuple(weights)))
+            symbolpipe.measure_to_symbol(mu)
         except (ValueError, ArithmeticError, RuntimeError):
             continue
+        return mu
 
 
-def engine_rows() -> list:
-    layers = [name for name in ENGINE_LAYERS if hasattr(certify, name)]
-    originals = {name: getattr(certify, name) for name in layers}
-    spent = dict.fromkeys(layers, 0.0)
+@contextlib.contextmanager
+def layer_timer(layers):
+    """Wrap each (name, owner, attribute) of `layers` that exists so that
+    its calls add their time, in ms, to spent[name]; yields spent and
+    restores the originals on exit."""
+    present = [(name, owner, attr, getattr(owner, attr))
+               for name, owner, attr in layers if attr in vars(owner)]
+    spent = {name: 0.0 for name, *_ in present}
 
     def timing(name, fn):
         def wrapper(*args, **kwargs):
@@ -135,30 +156,49 @@ def engine_rows() -> list:
                 spent[name] += (time.perf_counter() - start) * 1e3
         return wrapper
 
-    rows = []
     try:
-        for name, fn in originals.items():
-            setattr(certify, name, timing(name, fn))
-        for k in ENGINE_KS:
-            sym = grid_symbol(k)
+        for name, owner, attr, fn in present:
+            setattr(owner, attr, timing(name, fn))
+        yield spent
+    finally:
+        for _, owner, attr, fn in present:
+            setattr(owner, attr, fn)
+
+
+def sampled_rows(total: str, call, spent) -> dict:
+    """Median and quartiles, in ms, of REPEATS calls after one warm-up,
+    under `<total>_ms`, and of the time each layer in spent took inside
+    them."""
+    call()
+    samples = {name: [] for name in [total] + list(spent)}
+    for _ in range(REPEATS):
+        spent.update(dict.fromkeys(spent, 0.0))
+        start = time.perf_counter()
+        call()
+        samples[total].append((time.perf_counter() - start) * 1e3)
+        for name in spent:
+            samples[name].append(spent[name])
+    return {f"{name}_ms": quartiles(times) for name, times in samples.items()}
+
+
+def pipeline_rows(measures: dict) -> list:
+    rows = []
+    with layer_timer(PIPELINE_LAYERS) as spent:
+        for k, mu in measures.items():
+            rows.append({"k": k, **sampled_rows(
+                "measure_to_symbol", lambda: symbolpipe.measure_to_symbol(mu), spent)})
+    return rows
+
+
+def engine_rows(measures: dict) -> list:
+    rows = []
+    with layer_timer([(name, certify, name) for name in ENGINE_LAYERS]) as spent:
+        for k, mu in measures.items():
+            sym = symbolpipe.measure_to_symbol(mu)
             for trunc, levels in ENGINE_SIZES:
                 cfg = certify.CertificateConfig(levels=levels, trunc=trunc)
-                samples = {name: [] for name in ["run_certificates"] + layers}
-                certify.run_certificates(sym, cfg)
-                for _ in range(REPEATS):
-                    spent.update(dict.fromkeys(layers, 0.0))
-                    start = time.perf_counter()
-                    certify.run_certificates(sym, cfg)
-                    samples["run_certificates"].append(
-                        (time.perf_counter() - start) * 1e3)
-                    for name in layers:
-                        samples[name].append(spent[name])
-                rows.append({"k": k, "trunc": trunc, "levels": levels,
-                             **{f"{name}_ms": quartiles(times)
-                                for name, times in samples.items()}})
-    finally:
-        for name, fn in originals.items():
-            setattr(certify, name, fn)
+                rows.append({"k": k, "trunc": trunc, "levels": levels, **sampled_rows(
+                    "run_certificates", lambda: certify.run_certificates(sym, cfg), spent)})
     return rows
 
 
@@ -175,7 +215,9 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for name in names
                 for row in fixture_rows(name, tmp)]
-    grid = engine_rows()
+    measures = {k: grid_measure(k) for k in ENGINE_KS}
+    pipeline = pipeline_rows(measures)
+    grid = engine_rows(measures)
 
     bench = {"row_sets": {}}
     if os.path.exists(args.out):
@@ -184,8 +226,10 @@ def main(argv=None) -> int:
     bench["description"] = (
         "CLI report timings per fixture, with and without --dump-tables: "
         f"median and quartiles in ms of {REPEATS} runs of cli.main, "
-        "build_report and render_json; engine_rows: the same statistics "
-        "of run_certificates and of the time inside each engine layer, per "
+        "build_report and render_json; pipeline_rows: the same statistics "
+        "of measure_to_symbol and of the time inside each pipeline stage, "
+        "per atom count k; engine_rows: the same statistics of "
+        "run_certificates and of the time inside each engine layer, per "
         "atom count k, --trunc N and --levels L (scripts/bench.py)")
     bench["row_sets"][args.label] = {
         "version": __version__,
@@ -193,7 +237,9 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
         "repeats": REPEATS,
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "rows": rows,
+        "pipeline_rows": pipeline,
         "engine_rows": grid,
     }
     with open(args.out, "w") as handle:
@@ -205,6 +251,12 @@ def main(argv=None) -> int:
               f"build {row['build_report_ms']['median']:6.3f} ms  "
               f"render {row['render_json_ms']['median']:6.3f} ms  "
               f"{row['report_bytes']} B")
+    for row in pipeline:
+        layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
+                           for name, _, _ in PIPELINE_LAYERS if f"{name}_ms" in row)
+        print(f"{args.label:>8} k={row['k']} "
+              f"measure_to_symbol {row['measure_to_symbol_ms']['median']:7.3f} ms  "
+              f"{layers}")
     for row in grid:
         layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
                            for name in ENGINE_LAYERS if f"{name}_ms" in row)

@@ -44,6 +44,10 @@ class CertificateConfig:
             raise ValueError("need levels >= 1 and trunc >= 2")
         if self.tol_psd <= 0.0 or self.tol_orth <= 0.0:
             raise ValueError("tolerances must be positive")
+        # an infinite tolerance passes every test and a NaN one fails every
+        # comparison, so either would decide the verdict on its own
+        if not (math.isfinite(self.tol_psd) and math.isfinite(self.tol_orth)):
+            raise ValueError("tolerances must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,14 +217,24 @@ SEGMENT_TOL = 1e-8
 @dataclass(frozen=True, eq=False)
 class CoincidenceClasses:
     """The pole products alpha_r conj(alpha_t), chained into classes of
-    points within COINCIDENCE_TOL of each other. members[c] holds the
-    row-major flat indices of class c in increasing order, classes come in
-    the order of their first member, and locations[c] is the reciprocal of
-    the mean product of class c."""
+    points within COINCIDENCE_TOL of each other. order holds the row-major
+    flat indices of the products class by class, each class in increasing
+    order, and class c takes sizes[c] entries from order[starts[c]] on;
+    classes come in the order of their first member. locations[c] is the
+    reciprocal of the
+    mean product of class c, and off_segment[c] says it lies farther
+    than SEGMENT_TOL from [0, 1]."""
 
     products: np.ndarray
-    members: tuple
-    locations: tuple
+    order: np.ndarray
+    starts: np.ndarray
+    sizes: np.ndarray
+    locations: np.ndarray
+    off_segment: np.ndarray
+
+
+def _segment_distance(x: np.ndarray) -> np.ndarray:
+    return np.hypot(x.real - np.clip(x.real, 0.0, 1.0), x.imag)
 
 
 def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
@@ -240,10 +254,10 @@ def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
     # a label is its class's first member, so a stable sort keeps both orders
     order = np.argsort(label, kind="stable")
     starts = np.flatnonzero(label[order] == order)
-    members = tuple(np.split(order, starts)[1:])
-    means = np.add.reduceat(flat[order], starts) / np.diff(starts, append=flat.size)
-    locations = tuple((1.0 / means).tolist())
-    return CoincidenceClasses(products, members, locations)
+    sizes = np.diff(starts, append=flat.size)
+    locations = 1.0 / (np.add.reduceat(flat[order], starts) / sizes)
+    return CoincidenceClasses(products, order, starts, sizes, locations,
+                              _segment_distance(locations) > SEGMENT_TOL)
 
 
 @dataclass(frozen=True)
@@ -257,11 +271,6 @@ class NecessaryMeasure:
     worst_location: complex | None
 
 
-def _segment_distance(x: complex) -> float:
-    re = min(max(x.real, 0.0), 1.0)
-    return math.hypot(x.real - re, x.imag)
-
-
 def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
                            cfg: CertificateConfig):
     """Aggregate the necessary measure and check it is positive on [0, 1].
@@ -271,26 +280,24 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
     the total variation. Failure refutes subnormality outright.
     """
     raw = (cross / classes.products ** 2).ravel()
-    weights = [complex(raw[members].sum()) for members in classes.members]
-    locations = list(classes.locations)
+    weights = np.add.reduceat(raw[classes.order], classes.starts)
+    # hypot is the modulus abs() takes of a complex scalar, to the last bit
+    sizes = np.hypot(weights.real, weights.imag)
+    locations = classes.locations
     # deterministic ordering by descending weight then location
-    perm = sorted(range(len(weights)),
-                  key=lambda i: (-abs(weights[i]), locations[i].real,
-                                 locations[i].imag))
-    locations = [locations[i] for i in perm]
-    weights = [weights[i] for i in perm]
+    perm = np.lexsort((locations.imag, locations.real, -sizes))
+    weights, sizes, locations = weights[perm], sizes[perm], locations[perm]
+    off = classes.off_segment[perm]
 
-    scale = max(sum(abs(w) for w in weights), 1e-300)
+    scale = max(sum(sizes.tolist()), 1e-300)
+    bad = np.where(off, sizes, np.maximum(np.maximum(-weights.real,
+                                                     np.abs(weights.imag)), 0.0))
     worst, worst_loc = 0.0, None
-    for loc, w in zip(locations, weights):
-        if _segment_distance(loc) > SEGMENT_TOL:
-            bad = abs(w)
-        else:
-            bad = max(-w.real, abs(w.imag), 0.0)
-        if bad > worst:
-            worst, worst_loc = bad, loc
+    if bad.max(initial=0.0) > 0.0:
+        i = int(np.argmax(bad))
+        worst, worst_loc = float(bad[i]), complex(locations[i])
     passed = worst <= cfg.tol_psd * scale
-    return NecessaryMeasure(tuple(locations), tuple(weights),
+    return NecessaryMeasure(tuple(locations.tolist()), tuple(weights.tolist()),
                             float(worst / scale), worst_loc), passed
 
 
@@ -341,10 +348,11 @@ def exactness_applies(classes: CoincidenceClasses) -> bool:
     k = len(classes.products)
     if k < 2:
         return False
-    diagonal = set(range(0, k * k, k + 1))
-    return all(len(members) == 1 and _segment_distance(loc) > SEGMENT_TOL
-               for members, loc in zip(classes.members, classes.locations)
-               if not diagonal.issuperset(members.tolist()))
+    # it holds when k (k - 1) classes are a lone off-diagonal product off
+    # the segment; flat index r k + t is diagonal when k + 1 divides it
+    lone = ((classes.sizes == 1) & classes.off_segment
+            & (classes.order[classes.starts] % (k + 1) != 0))
+    return int(np.count_nonzero(lone)) == k * (k - 1)
 
 
 @dataclass(frozen=True, eq=False)

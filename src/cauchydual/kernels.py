@@ -8,11 +8,12 @@ either path shows up as a loud residual instead of a silently wrong table.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .polyrat import lagrange_denominators
+from .polyrat import circle_points, lagrange_denominators
 from .symbolpipe import RationalSymbol
 
 
@@ -36,16 +37,19 @@ class TaylorTable:
 
 
 def _series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
-    """Power series of 1/q to n_terms coefficients; q(0) must be nonzero."""
-    q0 = coeffs[0]
-    out = np.zeros(n_terms, dtype=complex)
-    out[0] = 1.0 / q0
+    """Power series of 1/q to n_terms coefficients; q(0) must be nonzero.
+
+    Term m is -(q_1 s_{m-1} + ... + q_d s_{m-d}) / q_0, summed in that
+    order over Python complex numbers, which for these few short terms
+    costs less than numpy's per-scalar dispatch."""
+    q = [complex(c) for c in coeffs]
+    q0, tail = q[0], q[1:]
+    out = [1.0 / q0]
     for m in range(1, n_terms):
-        acc = 0.0 + 0.0j
-        for i in range(1, min(m, len(coeffs) - 1) + 1):
-            acc += coeffs[i] * out[m - i]
-        out[m] = -acc / q0
-    return out
+        # out[m - 1], out[m - 2], ..., at most len(tail) of them
+        window = out[m - 1::-1] if m <= len(tail) else out[m - 1:m - 1 - len(tail):-1]
+        out.append(-sum(map(operator.mul, tail, window)) / q0)
+    return np.array(out)
 
 
 def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
@@ -160,7 +164,7 @@ def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
     rho = math.sqrt((s + math.sqrt(disc)) / 2.0)
     sigma = beta / rho
 
-    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    zs = circle_points(512)
     denom = np.abs(1.0 - beta * zs) ** 2
     resid = np.abs(
         (np.abs(rho - sigma * zs) ** 2 + np.abs(gamma * zs) ** 2) / denom - 1.0

@@ -10,6 +10,7 @@ on the unit circle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -76,10 +77,6 @@ class Polynomial:
     def derivative(self) -> "Polynomial":
         return Polynomial.from_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def conjugate(self) -> "Polynomial":
-        """Coefficient-wise conjugate, the polynomial z -> conj(p(conj(z)))."""
-        return Polynomial.from_coeffs([complex(c).conjugate() for c in self.coeffs])
-
     def scaled(self, s: complex) -> "Polynomial":
         return Polynomial.from_coeffs([s * c for c in self.coeffs])
 
@@ -91,6 +88,22 @@ class Polynomial:
         return out
 
 
+def _horner(coeffs: np.ndarray, z) -> np.ndarray:
+    """sum_i coeffs[..., i] z^i by Horner's rule along the last axis.
+
+    Each row of ascending coefficients is evaluated at the points z, which
+    broadcast against coeffs[..., 0]: a (k, n) stack at k points gives
+    row j at point j, a (k, 1, n) stack at m points gives a (k, m) table.
+    Rows without coefficients are the zero polynomial. poly_eval is the
+    same rule for one Polynomial over its Python coefficients, which is
+    twice as fast for the scalar evaluations the pipeline makes.
+    """
+    acc = np.zeros(np.shape(z), dtype=complex)
+    for i in range(coeffs.shape[-1] - 1, -1, -1):
+        acc = acc * z + coeffs[..., i]
+    return acc
+
+
 def poly_eval(p: Polynomial, z):
     """Horner evaluation of p at a scalar or ndarray argument."""
     zc = np.asarray(z, dtype=complex)
@@ -100,6 +113,15 @@ def poly_eval(p: Polynomial, z):
     if zc.ndim == 0:
         return complex(acc)
     return acc
+
+
+@lru_cache(maxsize=4)
+def circle_points(n: int) -> np.ndarray:
+    """The n equispaced points exp(2 pi i j / n), j = 0..n-1, built once
+    per n and shared read-only by every check that samples the circle."""
+    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
+    zs.flags.writeable = False
+    return zs
 
 
 def poly_roots(p: Polynomial) -> list[complex]:
@@ -116,7 +138,9 @@ def poly_roots(p: Polynomial) -> list[complex]:
     if not p.coeffs or len(p.coeffs) < 2:
         raise DegreeZeroError("root finding needs a polynomial of degree >= 1")
     roots = npoly.polyroots(np.asarray(p.coeffs, dtype=complex))
-    return sorted((complex(r) for r in roots), key=lambda r: (np.angle(r), abs(r)))
+    # hypot is the modulus abs() takes of a complex scalar, to the last bit
+    order = np.lexsort((np.hypot(roots.real, roots.imag), np.angle(roots)))
+    return roots[order].tolist()
 
 
 def lagrange_denominators(poles) -> np.ndarray:
@@ -218,8 +242,7 @@ def fejer_riesz_factor(R: LaurentHermitian):
         If any root sits within CIRCLE_ROOT_TOL of the circle, or the
         mirror pairing cannot be completed within MIRROR_PAIR_TOL.
     """
-    theta = np.linspace(0.0, 2.0 * np.pi, POSITIVITY_SAMPLES, endpoint=False)
-    vals = R.values_on_circle(np.exp(1j * theta))
+    vals = R.values_on_circle(circle_points(POSITIVITY_SAMPLES))
     vmin, vmax = float(vals.min()), float(vals.max())
     if vmax <= 0.0:
         raise NotPositiveOnCircleError(
@@ -235,39 +258,38 @@ def fejer_riesz_factor(R: LaurentHermitian):
         return float(R.upper[0].real), []
 
     # z^k R(z) has ascending coefficients equal to the full band of R
-    roots = poly_roots(Polynomial.from_coeffs(R.full()))
-    for w in roots:
-        if abs(abs(w) - 1.0) <= CIRCLE_ROOT_TOL:
-            raise RootOnCircleError(f"root {w} has modulus {abs(w)}")
-    outer = [w for w in roots if abs(w) > 1.0]
-    inner = [w for w in roots if abs(w) < 1.0]
+    roots = np.asarray(poly_roots(Polynomial.from_coeffs(R.full())))
+    moduli = np.hypot(roots.real, roots.imag)
+    on_circle = np.flatnonzero(np.abs(moduli - 1.0) <= CIRCLE_ROOT_TOL)
+    if on_circle.size:
+        w = complex(roots[on_circle[0]])
+        raise RootOnCircleError(f"root {w} has modulus {abs(w)}")
+    # both are subsequences of the sorted roots, so sorted themselves
+    outer, inner = roots[moduli > 1.0], roots[moduli < 1.0]
     if len(outer) != k or len(inner) != k:
         raise RootOnCircleError(
             f"expected {k} roots on each side of the circle, "
             f"got {len(outer)} outside and {len(inner)} inside")
-    unused = list(inner)
-    for w in outer:
-        mirror = 1.0 / complex(w).conjugate()
-        gaps = [abs(u - mirror) for u in unused]
-        best = int(np.argmin(gaps))
-        if gaps[best] > MIRROR_PAIR_TOL:
+    # each outer root in turn takes the nearest inner root not yet taken
+    gaps = np.abs(inner[None, :] - 1.0 / np.conj(outer)[:, None])
+    for w, row in zip(outer.tolist(), gaps):
+        best = int(np.argmin(row))
+        if row[best] > MIRROR_PAIR_TOL:
             raise RootOnCircleError(
-                f"no mirror partner for root {w}: nearest is off by {gaps[best]:.3e}")
-        unused.pop(best)
+                f"no mirror partner for root {w}: nearest is off by {row[best]:.3e}")
+        gaps[:, best] = np.inf
 
-    alphas = sorted(outer, key=lambda r: (np.angle(r), abs(r)))
-    alpha_arr = np.asarray(alphas, dtype=complex)
     gamma = float(R.values_on_circle(1.0 + 0.0j)) / float(
-        np.prod(np.abs(1.0 - alpha_arr) ** 2))
+        np.prod(np.abs(1.0 - outer) ** 2))
     if gamma <= 0.0:
         raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
 
     # residual gate: the reconstruction must match R on the circle
-    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False))
+    zs = circle_points(512)
     recon = gamma * np.prod(
-        np.abs(zs[:, None] - alpha_arr[None, :]) ** 2, axis=1)
+        np.abs(zs[:, None] - outer[None, :]) ** 2, axis=1)
     resid = np.abs(recon - R.values_on_circle(zs)).max()
     if resid > 1e-8 * max(vmax, 1e-300):
         raise RuntimeError(
             f"factorization residual {resid:.3e} exceeds 1e-8 * {vmax:.3e}")
-    return gamma, alphas
+    return gamma, outer.tolist()

@@ -23,6 +23,8 @@ from .polyrat import (
     POLE_GAP,
     LaurentHermitian,
     Polynomial,
+    circle_points,
+    _horner,
     fejer_riesz_factor,
 )
 
@@ -104,6 +106,12 @@ def boundary_polynomial(mu: CircleMeasure) -> LaurentHermitian:
             acc = np.convolve(acc, f)
         return acc
 
+    # The summation order is load-bearing: the Fejer-Riesz roots amplify a
+    # last-bit change in this band. Building each partial product from
+    # shared prefix and suffix products instead moved the Agler numbers of
+    # 12 of the 511 symbols the benchmark's measure pool builds past its
+    # 1e-8 tolerance (worst 7.3e-7, pool measure 8/12) and made the
+    # pipeline reject measure 6/25.
     k = mu.size
     total = band_product(factors)
     acc = np.zeros(2 * k + 1, dtype=complex)
@@ -153,11 +161,6 @@ class GramData:
     oprime: np.ndarray       # derivative of p/q at each atom
     numerators: tuple[Polynomial, ...]   # u_j = p / (z - zeta_j), polynomials
 
-    @property
-    def condition(self) -> float:
-        evals = np.linalg.eigvalsh(self.gram)
-        return float(evals.max() / evals.min())
-
 
 def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     """Hermitian Gram matrix of the functions (p/q) / (O'(zeta_j)(z - zeta_j)).
@@ -167,26 +170,27 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     """
     zetas = mu.zetas()
     k = mu.size
-    scale = cmath.exp(1j * outer.theta0) / math.sqrt(outer.gamma_fr)
-    u = tuple(
-        Polynomial.from_roots(np.delete(zetas, j), leading=1.0).scaled(scale)
-        for j in range(k)
-    )
-    q, dq = outer.q, outer.q.derivative()
-    oprime = np.array([u[j](zetas[j]) / q(zetas[j]) for j in range(k)])
+    # U[j, i] is the coefficient of z^i in u_j = p / (z - zeta_j), by
+    # synthetic division for all atoms at once: from the top,
+    # U[j, k - 1] = p_k and U[j, i - 1] = p_i + zeta_j U[j, i]
+    pc = np.asarray(outer.p.coeffs, dtype=complex)
+    U = np.empty((k, k), dtype=complex)
+    U[:, k - 1] = pc[k]
+    for i in range(k - 1, 0, -1):
+        U[:, i - 1] = pc[i] + zetas * U[:, i]
+    qc = np.asarray(outer.q.coeffs, dtype=complex)
+    powers = np.arange(1, k + 1)
+    # row j of U at zeta_j, and q at every atom
+    u_at, du_at = _horner(U, zetas), _horner(U[:, 1:] * powers[:-1], zetas)
+    q_at, dq_at = _horner(qc, zetas), _horner(qc[1:] * powers, zetas)
+    oprime = u_at / q_at
 
-    G = np.empty((k, k), dtype=complex)
-    for i in range(k):
-        # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
-        du = u[i].derivative()
-        fprime = (du(zetas[i]) * q(zetas[i]) - u[i](zetas[i]) * dq(zetas[i])) / (
-            oprime[i] * q(zetas[i]) ** 2)
-        G[i, i] = mu.weights[i] * zetas[i] * fprime
-        for j in range(k):
-            if j == i:
-                continue
-            G[i, j] = 1.0 / (
-                oprime[i] * np.conj(oprime[j]) * (1.0 - zetas[i] * np.conj(zetas[j])))
+    # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
+    fprime = (du_at * q_at - u_at * dq_at) / (oprime * q_at ** 2)
+    rotation = 1.0 - zetas[:, None] * np.conj(zetas)[None, :]
+    np.fill_diagonal(rotation, 1.0)
+    G = 1.0 / (oprime[:, None] * np.conj(oprime)[None, :] * rotation)
+    np.fill_diagonal(G, np.asarray(mu.weights) * zetas * fprime)
     G = 0.5 * (G + G.conj().T)
     evals = np.linalg.eigvalsh(G)
     if evals.min() <= 1e-13 * max(abs(evals).max(), 1e-300):
@@ -196,7 +200,7 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     resid = np.abs(G @ inv - np.eye(k)).max()
     if resid > 1e-9 * cond:
         raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
-    return GramData(G, inv, oprime, u)
+    return GramData(G, inv, oprime, tuple(map(Polynomial.from_coeffs, U)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,9 +224,11 @@ class RationalSymbol:
         and of degree at most k, k simple poles outside the closed disc,
         and sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
         points."""
-        for value in (*self.alphas, *(c for p in self.numerators for c in p.coeffs)):
-            if not cmath.isfinite(value):
-                raise ValueError(f"pole or numerator coefficient {value} is not finite")
+        values = (*self.alphas, *(c for p in self.numerators for c in p.coeffs))
+        finite = np.isfinite(np.array(values, dtype=complex))
+        if not finite.all():
+            raise ValueError(f"pole or numerator coefficient "
+                             f"{values[int(np.argmin(finite))]} is not finite")
         if len(self.numerators) != self.k:
             raise ValueError(
                 f"{len(self.numerators)} numerators for a rank-{self.k} symbol")
@@ -232,17 +238,23 @@ class RationalSymbol:
                 raise ValueError(f"numerator {j} has nonzero constant term")
             if p.coeffs and p.degree > self.k:
                 raise ValueError(f"numerator {j} has degree {p.degree} > {self.k}")
+        # scan[i, 0]: pole i lies in the closed disc; scan[i, 1 + j]: poles
+        # i < j coincide. The first hit in row-major order is raised, the
+        # order of checking pole 0, its pairs (0, j), pole 1, ...
         alphas = np.asarray(self.alphas, dtype=complex)
-        for i in range(self.k):
-            if abs(alphas[i]) <= 1.0:
+        index = np.arange(self.k)
+        scan = np.empty((self.k, self.k + 1), dtype=bool)
+        scan[:, 0] = np.abs(alphas) <= 1.0
+        scan[:, 1:] = ((np.abs(alphas[:, None] - alphas) <= POLE_GAP)
+                       & (index[:, None] < index))
+        hits = np.flatnonzero(scan)
+        if hits.size:
+            i, j = divmod(int(hits[0]), self.k + 1)
+            if j == 0:
                 raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
-            for j in range(i + 1, self.k):
-                if abs(alphas[i] - alphas[j]) <= POLE_GAP:
-                    raise ValueError(f"poles {alphas[i]} and {alphas[j]} coincide")
-        zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, SCHUR_SAMPLES, endpoint=False))
-        num = np.zeros(SCHUR_SAMPLES)
-        for p in self.numerators:
-            num += np.abs(p(zs)) ** 2
+            raise ValueError(f"poles {alphas[i]} and {alphas[j - 1]} coincide")
+        zs = circle_points(SCHUR_SAMPLES)
+        num = (np.abs(_horner(self.coefficients[:, None, :], zs)) ** 2).sum(axis=0)
         den = np.abs(self.q(zs)) ** 2
         excess = float((num / den).max())
         if excess > 1.0 + 1e-8:
@@ -257,11 +269,19 @@ class RationalSymbol:
         return Polynomial.from_roots(self.alphas)
 
     @cached_property
+    def coefficients(self) -> np.ndarray:
+        """C[j, i], the coefficient of z^i in p_j for i = 0..k, read-only."""
+        C = np.zeros((self.k, self.k + 1), dtype=complex)
+        for j, p in enumerate(self.numerators):
+            C[j, :len(p.coeffs)] = p.coeffs
+        C.flags.writeable = False
+        return C
+
+    @cached_property
     def eta(self) -> np.ndarray:
         """eta = C^H C, hermitianized, where row t of C holds the
         coefficients of z^1, ..., z^k in p_t; read-only."""
-        C = np.array([p.padded(self.k + 1)[1:] for p in self.numerators],
-                     dtype=complex).reshape(self.k, self.k)
+        C = np.ascontiguousarray(self.coefficients[:, 1:])
         eta = C.conj().T @ C
         eta = 0.5 * (eta + eta.conj().T)
         eta.flags.writeable = False

@@ -1,0 +1,52 @@
+"""The necessary measure aggregated class by class, kept as a test oracle
+for `certify.necessary_measure_test`.
+
+`necessary_measure_test` sums the weights of all coincidence classes with
+one reduceat over the class order, sorts them with one lexsort and finds
+the worst violation as an array operation; the loops below are the
+definition it must reproduce. The class members and locations are read
+off the arrays `coincidence_classes` returns, which is the only change
+from the loop form.
+"""
+import math
+
+import numpy as np
+
+from cauchydual.certify import NecessaryMeasure, SEGMENT_TOL
+
+
+def _segment_distance(x: complex) -> float:
+    re = min(max(x.real, 0.0), 1.0)
+    return math.hypot(x.real - re, x.imag)
+
+
+def necessary_measure_test(cross, classes, cfg):
+    """Aggregate the necessary measure and check it is positive on [0, 1].
+
+    Weights of classes located off the segment must vanish; weights on the
+    segment must be real and nonnegative, all relative to tol_psd times
+    the total variation. Failure refutes subnormality outright.
+    """
+    members_of = np.split(classes.order, classes.starts)[1:]
+    raw = (cross / classes.products ** 2).ravel()
+    weights = [complex(raw[members].sum()) for members in members_of]
+    locations = classes.locations.tolist()
+    # deterministic ordering by descending weight then location
+    perm = sorted(range(len(weights)),
+                  key=lambda i: (-abs(weights[i]), locations[i].real,
+                                 locations[i].imag))
+    locations = [locations[i] for i in perm]
+    weights = [weights[i] for i in perm]
+
+    scale = max(sum(abs(w) for w in weights), 1e-300)
+    worst, worst_loc = 0.0, None
+    for loc, w in zip(locations, weights):
+        if _segment_distance(loc) > SEGMENT_TOL:
+            bad = abs(w)
+        else:
+            bad = max(-w.real, abs(w.imag), 0.0)
+        if bad > worst:
+            worst, worst_loc = bad, loc
+    passed = worst <= cfg.tol_psd * scale
+    return NecessaryMeasure(tuple(locations), tuple(weights),
+                            float(worst / scale), worst_loc), passed

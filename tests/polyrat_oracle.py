@@ -1,8 +1,12 @@
-"""Partial fractions over simple poles, kept as a test oracle.
+"""Partial fractions over simple poles, the coefficient-wise conjugate and
+the numpy-scalar power-series inverse, kept as test oracles.
 
 `kernels.symbol_taylor` expands a symbol at its poles through
 `polyrat.lagrange_denominators` directly; the residues below are the same
-expansion written out, checked against direct evaluation.
+expansion written out, checked against direct evaluation. Its cross-check
+divides by q as a power series in `kernels._series_inverse`, over Python
+complex numbers; `series_inverse` is the same recurrence over numpy
+scalars, the form it had before.
 """
 from dataclasses import dataclass
 
@@ -59,3 +63,21 @@ def partial_fractions_simple(p: Polynomial, poles) -> PartialFractionExpansion:
     denoms = lagrange_denominators(ps)
     residues = tuple(complex(p(a)) / complex(d) for a, d in zip(ps, denoms))
     return PartialFractionExpansion(tuple(ps), residues, tuple(map(complex, denoms)))
+
+
+def conjugate(p: Polynomial) -> Polynomial:
+    """Coefficient-wise conjugate, the polynomial z -> conj(p(conj(z)))."""
+    return Polynomial.from_coeffs([complex(c).conjugate() for c in p.coeffs])
+
+
+def series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
+    """Power series of 1/q to n_terms coefficients; q(0) must be nonzero."""
+    q0 = coeffs[0]
+    out = np.zeros(n_terms, dtype=complex)
+    out[0] = 1.0 / q0
+    for m in range(1, n_terms):
+        acc = 0.0 + 0.0j
+        for i in range(1, min(m, len(coeffs) - 1) + 1):
+            acc += coeffs[i] * out[m - i]
+        out[m] = -acc / q0
+    return out

@@ -1,13 +1,24 @@
 """Second derivations of symbol-level quantities, kept as test oracles:
-the rotated measure, for the rotation covariance of the pipeline, and the
+the rotated measure, for the rotation covariance of the pipeline; the
 kernel sum_t p_t(z) conj(p_t(w)) / (q(z) conj(q(w))) evaluated on a grid,
-for comparing symbols built along different routes.
+for comparing symbols built along different routes; and the atom Gram
+matrix built entry by entry from one polynomial per atom, with its
+condition number, which `symbolpipe.gram_from_outer` assembles as array
+passes over all atoms at once.
 """
 import cmath
+import math
 
 import numpy as np
 
-from cauchydual.symbolpipe import CircleMeasure, RationalSymbol
+from cauchydual.polyrat import Polynomial
+from cauchydual.symbolpipe import (
+    CircleMeasure,
+    GramData,
+    GramSingularError,
+    OuterData,
+    RationalSymbol,
+)
 
 
 class NotUnimodularError(ValueError):
@@ -38,3 +49,49 @@ def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:
     for p in sym.numerators:
         acc += np.outer(p(zs), np.conj(p(ws)))
     return acc / np.outer(sym.q(zs), np.conj(sym.q(ws)))
+
+
+def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
+    """Hermitian Gram matrix of the functions (p/q) / (O'(zeta_j)(z - zeta_j)).
+
+    Diagonal entries are c_j zeta_j f_j'(zeta_j); off-diagonal entries are
+    1 / (O'(zeta_i) conj(O'(zeta_j)) (1 - zeta_i conj(zeta_j))).
+    """
+    zetas = mu.zetas()
+    k = mu.size
+    scale = cmath.exp(1j * outer.theta0) / math.sqrt(outer.gamma_fr)
+    u = tuple(
+        Polynomial.from_roots(np.delete(zetas, j), leading=1.0).scaled(scale)
+        for j in range(k)
+    )
+    q, dq = outer.q, outer.q.derivative()
+    oprime = np.array([u[j](zetas[j]) / q(zetas[j]) for j in range(k)])
+
+    G = np.empty((k, k), dtype=complex)
+    for i in range(k):
+        # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
+        du = u[i].derivative()
+        fprime = (du(zetas[i]) * q(zetas[i]) - u[i](zetas[i]) * dq(zetas[i])) / (
+            oprime[i] * q(zetas[i]) ** 2)
+        G[i, i] = mu.weights[i] * zetas[i] * fprime
+        for j in range(k):
+            if j == i:
+                continue
+            G[i, j] = 1.0 / (
+                oprime[i] * np.conj(oprime[j]) * (1.0 - zetas[i] * np.conj(zetas[j])))
+    G = 0.5 * (G + G.conj().T)
+    evals = np.linalg.eigvalsh(G)
+    if evals.min() <= 1e-13 * max(abs(evals).max(), 1e-300):
+        raise GramSingularError(f"Gram eigenvalues {evals}")
+    inv = np.linalg.solve(G, np.eye(k, dtype=complex))
+    cond = float(abs(evals).max() / abs(evals).min())
+    resid = np.abs(G @ inv - np.eye(k)).max()
+    if resid > 1e-9 * cond:
+        raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
+    return GramData(G, inv, oprime, u)
+
+
+def condition(gram: GramData) -> float:
+    """Spectral condition number of the Gram matrix."""
+    evals = np.linalg.eigvalsh(gram.gram)
+    return float(evals.max() / evals.min())

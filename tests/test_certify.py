@@ -36,8 +36,9 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
+import necessary_oracle
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix, oracle_stats
-from conftest import FIXTURE_NAMES, load_fixture_symbol
+from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures
 from monotone_oracle import (
     InsufficientLengthError,
     completely_monotone_test,
@@ -430,6 +431,42 @@ def test_necessary_measure_single_atom():
     assert necessary.weights[0].real > 0
 
 
+def test_necessary_measure_equals_class_loop_oracle():
+    # On the fixtures and the pool-like batch no class has more than two
+    # members, so the one reduceat adds in the loop's order and the whole
+    # result is bit-identical.
+    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
+    for mu in pool_like_measures(47, 6):
+        try:
+            symbols.append(measure_to_symbol(mu))
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+    for sym in symbols:
+        cross, classes = pole_pairing(sym).cross, coincidence_classes(sym)
+        got = necessary_measure_test(cross, classes, CFG)
+        assert got == necessary_oracle.necessary_measure_test(cross, classes, CFG)
+    assert len(symbols) >= 50
+
+
+@pytest.mark.parametrize("k", [5, 6, 8])
+def test_necessary_measure_large_classes_match_oracle(k):
+    # Equally spaced equal atoms: classes of up to k products, which the
+    # reduceat sums in another order than numpy's pairwise sum (3e-17 of
+    # the total variation at k = 8).
+    sym = measure_to_symbol(CircleMeasure(
+        tuple(2.0 * math.pi * j / k for j in range(k)), (1.0,) * k))
+    cross, classes = pole_pairing(sym).cross, coincidence_classes(sym)
+    assert np.diff(classes.starts, append=k * k).max() == k
+    (got, passed) = necessary_measure_test(cross, classes, CFG)
+    (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes, CFG)
+    assert passed == want_passed
+    assert got.locations == want.locations
+    assert got.worst_location == want.worst_location
+    total = sum(abs(w) for w in want.weights)
+    assert max(abs(a - b) for a, b in zip(got.weights, want.weights)) <= 1e-15 * total
+    assert abs(got.worst_violation - want.worst_violation) <= 1e-15
+
+
 def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
@@ -615,7 +652,8 @@ def test_coincidence_classes_match_union_find():
     for sym in symbols:
         classes = coincidence_classes(sym)
         expected = _union_find_classes(sym)
-        assert [m.tolist() for m in classes.members] == [m for m, _ in expected]
+        members = np.split(classes.order, classes.starts)[1:]
+        assert [m.tolist() for m in members] == [m for m, _ in expected]
         assert list(classes.locations) == [complex(1.0 / p) for _, p in expected]
         assert exactness_applies(classes) == _pairwise_exactness(sym)
 
@@ -643,6 +681,14 @@ def test_exactness_applies_cases():
 
 
 # --------------------------------------------------------------- configuration
+
+
+@pytest.mark.parametrize("field", ["tol_psd", "tol_orth"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_config_rejects_non_finite_tolerances(field, value):
+    # inf would pass every gate and NaN fail every comparison
+    with pytest.raises(ValueError):
+        CertificateConfig(**{field: value})
 
 
 def test_config_validation():

@@ -230,6 +230,19 @@ def test_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-orth"])
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize("name", ["refuter", "inconclusive"])
+def test_non_finite_tolerance_exits_with_error_code(flag, value, name, capsys):
+    # --tol-orth inf used to certify the refuter, and --tol-psd nan turned
+    # the inconclusive fixture at 30 levels into a necessary-measure
+    # refutation
+    rc = main(["--input", str(FIXTURES / f"{name}.json"), "--levels", "30",
+               f"{flag}={value}"])
+    assert rc == EXIT_ERROR
+    assert "tolerances must be" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("modulus", [1e7, 1e10, 1e20])
 def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     # inverse pole powers underflow towards 0 instead of overflowing

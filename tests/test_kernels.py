@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cauchydual import kernels
 from cauchydual.kernels import (
     ExtremePointError,
     Rank1Model,
@@ -23,6 +24,8 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
+from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures
+from polyrat_oracle import series_inverse
 from rank1_oracle import (
     GridOutsideDiscError,
     cauchy_dual_kernel_rank1,
@@ -46,6 +49,25 @@ def test_taylor_rows_sum_to_symbol_values():
     for j, p in enumerate(sym.numerators):
         direct = p(zs) / sym.q(zs)
         assert np.abs(partial[:, j] - direct).max() <= 1e-12
+
+
+def test_series_inverse_matches_numpy_scalar_oracle():
+    # The same recurrence over Python complex numbers instead of numpy
+    # scalars; on this batch the two differ by at most 2.9e-15 of the
+    # largest coefficient, and the cross-check they feed allows 1e-10.
+    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
+    for mu in pool_like_measures(43, 6):
+        try:
+            symbols.append(measure_to_symbol(mu))
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+    for sym in symbols:
+        coeffs = np.asarray(sym.q.coeffs, dtype=complex)
+        want = series_inverse(coeffs, 53)     # N + L + 1 at the defaults
+        got = kernels._series_inverse(coeffs, 53)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    assert len(symbols) >= 50
 
 
 def test_taylor_rows_decay_geometrically():

@@ -14,6 +14,7 @@ from cauchydual.polyrat import (
     NotPositiveOnCircleError,
     Polynomial,
     RootOnCircleError,
+    circle_points,
     fejer_riesz_factor,
     lagrange_denominators,
     poly_roots,
@@ -22,6 +23,7 @@ from cauchydual.polyrat import (
 from polyrat_oracle import (
     DegreeTooLargeError,
     PolesNotDistinctError,
+    conjugate,
     partial_fractions_simple,
 )
 
@@ -61,9 +63,18 @@ def test_derivative_matches_difference_quotient():
 def test_conjugate_polynomial_identity():
     p = Polynomial.from_coeffs([1.0 + 2.0j, -0.5j, 3.0])
     for z in [0.3 + 0.4j, -1.2, 2.0j]:
-        lhs = p.conjugate()(z)
+        lhs = conjugate(p)(z)
         rhs = complex(p(complex(z).conjugate())).conjugate()
         assert abs(lhs - rhs) <= 1e-12
+
+
+def test_circle_points_built_once_and_read_only():
+    for n in (512, 4096):
+        zs = circle_points(n)
+        assert circle_points(n) is zs
+        assert not zs.flags.writeable
+        assert np.array_equal(
+            zs, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
 
 
 def test_padded_rejects_overflow():

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,9 +23,16 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
+import symbol_oracle
+from conftest import pool_like_measures
 from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
 from rank1_oracle import GridOutsideDiscError
-from symbol_oracle import NotUnimodularError, eta_values, rotate_measure
+from symbol_oracle import (
+    NotUnimodularError,
+    condition,
+    eta_values,
+    rotate_measure,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -126,13 +134,43 @@ def test_gram_matrix_is_positive_definite():
         assert np.abs(gram.gram - gram.gram.conj().T).max() <= 1e-14 * np.abs(gram.gram).max()
         evals = np.linalg.eigvalsh(gram.gram)
         assert evals.min() > 0
-        assert np.abs(gram.gram @ gram.inverse - np.eye(k)).max() <= 1e-9 * gram.condition
+        assert np.abs(gram.gram @ gram.inverse - np.eye(k)).max() <= 1e-9 * condition(gram)
         # stored numerators are p with one linear factor removed
         zetas = mu.zetas()
         for j, u in enumerate(gram.numerators):
             z0 = 0.37 + 0.21j
             expected = outer.p(z0) / (z0 - zetas[j])
             assert abs(u(z0) - expected) <= 1e-10 * max(1.0, abs(expected))
+
+
+# the measures behind the antipodal and single-atom fixtures
+FIXTURE_MEASURES = (CircleMeasure((0.0, math.pi), (1.0, 1.0)),
+                    CircleMeasure((0.0, math.pi), (4.0, 1.0)),
+                    CircleMeasure((0.0,), (1.0,)))
+
+
+def test_gram_from_outer_matches_scalar_oracle():
+    # The array passes round differently from the per-atom loop: on this
+    # batch G differs by at most 4e-15 of its largest entry, O' by 3e-14
+    # relative and the u_j coefficients by 5e-15 of their largest. The
+    # bound leaves a factor of 30 or more.
+    measures = FIXTURE_MEASURES + tuple(pool_like_measures(41, 6))
+    for mu in measures:
+        outer = outer_from_measure(mu)
+        got = gram_from_outer(mu, outer)
+        want = symbol_oracle.gram_from_outer(mu, outer)
+        scale = np.abs(want.gram).max()
+        assert np.abs(got.gram - want.gram).max() <= 1e-12 * scale
+        assert np.abs(got.gram - got.gram.conj().T).max() == 0.0
+        assert (np.abs(got.oprime - want.oprime) <= 1e-12 * np.abs(want.oprime)).all()
+        inverse_scale = np.abs(want.inverse).max() * condition(want)
+        assert np.abs(got.inverse - want.inverse).max() <= 1e-12 * inverse_scale
+        assert len(got.numerators) == len(want.numerators) == mu.size
+        for u, v in zip(got.numerators, want.numerators):
+            assert u.degree == v.degree == mu.size - 1
+            assert (np.abs(np.subtract(u.coeffs, v.coeffs)).max()
+                    <= 1e-12 * np.abs(v.coeffs).max())
+    assert len(measures) == 51
 
 
 # ----------------------------------------------------------------- the symbol
@@ -245,6 +283,31 @@ def test_non_finite_symbol_is_rejected(alphas, numerators):
     # every comparison with a NaN is False, so without this check such a
     # symbol passes the admissibility tests and gets a verdict
     with pytest.raises(ValueError, match="finite"):
+        symbol_from_parts(alphas, numerators)
+
+
+def test_non_finite_message_names_the_first_value():
+    # poles are scanned before numerator coefficients
+    with pytest.raises(ValueError, match=re.escape("coefficient (inf+0j) is not")):
+        symbol_from_parts([2.0, math.inf], [[0.0, math.nan], [0.0, 0.0, 0.1]])
+    with pytest.raises(ValueError, match=re.escape("coefficient (nan+0j) is not")):
+        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, math.nan, math.inf]])
+
+
+@pytest.mark.parametrize("alphas, message", [
+    ([0.5, 0.3], "pole (0.5+0j) is not outside the closed disc"),
+    # pair (0, 2) is scanned before pole 1
+    ([2.0, 0.5, 2.0], "poles (2+0j) and (2+0j) coincide"),
+    # pole 1 is scanned before pair (2, 3)
+    ([2.0, 0.5, 3.0, 3.0], "pole (0.5+0j) is not outside the closed disc"),
+    # pair (0, 3) is scanned before pair (1, 2)
+    ([2.0, 3.0, 3.0, 2.0], "poles (2+0j) and (2+0j) coincide"),
+    ([2.0, -1.0, 3.0], "pole (-1+0j) is not outside the closed disc"),
+])
+def test_pole_checks_name_the_first_offender(alphas, message):
+    # the order of the pole-by-pole scan: pole i, then its pairs (i, j > i)
+    numerators = [[0.0, 0.01]] * len(alphas)
+    with pytest.raises(ValueError, match=re.escape(message)):
         symbol_from_parts(alphas, numerators)
 
 
