@@ -4,7 +4,7 @@ BENCH_<n>.json.
 
 Usage, from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_8.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_9.json
 
 For each fixture, with and without --dump-tables, three medians over
 REPEATS runs: `cli.main` writing the report to a temporary directory,
@@ -20,8 +20,9 @@ of the whole call and of the time spent inside each of PIPELINE_LAYERS:
 The engine grid runs `run_certificates` REPEATS times on the pipeline's
 symbol for the same measures, at each (N, L) = (--trunc, --levels) in
 ENGINE_SIZES, and records the same statistics of the whole call and of the
-time spent inside each of the ENGINE_LAYERS functions the `certify` module
-has. Layers are timed by wrapping the module attributes, so both tables
+time spent inside each of ENGINE_LAYERS: the engine functions the
+`certify` module has, and `kernels.symbol_taylor`, which builds the Taylor
+rows. Layers are timed by wrapping the module attributes, so both tables
 also run on a checkout whose functions take other arguments.
 
 Times come from time.perf_counter inside this one process; nothing on the
@@ -44,7 +45,7 @@ import time
 
 import numpy as np
 
-from cauchydual import __version__, certify, cli, symbolpipe
+from cauchydual import __version__, certify, cli, kernels, symbolpipe
 
 FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
@@ -53,9 +54,11 @@ REPEATS = 21         # timed runs per median
 
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
-ENGINE_LAYERS = ("pole_basis", "pole_cores", "agler_pole_test",
-                 "agler_taylor_test", "coincidence_classes",
-                 "necessary_measure_test")
+# (row name, owner, attribute) of the engine layers, as for the pipeline
+ENGINE_LAYERS = tuple((name, certify, name) for name in (
+    "pole_basis", "pole_cores", "agler_pole_test", "agler_taylor_test",
+    "coincidence_classes", "necessary_measure_test")) + (
+    ("symbol_taylor", kernels, "symbol_taylor"),)
 # (row name, owner, attribute) of the pipeline stages; the constructor is
 # timed through its check, which is all it does beyond storing the fields
 PIPELINE_LAYERS = (
@@ -192,7 +195,7 @@ def pipeline_rows(measures: dict) -> list:
 
 def engine_rows(measures: dict) -> list:
     rows = []
-    with layer_timer([(name, certify, name) for name in ENGINE_LAYERS]) as spent:
+    with layer_timer(ENGINE_LAYERS) as spent:
         for k, mu in measures.items():
             sym = symbolpipe.measure_to_symbol(mu)
             for trunc, levels in ENGINE_SIZES:
@@ -229,8 +232,9 @@ def main(argv=None) -> int:
         "build_report and render_json; pipeline_rows: the same statistics "
         "of measure_to_symbol and of the time inside each pipeline stage, "
         "per atom count k; engine_rows: the same statistics of "
-        "run_certificates and of the time inside each engine layer, per "
-        "atom count k, --trunc N and --levels L (scripts/bench.py)")
+        "run_certificates and of the time inside each engine layer and "
+        "kernels.symbol_taylor, per atom count k, --trunc N and --levels L "
+        "(scripts/bench.py)")
     bench["row_sets"][args.label] = {
         "version": __version__,
         "python": platform.python_version(),
@@ -259,7 +263,7 @@ def main(argv=None) -> int:
               f"{layers}")
     for row in grid:
         layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
-                           for name in ENGINE_LAYERS if f"{name}_ms" in row)
+                           for name, _, _ in ENGINE_LAYERS if f"{name}_ms" in row)
         print(f"{args.label:>8} k={row['k']} N={row['trunc']:<3} L={row['levels']:<3} "
               f"run_certificates {row['run_certificates_ms']['median']:7.3f} ms  "
               f"{layers}")

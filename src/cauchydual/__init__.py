@@ -5,7 +5,6 @@ dual of the shift."""
 __version__ = "0.1.0"
 
 from .polyrat import (
-    Polynomial,
     LaurentHermitian,
     poly_roots,
     lagrange_denominators,
@@ -24,7 +23,6 @@ from .symbolpipe import (
     single_atom_symbol,
 )
 from .kernels import (
-    TaylorTable,
     Rank1Model,
     symbol_taylor,
     rank1_taylor,
@@ -54,13 +52,13 @@ from .certify import (
 )
 
 __all__ = [
-    "Polynomial", "LaurentHermitian", "poly_roots", "lagrange_denominators",
+    "LaurentHermitian", "poly_roots", "lagrange_denominators",
     "fejer_riesz_factor",
     "CircleMeasure", "RationalSymbol", "AntipodalClosedForm",
     "boundary_polynomial", "outer_from_measure", "gram_from_outer",
     "measure_to_symbol", "symbol_from_parts", "closed_form_antipodal",
     "single_atom_symbol",
-    "TaylorTable", "Rank1Model", "symbol_taylor", "rank1_taylor",
+    "Rank1Model", "symbol_taylor", "rank1_taylor",
     "kernel_coeffs", "mate_rank1",
     "CertificateConfig", "CertificateReport", "LevelStat",
     "NecessaryMeasure", "MomentCheck", "pole_pairing", "coincidence_classes",

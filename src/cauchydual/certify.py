@@ -165,7 +165,7 @@ def agler_pole_test(cores: np.ndarray, cfg: CertificateConfig) -> tuple:
     return _level_stats(cores, cfg.trunc)
 
 
-def agler_taylor_test(taylor: kernels.TaylorTable, Q: np.ndarray,
+def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray,
                       cores: np.ndarray, cfg: CertificateConfig) -> tuple:
     """LevelStat per level 1..levels of the same truncation from the raw
     Taylor rows:
@@ -187,10 +187,10 @@ def agler_taylor_test(taylor: kernels.TaylorTable, Q: np.ndarray,
     cancels to about 1e-8 of the norm.
     """
     N, L = cfg.trunc, cfg.levels
-    if taylor.n_rows < N + L:
+    if len(taylor) < N + L:
         raise InsufficientRowsError(
-            f"need {N + L} rows, table has {taylor.n_rows}")
-    rows = taylor.rows[:N + L]
+            f"need {N + L} rows, table has {len(taylor)}")
+    rows = taylor[:N + L]
     D = rows @ rows.conj().T
     D = 0.5 * (D + D.conj().T)
     Qh = Q.conj().T
@@ -371,7 +371,7 @@ class CertificateReport:
     necessary_passed: bool
     exactness: bool
     config: CertificateConfig
-    taylor: kernels.TaylorTable     # the rows the Taylor engine ran on
+    taylor: np.ndarray      # the Taylor rows the Taylor engine ran on
 
     @property
     def exit_code(self) -> int:

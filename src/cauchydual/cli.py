@@ -234,8 +234,7 @@ def _necessary_json(nec: certify.NecessaryMeasure, passed: bool) -> dict:
 
 def _rank1_section(sym: symbolpipe.RationalSymbol, quad_points: int):
     alpha = complex(sym.alphas[0])
-    coeffs = sym.numerators[0].coeffs
-    gamma = -(coeffs[1] if len(coeffs) > 1 else 0.0) / alpha
+    gamma = -complex(sym.coefficients[0, 1]) / alpha
     beta = 1.0 / alpha
     out = {"gamma": _cpx(gamma), "beta": _cpx(beta)}
     try:
@@ -280,12 +279,13 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "k": sym.k,
             "gamma_fr": sym.gamma_fr,
             "alphas": [_cpx(a) for a in sym.alphas],
-            "numerators": [[_cpx(c) for c in p.coeffs] for p in sym.numerators],
-            "q": [_cpx(c) for c in sym.q.coeffs],
+            "numerators": [[_cpx(c) for c in np.trim_zeros(row, "b")]
+                           for row in sym.coefficients],
+            "q": [_cpx(c) for c in sym.q],
             "eta": _cmatrix(sym.eta),
             "taylor_digest": {
-                "n_rows": taylor.n_rows,
-                "row_norms": taylor.row_norms().tolist(),
+                "n_rows": len(taylor),
+                "row_norms": np.linalg.norm(taylor, axis=1).tolist(),
             },
         },
         "certificates": {
@@ -309,7 +309,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     if dump_tables:
         report["tables"] = {
             "K": _cmatrix(kernels.kernel_coeffs(taylor, cfg.trunc)),
-            "B_rows": _cmatrix(taylor.rows),
+            "B_rows": _cmatrix(taylor),
         }
     return report
 

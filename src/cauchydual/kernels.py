@@ -21,21 +21,6 @@ class ExtremePointError(ValueError):
     """1 - |b|^2 vanishes in mean on the circle, so no mate exists."""
 
 
-@dataclass(frozen=True, eq=False)
-class TaylorTable:
-    """Rows B_1, ..., B_N of the symbol: rows[m-1, j] is the coefficient
-    of z^m in the j-th component."""
-
-    rows: np.ndarray
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    def row_norms(self) -> np.ndarray:
-        return np.linalg.norm(self.rows, axis=1)
-
-
 def _series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
     """Power series of 1/q to n_terms coefficients; q(0) must be nonzero.
 
@@ -52,8 +37,9 @@ def _series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
     return np.array(out)
 
 
-def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
-    """Taylor rows of the symbol via the residue expansion at its poles.
+def symbol_taylor(sym: RationalSymbol, n_rows: int) -> np.ndarray:
+    """Taylor rows of the symbol via the residue expansion at its poles:
+    entry [m - 1, j] is the coefficient of z^m in the j-th component.
 
     Component j has the expansion
 
@@ -73,32 +59,29 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> TaylorTable:
     weight = sym.numerators_at_poles / (alphas * denoms)[None, :]
     rows = -(sym.inverse_pole_powers(n_rows) @ weight.T)
 
-    inv_q = _series_inverse(np.asarray(sym.q.coeffs, dtype=complex), n_rows + 1)
+    inv_q = _series_inverse(sym.q, n_rows + 1)
     check = np.zeros_like(rows)
-    for j, p in enumerate(sym.numerators):
-        pc = np.asarray(p.coeffs, dtype=complex)
-        series = np.convolve(pc, inv_q)[: n_rows + 1]
-        check[:, j] = series[1:]
+    for j, pc in enumerate(sym.coefficients):
+        check[:, j] = np.convolve(pc, inv_q)[1:n_rows + 1]
     scale = float(np.abs(rows).max(initial=1.0))
     gap = float(np.abs(rows - check).max(initial=0.0))
     if gap > 1e-10 * scale:
         raise RuntimeError(
             f"pole expansion and series division disagree by {gap:.3e}")
-    return TaylorTable(rows)
+    return rows
 
 
-def rank1_taylor(gamma: complex, beta: complex, n_rows: int) -> TaylorTable:
+def rank1_taylor(gamma: complex, beta: complex, n_rows: int) -> np.ndarray:
     """Rows of b(z) = gamma z / (1 - beta z): B_m = gamma beta^(m-1)."""
     if n_rows < 1:
         raise ValueError("need at least one row")
     if abs(beta) >= 1.0:
         raise ValueError("beta must lie in the open unit disc")
     ms = np.arange(n_rows)
-    rows = (complex(gamma) * np.power(complex(beta), ms))[:, None]
-    return TaylorTable(rows)
+    return (complex(gamma) * np.power(complex(beta), ms))[:, None]
 
 
-def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> np.ndarray:
+def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
     """Kernel coefficient table from the Taylor rows: K = I - T T^H, where
     K[m, n], 0 <= m, n <= size, is the (m, n) normalized Taylor coefficient
     of the kernel (1 - B(z) B(w)*) / (1 - z conj(w)) at the origin.
@@ -111,13 +94,11 @@ def kernel_coeffs(taylor: TaylorTable, size: int | None = None) -> np.ndarray:
     another order, and the rank-one measure check compares against this
     table at the level of rounding. Requires rows up to index `size`.
     """
-    if size is None:
-        size = taylor.n_rows
     if size < 0:
         raise ValueError("size must be nonnegative")
-    if taylor.n_rows < size:
-        raise ValueError(f"need {size} rows, table has {taylor.n_rows}")
-    S = taylor.rows @ taylor.rows.conj().T    # S[m-1, n-1] = B_m . B_n*
+    if len(rows) < size:
+        raise ValueError(f"need {size} rows, table has {len(rows)}")
+    S = rows @ rows.conj().T    # S[m-1, n-1] = B_m . B_n*
     TT = np.zeros((size + 1, size + 1), dtype=complex)   # lower triangle of T T^H
     for n in range(1, size + 1):
         TT[n:, n] = TT[n - 1:-1, n - 1] + S[n - 1:size, n - 1]

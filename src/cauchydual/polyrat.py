@@ -2,10 +2,11 @@
 circle-positive spectral factorization.
 
 Everything here is plain double-precision arithmetic over small degrees.
-Polynomials are ascending coefficient tuples, roots come from the balanced
-companion matrix, and the factorization routine splits the root pairs
-(w, 1/conj(w)) of a trigonometric polynomial that stays strictly positive
-on the unit circle.
+A polynomial is the array of its ascending complex coefficients, evaluated
+by Horner's rule in `_horner`. Roots come from the balanced companion
+matrix, and the factorization routine splits the root pairs (w, 1/conj(w))
+of a trigonometric polynomial that stays strictly positive on the unit
+circle.
 """
 from __future__ import annotations
 
@@ -44,48 +45,13 @@ POSITIVITY_SAMPLES = 4096
 HERMITIAN_BAND_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Polynomial sum_i coeffs[i] * z**i with trailing zeros trimmed.
-
-    The zero polynomial is the empty tuple and reports degree -inf.
-    """
-
-    coeffs: tuple[complex, ...] = ()
-
-    @staticmethod
-    def from_coeffs(coeffs: Iterable[complex]) -> "Polynomial":
-        cs = [complex(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        return Polynomial(tuple(cs))
-
-    @staticmethod
-    def from_roots(roots: Iterable[complex], leading: complex = 1.0) -> "Polynomial":
-        acc = np.array([complex(leading)])
-        for r in roots:
-            acc = np.convolve(acc, np.array([-complex(r), 1.0]))
-        return Polynomial.from_coeffs(acc)
-
-    @property
-    def degree(self):
-        return len(self.coeffs) - 1 if self.coeffs else float("-inf")
-
-    def __call__(self, z):
-        return poly_eval(self, z)
-
-    def derivative(self) -> "Polynomial":
-        return Polynomial.from_coeffs([i * c for i, c in enumerate(self.coeffs)][1:])
-
-    def scaled(self, s: complex) -> "Polynomial":
-        return Polynomial.from_coeffs([s * c for c in self.coeffs])
-
-    def padded(self, length: int) -> np.ndarray:
-        if len(self.coeffs) > length:
-            raise ValueError(f"degree {self.degree} does not fit in {length} slots")
-        out = np.zeros(length, dtype=complex)
-        out[: len(self.coeffs)] = self.coeffs
-        return out
+def from_roots(roots) -> np.ndarray:
+    """Coefficients of the monic polynomial prod_r (z - roots[r]), one
+    linear factor convolved in at a time."""
+    acc = np.array([1.0 + 0.0j])
+    for r in roots:
+        acc = np.convolve(acc, np.array([-complex(r), 1.0]))
+    return acc
 
 
 def _horner(coeffs: np.ndarray, z) -> np.ndarray:
@@ -94,24 +60,11 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     Each row of ascending coefficients is evaluated at the points z, which
     broadcast against coeffs[..., 0]: a (k, n) stack at k points gives
     row j at point j, a (k, 1, n) stack at m points gives a (k, m) table.
-    Rows without coefficients are the zero polynomial. poly_eval is the
-    same rule for one Polynomial over its Python coefficients, which is
-    twice as fast for the scalar evaluations the pipeline makes.
+    Rows without coefficients are the zero polynomial.
     """
     acc = np.zeros(np.shape(z), dtype=complex)
     for i in range(coeffs.shape[-1] - 1, -1, -1):
         acc = acc * z + coeffs[..., i]
-    return acc
-
-
-def poly_eval(p: Polynomial, z):
-    """Horner evaluation of p at a scalar or ndarray argument."""
-    zc = np.asarray(z, dtype=complex)
-    acc = np.zeros(zc.shape, dtype=complex)
-    for c in reversed(p.coeffs):
-        acc = acc * zc + c
-    if zc.ndim == 0:
-        return complex(acc)
     return acc
 
 
@@ -124,8 +77,9 @@ def circle_points(n: int) -> np.ndarray:
     return zs
 
 
-def poly_roots(p: Polynomial) -> list[complex]:
-    """All degree-many roots of p, from the balanced companion matrix.
+def poly_roots(coeffs) -> list[complex]:
+    """All degree-many roots of the polynomial with ascending coefficients
+    coeffs, from the balanced companion matrix.
 
     Roots are sorted by (principal argument, modulus) so repeated calls on
     the same coefficients produce the same ordering.
@@ -133,11 +87,12 @@ def poly_roots(p: Polynomial) -> list[complex]:
     Raises
     ------
     DegreeZeroError
-        If p is constant (the zero polynomial included).
+        If the polynomial is constant (the zero polynomial included).
     """
-    if not p.coeffs or len(p.coeffs) < 2:
+    cs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
+    if len(cs) < 2:
         raise DegreeZeroError("root finding needs a polynomial of degree >= 1")
-    roots = npoly.polyroots(np.asarray(p.coeffs, dtype=complex))
+    roots = npoly.polyroots(cs)
     # hypot is the modulus abs() takes of a complex scalar, to the last bit
     order = np.lexsort((np.hypot(roots.real, roots.imag), np.angle(roots)))
     return roots[order].tolist()
@@ -258,7 +213,7 @@ def fejer_riesz_factor(R: LaurentHermitian):
         return float(R.upper[0].real), []
 
     # z^k R(z) has ascending coefficients equal to the full band of R
-    roots = np.asarray(poly_roots(Polynomial.from_coeffs(R.full())))
+    roots = np.asarray(poly_roots(R.full()))
     moduli = np.hypot(roots.real, roots.imag)
     on_circle = np.flatnonzero(np.abs(moduli - 1.0) <= CIRCLE_ROOT_TOL)
     if on_circle.size:

@@ -15,17 +15,17 @@ import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .polyrat import (
     POLE_GAP,
     LaurentHermitian,
-    Polynomial,
     circle_points,
     _horner,
     fejer_riesz_factor,
+    from_roots,
 )
 
 # circle points on which a symbol's Schur bound is checked
@@ -127,12 +127,13 @@ def boundary_polynomial(mu: CircleMeasure) -> LaurentHermitian:
 class OuterData:
     """Outer quotient p/q for a measure: q = prod (z - alpha_j) from the
     spectral factorization and p = (e^{i theta0}/sqrt(gamma)) prod (z - zeta_j),
-    with the phase theta0 chosen so p(0)/q(0) > 0."""
+    with the phase theta0 chosen so p(0)/q(0) > 0. p and q are ascending
+    coefficient arrays of length k + 1."""
 
     gamma_fr: float
     alphas: tuple[complex, ...]
-    p: Polynomial
-    q: Polynomial
+    p: np.ndarray
+    q: np.ndarray
     theta0: float
 
 
@@ -140,13 +141,14 @@ def outer_from_measure(mu: CircleMeasure) -> OuterData:
     if mu.size == 0:
         raise EmptyMeasureError("the empty measure has no outer quotient")
     gamma, alphas = fejer_riesz_factor(boundary_polynomial(mu))
-    q = Polynomial.from_roots(alphas)
+    q = from_roots(alphas)
     zetas = mu.zetas()
     monic_at_zero = complex(np.prod(-zetas))
-    theta0 = -cmath.phase(monic_at_zero / q(0.0))
+    theta0 = -cmath.phase(monic_at_zero / complex(q[0]))
     scale = cmath.exp(1j * theta0) / math.sqrt(gamma)
-    p = Polynomial.from_roots(zetas, leading=1.0).scaled(scale)
-    ratio = p(0.0) / q(0.0)
+    # Python's complex product, not numpy's, which differs in the last bit
+    p = np.array([scale * c for c in from_roots(zetas).tolist()])
+    ratio = complex(p[0]) / complex(q[0])
     if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
         raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio}")
     return OuterData(gamma, tuple(alphas), p, q, theta0)
@@ -159,7 +161,7 @@ class GramData:
     gram: np.ndarray
     inverse: np.ndarray
     oprime: np.ndarray       # derivative of p/q at each atom
-    numerators: tuple[Polynomial, ...]   # u_j = p / (z - zeta_j), polynomials
+    U: np.ndarray            # U[j, i]: coefficient of z^i in u_j = p / (z - zeta_j)
 
 
 def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
@@ -173,12 +175,11 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     # U[j, i] is the coefficient of z^i in u_j = p / (z - zeta_j), by
     # synthetic division for all atoms at once: from the top,
     # U[j, k - 1] = p_k and U[j, i - 1] = p_i + zeta_j U[j, i]
-    pc = np.asarray(outer.p.coeffs, dtype=complex)
+    pc, qc = outer.p, outer.q
     U = np.empty((k, k), dtype=complex)
     U[:, k - 1] = pc[k]
     for i in range(k - 1, 0, -1):
         U[:, i - 1] = pc[i] + zetas * U[:, i]
-    qc = np.asarray(outer.q.coeffs, dtype=complex)
     powers = np.arange(1, k + 1)
     # row j of U at zeta_j, and q at every atom
     u_at, du_at = _horner(U, zetas), _horner(U[:, 1:] * powers[:-1], zetas)
@@ -200,48 +201,52 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     resid = np.abs(G @ inv - np.eye(k)).max()
     if resid > 1e-9 * cond:
         raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
-    return GramData(G, inv, oprime, tuple(map(Polynomial.from_coeffs, U)))
+    return GramData(G, inv, oprime, U)
 
 
 @dataclass(frozen=True, eq=False)
 class RationalSymbol:
     """Row symbol (p_1/q, ..., p_k/q) with q = prod_r (z - alpha_r).
 
-    The poles and the numerators are the whole symbol: k, q and the
-    numerator matrix eta are derived from them. eta[i, j] is positioned so
-    that
+    The poles and the k x (k + 1) coefficient matrix are the whole symbol:
+    coefficients[j, i] is the coefficient of z^i in p_j, stored as a
+    read-only copy, and k, q and the numerator matrix eta are derived from
+    them. eta[i, j] is positioned so that
 
         sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
     """
 
     alphas: tuple[complex, ...]
-    numerators: tuple[Polynomial, ...]
+    coefficients: np.ndarray
     gamma_fr: float | None = None
 
     def __post_init__(self):
         """Admit only the class the certificates are stated for: finite
-        poles and coefficients, one numerator per pole, each vanishing at 0
-        and of degree at most k, k simple poles outside the closed disc,
-        and sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
-        points."""
-        values = (*self.alphas, *(c for p in self.numerators for c in p.coeffs))
-        finite = np.isfinite(np.array(values, dtype=complex))
+        poles and coefficients, a k x (k + 1) matrix (one numerator of
+        degree at most k per pole), each numerator vanishing at 0, k simple
+        poles outside the closed disc, and sum_j |p_j/q|^2 <= 1 on the
+        circle, checked on SCHUR_SAMPLES points."""
+        alphas = np.asarray(self.alphas, dtype=complex)
+        C = np.array(self.coefficients, dtype=complex)
+        C.flags.writeable = False
+        object.__setattr__(self, "coefficients", C)
+        values = np.concatenate([alphas, C.ravel()])
+        finite = np.isfinite(values)
         if not finite.all():
             raise ValueError(f"pole or numerator coefficient "
                              f"{values[int(np.argmin(finite))]} is not finite")
-        if len(self.numerators) != self.k:
-            raise ValueError(
-                f"{len(self.numerators)} numerators for a rank-{self.k} symbol")
-        for j, p in enumerate(self.numerators):
-            if p.coeffs and abs(p.coeffs[0]) > 1e-14 * max(
-                    1.0, max(abs(c) for c in p.coeffs)):
-                raise ValueError(f"numerator {j} has nonzero constant term")
-            if p.coeffs and p.degree > self.k:
-                raise ValueError(f"numerator {j} has degree {p.degree} > {self.k}")
+        if C.ndim == 2 and len(C) != self.k:
+            raise ValueError(f"{len(C)} numerators for a rank-{self.k} symbol")
+        if C.shape != (self.k, self.k + 1):
+            raise ValueError(f"coefficient matrix has shape {C.shape}, "
+                             f"not ({self.k}, {self.k + 1})")
+        scale = np.maximum(np.abs(C).max(axis=1), 1.0)
+        constant = np.flatnonzero(np.abs(C[:, 0]) > 1e-14 * scale)
+        if constant.size:
+            raise ValueError(f"numerator {constant[0]} has nonzero constant term")
         # scan[i, 0]: pole i lies in the closed disc; scan[i, 1 + j]: poles
         # i < j coincide. The first hit in row-major order is raised, the
         # order of checking pole 0, its pairs (0, j), pole 1, ...
-        alphas = np.asarray(self.alphas, dtype=complex)
         index = np.arange(self.k)
         scan = np.empty((self.k, self.k + 1), dtype=bool)
         scan[:, 0] = np.abs(alphas) <= 1.0
@@ -254,8 +259,8 @@ class RationalSymbol:
                 raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
             raise ValueError(f"poles {alphas[i]} and {alphas[j - 1]} coincide")
         zs = circle_points(SCHUR_SAMPLES)
-        num = (np.abs(_horner(self.coefficients[:, None, :], zs)) ** 2).sum(axis=0)
-        den = np.abs(self.q(zs)) ** 2
+        num = (np.abs(_horner(C[:, None, :], zs)) ** 2).sum(axis=0)
+        den = np.abs(_horner(self.q, zs)) ** 2
         excess = float((num / den).max())
         if excess > 1.0 + 1e-8:
             raise ValueError(f"symbol violates the Schur bound: max row norm {excess}")
@@ -265,17 +270,11 @@ class RationalSymbol:
         return len(self.alphas)
 
     @cached_property
-    def q(self) -> Polynomial:
-        return Polynomial.from_roots(self.alphas)
-
-    @cached_property
-    def coefficients(self) -> np.ndarray:
-        """C[j, i], the coefficient of z^i in p_j for i = 0..k, read-only."""
-        C = np.zeros((self.k, self.k + 1), dtype=complex)
-        for j, p in enumerate(self.numerators):
-            C[j, :len(p.coeffs)] = p.coeffs
-        C.flags.writeable = False
-        return C
+    def q(self) -> np.ndarray:
+        """Ascending coefficients of q, read-only."""
+        q = from_roots(self.alphas)
+        q.flags.writeable = False
+        return q
 
     @cached_property
     def eta(self) -> np.ndarray:
@@ -289,13 +288,11 @@ class RationalSymbol:
 
     @cached_property
     def numerators_at_poles(self) -> np.ndarray:
-        """vals[j, r] = p_j(alpha_r), one array Horner pass per numerator,
-        computed on first use and shared by the pole pairing and the
-        Taylor rows."""
+        """vals[j, r] = p_j(alpha_r), one Horner pass over the coefficient
+        matrix, computed on first use and shared by the pole pairing and
+        the Taylor rows."""
         alphas = np.asarray(self.alphas, dtype=complex)
-        vals = np.empty((len(self.numerators), len(alphas)), dtype=complex)
-        for j, p in enumerate(self.numerators):
-            vals[j] = p(alphas)
+        vals = _horner(self.coefficients[:, None, :], alphas)
         vals.flags.writeable = False
         return vals
 
@@ -322,10 +319,19 @@ def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:
 def symbol_from_parts(alphas: Sequence[complex],
                       numerators: Sequence[Sequence[complex]],
                       gamma_fr: float | None = None) -> RationalSymbol:
-    """Assemble a symbol from raw poles and numerator coefficients."""
-    return RationalSymbol(tuple(map(complex, alphas)),
-                          tuple(Polynomial.from_coeffs(cs) for cs in numerators),
-                          gamma_fr)
+    """Assemble a symbol from raw poles and numerator coefficient rows.
+
+    Each row is ascending; its trailing zeros are dropped and the rest,
+    of degree at most k, is padded into the symbol's coefficient matrix.
+    """
+    k = len(alphas)
+    C = np.zeros((len(numerators), k + 1), dtype=complex)
+    for j, row in enumerate(numerators):
+        cs = np.trim_zeros(np.asarray(row, dtype=complex), "b")
+        if len(cs) > k + 1:
+            raise ValueError(f"numerator {j} has degree {len(cs) - 1} > {k}")
+        C[j, :len(cs)] = cs
+    return RationalSymbol(tuple(map(complex, alphas)), C, gamma_fr)
 
 
 def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
@@ -351,13 +357,9 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     # weights of the pole-pair correction kernel
     b = gram.inverse
     W = np.conj(b) / (gram.oprime[:, None] * np.conj(gram.oprime)[None, :])
-    U = np.zeros((k, k), dtype=complex)
-    for j, u in enumerate(gram.numerators):
-        U[j, :] = u.padded(k)
-    core = U.T @ W @ np.conj(U)
+    core = gram.U.T @ W @ np.conj(gram.U)
 
-    qc = outer.q.padded(k + 1)
-    pc = outer.p.padded(k + 1)
+    qc, pc = outer.q, outer.p
     atilde = np.outer(qc, np.conj(qc)) - np.outer(pc, np.conj(pc))
     atilde[:k, :k] -= core
     atilde[1:, 1:] += core
@@ -384,8 +386,9 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     if split > 1e-10 * max(norm, 1.0):
         raise RuntimeError(f"cholesky split residual {split:.3e}")
 
-    return symbol_from_parts(
-        outer.alphas, [np.concatenate([[0.0], row]) for row in P], outer.gamma_fr)
+    # row t of P holds the coefficients of z^1..z^k in p_t
+    return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]),
+                          outer.gamma_fr)
 
 
 @dataclass(frozen=True)

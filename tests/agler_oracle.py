@@ -34,11 +34,11 @@ def agler_taylor_matrix(taylor, level: int, size: int) -> np.ndarray:
 
     Needs rows up to index size + level.
     """
-    if taylor.n_rows < size + level:
+    if len(taylor) < size + level:
         raise InsufficientRowsError(
             f"need {size + level} rows for size {size} at level {level}, "
-            f"table has {taylor.n_rows}")
-    S = taylor.rows @ taylor.rows.conj().T
+            f"table has {len(taylor)}")
+    S = taylor @ taylor.conj().T
     M = np.zeros((size, size), dtype=complex)
     for j in range(level + 1):
         M += (-1.0) ** j * math.comb(level, j) * S[j: j + size, j: j + size]

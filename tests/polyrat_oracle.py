@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cauchydual.polyrat import POLE_GAP, Polynomial, lagrange_denominators
+from numpy.polynomial import polynomial as npoly
+
+from cauchydual.polyrat import POLE_GAP, lagrange_denominators
 
 
 class PolesNotDistinctError(ValueError):
@@ -41,8 +43,9 @@ class PartialFractionExpansion:
         return acc
 
 
-def partial_fractions_simple(p: Polynomial, poles) -> PartialFractionExpansion:
-    """Residues of p over a set of simple poles.
+def partial_fractions_simple(p, poles) -> PartialFractionExpansion:
+    """Residues of the polynomial with ascending coefficients p over a set
+    of simple poles.
 
     Requires deg p < len(poles) and pairwise pole gaps above POLE_GAP, so
     the expansion has no polynomial part and every residue is p(pole)/a_r
@@ -57,17 +60,20 @@ def partial_fractions_simple(p: Polynomial, poles) -> PartialFractionExpansion:
                 raise PolesNotDistinctError(
                     f"poles {i} and {j} are within {POLE_GAP}: "
                     f"{ps[i]} vs {ps[j]}")
-    if p.coeffs and p.degree >= len(ps):
+    cs = np.trim_zeros(np.asarray(p, dtype=complex), "b")
+    if len(cs) > len(ps):
         raise DegreeTooLargeError(
-            f"numerator degree {p.degree} with only {len(ps)} poles")
+            f"numerator degree {len(cs) - 1} with only {len(ps)} poles")
     denoms = lagrange_denominators(ps)
-    residues = tuple(complex(p(a)) / complex(d) for a, d in zip(ps, denoms))
+    # polyval needs at least one coefficient; an empty row is the zero polynomial
+    values = npoly.polyval(np.array(ps), cs) if len(cs) else np.zeros(len(ps))
+    residues = tuple(map(complex, values / denoms))
     return PartialFractionExpansion(tuple(ps), residues, tuple(map(complex, denoms)))
 
 
-def conjugate(p: Polynomial) -> Polynomial:
+def conjugate(p) -> np.ndarray:
     """Coefficient-wise conjugate, the polynomial z -> conj(p(conj(z)))."""
-    return Polynomial.from_coeffs([complex(c).conjugate() for c in p.coeffs])
+    return np.conj(np.asarray(p, dtype=complex))
 
 
 def series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:

@@ -10,8 +10,8 @@ import cmath
 import math
 
 import numpy as np
+from numpy.polynomial import polynomial as npoly
 
-from cauchydual.polyrat import Polynomial
 from cauchydual.symbolpipe import (
     CircleMeasure,
     GramData,
@@ -46,9 +46,9 @@ def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:
     zs = np.asarray(z, dtype=complex).ravel()
     ws = np.asarray(w, dtype=complex).ravel()
     acc = np.zeros((len(zs), len(ws)), dtype=complex)
-    for p in sym.numerators:
-        acc += np.outer(p(zs), np.conj(p(ws)))
-    return acc / np.outer(sym.q(zs), np.conj(sym.q(ws)))
+    for p in sym.coefficients:
+        acc += np.outer(npoly.polyval(zs, p), np.conj(npoly.polyval(ws, p)))
+    return acc / np.outer(npoly.polyval(zs, sym.q), np.conj(npoly.polyval(ws, sym.q)))
 
 
 def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
@@ -60,19 +60,22 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     zetas = mu.zetas()
     k = mu.size
     scale = cmath.exp(1j * outer.theta0) / math.sqrt(outer.gamma_fr)
-    u = tuple(
-        Polynomial.from_roots(np.delete(zetas, j), leading=1.0).scaled(scale)
-        for j in range(k)
-    )
-    q, dq = outer.q, outer.q.derivative()
-    oprime = np.array([u[j](zetas[j]) / q(zetas[j]) for j in range(k)])
+    U = np.array([scale * npoly.polyfromroots(np.delete(zetas, j))
+                  for j in range(k)])
+
+    def u(i, z, der=0):
+        return npoly.polyval(z, npoly.polyder(U[i], der))
+
+    def q(z, der=0):
+        return npoly.polyval(z, npoly.polyder(outer.q, der))
+
+    oprime = np.array([u(j, zetas[j]) / q(zetas[j]) for j in range(k)])
 
     G = np.empty((k, k), dtype=complex)
     for i in range(k):
         # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
-        du = u[i].derivative()
-        fprime = (du(zetas[i]) * q(zetas[i]) - u[i](zetas[i]) * dq(zetas[i])) / (
-            oprime[i] * q(zetas[i]) ** 2)
+        z = zetas[i]
+        fprime = (u(i, z, 1) * q(z) - u(i, z) * q(z, 1)) / (oprime[i] * q(z) ** 2)
         G[i, i] = mu.weights[i] * zetas[i] * fprime
         for j in range(k):
             if j == i:
@@ -88,7 +91,7 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     resid = np.abs(G @ inv - np.eye(k)).max()
     if resid > 1e-9 * cond:
         raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
-    return GramData(G, inv, oprime, u)
+    return GramData(G, inv, oprime, U)
 
 
 def condition(gram: GramData) -> float:

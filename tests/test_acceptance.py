@@ -169,7 +169,7 @@ def test_criterion_06_kernel_recursions():
 
     worst_step = worst_subn = 0.0
     for label, tab, K in cases:
-        S = tab.rows @ tab.rows.conj().T  # S[m-1, n-1] = B_m . conj(B_n)
+        S = tab @ tab.conj().T  # S[m-1, n-1] = B_m . conj(B_n)
         for k in range(1, 6):
             span = 31
             f_k = f_table(K, k, span + 1)
@@ -193,7 +193,7 @@ def test_criterion_06_kernel_recursions():
 def _rank1_golden_models():
     sym = single_atom_symbol(1.0)
     beta = 1.0 / sym.alphas[0]
-    gamma = -sym.numerators[0].coeffs[1] / sym.alphas[0]
+    gamma = -sym.coefficients[0, 1] / sym.alphas[0]
     return [(0.5, 0.0 + 0.0j), (0.4, 0.3 + 0.2j), (gamma, beta)]
 
 

@@ -5,8 +5,9 @@ import math
 
 import numpy as np
 import pytest
+from numpy.polynomial import polynomial as npoly
 
-from cauchydual import kernels, polyrat
+from cauchydual import kernels, symbolpipe
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
@@ -26,8 +27,8 @@ from cauchydual.certify import (
     rank1_representing_measure,
     run_certificates,
 )
-from cauchydual.kernels import TaylorTable, mate_rank1, symbol_taylor
-from cauchydual.polyrat import Polynomial
+from cauchydual.kernels import mate_rank1, symbol_taylor
+from cauchydual.polyrat import _horner
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -109,8 +110,9 @@ def test_cross_gram_matches_hand_loop():
     for r in range(2):
         for t in range(2):
             acc = 0.0 + 0.0j
-            for p in sym.numerators:
-                acc += complex(p(alphas[r])) * complex(p(alphas[t])).conjugate()
+            for p in sym.coefficients:
+                acc += complex(npoly.polyval(alphas[r], p)) * complex(
+                    npoly.polyval(alphas[t], p)).conjugate()
             expected[r, t] = acc / (denoms[r] * complex(denoms[t]).conjugate())
     assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()
 
@@ -123,26 +125,40 @@ def test_cross_gram_hermitian_and_psd():
 
 
 def test_numerators_at_poles_equal_scalar_horner():
+    # the one pass over the padded matrix gives, bit for bit, each numerator
+    # without its zeros above the degree evaluated at each pole alone (a 0-d
+    # array, so numpy's array multiply runs, not its scalar one)
     symbols = _fixtures_and_seeded_batch(59, 60) + [make_refuter()]
     for sym in symbols:
-        scalar = np.array([[complex(p(a)) for a in sym.alphas]
-                           for p in sym.numerators], dtype=complex)
+        scalar = np.array([[_horner(np.trim_zeros(p, "b"), np.asarray(a))
+                            for a in sym.alphas]
+                           for p in sym.coefficients], dtype=complex)
         assert np.array_equal(sym.numerators_at_poles, scalar)
+        want = np.array([npoly.polyval(np.array(sym.alphas), p)
+                         for p in sym.coefficients])
+        assert np.abs(sym.numerators_at_poles - want).max() <= 1e-13 * max(
+            1.0, np.abs(want).max())
     assert len(symbols) >= 50
 
 
 def test_certificates_evaluate_numerators_once(monkeypatch):
+    # one run_certificates call evaluates the numerators at the poles once:
+    # one Horner pass whose points are the poles and whose result holds
+    # every numerator at every pole
     sym = measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
-    calls = []
-    poly_eval = polyrat.poly_eval
+    poles = np.asarray(sym.alphas, dtype=complex)
+    at_poles = []
+    horner = symbolpipe._horner
 
-    def counting(p, z):
-        calls.append(np.shape(z))
-        return poly_eval(p, z)
+    def counting(coeffs, z):
+        vals = horner(coeffs, z)
+        if np.shape(z) == poles.shape and np.array_equal(z, poles):
+            at_poles.append(vals.shape)
+        return vals
 
-    monkeypatch.setattr(polyrat, "poly_eval", counting)
+    monkeypatch.setattr(symbolpipe, "_horner", counting)
     run_certificates(sym)
-    assert calls == [(sym.k,)] * len(sym.numerators)
+    assert at_poles == [(sym.k, sym.k)]
 
 
 # -------------------------------------------------------------- orthogonality
@@ -268,9 +284,9 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
     for sym in (make_refuter(), make_six_equal_atoms(),
                 closed_form_antipodal(1.0, 1.0).to_symbol()):
         Q, cores = _basis_and_cores(sym, cfg)
-        rows = symbol_taylor(sym, cfg.trunc + cfg.levels).rows
+        rows = symbol_taylor(sym, cfg.trunc + cfg.levels)
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
-        taylor = TaylorTable(rows + re + 1j * im)
+        taylor = rows + re + 1j * im
         for st in agler_taylor_test(taylor, Q, cores, cfg):
             M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
             P = Q.conj().T @ M @ Q
@@ -309,8 +325,8 @@ def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
     # in the pole basis (no residual) and have positive levels, but they
     # disagree with the pole cores
     original = kernels.symbol_taylor
-    monkeypatch.setattr(kernels, "symbol_taylor", lambda sym, n: TaylorTable(
-        0.9 * original(sym, n).rows))
+    monkeypatch.setattr(kernels, "symbol_taylor",
+                        lambda sym, n: 0.9 * original(sym, n))
     rep = run_certificates(single_atom_symbol(1.0))
     tol = CFG.tol_psd
     assert all(st.min_eig >= -tol * st.norm and st.residual <= tol * st.norm
@@ -373,15 +389,16 @@ def test_empty_measure_is_the_zero_symbol():
     built = measure_to_symbol(CircleMeasure())
     zero = symbol_from_parts((), ())
     for sym in (built, zero):
-        assert (sym.k, sym.numerators, sym.alphas) == (0, (), ())
-        assert sym.q == Polynomial((1.0 + 0.0j,))
+        assert (sym.k, sym.alphas) == (0, ())
+        assert sym.coefficients.shape == (0, 1)
+        assert np.array_equal(sym.q, [1.0])
         assert sym.eta.shape == (0, 0) and sym.eta.dtype == complex
     assert built.gamma_fr == 1.0 and zero.gamma_fr is None
     rep = run_certificates(built)
     assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")
     zeros = tuple(LevelStat(l, 0.0, 0.0) for l in range(1, CFG.levels + 1))
     assert rep.agler_pole == zeros and rep.agler_taylor == zeros
-    assert rep.taylor.rows.shape == (CFG.trunc + CFG.levels, 0)
+    assert rep.taylor.shape == (CFG.trunc + CFG.levels, 0)
     assert rep.necessary.locations == () and not rep.exactness
 
 
@@ -491,8 +508,8 @@ def test_gamma_moments_match_kernel_diagonal():
         cross = pole_pairing(sym).cross
         moments = gamma_moments(sym, cross, 30)
         taylor = symbol_taylor(sym, 31)
-        norms2 = taylor.row_norms() ** 2
-        # gamma_m = |row m+1|^2 = K[m,m] - K[m+1,m+1]; row_norms()[m] holds
+        norms2 = np.linalg.norm(taylor, axis=1) ** 2
+        # gamma_m = |row m+1|^2 = K[m,m] - K[m+1,m+1]; norms2[m] holds
         # exactly that square for the row of index m+1
         assert np.abs(moments - norms2[:30]).max() <= 1e-12 * max(
             1.0, norms2.max())
@@ -545,7 +562,7 @@ def test_rank1_representing_measure_checks():
 def test_rank1_representing_measure_tangent_model():
     sym = single_atom_symbol(1.0)
     beta = 1.0 / sym.alphas[0]
-    gamma = -sym.numerators[0].coeffs[1] / sym.alphas[0]
+    gamma = -sym.coefficients[0, 1] / sym.alphas[0]
     model = mate_rank1(gamma, beta)
     check = rank1_representing_measure(model, 20)
     assert check.max_residual <= 1e-7
@@ -568,7 +585,7 @@ def _moments_by_power_matrix(model, size, quad_points):
 
 def test_rank1_moments_match_power_matrix_quadrature():
     sym = single_atom_symbol(1.0)
-    tangent = mate_rank1(-sym.numerators[0].coeffs[1] / sym.alphas[0],
+    tangent = mate_rank1(-sym.coefficients[0, 1] / sym.alphas[0],
                          1.0 / sym.alphas[0])
     for model in (mate_rank1(0.5, 0.0), mate_rank1(0.4, 0.3 + 0.2j), tangent):
         # fewer nodes than the 41 distinct m - n alias in both derivations;

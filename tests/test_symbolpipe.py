@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.polynomial import polynomial as npoly
 
-from cauchydual.polyrat import Polynomial
 from cauchydual.symbolpipe import (
     AntipodalClosedForm,
     CircleMeasure,
@@ -105,7 +105,7 @@ def test_outer_quotient_modulus_and_normalization():
     for k in (1, 2, 3):
         mu = random_measure(rng, k)
         outer = outer_from_measure(mu)
-        ratio = outer.p(0.0) / outer.q(0.0)
+        ratio = outer.p[0] / outer.q[0]
         assert abs(ratio.imag) <= 1e-12 * abs(ratio)
         assert ratio.real > 0
         # |p/q|^2 = 1 / (1 + sum_j c_j / |z - zeta_j|^2) on the circle
@@ -113,10 +113,11 @@ def test_outer_quotient_modulus_and_normalization():
         zetas = mu.zetas()
         weight = 1.0 + sum(
             c / np.abs(zs - zeta) ** 2 for zeta, c in zip(zetas, mu.weights))
-        got = np.abs(outer.p(zs) / outer.q(zs)) ** 2
+        got = np.abs(npoly.polyval(zs, outer.p) / npoly.polyval(zs, outer.q)) ** 2
         assert np.abs(got - 1.0 / weight).max() <= 1e-10
         # numerator vanishes exactly at the atoms
-        assert max(abs(outer.p(z)) for z in zetas) <= 1e-10
+        assert np.abs(npoly.polyval(zetas, outer.p)).max() <= 1e-10
+        assert outer.p.shape == outer.q.shape == (k + 1,)
         assert all(abs(a) > 1.0 for a in outer.alphas)
 
 
@@ -135,12 +136,12 @@ def test_gram_matrix_is_positive_definite():
         evals = np.linalg.eigvalsh(gram.gram)
         assert evals.min() > 0
         assert np.abs(gram.gram @ gram.inverse - np.eye(k)).max() <= 1e-9 * condition(gram)
-        # stored numerators are p with one linear factor removed
+        # the rows of U are p with one linear factor removed
         zetas = mu.zetas()
-        for j, u in enumerate(gram.numerators):
-            z0 = 0.37 + 0.21j
-            expected = outer.p(z0) / (z0 - zetas[j])
-            assert abs(u(z0) - expected) <= 1e-10 * max(1.0, abs(expected))
+        z0 = 0.37 + 0.21j
+        for j, u in enumerate(gram.U):
+            expected = npoly.polyval(z0, outer.p) / (z0 - zetas[j])
+            assert abs(npoly.polyval(z0, u) - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
 # the measures behind the antipodal and single-atom fixtures
@@ -165,11 +166,11 @@ def test_gram_from_outer_matches_scalar_oracle():
         assert (np.abs(got.oprime - want.oprime) <= 1e-12 * np.abs(want.oprime)).all()
         inverse_scale = np.abs(want.inverse).max() * condition(want)
         assert np.abs(got.inverse - want.inverse).max() <= 1e-12 * inverse_scale
-        assert len(got.numerators) == len(want.numerators) == mu.size
-        for u, v in zip(got.numerators, want.numerators):
-            assert u.degree == v.degree == mu.size - 1
-            assert (np.abs(np.subtract(u.coeffs, v.coeffs)).max()
-                    <= 1e-12 * np.abs(v.coeffs).max())
+        assert got.U.shape == want.U.shape == (mu.size, mu.size)
+        # u_j has degree k - 1: its leading coefficient is p's
+        assert np.all(got.U[:, -1] == outer.p[-1])
+        for u, v in zip(got.U, want.U):
+            assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
     assert len(measures) == 51
 
 
@@ -184,10 +185,10 @@ def test_pipeline_symbol_row_identity_on_circle():
         mu = random_measure(rng, k)
         sym = measure_to_symbol(mu)
         outer = outer_from_measure(mu)
-        total = np.abs(outer.p(zs)) ** 2
-        for p in sym.numerators:
-            total += np.abs(p(zs)) ** 2
-        qq = np.abs(sym.q(zs)) ** 2
+        total = np.abs(npoly.polyval(zs, outer.p)) ** 2
+        for p in sym.coefficients:
+            total += np.abs(npoly.polyval(zs, p)) ** 2
+        qq = np.abs(npoly.polyval(zs, sym.q)) ** 2
         assert np.abs(total - qq).max() <= 1e-10 * qq.max()
 
 
@@ -195,21 +196,17 @@ def test_pipeline_symbol_structure():
     mu = CircleMeasure((0.4, 2.2, 4.3), (1.0, 0.7, 2.5))
     sym = measure_to_symbol(mu)
     assert sym.k == 3
-    assert len(sym.numerators) == 3
-    # row t of the triangular factor holds the coefficients of z^1..z^k in p_t
-    chol = np.array([p.padded(sym.k + 1)[1:] for p in sym.numerators])
+    assert sym.coefficients.shape == (3, 4)
+    # every p_t vanishes at 0, and the coefficients of z^1..z^k in p_t form
+    # row t of the triangular factor
+    assert np.all(sym.coefficients[:, 0] == 0)
+    chol = sym.coefficients[:, 1:]
     # chol is upper triangular with nonnegative diagonal and eta = chol* chol
     assert np.abs(np.tril(chol, -1)).max() <= 1e-12 * np.abs(chol).max()
     diag = np.diag(chol)
     assert np.abs(diag.imag).max() <= 1e-12 * np.abs(diag).max()
     assert diag.real.min() >= 0
     assert np.abs(chol.conj().T @ chol - sym.eta).max() <= 1e-10 * np.abs(sym.eta).max()
-    # pipeline numerators read off the rows of chol, shifted by one degree
-    for t, p in enumerate(sym.numerators):
-        coeffs = p.padded(sym.k + 1)
-        assert abs(coeffs[0]) <= 1e-14
-        assert np.abs(coeffs[1:] - chol[t, :]).max() <= 1e-12 * max(
-            1.0, np.abs(chol).max())
     # eta is positive semidefinite
     assert np.linalg.eigvalsh(sym.eta).min() >= -1e-10 * np.abs(sym.eta).max()
 
@@ -217,7 +214,7 @@ def test_pipeline_symbol_structure():
 def test_empty_measure_gives_zero_symbol():
     sym = measure_to_symbol(CircleMeasure((), ()))
     assert sym.k == 0
-    assert sym.numerators == ()
+    assert sym.coefficients.shape == (0, 1)
     assert sym.alphas == ()
 
 
@@ -253,10 +250,18 @@ def test_symbol_from_parts_validation():
 
 def test_symbol_from_parts_eta_round_trip():
     sym = symbol_from_parts([2.0, 1.5j], [[0.0, 0.3], [0.0, 0.0, 0.3]])
-    C = np.zeros((2, 2), dtype=complex)
-    for t, p in enumerate(sym.numerators):
-        C[t, :] = p.padded(3)[1:]
+    assert np.array_equal(sym.coefficients, [[0.0, 0.3, 0.0], [0.0, 0.0, 0.3]])
+    C = np.array([[0.3, 0.0], [0.0, 0.3]])
     assert np.abs(sym.eta - C.conj().T @ C).max() <= 1e-14
+
+
+def test_symbol_from_parts_trims_trailing_zeros():
+    # a raw row may carry zeros above degree k; the matrix drops them
+    sym = symbol_from_parts([2.0], [[0, 0.1, 0, 0]])
+    assert np.array_equal(sym.coefficients, [[0, 0.1]])
+    assert sym.coefficients.dtype == complex
+    with pytest.raises(ValueError, match=re.escape("numerator 0 has degree 2 > 1")):
+        symbol_from_parts([2.0], [[0, 0.1, 0.2]])
 
 
 def test_zero_rank_symbol_from_parts():
@@ -268,9 +273,11 @@ def test_directly_built_symbol_is_checked():
     # the constructor itself rejects a symbol outside the admissible class,
     # without going through symbol_from_parts or measure_to_symbol
     with pytest.raises(ValueError, match="not outside the closed disc"):
-        RationalSymbol((0.9 + 0.0j,), (Polynomial.from_coeffs([0.0, 0.1]),))
+        RationalSymbol((0.9 + 0.0j,), np.array([[0.0, 0.1]]))
     with pytest.raises(ValueError, match="Schur bound"):
-        RationalSymbol((1.05 + 0.0j,), (Polynomial.from_coeffs([0.0, 1.2]),))
+        RationalSymbol((1.05 + 0.0j,), np.array([[0.0, 1.2]]))
+    with pytest.raises(ValueError, match="numerator 1 has nonzero constant term"):
+        RationalSymbol((2.0, 3.0), np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.1]]))
 
 
 @pytest.mark.parametrize("alphas, numerators", [
@@ -315,17 +322,37 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
     rng = np.random.default_rng(31)
     built = [measure_to_symbol(random_measure(rng, k)) for k in (1, 2, 3, 4, 5, 6)]
     for sym in list(fixture_symbols.values()) + built:
-        assert sym.k == len(sym.alphas) == len(sym.numerators)
-        assert sym.q == Polynomial.from_roots(sym.alphas)
-        C = np.array([p.padded(sym.k + 1)[1:] for p in sym.numerators])
+        assert sym.k == len(sym.alphas) == len(sym.coefficients)
+        want_q = npoly.polyfromroots(sym.alphas)
+        assert np.abs(sym.q - want_q).max() <= 1e-13 * np.abs(want_q).max()
+        C = sym.coefficients[:, 1:]
         assert np.abs(sym.eta - C.conj().T @ C).max() <= 1e-14 * np.abs(sym.eta).max()
-        assert not sym.eta.flags.writeable
+        for derived in (sym.coefficients, sym.q, sym.eta, sym.numerators_at_poles):
+            assert not derived.flags.writeable
 
 
 def test_directly_built_symbol_needs_one_numerator_per_pole():
     poles = (2.0 + 0.0j, -3.0 + 0.0j)
     with pytest.raises(ValueError, match="1 numerators for a rank-2 symbol"):
-        RationalSymbol(poles, (Polynomial.from_coeffs([0.0, 0.1]),))
+        RationalSymbol(poles, np.array([[0.0, 0.1, 0.0]]))
+
+
+def test_directly_built_symbol_needs_a_k_by_k_plus_one_matrix():
+    poles = (2.0 + 0.0j, -3.0 + 0.0j)
+    for shape in ((2, 2), (2, 4), (6,)):
+        with pytest.raises(ValueError, match=re.escape(
+                f"coefficient matrix has shape {shape}, not (2, 3)")):
+            RationalSymbol(poles, np.zeros(shape))
+
+
+def test_symbol_coefficients_are_a_read_only_copy():
+    C = np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]])
+    sym = RationalSymbol((2.0 + 0.0j, -3.0 + 0.0j), C)
+    assert C.flags.writeable and sym.coefficients is not C
+    with pytest.raises(ValueError):
+        sym.coefficients[0, 1] = 0.5
+    C[0, 1] = 0.5
+    assert sym.coefficients[0, 1] == 0.1
 
 
 # ------------------------------------------------------- antipodal closed form
@@ -396,7 +423,7 @@ def test_single_atom_contraction_equation():
         assert 0.0 < eta < 1.0
         assert abs(eta + 1.0 / eta - (2.0 + tau)) <= 1e-12 * (2.0 + tau)
         assert abs(sym.alphas[0] - 1.0 / eta) <= 1e-12 / eta
-        coeff = sym.numerators[0].coeffs[1]
+        coeff = sym.coefficients[0, 1]
         assert abs(abs(coeff) ** 2 - tau / eta) <= 1e-11 * (tau / eta)
 
 
@@ -407,7 +434,7 @@ def test_single_atom_tau1_golden_values():
     assert abs(sym.gamma_fr - eta) <= 1e-14
     assert abs(sym.gamma_fr - 0.3819660112501051) <= 1e-12
     assert abs(sym.alphas[0] - 2.6180339887498953) <= 1e-12
-    assert abs(sym.numerators[0].coeffs[1] - (-1.618033988749895)) <= 1e-12
+    assert abs(sym.coefficients[0, 1] - (-1.618033988749895)) <= 1e-12
 
 
 def test_single_atom_rotation_moves_pole():
@@ -445,8 +472,9 @@ def test_eta_values_against_direct_sum():
     got = eta_values(sym, zs, ws)
     for i, z in enumerate(zs):
         for j, w in enumerate(ws):
-            direct = sum(p(z) * complex(p(w)).conjugate() for p in sym.numerators)
-            direct /= sym.q(z) * complex(sym.q(w)).conjugate()
+            direct = sum(npoly.polyval(z, p) * np.conj(npoly.polyval(w, p))
+                         for p in sym.coefficients)
+            direct /= npoly.polyval(z, sym.q) * np.conj(npoly.polyval(w, sym.q))
             assert abs(got[i, j] - direct) <= 1e-13
 
 
