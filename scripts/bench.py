@@ -4,7 +4,7 @@ BENCH_<n>.json.
 
 Usage, from the repository root:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_9.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_10.json
 
 For each fixture, with and without --dump-tables, three medians over
 REPEATS runs: `cli.main` writing the report to a temporary directory,
@@ -23,7 +23,10 @@ ENGINE_SIZES, and records the same statistics of the whole call and of the
 time spent inside each of ENGINE_LAYERS: the engine functions the
 `certify` module has, and `kernels.symbol_taylor`, which builds the Taylor
 rows. Layers are timed by wrapping the module attributes, so both tables
-also run on a checkout whose functions take other arguments.
+also run on a checkout whose functions take other arguments. Each grid row
+also holds the median and quartiles of `build_report` with the tables, as
+--dump-tables asks for them, and of `render_json` on that report, timed as
+for the fixtures, and the size of the rendered report.
 
 Times come from time.perf_counter inside this one process; nothing on the
 host is tuned, so compare rows measured back to back on one machine.
@@ -193,6 +196,23 @@ def pipeline_rows(measures: dict) -> list:
     return rows
 
 
+def report_rows(mu: symbolpipe.CircleMeasure, sym, result) -> dict:
+    """Timings of `build_report` with the tables and of `render_json` on
+    its output, for the measure input that gives `sym` and `result`."""
+    doc = {"measure": {"atoms": [{"theta_radians": theta, "weight": weight}
+                                 for theta, weight in zip(mu.thetas, mu.weights)]}}
+
+    def build():
+        return cli.build_report(doc, "measure", sym, result, QUAD_POINTS, True)
+
+    report = build()
+    return {
+        "report_bytes": len((cli.render_json(report) + "\n").encode()),
+        "build_report_ms": timed_ms(build),
+        "render_json_ms": timed_ms(lambda: cli.render_json(report)),
+    }
+
+
 def engine_rows(measures: dict) -> list:
     rows = []
     with layer_timer(ENGINE_LAYERS) as spent:
@@ -201,7 +221,8 @@ def engine_rows(measures: dict) -> list:
             for trunc, levels in ENGINE_SIZES:
                 cfg = certify.CertificateConfig(levels=levels, trunc=trunc)
                 rows.append({"k": k, "trunc": trunc, "levels": levels, **sampled_rows(
-                    "run_certificates", lambda: certify.run_certificates(sym, cfg), spent)})
+                    "run_certificates", lambda: certify.run_certificates(sym, cfg), spent),
+                    **report_rows(mu, sym, certify.run_certificates(sym, cfg))})
     return rows
 
 
@@ -233,8 +254,9 @@ def main(argv=None) -> int:
         "of measure_to_symbol and of the time inside each pipeline stage, "
         "per atom count k; engine_rows: the same statistics of "
         "run_certificates and of the time inside each engine layer and "
-        "kernels.symbol_taylor, per atom count k, --trunc N and --levels L "
-        "(scripts/bench.py)")
+        "kernels.symbol_taylor, and of build_report with the tables and "
+        "render_json on its output, per atom count k, --trunc N and "
+        "--levels L (scripts/bench.py)")
     bench["row_sets"][args.label] = {
         "version": __version__,
         "python": platform.python_version(),
@@ -266,7 +288,8 @@ def main(argv=None) -> int:
                            for name, _, _ in ENGINE_LAYERS if f"{name}_ms" in row)
         print(f"{args.label:>8} k={row['k']} N={row['trunc']:<3} L={row['levels']:<3} "
               f"run_certificates {row['run_certificates_ms']['median']:7.3f} ms  "
-              f"{layers}")
+              f"{layers}  build {row['build_report_ms']['median']:7.3f}  "
+              f"render {row['render_json_ms']['median']:7.3f}  {row['report_bytes']} B")
     return 0
 
 

@@ -124,13 +124,29 @@ def _cpx(z: complex) -> list:
     return [z.real, z.imag]
 
 
-def _cmatrix(M: np.ndarray) -> list:
+def _cmatrix(M: np.ndarray) -> np.ndarray:
+    """Real and imaginary parts of M (made at least 2-D) as a trailing axis
+    of length 2: a float64 block that `render_json` writes in one fill."""
     M = np.atleast_2d(M)
-    return np.stack((M.real, M.imag), -1).tolist()
+    return np.stack((M.real, M.imag), -1)
 
 
 def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str))
+
+
+def _layout(shape: tuple, indent: int) -> str:
+    """%.17g template of a float block of `shape` written at `indent`, laid
+    out as its nested lists would be: an empty list is "[]", a row of
+    floats stays on one line, and any other list puts each item on its own
+    line, two spaces deeper."""
+    if shape[0] == 0:
+        return "[]"
+    if len(shape) == 1:
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+    pad = "  " * indent
+    item = pad + "  " + _layout(shape[1:], indent + 1)
+    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
 def _fill_floats(template: str, values) -> str:
@@ -142,28 +158,36 @@ def _fill_floats(template: str, values) -> str:
     return template % tuple([x + 0.0 for x in values])
 
 
-def _float_rows(items: list, pad: str) -> str | None:
+def _float_rows(items: list, indent: int) -> str | None:
     """Text of a list of floats, or of a list of equal-length lists of
     floats, from one template; None for any other shape."""
     kinds = set(map(type, items))
     if kinds == {float}:
-        return _fill_floats("[" + ", ".join(["%.17g"] * len(items)) + "]", items)
+        return _fill_floats(_layout((len(items),), indent), items)
     if kinds != {list} or len(set(map(len, items))) != 1:
         return None
     values = [x for row in items for x in row]
     if set(map(type, values)) != {float}:
         return None
-    row = "[" + ", ".join(["%.17g"] * len(items[0])) + "]"
-    sep = ",\n" + pad + "  "
-    return _fill_floats(
-        "[\n" + pad + "  " + sep.join([row] * len(items)) + "\n" + pad + "]",
-        values)
+    return _fill_floats(_layout((len(items), len(items[0])), indent), values)
+
+
+def _float_block(a: np.ndarray, indent: int) -> str:
+    """Text of a float64 array of at least one dimension, equal to that of
+    `a.tolist()`, from one fill of its layout template."""
+    if a.dtype != np.float64 or a.ndim == 0:
+        raise TypeError(f"cannot serialize {a.ndim}-d {a.dtype} array")
+    if not np.isfinite(a).all():
+        raise ValueError("non-finite float in report")
+    return _layout(a.shape, indent) % tuple((a + 0.0).ravel().tolist())
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Serializer with fixed float formatting (17 significant digits, zero
     as "0"); lists of scalars stay on one line, everything else is indented
-    two spaces per level."""
+    two spaces per level. A float64 array is written as its nested lists
+    would be, with one template fill per array; so are a list of floats and
+    a list of equal-length float rows."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -175,6 +199,8 @@ def render_json(obj, indent: int = 0) -> str:
         return _fill_floats("%.17g", (obj,))
     if isinstance(obj, str):
         return json.dumps(obj)
+    if isinstance(obj, np.ndarray):
+        return _float_block(obj, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
@@ -186,7 +212,7 @@ def render_json(obj, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if isinstance(obj, list):
-            text = _float_rows(obj, pad)
+            text = _float_rows(obj, indent)
             if text is not None:
                 return text
         if all(map(_is_scalar, obj)):
@@ -263,6 +289,9 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
                  dump_tables: bool) -> dict:
     cfg = result.config
     taylor = result.taylor
+    # numerator j is printed up to its last nonzero coefficient
+    C = sym.coefficients
+    lengths = ((C != 0) * np.arange(1, C.shape[1] + 1)).max(axis=1, initial=0)
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
@@ -279,13 +308,13 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "k": sym.k,
             "gamma_fr": sym.gamma_fr,
             "alphas": [_cpx(a) for a in sym.alphas],
-            "numerators": [[_cpx(c) for c in np.trim_zeros(row, "b")]
-                           for row in sym.coefficients],
+            "numerators": [[_cpx(c) for c in row[:n]]
+                           for row, n in zip(sym.coefficients, lengths)],
             "q": [_cpx(c) for c in sym.q],
             "eta": _cmatrix(sym.eta),
             "taylor_digest": {
                 "n_rows": len(taylor),
-                "row_norms": np.linalg.norm(taylor, axis=1).tolist(),
+                "row_norms": np.linalg.norm(taylor, axis=1),
             },
         },
         "certificates": {

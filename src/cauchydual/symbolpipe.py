@@ -327,10 +327,12 @@ def symbol_from_parts(alphas: Sequence[complex],
     k = len(alphas)
     C = np.zeros((len(numerators), k + 1), dtype=complex)
     for j, row in enumerate(numerators):
-        cs = np.trim_zeros(np.asarray(row, dtype=complex), "b")
-        if len(cs) > k + 1:
-            raise ValueError(f"numerator {j} has degree {len(cs) - 1} > {k}")
-        C[j, :len(cs)] = cs
+        cs = np.asarray(row, dtype=complex)
+        nonzero = np.flatnonzero(cs)
+        n = nonzero[-1] + 1 if nonzero.size else 0
+        if n > k + 1:
+            raise ValueError(f"numerator {j} has degree {n - 1} > {k}")
+        C[j, :n] = cs[:n]
     return RationalSymbol(tuple(map(complex, alphas)), C, gamma_fr)
 
 

@@ -105,18 +105,37 @@ def test_render_json_round_trips_and_inlines_scalar_rows():
     assert "[1.5, 2, 3]" in render_json({"row": [1.5, 2.0, 3.0]})
 
 
-def _fixture_reports(dump_tables: bool):
-    for name in FIXTURE_NAMES:
+def _fixture_reports(dump_tables: bool, trunc: int = 40, levels: int = 12,
+                     names=FIXTURE_NAMES):
+    cfg = certify.CertificateConfig(levels=levels, trunc=trunc)
+    for name in names:
         doc = load_fixture_doc(name)
         kind, sym = parse_input_document(doc)
-        result = certify.run_certificates(sym, certify.CertificateConfig())
+        result = certify.run_certificates(sym, cfg)
         yield name, build_report(doc, kind, sym, result, 4096, dump_tables)
 
 
-@pytest.mark.parametrize("dump_tables", [False, True])
-def test_render_json_matches_oracle_on_fixture_reports(dump_tables):
-    for name, report in _fixture_reports(dump_tables):
-        assert render_json(report) == render_oracle.render_json(report), name
+def _as_lists(obj):
+    """`obj` with every ndarray in it replaced by its nested lists."""
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, dict):
+        return {key: _as_lists(val) for key, val in obj.items()}
+    if isinstance(obj, list):
+        return [_as_lists(v) for v in obj]
+    return obj
+
+
+@pytest.mark.parametrize("dump_tables,trunc,levels,names", [
+    pytest.param(False, 40, 12, FIXTURE_NAMES, id="False"),
+    pytest.param(True, 40, 12, FIXTURE_NAMES, id="True"),
+    # K holds 201 x 201 x 2 = 80 802 floats
+    pytest.param(True, 200, 12, ("refuter", "single_atom_tau1"), id="True-N200"),
+])
+def test_render_json_matches_oracle_on_fixture_reports(dump_tables, trunc, levels,
+                                                       names):
+    for name, report in _fixture_reports(dump_tables, trunc, levels, names):
+        assert render_json(report) == render_oracle.render_json(_as_lists(report)), name
 
 
 def _spread_floats(rng, n: int) -> list:
@@ -180,12 +199,57 @@ def test_cmatrix_and_cpx_match_entrywise_conversion():
         want = [[[float(np.real(z)), float(np.imag(z))] for z in row]
                 for row in np.atleast_2d(A)]
         got = _cmatrix(A)
-        assert got == want
-        assert all(type(x) is float for row in got for pair in row for x in pair)
+        assert got.dtype == np.float64
+        assert got.tolist() == want
         assert render_json(got) == render_oracle.render_json(want)
     for z in (M[2, 1], 1.5, -2, np.float64(0.25), complex(3.0, -0.0)):
         assert _cpx(z) == [float(np.real(z)), float(np.imag(z))]
         assert all(type(x) is float for x in _cpx(z))
+
+
+def _float_array(shape, seed: int) -> np.ndarray:
+    """Floats over the whole exponent range in `shape`, with -0.0, a
+    subnormal and +-1e308 among the first entries."""
+    flat = np.array(_spread_floats(np.random.default_rng(seed), math.prod(shape)))
+    specials = [-0.0, 5e-324, -2.5e-310, 1e308, -1e308, 0.0]
+    flat[:len(specials)] = specials[:flat.size]
+    return flat.reshape(shape)
+
+
+ARRAY_SHAPES = [(0,), (3,), (0, 2), (1, 0), (1, 0, 2), (4, 3, 2), (41, 41, 2),
+                (2, 3, 4, 2)]
+
+
+@pytest.mark.parametrize("shape", ARRAY_SHAPES, ids=str)
+def test_render_json_writes_an_array_as_its_lists(shape):
+    a = _float_array(shape, seed=len(shape) + sum(shape))
+    arrays = [a, a.T.copy().T]   # C order, and the same values in Fortran order
+    for arr in arrays:
+        for indent in range(4):
+            assert (render_json(arr, indent)
+                    == render_oracle.render_json(arr.tolist(), indent))
+            for obj in ({"outer": {"inner": arr}}, [[arr], arr], [arr, 1.5, "x"]):
+                assert (render_json(obj, indent)
+                        == render_oracle.render_json(_as_lists(obj), indent))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_render_json_rejects_non_finite_arrays(bad):
+    a = _float_array((4, 3, 2), seed=3)
+    a[2, 1, 1] = bad
+    for obj in (a, {"K": a}, [a]):
+        with pytest.raises(ValueError, match="non-finite float in report"):
+            render_json(obj)
+
+
+@pytest.mark.parametrize("a", [np.arange(6).reshape(3, 2), np.ones(3, dtype=bool),
+                               np.ones((2, 2), dtype=complex),
+                               np.ones(3, dtype=np.float32), np.array(1.5)],
+                         ids=["int", "bool", "complex", "float32", "0-d"])
+def test_render_json_rejects_arrays_that_are_not_float64(a):
+    for obj in (a, {"K": a}):
+        with pytest.raises(TypeError, match="cannot serialize"):
+            render_json(obj)
 
 
 def test_write_atomic_leaves_no_droppings(tmp_path):
@@ -268,6 +332,22 @@ def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch
 
     monkeypatch.setattr(cli, "build_report", with_nan)
     rc, out = _run_report(tmp_path, "refuter")
+    assert rc == EXIT_ERROR
+    assert "error: non-finite float in report" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_table_exits_with_error_code(tmp_path, capsys, monkeypatch):
+    # the tables reach render_json as arrays; a NaN in K is still an error
+    original = kernels.kernel_coeffs
+
+    def with_nan(*args):
+        K = original(*args)
+        K[3, 2] = complex(float("nan"), 0.0)
+        return K
+
+    monkeypatch.setattr(kernels, "kernel_coeffs", with_nan)
+    rc, out = _run_report(tmp_path, "refuter", "--dump-tables")
     assert rc == EXIT_ERROR
     assert "error: non-finite float in report" in capsys.readouterr().err
     assert not out.exists()

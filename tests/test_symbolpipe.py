@@ -262,6 +262,13 @@ def test_symbol_from_parts_trims_trailing_zeros():
     assert sym.coefficients.dtype == complex
     with pytest.raises(ValueError, match=re.escape("numerator 0 has degree 2 > 1")):
         symbol_from_parts([2.0], [[0, 0.1, 0.2]])
+    # -0.0 is trimmed like 0, an empty or all-zero row is the zero numerator
+    sym = symbol_from_parts([2.0, 3.0, -2.5], [[0, 0.1, 0, -0.0], [], [0, 0, 0, 0, 0]])
+    assert np.array_equal(sym.coefficients, [[0, 0.1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    # the first row that is too long is the one named
+    with pytest.raises(ValueError, match=re.escape("numerator 1 has degree 3 > 2")):
+        symbol_from_parts([2.0, 3.0], [[0, 0.1, 0, 0], [0, 0, 0, 0.3, 0],
+                                       [0, 0, 0, 0, 0.2]])
 
 
 def test_zero_rank_symbol_from_parts():
