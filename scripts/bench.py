@@ -1,39 +1,46 @@
 """Time CLI reports on the fixtures, the symbol pipeline per atom count and
-the Agler engines on a k x N x L grid, and store the rows in a
-BENCH_<n>.json.
+the Agler engines on a k x N x L grid, for one or more checkouts in
+alternating rounds, and store the rows in a BENCH_<n>.json.
 
-Usage, from the repository root:
+Usage, from the repository root, with a copy of the parent commit's tree
+at PARENT:
 
-    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py --label change --out BENCH_10.json
+    OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py \
+        --out BENCH_11.json \
+        --side parent=PARENT/src --side change=src
 
-For each fixture, with and without --dump-tables, three medians over
-REPEATS runs: `cli.main` writing the report to a temporary directory,
-and `build_report` and `render_json` on the same input and the same
-certificate result. Each timed call gets one untimed warm-up call first.
+Each --side LABEL=SRC names a checkout's `src` directory. A round runs
+this script once per side, each in a fresh interpreter with PYTHONPATH set
+to that side's SRC (the PYTHONPATH it is started with only serves the
+script's own imports), and the order of the sides alternates from round to
+round, so a drift of the host's speed reaches every side alike. Within a
+round every timing is the median over REPEATS runs; each stored row holds
+the median and quartiles of those per-round medians over ROUNDS rounds.
 
-The pipeline rows run `measure_to_symbol` REPEATS times on one seeded
-measure per atom count k in ENGINE_KS and record the median and quartiles
-of the whole call and of the time spent inside each of PIPELINE_LAYERS:
-`boundary_polynomial`, `fejer_riesz_factor` and `gram_from_outer` as
-`symbolpipe` calls them, and the `RationalSymbol` constructor's check.
+The fixture rows: for each fixture, with and without --dump-tables,
+`cli.main` writing the report to a temporary directory, and `build_report`
+and `render_json` on the same input and the same certificate result. Each
+timed call gets one untimed warm-up call first.
 
-The engine grid runs `run_certificates` REPEATS times on the pipeline's
-symbol for the same measures, at each (N, L) = (--trunc, --levels) in
-ENGINE_SIZES, and records the same statistics of the whole call and of the
-time spent inside each of ENGINE_LAYERS: the engine functions the
-`certify` module has, and `kernels.symbol_taylor`, which builds the Taylor
-rows. Layers are timed by wrapping the module attributes, so both tables
-also run on a checkout whose functions take other arguments. Each grid row
-also holds the median and quartiles of `build_report` with the tables, as
---dump-tables asks for them, and of `render_json` on that report, timed as
-for the fixtures, and the size of the rendered report.
+The pipeline rows run `measure_to_symbol` on one seeded measure per atom
+count k in ENGINE_KS and time the whole call and the time spent inside
+each of PIPELINE_LAYERS: `boundary_polynomial`, `fejer_riesz_factor` and
+`gram_from_outer` as `symbolpipe` calls them, and the `RationalSymbol`
+constructor's check.
 
-Times come from time.perf_counter inside this one process; nothing on the
-host is tuned, so compare rows measured back to back on one machine.
+The engine grid runs `run_certificates` on the pipeline's symbol for the
+same measures, at each (N, L) = (--trunc, --levels) in ENGINE_SIZES, and
+times the whole call and the time spent inside each of ENGINE_LAYERS: the
+engine functions the `certify` module has, and `kernels.symbol_taylor`,
+which builds the Taylor rows. Layers are timed by wrapping the module
+attributes, so both tables also run on a checkout whose functions take
+other arguments. Each grid row also times `build_report` with the tables,
+as --dump-tables asks for them, and `render_json` on that report, as for
+the fixtures, and records the size of the rendered report.
 
-The rows are stored under --label and other labels in the file are kept,
-so a second run with PYTHONPATH pointing at another checkout's `src` adds
-that version's rows for a before/after comparison.
+Times come from time.perf_counter; nothing on the host is tuned, so
+compare row sets measured in one run of this script. Labels already in
+the file that this run does not measure are kept.
 """
 import argparse
 import contextlib
@@ -42,6 +49,7 @@ import json
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -53,14 +61,16 @@ from cauchydual import __version__, certify, cli, kernels, symbolpipe
 FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
 QUAD_POINTS = 4096   # the CLI default
-REPEATS = 21         # timed runs per median
+REPEATS = 11         # timed runs per median within a round
+ROUNDS = 11          # alternating rounds per side
 
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 # (row name, owner, attribute) of the engine layers, as for the pipeline
 ENGINE_LAYERS = tuple((name, certify, name) for name in (
     "pole_basis", "pole_cores", "agler_pole_test", "agler_taylor_test",
-    "coincidence_classes", "necessary_measure_test")) + (
+    "taylor_basis_residual", "coincidence_classes",
+    "necessary_measure_test")) + (
     ("symbol_taylor", kernels, "symbol_taylor"),)
 # (row name, owner, attribute) of the pipeline stages; the constructor is
 # timed through its check, which is all it does beyond storing the fields
@@ -226,70 +236,111 @@ def engine_rows(measures: dict) -> list:
     return rows
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--label", required=True,
-                        help="name of this row set, e.g. parent or change")
-    parser.add_argument("--out", required=True, metavar="PATH",
-                        help="BENCH_<n>.json to create or update")
-    args = parser.parse_args(argv)
-
+def measure_round() -> dict:
+    """One round of every row on the cauchydual this interpreter imports."""
     names = sorted(name[:-len(".golden.json")] for name in os.listdir(FIXTURES)
                    if name.endswith(".golden.json"))
     with tempfile.TemporaryDirectory() as tmp:
-        rows = [row for name in names
-                for row in fixture_rows(name, tmp)]
+        rows = [row for name in names for row in fixture_rows(name, tmp)]
     measures = {k: grid_measure(k) for k in ENGINE_KS}
-    pipeline = pipeline_rows(measures)
-    grid = engine_rows(measures)
+    return {"version": __version__, "rows": rows,
+            "pipeline_rows": pipeline_rows(measures),
+            "engine_rows": engine_rows(measures)}
+
+
+def over_rounds(rounds: list) -> list:
+    """Rows of the first round with every `*_ms` entry replaced by the
+    median and quartiles of its per-round medians."""
+    return [{name: quartiles([r[name]["median"] for r in same])
+             if name.endswith("_ms") else value
+             for name, value in same[0].items()}
+            for same in zip(*rounds)]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--side", action="append", default=[],
+                        metavar="LABEL=SRC",
+                        help="a checkout's src directory under a label, "
+                             "e.g. parent=../parent/src; repeatable")
+    parser.add_argument("--out", metavar="PATH",
+                        help="BENCH_<n>.json to create or update")
+    parser.add_argument("--round-out", metavar="PATH", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+
+    if args.round_out:
+        with open(args.round_out, "w") as handle:
+            json.dump(measure_round(), handle)
+        return 0
+    if (not args.side or any("=" not in side for side in args.side)
+            or args.out is None):
+        parser.error("need --out and at least one --side LABEL=SRC")
+    sides = dict(side.split("=", 1) for side in args.side)
+
+    labels = list(sides)
+    rounds = {label: [] for label in labels}
+    with tempfile.TemporaryDirectory() as tmp:
+        for index in range(ROUNDS):
+            for label in labels[::-1] if index % 2 else labels:
+                path = os.path.join(tmp, f"{label}.json")
+                env = dict(os.environ, PYTHONPATH=os.path.abspath(sides[label]))
+                subprocess.run([sys.executable, os.path.abspath(__file__),
+                                "--round-out", path], env=env, check=True)
+                with open(path) as handle:
+                    rounds[label].append(json.load(handle))
 
     bench = {"row_sets": {}}
     if os.path.exists(args.out):
         with open(args.out) as handle:
             bench = json.load(handle)
     bench["description"] = (
-        "CLI report timings per fixture, with and without --dump-tables: "
-        f"median and quartiles in ms of {REPEATS} runs of cli.main, "
-        "build_report and render_json; pipeline_rows: the same statistics "
-        "of measure_to_symbol and of the time inside each pipeline stage, "
-        "per atom count k; engine_rows: the same statistics of "
-        "run_certificates and of the time inside each engine layer and "
-        "kernels.symbol_taylor, and of build_report with the tables and "
-        "render_json on its output, per atom count k, --trunc N and "
-        "--levels L (scripts/bench.py)")
-    bench["row_sets"][args.label] = {
-        "version": __version__,
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
-        "repeats": REPEATS,
-        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
-        "rows": rows,
-        "pipeline_rows": pipeline,
-        "engine_rows": grid,
-    }
+        "CLI report timings per fixture, with and without --dump-tables, of "
+        "cli.main, build_report and render_json; pipeline_rows: "
+        "measure_to_symbol and the time inside each pipeline stage, per atom "
+        "count k; engine_rows: run_certificates and the time inside each "
+        "engine layer and kernels.symbol_taylor, and build_report with the "
+        "tables and render_json on its output, per atom count k, --trunc N "
+        "and --levels L. Every *_ms entry is the median and quartiles, in "
+        "ms, over `rounds` alternating rounds of the per-round median of "
+        "`repeats` runs (scripts/bench.py)")
+    for label in labels:
+        done = rounds[label]
+        bench["row_sets"][label] = {
+            "version": done[0]["version"],
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",
+            "repeats": REPEATS,
+            "rounds": ROUNDS,
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
+            **{table: over_rounds([r[table] for r in done])
+               for table in ("rows", "pipeline_rows", "engine_rows")},
+        }
     with open(args.out, "w") as handle:
         json.dump(bench, handle, indent=2, sort_keys=True)
         handle.write("\n")
-    for row in rows:
-        print(f"{args.label:>8} {row['fixture']:<17} tables={row['dump_tables']!s:<5} "
-              f"main {row['cli_main_ms']['median']:7.3f} ms  "
-              f"build {row['build_report_ms']['median']:6.3f} ms  "
-              f"render {row['render_json_ms']['median']:6.3f} ms  "
-              f"{row['report_bytes']} B")
-    for row in pipeline:
-        layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
-                           for name, _, _ in PIPELINE_LAYERS if f"{name}_ms" in row)
-        print(f"{args.label:>8} k={row['k']} "
-              f"measure_to_symbol {row['measure_to_symbol_ms']['median']:7.3f} ms  "
-              f"{layers}")
-    for row in grid:
-        layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
-                           for name, _, _ in ENGINE_LAYERS if f"{name}_ms" in row)
-        print(f"{args.label:>8} k={row['k']} N={row['trunc']:<3} L={row['levels']:<3} "
-              f"run_certificates {row['run_certificates_ms']['median']:7.3f} ms  "
-              f"{layers}  build {row['build_report_ms']['median']:7.3f}  "
-              f"render {row['render_json_ms']['median']:7.3f}  {row['report_bytes']} B")
+
+    for label in labels:
+        sets = bench["row_sets"][label]
+        for row in sets["rows"]:
+            print(f"{label:>8} {row['fixture']:<17} tables={row['dump_tables']!s:<5} "
+                  f"main {row['cli_main_ms']['median']:7.3f} ms  "
+                  f"build {row['build_report_ms']['median']:6.3f} ms  "
+                  f"render {row['render_json_ms']['median']:6.3f} ms  "
+                  f"{row['report_bytes']} B")
+        for row in sets["pipeline_rows"]:
+            layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
+                               for name, _, _ in PIPELINE_LAYERS if f"{name}_ms" in row)
+            print(f"{label:>8} k={row['k']} "
+                  f"measure_to_symbol {row['measure_to_symbol_ms']['median']:7.3f} ms  "
+                  f"{layers}")
+        for row in sets["engine_rows"]:
+            layers = "  ".join(f"{name} {row[f'{name}_ms']['median']:7.3f}"
+                               for name, _, _ in ENGINE_LAYERS if f"{name}_ms" in row)
+            print(f"{label:>8} k={row['k']} N={row['trunc']:<3} L={row['levels']:<3} "
+                  f"run_certificates {row['run_certificates_ms']['median']:7.3f} ms  "
+                  f"{layers}  build {row['build_report_ms']['median']:7.3f}  "
+                  f"render {row['render_json_ms']['median']:7.3f}  {row['report_bytes']} B")
     return 0
 
 

@@ -5,7 +5,7 @@ The decision chain is: exact numerator orthogonality at the poles (a
 sufficient condition), the necessary measure supported on [0, 1] (its
 failure is a definitive refutation), and truncated Agler-type positivity
 matrices computed by two engines (pole side and Taylor side) in one shared
-basis, with the Taylor side's distance from that basis measured per level.
+basis, with the Taylor side's distance from that basis measured once.
 When every off-diagonal pole product is a distinct point outside the ray
 [1, oo), orthogonality is also necessary, so its failure refutes without
 waiting for a truncation witness.
@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
 from .polyrat import lagrange_denominators
@@ -90,32 +91,26 @@ def orthogonality_test(pairing: PolePairing, cfg: CertificateConfig):
 @dataclass(frozen=True)
 class LevelStat:
     """One Agler level: the smallest eigenvalue and the largest eigenvalue
-    modulus of its N x N truncation. residual and gap measure how far the
-    Taylor engine's matrix lies from the shared pole basis (see
-    agler_taylor_test); the pole engine reads its matrices exactly off
-    that basis and leaves both at 0."""
+    modulus of its N x N truncation, and the Taylor engine's gap to the
+    pole engine's core (agler_taylor_test; 0 for the pole engine)."""
 
     level: int
     min_eig: float
     norm: float
-    residual: float = 0.0
     gap: float = 0.0
 
     def passes(self, tol_psd: float) -> bool:
-        """min_eig >= -tol_psd norm, with residual and gap both at most
-        tol_psd norm: a level whose numbers drifted from the basis by more
-        than the tolerance cannot vouch for positivity."""
+        """min_eig >= -tol_psd norm and gap <= tol_psd norm: a level that
+        drifted beyond the tolerance cannot vouch for positivity."""
         bound = tol_psd * max(self.norm, 1e-300)
-        return (self.min_eig >= -bound and self.residual <= bound
-                and self.gap <= bound)
+        return self.min_eig >= -bound and self.gap <= bound
 
 
-def _level_stats(H: np.ndarray, trunc: int, *drift) -> tuple:
+def _level_stats(H: np.ndarray, trunc: int, gap=0.0) -> tuple:
     """LevelStat per level from the hermitian r x r matrices H[l - 1]
     that stand for N x N matrices of rank r, N = trunc, with one batched
     eigvalsh; when N > r the N - r zero eigenvalues count as one 0. For
-    r = 0 every stat is 0 and nothing is solved. `drift` holds the
-    residual and gap arrays, if any."""
+    r = 0 every stat is 0 and nothing is solved."""
     levels, r = len(H), H.shape[-1]
     lows, norms = np.zeros(levels), np.zeros(levels)
     if r:
@@ -124,7 +119,7 @@ def _level_stats(H: np.ndarray, trunc: int, *drift) -> tuple:
             evals = np.concatenate((evals, np.zeros((levels, 1))), axis=1)
         lows, norms = evals.min(axis=1), np.abs(evals).max(axis=1)
     return tuple(map(LevelStat, range(1, levels + 1), lows.tolist(),
-                     norms.tolist(), *(values.tolist() for values in drift)))
+                     norms.tolist(), np.broadcast_to(gap, levels).tolist()))
 
 
 def pole_basis(sym: RationalSymbol, trunc: int) -> tuple:
@@ -165,47 +160,47 @@ def agler_pole_test(cores: np.ndarray, cfg: CertificateConfig) -> tuple:
     return _level_stats(cores, cfg.trunc)
 
 
-def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray,
-                      cores: np.ndarray, cfg: CertificateConfig) -> tuple:
-    """LevelStat per level 1..levels of the same truncation from the raw
-    Taylor rows:
-
-        M_l[m, n] = sum_{j=0}^{l} (-1)^j binom(l, j) B_{m+1+j} . B_{n+1+j}*.
-
-    With S[m, n] = B_{m+1} . B_{n+1}* and D_l the l-th forward difference
-    along the diagonal, D_l[m, n] = D_{l-1}[m, n] - D_{l-1}[m+1, n+1], the
-    level-l matrix is D_l[:N, :N]. Needs rows up to index N + levels.
-
-    The eigenvalues are those of P_l = Q^H M_l Q in the pole basis Q, for
-    all levels in one batched eigvalsh, plus a 0 for the N - r directions
-    outside the basis. Two numbers measure what that
-    leaves out: residual = ||M_l - Q P_l Q^H||_F, which bounds how far
-    each eigenvalue of M_l lies from that spectrum (Weyl's inequality) and
-    is where rounding in the differences shows, and
-    gap = ||P_l - cores[l - 1]||_F, the disagreement with the pole
-    engine. The residual is formed directly: sqrt(||M||^2 - ||P||^2)
-    cancels to about 1e-8 of the norm.
-    """
+def _taylor_windows(taylor: np.ndarray, cfg: CertificateConfig) -> np.ndarray:
+    """A = [A_0 ... A_L], N x (L + 1) k: A_j holds the Taylor rows j + 1 ..
+    j + N (table rows j .. j + N - 1), N = trunc and L = levels."""
     N, L = cfg.trunc, cfg.levels
     if len(taylor) < N + L:
         raise InsufficientRowsError(
             f"need {N + L} rows, table has {len(taylor)}")
-    rows = taylor[:N + L]
-    D = rows @ rows.conj().T
-    D = 0.5 * (D + D.conj().T)
-    Qh = Q.conj().T
+    windows = sliding_window_view(taylor[:N + L], N, axis=0)
+    return windows.transpose(2, 0, 1).reshape(N, -1)
+
+
+def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray,
+                      cores: np.ndarray, cfg: CertificateConfig) -> tuple:
+    """LevelStat per level 1..levels of the same truncation from the raw
+    Taylor rows, M_l = sum_{j=0}^{l} (-1)^j binom(l, j) A_j A_j^H with the
+    windows A_j of _taylor_windows. With Y_j = Q^H A_j in the pole basis Q,
+    P_l = Q^H M_l Q is the l-th forward difference of the r x r Grams
+    Y_j Y_j^H (all levels in one batched eigvalsh, plus a 0 for the N - r
+    directions outside the basis); in exact arithmetic it is the whole level
+    when the windows lie in the basis (taylor_basis_residual). gap =
+    ||P_l - cores[l - 1]||_F is where rounding in the alternating sums shows.
+    """
+    Y = Q.conj().T @ _taylor_windows(taylor, cfg)
+    Y = Y.reshape(len(Y), cfg.levels + 1, taylor.shape[1]).transpose(1, 0, 2)
+    G = Y @ Y.conj().swapaxes(1, 2)
     P = np.empty_like(cores)
-    squared = np.empty(L)
-    for l in range(L):
-        D = D[:-1, :-1] - D[1:, 1:]
-        M = D[:N, :N]
-        P[l] = Qh @ M @ Q
-        E = Q @ P[l] @ Qh
-        np.subtract(M, E, out=E)
-        squared[l] = np.vdot(E, E).real
+    for l in range(cfg.levels):
+        G = G[:-1] - G[1:]
+        P[l] = G[0]
     P = 0.5 * (P + P.conj().swapaxes(1, 2))
-    gap = np.linalg.norm(P - cores, axis=(1, 2))
-    return _level_stats(P, N, np.sqrt(squared), gap)
+    return _level_stats(P, cfg.trunc, np.linalg.norm(P - cores, axis=(1, 2)))
+
+
+def taylor_basis_residual(taylor: np.ndarray, Q: np.ndarray,
+                          cfg: CertificateConfig) -> float:
+    """||A - Q Q^H A||_F / ||A||_F for the Taylor windows A (0 for an
+    empty table): 0 exactly when every window lies in the pole basis Q.
+    It bounds the windows, not each level, which sums 2^l window Grams."""
+    A = _taylor_windows(taylor, cfg)
+    scale = max(np.linalg.norm(A), 1e-300)
+    return float(np.linalg.norm(A - Q @ (Q.conj().T @ A)) / scale)
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location
@@ -221,9 +216,8 @@ class CoincidenceClasses:
     flat indices of the products class by class, each class in increasing
     order, and class c takes sizes[c] entries from order[starts[c]] on;
     classes come in the order of their first member. locations[c] is the
-    reciprocal of the
-    mean product of class c, and off_segment[c] says it lies farther
-    than SEGMENT_TOL from [0, 1]."""
+    reciprocal of the mean product of class c, and off_segment[c] says it
+    lies farther than SEGMENT_TOL from [0, 1]."""
 
     products: np.ndarray
     order: np.ndarray
@@ -284,12 +278,14 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
     # hypot is the modulus abs() takes of a complex scalar, to the last bit
     sizes = np.hypot(weights.real, weights.imag)
     locations = classes.locations
-    # deterministic ordering by descending weight then location
-    perm = np.lexsort((locations.imag, locations.real, -sizes))
+    scale = max(sum(sizes.tolist()), 1e-300)
+    # descending weight in steps of tol_psd (at least eps) scale, then location
+    # with the real part in steps of COINCIDENCE_TOL: a conjugate pair ties in both
+    perm = np.lexsort((locations.imag, np.rint(locations.real / COINCIDENCE_TOL),
+                       -np.rint(sizes / (max(cfg.tol_psd, np.finfo(float).eps) * scale))))
     weights, sizes, locations = weights[perm], sizes[perm], locations[perm]
     off = classes.off_segment[perm]
 
-    scale = max(sum(sizes.tolist()), 1e-300)
     bad = np.where(off, sizes, np.maximum(np.maximum(-weights.real,
                                                      np.abs(weights.imag)), 0.0))
     worst, worst_loc = 0.0, None
@@ -367,6 +363,7 @@ class CertificateReport:
     agler_pole: tuple
     agler_taylor: tuple
     agler_passed: bool
+    taylor_basis_residual: float
     necessary: NecessaryMeasure
     necessary_passed: bool
     exactness: bool
@@ -383,15 +380,15 @@ def run_certificates(sym: RationalSymbol,
                      cfg: CertificateConfig = CertificateConfig()) -> CertificateReport:
     """Run the whole battery and combine the outcomes into one verdict.
 
-    Orthogonality certifies; a failed necessary measure refutes at level 0;
-    when the exactness condition holds, a failed orthogonality test also
-    refutes at level 0; otherwise a truncation eigenvalue below
-    -10 tol_psd ||M_l|| refutes at its level, and anything else stays
-    inconclusive (the 10x hysteresis band). agler_passed says that every
-    level of both engines passes (LevelStat.passes): its eigenvalues lie
-    above -tol_psd ||M_l|| and the Taylor engine's residual and gap lie
-    below tol_psd ||M_l||. Refutation reads min_eig only, so drift out of
-    the pole basis can keep a level from passing but never refutes.
+    A failed necessary measure refutes at level 0, even where
+    orthogonality passes; else orthogonality certifies; when the exactness
+    condition holds, a failed orthogonality test also refutes at level 0;
+    otherwise a truncation eigenvalue below -10 tol_psd ||M_l|| refutes at
+    its level, and anything else stays inconclusive (the 10x hysteresis
+    band). agler_passed says that the Taylor basis residual is at most
+    tol_psd and every level of both engines passes (LevelStat.passes).
+    Refutation reads min_eig only, so drift can keep a level from passing
+    but never refutes.
     """
     pairing = pole_pairing(sym)
     classes = coincidence_classes(sym)
@@ -403,16 +400,17 @@ def run_certificates(sym: RationalSymbol,
     cores = pole_cores(sym, pairing.cross, R, cfg.levels)
     pole_stats = agler_pole_test(cores, cfg)
     taylor_stats = agler_taylor_test(taylor, Q, cores, cfg)
+    basis_residual = taylor_basis_residual(taylor, Q, cfg)
     exact = exactness_applies(classes)
-    agler_passed = all(st.passes(cfg.tol_psd)
-                       for st in pole_stats + taylor_stats)
+    agler_passed = basis_residual <= cfg.tol_psd and all(
+        st.passes(cfg.tol_psd) for st in pole_stats + taylor_stats)
 
     certified_by = refuted_by = None
     refuted_level = refuted_min_eig = None
-    if orth_passed:
-        verdict, certified_by = VERDICT_CERTIFIED, "orthogonality"
-    elif not necessary_passed:
+    if not necessary_passed:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "necessary_measure", 0
+    elif orth_passed:
+        verdict, certified_by = VERDICT_CERTIFIED, "orthogonality"
     elif exact:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "orthogonality_exactness", 0
     else:
@@ -429,4 +427,4 @@ def run_certificates(sym: RationalSymbol,
     return CertificateReport(
         verdict, certified_by, refuted_by, refuted_level, refuted_min_eig,
         orth_residual, orth_passed, pole_stats, taylor_stats, agler_passed,
-        necessary, necessary_passed, exact, cfg, taylor)
+        basis_residual, necessary, necessary_passed, exact, cfg, taylor)

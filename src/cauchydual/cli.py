@@ -325,9 +325,11 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "refuted_min_eig": result.refuted_min_eig,
             "orth_residual": result.orth_residual,
             "orth_passed": result.orth_passed,
+            "orthogonality_conflict": result.orth_passed and not result.necessary_passed,
             "agler_pole": _stats_json(result.agler_pole),
-            "agler_taylor": _stats_json(result.agler_taylor, "residual", "gap"),
+            "agler_taylor": _stats_json(result.agler_taylor, "gap"),
             "agler_passed": result.agler_passed,
+            "taylor_basis_residual": result.taylor_basis_residual,
             "necessary": _necessary_json(result.necessary, result.necessary_passed),
             "exactness_applies": result.exactness,
         },

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from cauchydual.certify import NecessaryMeasure, SEGMENT_TOL
+from cauchydual.certify import COINCIDENCE_TOL, NecessaryMeasure, SEGMENT_TOL
 
 
 def _segment_distance(x: complex) -> float:
@@ -31,14 +31,17 @@ def necessary_measure_test(cross, classes, cfg):
     raw = (cross / classes.products ** 2).ravel()
     weights = [complex(raw[members].sum()) for members in members_of]
     locations = classes.locations.tolist()
-    # deterministic ordering by descending weight then location
+    scale = max(sum(abs(w) for w in weights), 1e-300)
+    # descending weight in steps of tol_psd (at least eps) times the total
+    # variation, then location with the real part in steps of COINCIDENCE_TOL
+    step = max(cfg.tol_psd, np.finfo(float).eps) * scale
     perm = sorted(range(len(weights)),
-                  key=lambda i: (-abs(weights[i]), locations[i].real,
+                  key=lambda i: (-round(abs(weights[i]) / step),
+                                 round(locations[i].real / COINCIDENCE_TOL),
                                  locations[i].imag))
     locations = [locations[i] for i in perm]
     weights = [weights[i] for i in perm]
 
-    scale = max(sum(abs(w) for w in weights), 1e-300)
     worst, worst_loc = 0.0, None
     for loc, w in zip(locations, weights):
         if _segment_distance(loc) > SEGMENT_TOL:

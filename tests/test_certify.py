@@ -2,12 +2,13 @@
 
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from cauchydual import kernels, symbolpipe
+from cauchydual import certify, kernels, symbolpipe
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     VERDICT_INCONCLUSIVE,
@@ -26,6 +27,7 @@ from cauchydual.certify import (
     pole_pairing,
     rank1_representing_measure,
     run_certificates,
+    taylor_basis_residual,
 )
 from cauchydual.kernels import mate_rank1, symbol_taylor
 from cauchydual.polyrat import _horner
@@ -275,10 +277,27 @@ def test_pole_engine_eigensolves_at_rank(monkeypatch):
                 assert len(calls) == (1 if side else 0)
 
 
+def test_taylor_engine_builds_no_n_by_n_array():
+    # at N = 2000 one N x N complex array is 64 MB; the windows and their
+    # projection are N x (L + 1) k, under 1 MB for the refuter's k = 2
+    cfg = CertificateConfig(levels=12, trunc=2000)
+    sym = make_refuter()
+    Q, cores = _basis_and_cores(sym, cfg)
+    taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
+    tracemalloc.start()
+    try:
+        agler_taylor_test(taylor, Q, cores, cfg)
+        taylor_basis_residual(taylor, Q, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2 ** 20
+
+
 def test_taylor_residual_and_gap_match_oracle_matrix():
-    # rows with a part outside the pole basis: the residual and the gap are
-    # those of the oracle's N x N matrix M, ||M - Q Q^H M Q Q^H||_F and
-    # ||Q^H M Q - core||_F
+    # rows with a part outside the pole basis: the basis residual is that
+    # of the windows A = [A_0 ... A_L] built here, ||A - Q Q^H A|| / ||A||,
+    # and the gap is that of the oracle's N x N matrix M, ||Q^H M Q - core||_F
     rng = np.random.default_rng(44)
     cfg = CertificateConfig(levels=6, trunc=12)
     for sym in (make_refuter(), make_six_equal_atoms(),
@@ -287,51 +306,69 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
         rows = symbol_taylor(sym, cfg.trunc + cfg.levels)
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
         taylor = rows + re + 1j * im
+        A = np.hstack([taylor[j:j + cfg.trunc] for j in range(cfg.levels + 1)])
+        residual = (np.linalg.norm(A - Q @ Q.conj().T @ A)
+                    / np.linalg.norm(A))
+        got = taylor_basis_residual(taylor, Q, cfg)
+        assert residual > 1e-4
+        assert abs(got - residual) <= 1e-10 * residual
         for st in agler_taylor_test(taylor, Q, cores, cfg):
             M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
             P = Q.conj().T @ M @ Q
-            residual = np.linalg.norm(M - Q @ P @ Q.conj().T)
             gap = np.linalg.norm(P - cores[st.level - 1])
-            assert residual > 1e-3 * st.norm
-            assert abs(st.residual - residual) <= 1e-10 * residual
             assert abs(st.gap - gap) <= 1e-10 * gap
 
 
-def test_level_passes_needs_small_residual_and_gap():
+def test_level_passes_needs_small_gap():
     tol = CFG.tol_psd
-    assert LevelStat(1, -0.5 * tol, 1.0, 0.5 * tol, 0.5 * tol).passes(tol)
+    assert LevelStat(1, -0.5 * tol, 1.0, 0.5 * tol).passes(tol)
     assert LevelStat(1, 0.0, 0.0).passes(tol)
     assert not LevelStat(1, -2.0 * tol, 1.0).passes(tol)
-    assert not LevelStat(1, 0.0, 1.0, residual=2.0 * tol).passes(tol)
     assert not LevelStat(1, 0.0, 1.0, gap=2.0 * tol).passes(tol)
 
 
 def test_taylor_drift_keeps_agler_from_passing():
-    # antipodal_1_1 at L=80: every eigenvalue passes, but the differences
-    # drifted out of the pole basis by more than tol_psd, so the levels
-    # cannot vouch for positivity; orthogonality still certifies
+    # antipodal_1_1 at L=80: every eigenvalue passes, but rounding in the
+    # alternating sums moved the Taylor levels from the pole cores by more
+    # than tol_psd, so the levels cannot vouch for positivity;
+    # orthogonality still certifies
     cfg = CertificateConfig(levels=80, trunc=40)
     rep = run_certificates(load_fixture_symbol("antipodal_1_1"), cfg)
     bound = [cfg.tol_psd * st.norm for st in rep.agler_taylor]
     assert all(st.min_eig >= -cfg.tol_psd * st.norm
                for st in rep.agler_pole + rep.agler_taylor)
-    assert any(st.residual > b for st, b in zip(rep.agler_taylor, bound))
+    assert any(st.gap > b for st, b in zip(rep.agler_taylor, bound))
     assert not rep.agler_passed
     assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")
 
 
 def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
     # Taylor rows of the same poles with the numerators scaled by 0.9 lie
-    # in the pole basis (no residual) and have positive levels, but they
-    # disagree with the pole cores
+    # in the pole basis (no basis residual) and have positive levels, but
+    # they disagree with the pole cores
     original = kernels.symbol_taylor
     monkeypatch.setattr(kernels, "symbol_taylor",
                         lambda sym, n: 0.9 * original(sym, n))
     rep = run_certificates(single_atom_symbol(1.0))
     tol = CFG.tol_psd
-    assert all(st.min_eig >= -tol * st.norm and st.residual <= tol * st.norm
+    assert rep.taylor_basis_residual <= tol
+    assert all(st.min_eig >= -tol * st.norm
                for st in rep.agler_pole + rep.agler_taylor)
     assert all(st.gap > tol * st.norm for st in rep.agler_taylor)
+    assert not rep.agler_passed
+
+
+def test_basis_residual_alone_keeps_agler_from_passing(monkeypatch):
+    # every level of both engines passes, but windows that leave the pole
+    # basis by more than tol_psd keep the Agler levels from passing
+    sym = single_atom_symbol(1.0)
+    assert run_certificates(sym).agler_passed
+    tol = CFG.tol_psd
+    monkeypatch.setattr(certify, "taylor_basis_residual",
+                        lambda taylor, Q, cfg: 2.0 * cfg.tol_psd)
+    rep = run_certificates(sym)
+    assert rep.taylor_basis_residual == 2.0 * tol
+    assert all(st.passes(tol) for st in rep.agler_pole + rep.agler_taylor)
     assert not rep.agler_passed
 
 
@@ -482,6 +519,40 @@ def test_necessary_measure_large_classes_match_oracle(k):
     total = sum(abs(w) for w in want.weights)
     assert max(abs(a - b) for a, b in zip(got.weights, want.weights)) <= 1e-15 * total
     assert abs(got.worst_violation - want.worst_violation) <= 1e-15
+
+
+def test_necessary_atom_order_survives_last_bit_changes():
+    # a conjugate pair of pole products ties in |weight| and in the real
+    # part of its location in exact arithmetic; scaling the numerators by
+    # 1 +- 1e-14 must not reorder the atoms of any pool-like symbol
+    checked = []
+    for mu in pool_like_measures(53, 15):
+        try:
+            sym = measure_to_symbol(mu)
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+        orders = []
+        for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
+            scaled = symbolpipe.RationalSymbol(sym.alphas,
+                                               factor * sym.coefficients)
+            necessary, _ = necessary_measure_test(
+                pole_pairing(scaled).cross, coincidence_classes(scaled), CFG)
+            orders.append(np.array(necessary.locations))
+        for order in orders[1:]:
+            assert np.abs(order - orders[0]).max() <= 1e-9
+        checked.append(sym.k)
+    assert len(checked) >= 100 and set(checked) == set(range(1, 9))
+
+
+def test_necessary_atom_order_with_tiny_tol_psd(recwarn):
+    # a tol_psd whose step underflows still orders the atoms by weight
+    sym = make_refuter()
+    tiny = CertificateConfig(tol_psd=1e-320)
+    necessary, _ = necessary_measure_test(
+        pole_pairing(sym).cross, coincidence_classes(sym), tiny)
+    sizes = np.abs(necessary.weights)
+    assert not recwarn.list
+    assert (np.diff(sizes) <= 1e-12 * sizes.sum()).all()
 
 
 def test_necessary_measure_weights_close_under_conjugation():

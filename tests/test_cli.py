@@ -320,6 +320,24 @@ def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("CertifiedSubnormal ")
 
 
+@pytest.mark.parametrize("theta,weight", [(0.1, 100.0), (0.12, 50.0),
+                                          (0.15, 50.0), (0.3, 300.0)])
+def test_failed_necessary_measure_refutes_before_orthogonality(
+        theta, weight, tmp_path, capsys):
+    # atoms at 0 and theta with weights 1 and w: orthogonality passes, but
+    # the necessary measure fails, and a failed necessary condition refutes
+    path, out = tmp_path / "two.json", tmp_path / "two.report.json"
+    path.write_text(json.dumps({"measure": {"atoms": [
+        {"theta_radians": 0.0, "weight": 1.0},
+        {"theta_radians": theta, "weight": weight}]}}))
+    assert main(["--input", str(path), "--report", str(out)]) == 1
+    assert capsys.readouterr().out.startswith("RefutedAtLevel ")
+    cert = json.loads(out.read_text())["certificates"]
+    assert cert["refuted_by"] == "necessary_measure"
+    assert cert["orth_passed"] and not cert["necessary"]["passed"]
+    assert cert["orthogonality_conflict"] is True
+
+
 def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch):
     # A report that cannot be rendered is an error (exit 3), not a verdict:
     # exit 1 would read as RefutedAtLevel.
