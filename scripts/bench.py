@@ -6,7 +6,7 @@ Usage, from the repository root, with a copy of the parent commit's tree
 at PARENT:
 
     OPENBLAS_NUM_THREADS=1 PYTHONPATH=src python3 scripts/bench.py \
-        --out BENCH_11.json \
+        --out BENCH_12.json \
         --side parent=PARENT/src --side change=src
 
 Each --side LABEL=SRC names a checkout's `src` directory. A round runs
@@ -68,8 +68,8 @@ ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 # (row name, owner, attribute) of the engine layers, as for the pipeline
 ENGINE_LAYERS = tuple((name, certify, name) for name in (
-    "pole_basis", "pole_cores", "agler_pole_test", "agler_taylor_test",
-    "taylor_basis_residual", "coincidence_classes",
+    "pole_basis", "pole_cores", "agler_pole_test", "taylor_projection",
+    "agler_taylor_test", "taylor_basis_residual", "coincidence_classes",
     "necessary_measure_test")) + (
     ("symbol_taylor", kernels, "symbol_taylor"),)
 # (row name, owner, attribute) of the pipeline stages; the constructor is

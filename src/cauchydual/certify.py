@@ -171,19 +171,29 @@ def _taylor_windows(taylor: np.ndarray, cfg: CertificateConfig) -> np.ndarray:
     return windows.transpose(2, 0, 1).reshape(N, -1)
 
 
-def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray,
-                      cores: np.ndarray, cfg: CertificateConfig) -> tuple:
+def taylor_projection(taylor: np.ndarray, Q: np.ndarray,
+                      cfg: CertificateConfig) -> tuple:
+    """(A, Y): the Taylor windows A of _taylor_windows and their
+    coordinates Y = Q^H A in the pole basis Q, built once for
+    agler_taylor_test and taylor_basis_residual."""
+    A = _taylor_windows(taylor, cfg)
+    return A, Q.conj().T @ A
+
+
+def agler_taylor_test(Y: np.ndarray, cores: np.ndarray,
+                      cfg: CertificateConfig) -> tuple:
     """LevelStat per level 1..levels of the same truncation from the raw
     Taylor rows, M_l = sum_{j=0}^{l} (-1)^j binom(l, j) A_j A_j^H with the
-    windows A_j of _taylor_windows. With Y_j = Q^H A_j in the pole basis Q,
-    P_l = Q^H M_l Q is the l-th forward difference of the r x r Grams
-    Y_j Y_j^H (all levels in one batched eigvalsh, plus a 0 for the N - r
-    directions outside the basis); in exact arithmetic it is the whole level
-    when the windows lie in the basis (taylor_basis_residual). gap =
-    ||P_l - cores[l - 1]||_F is where rounding in the alternating sums shows.
+    windows A_j of _taylor_windows. With Y = [Y_0 ... Y_L], Y_j = Q^H A_j
+    in the pole basis Q (taylor_projection), P_l = Q^H M_l Q is the l-th
+    forward difference of the r x r Grams Y_j Y_j^H (all levels in one
+    batched eigvalsh, plus a 0 for the N - r directions outside the basis);
+    in exact arithmetic it is the whole level when the windows lie in the
+    basis (taylor_basis_residual). gap = ||P_l - cores[l - 1]||_F is where
+    rounding in the alternating sums shows.
     """
-    Y = Q.conj().T @ _taylor_windows(taylor, cfg)
-    Y = Y.reshape(len(Y), cfg.levels + 1, taylor.shape[1]).transpose(1, 0, 2)
+    Y = Y.reshape(len(Y), cfg.levels + 1, Y.shape[1] // (cfg.levels + 1))
+    Y = Y.transpose(1, 0, 2)
     G = Y @ Y.conj().swapaxes(1, 2)
     P = np.empty_like(cores)
     for l in range(cfg.levels):
@@ -193,14 +203,12 @@ def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray,
     return _level_stats(P, cfg.trunc, np.linalg.norm(P - cores, axis=(1, 2)))
 
 
-def taylor_basis_residual(taylor: np.ndarray, Q: np.ndarray,
-                          cfg: CertificateConfig) -> float:
-    """||A - Q Q^H A||_F / ||A||_F for the Taylor windows A (0 for an
-    empty table): 0 exactly when every window lies in the pole basis Q.
+def taylor_basis_residual(A: np.ndarray, Y: np.ndarray, Q: np.ndarray) -> float:
+    """||A - Q Y||_F / ||A||_F, Y = Q^H A, for the Taylor windows A (0 for
+    an empty table): 0 exactly when every window lies in the pole basis Q.
     It bounds the windows, not each level, which sums 2^l window Grams."""
-    A = _taylor_windows(taylor, cfg)
     scale = max(np.linalg.norm(A), 1e-300)
-    return float(np.linalg.norm(A - Q @ (Q.conj().T @ A)) / scale)
+    return float(np.linalg.norm(A - Q @ Y) / scale)
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location
@@ -399,8 +407,9 @@ def run_certificates(sym: RationalSymbol,
     Q, R = pole_basis(sym, cfg.trunc)
     cores = pole_cores(sym, pairing.cross, R, cfg.levels)
     pole_stats = agler_pole_test(cores, cfg)
-    taylor_stats = agler_taylor_test(taylor, Q, cores, cfg)
-    basis_residual = taylor_basis_residual(taylor, Q, cfg)
+    A, Y = taylor_projection(taylor, Q, cfg)
+    taylor_stats = agler_taylor_test(Y, cores, cfg)
+    basis_residual = taylor_basis_residual(A, Y, Q)
     exact = exactness_applies(classes)
     agler_passed = basis_residual <= cfg.tol_psd and all(
         st.passes(cfg.tol_psd) for st in pole_stats + taylor_stats)

@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import datetime
+import functools
 import json
 import math
 import os
 import sys
+from operator import itemgetter
 
 import numpy as np
 
@@ -135,17 +137,17 @@ def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str))
 
 
-def _layout(shape: tuple, indent: int) -> str:
-    """%.17g template of a float block of `shape` written at `indent`, laid
-    out as its nested lists would be: an empty list is "[]", a row of
-    floats stays on one line, and any other list puts each item on its own
-    line, two spaces deeper."""
+def _layout(shape: tuple, indent: int, field: str = "%.17g") -> str:
+    """Template of a float block of `shape` written at `indent`, one `field`
+    per float, laid out as its nested lists would be: an empty list is
+    "[]", a row of floats stays on one line, and any other list puts each
+    item on its own line, two spaces deeper."""
     if shape[0] == 0:
         return "[]"
     if len(shape) == 1:
-        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
+        return "[" + ", ".join([field] * shape[0]) + "]"
     pad = "  " * indent
-    item = pad + "  " + _layout(shape[1:], indent + 1)
+    item = pad + "  " + _layout(shape[1:], indent + 1, field)
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
@@ -174,20 +176,33 @@ def _float_rows(items: list, indent: int) -> str | None:
 
 def _float_block(a: np.ndarray, indent: int) -> str:
     """Text of a float64 array of at least one dimension, equal to that of
-    `a.tolist()`, from one fill of its layout template."""
+    `a.tolist()`. Each distinct magnitude is formatted once, all in one
+    %.17g fill; a negative entry is "-" and its magnitude's text, as %.17g
+    writes every finite nonzero value. The texts then fill the array's
+    layout in one %s fill."""
     if a.dtype != np.float64 or a.ndim == 0:
         raise TypeError(f"cannot serialize {a.ndim}-d {a.dtype} array")
     if not np.isfinite(a).all():
         raise ValueError("non-finite float in report")
-    return _layout(a.shape, indent) % tuple((a + 0.0).ravel().tolist())
+    if a.size == 0:
+        return _layout(a.shape, indent)
+    # -0.0 is not below 0 and its magnitude is 0.0, so it is written "0"
+    values = a.ravel()
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    count = len(magnitudes)
+    texts = ("\n".join(["%.17g"] * count) % tuple(magnitudes.tolist())).split("\n")
+    texts += ["-" + text for text in texts]
+    # for one entry itemgetter gives a bare string, which fills the one field
+    fields = itemgetter(*(inverse + count * (values < 0)).tolist())(texts)
+    return _layout(a.shape, indent, "%s") % fields
 
 
 def render_json(obj, indent: int = 0) -> str:
     """Serializer with fixed float formatting (17 significant digits, zero
     as "0"); lists of scalars stay on one line, everything else is indented
     two spaces per level. A float64 array is written as its nested lists
-    would be, with one template fill per array; so are a list of floats and
-    a list of equal-length float rows."""
+    would be, each distinct magnitude in it formatted once; a list of
+    floats, and a list of equal-length float rows, get one template fill."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -361,7 +376,10 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise SystemExit(EXIT_ERROR)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and kept for the
+    process: parsing stores nothing in it, so every call starts afresh."""
     parser = _ArgumentParser(
         prog=TOOL_NAME,
         description="Certify or refute subnormality of the Cauchy dual of "

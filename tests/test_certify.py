@@ -28,6 +28,7 @@ from cauchydual.certify import (
     rank1_representing_measure,
     run_certificates,
     taylor_basis_residual,
+    taylor_projection,
 )
 from cauchydual.kernels import mate_rank1, symbol_taylor
 from cauchydual.polyrat import _horner
@@ -87,6 +88,11 @@ def _basis_and_cores(sym, cfg):
     """The pole basis Q and the level cores both engines run on."""
     Q, R = pole_basis(sym, cfg.trunc)
     return Q, pole_cores(sym, pole_pairing(sym).cross, R, cfg.levels)
+
+
+def _taylor_stats(taylor, Q, cores, cfg):
+    """The Taylor engine's stats on the projection of the rows' windows."""
+    return agler_taylor_test(taylor_projection(taylor, Q, cfg)[1], cores, cfg)
 
 
 def make_orthogonal_pair(eps=0.0, s=0.25):
@@ -221,8 +227,8 @@ def test_insufficient_rows_for_taylor_engine():
     too_deep = CertificateConfig(levels=6, trunc=10)
     fits = CertificateConfig(levels=5, trunc=10)
     with pytest.raises(InsufficientRowsError):
-        agler_taylor_test(taylor, *_basis_and_cores(sym, too_deep), too_deep)
-    assert len(agler_taylor_test(taylor, *_basis_and_cores(sym, fits), fits)) == 5
+        _taylor_stats(taylor, *_basis_and_cores(sym, too_deep), too_deep)
+    assert len(_taylor_stats(taylor, *_basis_and_cores(sym, fits), fits)) == 5
 
 
 def test_engines_match_oracle_eigvalsh():
@@ -240,7 +246,7 @@ def test_engines_match_oracle_eigvalsh():
         for got, want, tol in (
                 (agler_pole_test(cores, cfg), oracle_stats(
                     lambda l, n: agler_pole_matrix(sym, cross, l, n), cfg), 1e-12),
-                (agler_taylor_test(taylor, Q, cores, cfg), oracle_stats(
+                (_taylor_stats(taylor, Q, cores, cfg), oracle_stats(
                     lambda l, n: agler_taylor_matrix(taylor, l, n), cfg), 1e-10)):
             assert [st.level for st in got] == list(range(1, cfg.levels + 1))
             for st, ref in zip(got, want):
@@ -268,7 +274,7 @@ def test_pole_engine_eigensolves_at_rank(monkeypatch):
             Q, cores = _basis_and_cores(sym, cfg)
             taylor = symbol_taylor(sym, trunc + 7)
             for engine in (lambda: agler_pole_test(cores, cfg),
-                           lambda: agler_taylor_test(taylor, Q, cores, cfg)):
+                           lambda: _taylor_stats(taylor, Q, cores, cfg)):
                 sides.clear()
                 calls.clear()
                 engine()
@@ -286,8 +292,9 @@ def test_taylor_engine_builds_no_n_by_n_array():
     taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
     tracemalloc.start()
     try:
-        agler_taylor_test(taylor, Q, cores, cfg)
-        taylor_basis_residual(taylor, Q, cfg)
+        A, Y = taylor_projection(taylor, Q, cfg)
+        agler_taylor_test(Y, cores, cfg)
+        taylor_basis_residual(A, Y, Q)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -309,10 +316,10 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
         A = np.hstack([taylor[j:j + cfg.trunc] for j in range(cfg.levels + 1)])
         residual = (np.linalg.norm(A - Q @ Q.conj().T @ A)
                     / np.linalg.norm(A))
-        got = taylor_basis_residual(taylor, Q, cfg)
+        got = taylor_basis_residual(*taylor_projection(taylor, Q, cfg), Q)
         assert residual > 1e-4
         assert abs(got - residual) <= 1e-10 * residual
-        for st in agler_taylor_test(taylor, Q, cores, cfg):
+        for st in _taylor_stats(taylor, Q, cores, cfg):
             M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
             P = Q.conj().T @ M @ Q
             gap = np.linalg.norm(P - cores[st.level - 1])
@@ -365,7 +372,7 @@ def test_basis_residual_alone_keeps_agler_from_passing(monkeypatch):
     assert run_certificates(sym).agler_passed
     tol = CFG.tol_psd
     monkeypatch.setattr(certify, "taylor_basis_residual",
-                        lambda taylor, Q, cfg: 2.0 * cfg.tol_psd)
+                        lambda A, Y, Q: 2.0 * tol)
     rep = run_certificates(sym)
     assert rep.taylor_basis_residual == 2.0 * tol
     assert all(st.passes(tol) for st in rep.agler_pole + rep.agler_taylor)

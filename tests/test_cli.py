@@ -10,6 +10,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from cauchydual import __version__, certify, cli, kernels
 from cauchydual.cli import (
@@ -233,6 +234,56 @@ def test_render_json_writes_an_array_as_its_lists(shape):
                         == render_oracle.render_json(_as_lists(obj), indent))
 
 
+def _signed_repeats(shape, seed: int) -> np.ndarray:
+    """Floats of `shape` drawn from a few magnitudes, zero among them, each
+    with a random sign: every magnitude repeats, mostly with both signs."""
+    rng = np.random.default_rng(seed)
+    magnitudes = np.abs(_spread_floats(rng, 5) + [0.0, 1.0, 0.1])
+    return rng.choice(magnitudes, size=shape) * rng.choice([-1.0, 1.0], size=shape)
+
+
+def _hermitian(size: int, seed: int) -> np.ndarray:
+    rng = np.random.default_rng(seed)
+    M = rng.standard_normal((size, size)) + 1j * rng.standard_normal((size, size))
+    return M + M.conj().T
+
+
+MAX_FLOAT = 1.7976931348623157e308
+DISTINCT_MAGNITUDE_CASES = {
+    "repeats-(40,)": _signed_repeats((40,), 1),
+    "repeats-(6,5,2)": _signed_repeats((6, 5, 2), 2),
+    "repeats-(3,4,5,2)": _signed_repeats((3, 4, 5, 2), 3),
+    "hermitian": _cmatrix(_hermitian(9, 4)),
+    # conj makes the diagonal's imaginary zeros -0.0
+    "hermitian-conj": _cmatrix(_hermitian(6, 5).conj()),
+    "extremes": np.array([-0.0, 5e-324, -5e-324, MAX_FLOAT, -MAX_FLOAT, 0.0,
+                          MAX_FLOAT, -0.0, 5e-324]),
+    "(0,)": np.zeros((0,)),
+    "(1,)": np.array([-2.5]),
+    "(1,)-zero": np.array([-0.0]),
+    "(1,1,2)": np.array([[[-MAX_FLOAT, 5e-324]]]),
+    "(1,1,2)-one-magnitude": np.array([[[0.75, -0.75]]]),
+    "(2,0)": np.zeros((2, 0)),
+}
+
+
+@pytest.mark.parametrize("a", DISTINCT_MAGNITUDE_CASES.values(),
+                         ids=DISTINCT_MAGNITUDE_CASES.keys())
+def test_render_json_formats_each_magnitude_once(a):
+    # the text of an entry is found by its magnitude and its sign, so every
+    # repeat of a magnitude, of either sign, must still read as the oracle
+    # writes that entry; one-entry arrays take the gather's bare string
+    for indent in range(3):
+        for obj in (a, {"K": a}, [a, a[::-1].copy()]):
+            assert (render_json(obj, indent)
+                    == render_oracle.render_json(_as_lists(obj), indent))
+
+
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+def test_negative_float_text_is_minus_and_magnitude(x):
+    assert "%.17g" % -x == "-" + "%.17g" % x
+
+
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_render_json_rejects_non_finite_arrays(bad):
     a = _float_array((4, 3, 2), seed=3)
@@ -392,6 +443,40 @@ def test_usage_errors_exit_with_input_error_code(argv, capsys):
         main(argv)
     assert exc.value.code == EXIT_ERROR
     assert "usage:" in capsys.readouterr().err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
+    # one parser serves every call in the process; each report's config
+    # and tables follow its own flags, and --version and usage errors
+    # behave as on a first call
+    fixture = str(FIXTURES / "single_atom_tau1.json")
+    flags, plain, again = (tmp_path / f"{n}.json" for n in ("flags", "plain", "again"))
+    assert main(["--input", fixture, "--levels", "5", "--trunc", "30",
+                 "--dump-tables", "--report", str(flags)]) == 0
+    assert main(["--input", fixture, "--report", str(plain)]) == 0
+    assert cli._build_parser() is cli._build_parser()
+    first, second = (json.loads(p.read_text()) for p in (flags, plain))
+    assert first["config"] == {"levels": 5, "trunc": 30, "tol_psd": 1e-8,
+                               "tol_orth": 1e-9, "quad_points": 4096}
+    assert second["config"] == {"levels": 12, "trunc": 40, "tol_psd": 1e-8,
+                                "tol_orth": 1e-9, "quad_points": 4096}
+    assert len(first["tables"]["K"]) == 31 and "tables" not in second
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert __version__ in capsys.readouterr().out
+    for argv in ([], ["--input", fixture, "--levels", "ten"],
+                 ["--input", fixture, "--quad-points", "0"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == EXIT_ERROR
+        assert "usage:" in capsys.readouterr().err
+    assert main(["--input", fixture, "--report", str(again)]) == 0
+    assert json.loads(again.read_text())["config"] == second["config"]
+    assert "tables" not in json.loads(again.read_text())
+    capsys.readouterr()
 
 
 # ------------------------------------------------------------------- reports

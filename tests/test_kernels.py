@@ -180,6 +180,19 @@ def test_kernel_table_structure():
     assert np.abs(K[:, 0] - e0).max() == 0.0
 
 
+@pytest.mark.parametrize("size", [40, 200])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_kernel_table_is_exactly_hermitian(name, size):
+    # the upper triangle is the conjugate of the lower one, not a second
+    # computation of it, so K = K^H holds exactly; with zeros made canonical,
+    # as the report writes them, the bytes agree too (only the diagonal's
+    # imaginary zeros differ in sign)
+    K = kernel_coeffs(symbol_taylor(load_fixture_symbol(name), size + 12), size)
+    assert K.shape == (size + 1, size + 1)
+    assert (K == K.conj().T).all()
+    assert (K + 0.0).tobytes() == (K.conj().T + 0.0).tobytes()
+
+
 def test_kernel_size_validation():
     tab = rank1_taylor(0.5, 0.3, 10)
     with pytest.raises(ValueError):
