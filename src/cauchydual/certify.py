@@ -1,14 +1,15 @@
 """Subnormality certificates for the Cauchy dual of the shift attached to
 a row symbol.
 
-The decision chain is: exact numerator orthogonality at the poles (a
-sufficient condition), the necessary measure supported on [0, 1] (its
-failure is a definitive refutation), and truncated Agler-type positivity
-matrices computed by two engines (pole side and Taylor side) in one shared
-basis, with the Taylor side's distance from that basis measured once.
-When every off-diagonal pole product is a distinct point outside the ray
-[1, oo), orthogonality is also necessary, so its failure refutes without
-waiting for a truncation witness.
+The decision chain, in the order `run_certificates` applies it: the
+necessary measure supported on [0, 1], whose failure is a definitive
+refutation even where orthogonality passes; exact numerator orthogonality
+at the poles, a sufficient condition; when every off-diagonal pole product
+is a distinct point outside the ray [1, oo), orthogonality is also
+necessary, so its failure refutes without waiting for a truncation
+witness; and last, truncated Agler-type positivity matrices computed by
+two engines (pole side and Taylor side) in one shared basis, with the
+Taylor side's distance from that basis measured once.
 """
 from __future__ import annotations
 

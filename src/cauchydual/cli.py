@@ -137,72 +137,24 @@ def _is_scalar(v) -> bool:
     return v is None or isinstance(v, (bool, int, float, str))
 
 
-def _layout(shape: tuple, indent: int, field: str = "%.17g") -> str:
-    """Template of a float block of `shape` written at `indent`, one `field`
+def _layout(shape: tuple, indent: int) -> str:
+    """Template of a float block of `shape` written at `indent`, one "%s"
     per float, laid out as its nested lists would be: an empty list is
     "[]", a row of floats stays on one line, and any other list puts each
     item on its own line, two spaces deeper."""
     if shape[0] == 0:
         return "[]"
     if len(shape) == 1:
-        return "[" + ", ".join([field] * shape[0]) + "]"
+        return "[" + ", ".join(["%s"] * shape[0]) + "]"
     pad = "  " * indent
-    item = pad + "  " + _layout(shape[1:], indent + 1, field)
+    item = pad + "  " + _layout(shape[1:], indent + 1)
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
-def _fill_floats(template: str, values) -> str:
-    """Fill the %.17g fields of `template` with `values`. Adding 0.0 turns
-    -0.0 into 0.0, so every zero prints as the canonical "0" and report
-    bytes survive a JSON round trip."""
-    if not all(map(math.isfinite, values)):
-        raise ValueError("non-finite float in report")
-    return template % tuple([x + 0.0 for x in values])
-
-
-def _float_rows(items: list, indent: int) -> str | None:
-    """Text of a list of floats, or of a list of equal-length lists of
-    floats, from one template; None for any other shape."""
-    kinds = set(map(type, items))
-    if kinds == {float}:
-        return _fill_floats(_layout((len(items),), indent), items)
-    if kinds != {list} or len(set(map(len, items))) != 1:
-        return None
-    values = [x for row in items for x in row]
-    if set(map(type, values)) != {float}:
-        return None
-    return _fill_floats(_layout((len(items), len(items[0])), indent), values)
-
-
-def _float_block(a: np.ndarray, indent: int) -> str:
-    """Text of a float64 array of at least one dimension, equal to that of
-    `a.tolist()`. Each distinct magnitude is formatted once, all in one
-    %.17g fill; a negative entry is "-" and its magnitude's text, as %.17g
-    writes every finite nonzero value. The texts then fill the array's
-    layout in one %s fill."""
-    if a.dtype != np.float64 or a.ndim == 0:
-        raise TypeError(f"cannot serialize {a.ndim}-d {a.dtype} array")
-    if not np.isfinite(a).all():
-        raise ValueError("non-finite float in report")
-    if a.size == 0:
-        return _layout(a.shape, indent)
-    # -0.0 is not below 0 and its magnitude is 0.0, so it is written "0"
-    values = a.ravel()
-    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
-    count = len(magnitudes)
-    texts = ("\n".join(["%.17g"] * count) % tuple(magnitudes.tolist())).split("\n")
-    texts += ["-" + text for text in texts]
-    # for one entry itemgetter gives a bare string, which fills the one field
-    fields = itemgetter(*(inverse + count * (values < 0)).tolist())(texts)
-    return _layout(a.shape, indent, "%s") % fields
-
-
-def render_json(obj, indent: int = 0) -> str:
-    """Serializer with fixed float formatting (17 significant digits, zero
-    as "0"); lists of scalars stay on one line, everything else is indented
-    two spaces per level. A float64 array is written as its nested lists
-    would be, each distinct magnitude in it formatted once; a list of
-    floats, and a list of equal-length float rows, get one template fill."""
+def _template(obj, indent: int, floats: list) -> str:
+    """Text of `obj` at `indent` with "%s" in place of every float, whose
+    values are appended to `floats` in text order; every other "%" is
+    doubled, so that filling the template writes it back."""
     pad = "  " * indent
     if obj is None:
         return "null"
@@ -211,30 +163,57 @@ def render_json(obj, indent: int = 0) -> str:
     if isinstance(obj, int):
         return str(obj)
     if isinstance(obj, float):
-        return _fill_floats("%.17g", (obj,))
+        floats.append(obj)
+        return "%s"
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return json.dumps(obj).replace("%", "%%")
     if isinstance(obj, np.ndarray):
-        return _float_block(obj, indent)
+        if obj.dtype != np.float64 or obj.ndim == 0:
+            raise TypeError(f"cannot serialize {obj.ndim}-d {obj.dtype} array")
+        floats += obj.ravel().tolist()
+        return _layout(obj.shape, indent)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key))}: {render_json(val, indent + 1)}"
+            f"{pad}  {json.dumps(str(key)).replace('%', '%%')}: "
+            f"{_template(val, indent + 1, floats)}"
             for key, val in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        if isinstance(obj, list):
-            text = _float_rows(obj, indent)
-            if text is not None:
-                return text
         if all(map(_is_scalar, obj)):
-            return "[" + ", ".join(map(render_json, obj)) + "]"
-        inner = ",\n".join(f"{pad}  {render_json(v, indent + 1)}" for v in obj)
+            return "[" + ", ".join(_template(v, 0, floats) for v in obj) + "]"
+        inner = ",\n".join(f"{pad}  {_template(v, indent + 1, floats)}" for v in obj)
         return "[\n" + inner + "\n" + pad + "]"
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def render_json(obj, indent: int = 0) -> str:
+    """Serializer with fixed float formatting (17 significant digits, zero
+    as "0"); lists of scalars stay on one line, everything else is indented
+    two spaces per level, and a float64 array is written as its nested
+    lists would be.
+
+    One pass builds a template with a "%s" field per float. Each distinct
+    magnitude among the floats is then formatted once, all in one %.17g
+    fill; a negative value is "-" and its magnitude's text, as %.17g
+    writes every finite nonzero value, and -0.0, of magnitude 0, is "0".
+    The texts fill the template in one %s fill."""
+    floats = []
+    template = _template(obj, indent, floats)
+    if not floats:
+        return template % ()
+    values = np.array(floats)
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite float in report")
+    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
+    count = len(magnitudes)
+    texts = ("\n".join(["%.17g"] * count) % tuple(magnitudes.tolist())).split("\n")
+    texts += ["-" + text for text in texts]
+    # for one float itemgetter gives a bare string, which fills the one field
+    return template % itemgetter(*(inverse + count * (values < 0)).tolist())(texts)
 
 
 def write_atomic(path: str, text: str):

@@ -459,6 +459,41 @@ def test_rotated_certified_family_stays_certified():
         assert rep.agler_passed and monotone_passed(sym, CFG)
 
 
+# The paper's application: mu with atoms at 0 and theta, weights 1 and w.
+# Antipodal support certifies for every weight; every other two-point
+# measure the pipeline builds is refuted by the necessary measure.
+TWO_POINT_THETAS = [*np.linspace(0.05, math.pi - 0.05, 16).tolist(), math.pi]
+TWO_POINT_WEIGHTS = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0]
+# valid measures near a double atom that the pipeline loses to rounding
+TWO_POINT_LOST = {
+    (0.05, 0.05): (ValueError, "RationalSymbol's Schur bound check: max row "
+                               "norm 1.0000004"),
+    (0.05, 0.2): (ValueError, "RationalSymbol's Schur bound check: max row "
+                              "norm 1.00000014"),
+    (0.05, 20.0): (RuntimeError, "measure_to_symbol: degree-zero edge 9.1e-07"),
+}
+
+
+def _two_point_params():
+    for theta in TWO_POINT_THETAS:
+        for weight in TWO_POINT_WEIGHTS:
+            lost = TWO_POINT_LOST.get((theta, weight))
+            marks = () if lost is None else pytest.mark.xfail(
+                strict=True, raises=lost[0], reason=lost[1])
+            yield pytest.param(theta, weight, marks=marks,
+                               id=f"theta={theta:.4f}-w={weight:g}")
+
+
+@pytest.mark.parametrize("theta,weight", _two_point_params())
+def test_two_point_measure_certifies_only_when_antipodal(theta, weight):
+    rep = run_certificates(measure_to_symbol(
+        CircleMeasure((0.0, theta), (1.0, weight))))
+    if theta == math.pi:
+        assert (rep.verdict, rep.certified_by) == (VERDICT_CERTIFIED, "orthogonality")
+    else:
+        assert (rep.verdict, rep.refuted_by) == (VERDICT_REFUTED, "necessary_measure")
+
+
 # ------------------------------------------------------------ necessary measure
 
 

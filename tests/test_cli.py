@@ -10,7 +10,8 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cauchydual import __version__, certify, cli, kernels
 from cauchydual.cli import (
@@ -122,7 +123,7 @@ def _as_lists(obj):
         return obj.tolist()
     if isinstance(obj, dict):
         return {key: _as_lists(val) for key, val in obj.items()}
-    if isinstance(obj, list):
+    if isinstance(obj, (list, tuple)):
         return [_as_lists(v) for v in obj]
     return obj
 
@@ -301,6 +302,69 @@ def test_render_json_rejects_arrays_that_are_not_float64(a):
     for obj in (a, {"K": a}):
         with pytest.raises(TypeError, match="cannot serialize"):
             render_json(obj)
+
+
+PERCENT_TEXTS = ["%", "%s", "%%", "%%s", "%.17g", "100% sure", "%(x)s", "s%", "%d%%"]
+
+
+@pytest.mark.parametrize("text", PERCENT_TEXTS)
+def test_render_json_writes_percent_signs_as_given(text):
+    # the report is one %-template, so a "%" in a key or a string must
+    # come out as written, next to floats, arrays or neither
+    a = np.array([[-1.5, 0.25], [text.count("%") + 0.5, -0.0]])
+    for obj in (text, [text], {text: text}, {text: 1.5, "x": [text, -2.0]},
+                [text, a, {text: a}], {"k": a, text: [0.1, text], "z": text}):
+        for indent in range(3):
+            assert (render_json(obj, indent)
+                    == render_oracle.render_json(_as_lists(obj), indent))
+    assert json.loads(render_json({text: [text, 1.5]})) == {text: [text, 1.5]}
+
+
+def test_render_json_without_floats():
+    obj = {"tool": {"name": "cauchydual", "version": "1%"}, "n": 3,
+           "flags": [True, False, None], "empty": np.zeros((2, 0)),
+           "nested": [[], {}, ["%s", 7]], "pct%": "%%"}
+    for indent in range(3):
+        assert (render_json(obj, indent)
+                == render_oracle.render_json(_as_lists(obj), indent))
+
+
+def test_render_json_fills_floats_in_text_order():
+    # scalars between arrays: each float's field must get its own value
+    a = _float_array((3, 2), seed=5)
+    b = _signed_repeats((2, 2, 2), seed=6)
+    as_dict = {"x": 1.5, "a": a, "y": -2.25, "b": b, "z": [0.1, -0.1],
+               "e": np.zeros((0, 2)), "w": 5e-324}
+    as_list = [1.5, a, -2.25, b, [0.1, -0.1], 7, np.zeros((0,)), -MAX_FLOAT]
+    for obj in (as_dict, as_list, (as_list[0], as_dict, as_list[1])):
+        for indent in range(3):
+            assert (render_json(obj, indent)
+                    == render_oracle.render_json(_as_lists(obj), indent))
+        assert json.loads(render_json(obj)) == json.loads(
+            json.dumps(_as_lists(obj)))
+
+
+_FINITE_FLOATS = (st.floats(allow_nan=False, allow_infinity=False)
+                  | st.sampled_from([-0.0, 5e-324, MAX_FLOAT, -MAX_FLOAT]))
+_PERCENT_STRINGS = st.text(st.sampled_from('%sd.17g "\\\n\u00e9'), max_size=6)
+_JSON_LEAVES = (st.none() | st.booleans() | st.integers() | _FINITE_FLOATS
+                | _FINITE_FLOATS.map(np.float64) | _PERCENT_STRINGS
+                | hnp.arrays(np.float64,
+                             hnp.array_shapes(min_dims=1, max_dims=3,
+                                              min_side=0, max_side=3),
+                             elements=_FINITE_FLOATS))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: (st.lists(children, max_size=4)
+                      | st.lists(children, max_size=4).map(tuple)
+                      | st.dictionaries(_PERCENT_STRINGS, children, max_size=4)),
+    max_leaves=16)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_JSON_TREES, st.integers(0, 2))
+def test_render_json_matches_oracle_on_random_trees(obj, indent):
+    assert render_json(obj, indent) == render_oracle.render_json(_as_lists(obj), indent)
 
 
 def test_write_atomic_leaves_no_droppings(tmp_path):
