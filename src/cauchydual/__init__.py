@@ -5,7 +5,6 @@ dual of the shift."""
 __version__ = "0.1.0"
 
 from .polyrat import (
-    LaurentHermitian,
     poly_roots,
     lagrange_denominators,
     fejer_riesz_factor,
@@ -52,8 +51,7 @@ from .certify import (
 )
 
 __all__ = [
-    "LaurentHermitian", "poly_roots", "lagrange_denominators",
-    "fejer_riesz_factor",
+    "poly_roots", "lagrange_denominators", "fejer_riesz_factor",
     "CircleMeasure", "RationalSymbol", "AntipodalClosedForm",
     "boundary_polynomial", "outer_from_measure", "gram_from_outer",
     "measure_to_symbol", "symbol_from_parts", "closed_form_antipodal",

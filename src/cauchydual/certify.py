@@ -20,7 +20,6 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .polyrat import lagrange_denominators
 from .symbolpipe import RationalSymbol
 
 VERDICT_CERTIFIED = "CertifiedSubnormal"
@@ -69,7 +68,7 @@ def pole_pairing(sym: RationalSymbol) -> PolePairing:
     """Evaluate the numerators at the poles once and pair them."""
     vals = sym.numerators_at_poles
     pair = (vals.conj().T @ vals).conj()
-    a = lagrange_denominators(np.asarray(sym.alphas, dtype=complex))
+    a = sym.lagrange_denominators
     C = pair / np.outer(a, np.conj(a))
     return PolePairing(pair, 0.5 * (C + C.conj().T))
 
@@ -138,8 +137,7 @@ def pole_cores(sym: RationalSymbol, cross: np.ndarray, R: np.ndarray,
     X_l = C o G^l with G = 1 - 1/(alpha conj(alpha)^T) is the k x k core
     of level l: the level's matrix in the pole basis, shape
     (levels, r, r)."""
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    G = 1.0 - 1.0 / np.outer(alphas, np.conj(alphas))
+    G = 1.0 - 1.0 / sym.pole_products
     X = np.empty((levels,) + G.shape, dtype=complex)
     np.multiply(cross, G, out=X[0])
     for l in range(1, levels):
@@ -243,8 +241,7 @@ def _segment_distance(x: np.ndarray) -> np.ndarray:
 def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
     """Group the pole products once for the necessary measure and the
     exactness condition."""
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    products = np.outer(alphas, np.conj(alphas))
+    products = sym.pole_products
     flat = products.ravel()
     close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
     # every product takes the smallest index it is chained to

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .polyrat import circle_points, lagrange_denominators
+from .polyrat import circle_points
 from .symbolpipe import RationalSymbol
 
 
@@ -53,10 +53,8 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> np.ndarray:
     """
     if n_rows < 1:
         raise ValueError("need at least one row")
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    denoms = lagrange_denominators(alphas)
     # weight[j, i] = p_j(alpha_i) / (alpha_i a_i)
-    weight = sym.numerators_at_poles / (alphas * denoms)[None, :]
+    weight = sym.numerators_at_poles / (sym.alphas * sym.lagrange_denominators)[None, :]
     rows = -(sym.inverse_pole_powers(n_rows) @ weight.T)
 
     inv_q = _series_inverse(sym.q, n_rows + 1)

@@ -3,16 +3,15 @@ circle-positive spectral factorization.
 
 Everything here is plain double-precision arithmetic over small degrees.
 A polynomial is the array of its ascending complex coefficients, evaluated
-by Horner's rule in `_horner`. Roots come from the balanced companion
-matrix, and the factorization routine splits the root pairs (w, 1/conj(w))
-of a trigonometric polynomial that stays strictly positive on the unit
-circle.
+by Horner's rule in `_horner`. A trigonometric polynomial
+sum_{|m| <= k} d_m z^m is the array of its full hermitian band
+(d_{-k}, ..., d_k). Roots come from the balanced companion matrix, and the
+factorization routine splits the root pairs (w, 1/conj(w)) of such a band
+when it stays strictly positive on the unit circle.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -41,7 +40,7 @@ MIRROR_PAIR_TOL = 1e-6
 POSITIVITY_GATE = 1e-10
 # equispaced circle points on which that gate is checked
 POSITIVITY_SAMPLES = 4096
-# relative tolerance for the two sides of a full Laurent band to be conjugate
+# relative tolerance for the two sides of a full hermitian band to be conjugate
 HERMITIAN_BAND_TOL = 1e-9
 
 
@@ -106,80 +105,29 @@ def lagrange_denominators(poles) -> np.ndarray:
     return diff.prod(axis=1)
 
 
-@dataclass(frozen=True)
-class LaurentHermitian:
-    """Finite hermitian Laurent series sum_{|m| <= k} d_m z^m.
-
-    Only the closed side (d_0, ..., d_k) is stored; d_{-m} = conj(d_m) is
-    implied, which forces real values on |z| = 1. d_0 must be real.
-    """
-
-    upper: tuple[complex, ...]
-
-    def __post_init__(self):
-        if not self.upper:
-            raise ValueError("need at least the constant coefficient d_0")
-        if self.upper[0].imag != 0:
-            raise ValueError("constant coefficient d_0 must be real")
-
-    @staticmethod
-    def from_upper(coeffs: Iterable[complex]) -> "LaurentHermitian":
-        cs = [complex(c) for c in coeffs]
-        if not cs:
-            raise ValueError("need at least the constant coefficient d_0")
-        if abs(cs[0].imag) > 1e-9 * max(abs(cs[0]), 1.0):
-            raise ValueError(f"constant coefficient {cs[0]} is not real")
-        head = complex(cs[0].real)
-        tail = cs[1:]
-        while tail and tail[-1] == 0:
-            tail.pop()
-        return LaurentHermitian(tuple([head] + tail))
-
-    @staticmethod
-    def from_full(full: Iterable[complex]) -> "LaurentHermitian":
-        """Build from a full band (d_{-k}, ..., d_k), averaging the two sides.
-
-        The input must already be hermitian to within HERMITIAN_BAND_TOL
-        relative to its largest entry; the average makes the symmetry exact.
-        """
-        arr = np.asarray(list(full), dtype=complex)
-        if len(arr) % 2 != 1:
-            raise ValueError("full band must have odd length 2k+1")
-        k = len(arr) // 2
-        scale = max(np.abs(arr).max(), 1e-300)
-        sym = 0.5 * (arr[k:] + np.conj(arr[k::-1]))
-        if np.abs(arr[k:] - np.conj(arr[k::-1])).max() > HERMITIAN_BAND_TOL * scale:
-            raise ValueError("band is not hermitian within tolerance")
-        return LaurentHermitian.from_upper(sym)
-
-    @property
-    def bandwidth(self) -> int:
-        return len(self.upper) - 1
-
-    def full(self) -> np.ndarray:
-        """Coefficients (d_{-k}, ..., d_k) ascending in the exponent."""
-        up = np.asarray(self.upper, dtype=complex)
-        return np.concatenate([np.conj(up[:0:-1]), up])
-
-    def values_on_circle(self, z) -> np.ndarray:
-        """Exactly real values at unimodular points z."""
-        zc = np.asarray(z, dtype=complex)
-        acc = np.zeros(zc.shape, dtype=complex)
-        for d in self.upper[:0:-1]:
-            acc = (acc + d) * zc
-        vals = self.upper[0].real + 2.0 * acc.real
-        if zc.ndim == 0:
-            return float(vals)
-        return vals
+def _band_on_circle(upper: np.ndarray, z) -> np.ndarray:
+    """d_0 + 2 Re sum_{m >= 1} d_m z^m, the exactly real values of the
+    hermitian band with closed side upper = (d_0, ..., d_k) at unimodular
+    points z, by Horner's rule."""
+    acc = np.zeros(np.shape(z), dtype=complex)
+    for d in upper[:0:-1]:
+        acc = (acc + d) * z
+    return upper[0].real + 2.0 * acc.real
 
 
-def fejer_riesz_factor(R: LaurentHermitian):
-    """Factor R(z) = gamma * prod_j |z - alpha_j|^2 on |z| = 1.
+def fejer_riesz_factor(band):
+    """Factor R(z) = gamma * prod_j |z - alpha_j|^2 on |z| = 1, where R is
+    the hermitian band sum_{|m| <= k} d_m z^m given as the full array
+    (d_{-k}, ..., d_k), ascending in the exponent.
 
-    R must be strictly positive on the circle (checked on POSITIVITY_SAMPLES
-    equispaced points: min > POSITIVITY_GATE * max). The roots of z^k R(z)
-    come in mirror pairs (w, 1/conj(w)); the representatives outside the
-    closed unit disc are returned sorted by (argument, modulus), and
+    The two sides must be conjugate, d_{-m} = conj(d_m), within
+    HERMITIAN_BAND_TOL relative to the largest entry; their average is
+    factored, which makes the symmetry and d_0 exactly real, and zero
+    outermost pairs are dropped. R must be strictly positive on the circle
+    (checked on POSITIVITY_SAMPLES equispaced points: min >
+    POSITIVITY_GATE * max). The roots of z^k R(z) come in mirror pairs
+    (w, 1/conj(w)); the representatives outside the closed unit disc are
+    returned sorted by (argument, modulus), and
 
         gamma = R(1) / prod_j |1 - alpha_j|^2.
 
@@ -191,13 +139,25 @@ def fejer_riesz_factor(R: LaurentHermitian):
 
     Raises
     ------
+    ValueError
+        If the band is not 1-D of odd length, or not hermitian.
     NotPositiveOnCircleError
         If the positivity gate fails.
     RootOnCircleError
         If any root sits within CIRCLE_ROOT_TOL of the circle, or the
         mirror pairing cannot be completed within MIRROR_PAIR_TOL.
     """
-    vals = R.values_on_circle(circle_points(POSITIVITY_SAMPLES))
+    full = np.asarray(band, dtype=complex)
+    if full.ndim != 1 or len(full) % 2 != 1:
+        raise ValueError(f"band has shape {full.shape}, not (2k + 1,)")
+    mid = len(full) // 2
+    gap = np.abs(full[mid:] - np.conj(full[mid::-1])).max()
+    if gap > HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300):
+        raise ValueError("band is not hermitian within tolerance")
+    upper = 0.5 * (full[mid:] + np.conj(full[mid::-1]))
+    upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
+
+    vals = _band_on_circle(upper, circle_points(POSITIVITY_SAMPLES))
     vmin, vmax = float(vals.min()), float(vals.max())
     if vmax <= 0.0:
         raise NotPositiveOnCircleError(
@@ -208,12 +168,12 @@ def fejer_riesz_factor(R: LaurentHermitian):
             f"relative sampling gate: min/max of {POSITIVITY_SAMPLES} circle "
             f"samples is {vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
             f"(min {vmin:.3e}, max {vmax:.3e})")
-    k = R.bandwidth
+    k = len(upper) - 1
     if k == 0:
-        return float(R.upper[0].real), []
+        return float(upper[0].real), []
 
     # z^k R(z) has ascending coefficients equal to the full band of R
-    roots = np.asarray(poly_roots(R.full()))
+    roots = np.asarray(poly_roots(np.concatenate([np.conj(upper[:0:-1]), upper])))
     moduli = np.hypot(roots.real, roots.imag)
     on_circle = np.flatnonzero(np.abs(moduli - 1.0) <= CIRCLE_ROOT_TOL)
     if on_circle.size:
@@ -234,7 +194,7 @@ def fejer_riesz_factor(R: LaurentHermitian):
                 f"no mirror partner for root {w}: nearest is off by {row[best]:.3e}")
         gaps[:, best] = np.inf
 
-    gamma = float(R.values_on_circle(1.0 + 0.0j)) / float(
+    gamma = float(_band_on_circle(upper, 1.0 + 0.0j)) / float(
         np.prod(np.abs(1.0 - outer) ** 2))
     if gamma <= 0.0:
         raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
@@ -243,7 +203,7 @@ def fejer_riesz_factor(R: LaurentHermitian):
     zs = circle_points(512)
     recon = gamma * np.prod(
         np.abs(zs[:, None] - outer[None, :]) ** 2, axis=1)
-    resid = np.abs(recon - R.values_on_circle(zs)).max()
+    resid = np.abs(recon - _band_on_circle(upper, zs)).max()
     if resid > 1e-8 * max(vmax, 1e-300):
         raise RuntimeError(
             f"factorization residual {resid:.3e} exceeds 1e-8 * {vmax:.3e}")

@@ -21,11 +21,11 @@ import numpy as np
 
 from .polyrat import (
     POLE_GAP,
-    LaurentHermitian,
     circle_points,
     _horner,
     fejer_riesz_factor,
     from_roots,
+    lagrange_denominators,
 )
 
 # circle points on which a symbol's Schur bound is checked
@@ -88,11 +88,13 @@ class CircleMeasure:
         return np.exp(1j * np.asarray(self.thetas, dtype=float))
 
 
-def boundary_polynomial(mu: CircleMeasure) -> LaurentHermitian:
+def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
     """Weight polynomial prod_j |z-zeta_j|^2 + sum_j c_j prod_{l!=j} |z-zeta_l|^2.
 
-    Returned as a hermitian Laurent band of bandwidth k = number of atoms,
-    using |z - zeta|^2 = 2 - conj(zeta) z - zeta conj(z) on |z| = 1.
+    Returned as its full hermitian band (d_{-k}, ..., d_k), ascending in
+    the exponent, of bandwidth k = number of atoms, using
+    |z - zeta|^2 = 2 - conj(zeta) z - zeta conj(z) on |z| = 1; this is the
+    array fejer_riesz_factor takes.
     """
     if mu.size == 0:
         raise EmptyMeasureError("the empty measure has no boundary polynomial")
@@ -120,7 +122,7 @@ def boundary_polynomial(mu: CircleMeasure) -> LaurentHermitian:
         partial = band_product(factors[:j] + factors[j + 1:])
         lo = (len(acc) - len(partial)) // 2
         acc[lo: lo + len(partial)] += c * partial
-    return LaurentHermitian.from_full(acc)
+    return acc
 
 
 @dataclass(frozen=True, eq=False)
@@ -208,27 +210,33 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
 class RationalSymbol:
     """Row symbol (p_1/q, ..., p_k/q) with q = prod_r (z - alpha_r).
 
-    The poles and the k x (k + 1) coefficient matrix are the whole symbol:
-    coefficients[j, i] is the coefficient of z^i in p_j, stored as a
-    read-only copy, and k, q and the numerator matrix eta are derived from
-    them. eta[i, j] is positioned so that
+    The poles and the k x (k + 1) coefficient matrix are the whole symbol,
+    each stored as a read-only complex copy: alphas[r] is pole r and
+    coefficients[j, i] is the coefficient of z^i in p_j. k, q, the
+    numerator matrix eta, the Lagrange denominators, the pole products and
+    the numerators' values at the poles are derived from them, each once.
+    eta[i, j] is positioned so that
 
         sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
     """
 
-    alphas: tuple[complex, ...]
+    alphas: np.ndarray
     coefficients: np.ndarray
     gamma_fr: float | None = None
 
     def __post_init__(self):
         """Admit only the class the certificates are stated for: finite
-        poles and coefficients, a k x (k + 1) matrix (one numerator of
-        degree at most k per pole), each numerator vanishing at 0, k simple
-        poles outside the closed disc, and sum_j |p_j/q|^2 <= 1 on the
-        circle, checked on SCHUR_SAMPLES points."""
-        alphas = np.asarray(self.alphas, dtype=complex)
+        poles in a 1-D array and coefficients, a k x (k + 1) matrix (one
+        numerator of degree at most k per pole), each numerator vanishing
+        at 0, k simple poles outside the closed disc, and
+        sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
+        points."""
+        alphas = np.array(self.alphas, dtype=complex)
+        if alphas.ndim != 1:
+            raise ValueError(f"poles have shape {alphas.shape}, not (k,)")
         C = np.array(self.coefficients, dtype=complex)
-        C.flags.writeable = False
+        alphas.flags.writeable = C.flags.writeable = False
+        object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "coefficients", C)
         values = np.concatenate([alphas, C.ravel()])
         finite = np.isfinite(values)
@@ -277,6 +285,22 @@ class RationalSymbol:
         return q
 
     @cached_property
+    def lagrange_denominators(self) -> np.ndarray:
+        """a_r = prod_{t != r} (alpha_r - alpha_t), shared by the pole
+        pairing and the Taylor rows; read-only."""
+        a = lagrange_denominators(self.alphas)
+        a.flags.writeable = False
+        return a
+
+    @cached_property
+    def pole_products(self) -> np.ndarray:
+        """products[r, t] = alpha_r conj(alpha_t), whose reciprocals set the
+        level cores and locate the necessary measure's atoms; read-only."""
+        products = np.outer(self.alphas, np.conj(self.alphas))
+        products.flags.writeable = False
+        return products
+
+    @cached_property
     def eta(self) -> np.ndarray:
         """eta = C^H C, hermitianized, where row t of C holds the
         coefficients of z^1, ..., z^k in p_t; read-only."""
@@ -291,8 +315,7 @@ class RationalSymbol:
         """vals[j, r] = p_j(alpha_r), one Horner pass over the coefficient
         matrix, computed on first use and shared by the pole pairing and
         the Taylor rows."""
-        alphas = np.asarray(self.alphas, dtype=complex)
-        vals = _horner(self.coefficients[:, None, :], alphas)
+        vals = _horner(self.coefficients[:, None, :], self.alphas)
         vals.flags.writeable = False
         return vals
 
@@ -303,7 +326,7 @@ class RationalSymbol:
         would overflow. On the benchmark's measure pool, running products
         left slightly less rounding drift in the Taylor engine's forward
         differences than numpy's power of the reciprocal."""
-        inverse = 1.0 / np.asarray(self.alphas, dtype=complex)
+        inverse = 1.0 / self.alphas
         return np.cumprod(np.broadcast_to(inverse, (count, len(inverse))), axis=0)
 
 
@@ -324,7 +347,7 @@ def symbol_from_parts(alphas: Sequence[complex],
     Each row is ascending; its trailing zeros are dropped and the rest,
     of degree at most k, is padded into the symbol's coefficient matrix.
     """
-    k = len(alphas)
+    k = np.size(alphas)
     C = np.zeros((len(numerators), k + 1), dtype=complex)
     for j, row in enumerate(numerators):
         cs = np.asarray(row, dtype=complex)
@@ -333,7 +356,7 @@ def symbol_from_parts(alphas: Sequence[complex],
         if n > k + 1:
             raise ValueError(f"numerator {j} has degree {n - 1} > {k}")
         C[j, :n] = cs[:n]
-    return RationalSymbol(tuple(map(complex, alphas)), C, gamma_fr)
+    return RationalSymbol(alphas, C, gamma_fr)
 
 
 def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:

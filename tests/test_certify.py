@@ -169,6 +169,25 @@ def test_certificates_evaluate_numerators_once(monkeypatch):
     assert at_poles == [(sym.k, sym.k)]
 
 
+def test_certificates_build_pole_tables_once(monkeypatch):
+    # the Lagrange denominators and the pole products are the symbol's own
+    # tables, built on first use: the pole pairing and the Taylor rows read
+    # the same denominators, and the coincidence classes hold the products
+    sym = measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
+    calls = []
+    denominators = symbolpipe.lagrange_denominators
+
+    def counting(poles):
+        calls.append(len(poles))
+        return denominators(poles)
+
+    monkeypatch.setattr(symbolpipe, "lagrange_denominators", counting)
+    run_certificates(sym)
+    run_certificates(sym, CertificateConfig(levels=3, trunc=10))
+    assert calls == [sym.k]
+    assert coincidence_classes(sym).products is sym.pole_products
+
+
 # -------------------------------------------------------------- orthogonality
 
 
@@ -433,7 +452,7 @@ def test_empty_measure_is_the_zero_symbol():
     built = measure_to_symbol(CircleMeasure())
     zero = symbol_from_parts((), ())
     for sym in (built, zero):
-        assert (sym.k, sym.alphas) == (0, ())
+        assert sym.k == 0 and sym.alphas.shape == (0,)
         assert sym.coefficients.shape == (0, 1)
         assert np.array_equal(sym.q, [1.0])
         assert sym.eta.shape == (0, 0) and sym.eta.dtype == complex

@@ -1,6 +1,7 @@
 """Polynomials, partial fractions, hermitian Laurent bands, spectral factors."""
 
 import cmath
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,6 @@ from cauchydual import polyrat
 from cauchydual.polyrat import (
     CIRCLE_ROOT_TOL,
     DegreeZeroError,
-    LaurentHermitian,
     NotPositiveOnCircleError,
     RootOnCircleError,
     _horner,
@@ -168,29 +168,35 @@ def test_partial_fractions_residue_values():
 
 
 def test_laurent_requires_real_constant():
-    with pytest.raises(ValueError):
-        LaurentHermitian((1.0j,))
-    with pytest.raises(ValueError):
-        LaurentHermitian.from_upper([1.0 + 1.0j, 0.5])
-    with pytest.raises(ValueError):
-        LaurentHermitian.from_upper([])
+    # an empty band has no d_0; a non-real d_0 is its own non-conjugate pair
+    with pytest.raises(ValueError, match=re.escape("band has shape (0,)")):
+        fejer_riesz_factor([])
+    for band in ([1.0j], [0.5, 1.0 + 1.0j, 0.5]):
+        with pytest.raises(ValueError, match="not hermitian"):
+            fejer_riesz_factor(band)
 
 
-def test_laurent_full_band_reflection():
-    band = LaurentHermitian.from_upper([2.0, 1.0 - 1.0j, 0.5j])
-    full = band.full()
-    assert band.bandwidth == 2
-    assert np.allclose(full, [-0.5j, 1.0 + 1.0j, 2.0, 1.0 - 1.0j, 0.5j])
+def test_fejer_riesz_drops_zero_outer_pairs():
+    padded = fejer_riesz_factor([0.0, 1.0, 2.5, 1.0, 0.0])
+    bare = fejer_riesz_factor([1.0, 2.5, 1.0])
+    assert padded == bare and len(bare[1]) == 1
+    assert fejer_riesz_factor([0.0, 0.0, 2.5, 0.0, 0.0]) == (2.5, [])
 
 
 def test_laurent_from_full_averages_and_gates():
-    full = [1.0 - 1.0j, 0.5, 3.0, 0.5, 1.0 + 1.0j]
-    band = LaurentHermitian.from_full(full)
-    assert np.allclose(band.upper, [3.0, 0.5, 1.0 + 1.0j])
-    with pytest.raises(ValueError):
-        LaurentHermitian.from_full([1.0, 2.0, 3.0, 4.0])  # even length
-    with pytest.raises(ValueError):
-        LaurentHermitian.from_full([5.0, 0.0, 3.0, 0.0, 1.0])  # not hermitian
+    # one side off by 1e-12: within tolerance, factored as the average
+    near = np.array([0.5 + 0.5j + 1e-12, 2.5, 0.5 - 0.5j])
+    average = 0.5 * (near + np.conj(near[::-1]))
+    assert not np.array_equal(near, average)
+    gamma, alphas = fejer_riesz_factor(near)
+    assert (gamma, alphas) == fejer_riesz_factor(average)
+    assert len(alphas) == 1 and abs(alphas[0]) > 1.0
+    for band, message in (([1.0, 2.0, 3.0, 4.0], "shape (4,)"),
+                          (np.full((3, 3), 1.0), "shape (3, 3)"),
+                          # its average 3 + 1.5 cos(2t) would factor
+                          ([1.0, 0.0, 3.0, 0.0, 0.5], "not hermitian")):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            fejer_riesz_factor(band)
 
 
 @given(st.lists(st.tuples(st.floats(min_value=-2, max_value=2),
@@ -198,24 +204,25 @@ def test_laurent_from_full_averages_and_gates():
                 min_size=1, max_size=5))
 @settings(deadline=None, max_examples=60)
 def test_laurent_values_real_and_match_direct_sum(pairs):
-    upper = [complex(re, im) for re, im in pairs]
-    upper[0] = complex(upper[0].real, 0.0)
-    band = LaurentHermitian.from_upper(upper)
+    upper = np.array([complex(re, im) for re, im in pairs])
+    upper[0] = upper[0].real
     zs = np.exp(1j * np.linspace(0, 2 * np.pi, 37, endpoint=False))
-    k = band.bandwidth
-    full = band.full()
+    k = len(upper) - 1
+    full = np.concatenate([np.conj(upper[:0:-1]), upper])
     direct = sum(full[k + m] * zs ** m for m in range(-k, k + 1))
     scale = max(1.0, float(np.abs(direct).max()))
     assert np.abs(direct.imag).max() <= 1e-12 * scale
-    assert np.abs(band.values_on_circle(zs) - direct.real).max() <= 1e-12 * scale
+    got = polyrat._band_on_circle(upper, zs)
+    assert got.dtype == float
+    assert np.abs(got - direct.real).max() <= 1e-12 * scale
 
 
 # --------------------------------------------------------- spectral factors
 
 
-def _band_of_abs_squared(h: np.ndarray) -> LaurentHermitian:
+def _band_of_abs_squared(h: np.ndarray) -> np.ndarray:
     """Full Laurent band of |h(z)|^2 on the circle, built by convolution."""
-    return LaurentHermitian.from_full(np.convolve(h, np.conj(h)[::-1]))
+    return np.convolve(h, np.conj(h)[::-1])
 
 
 def test_fejer_riesz_recovers_known_factor():
@@ -242,20 +249,20 @@ def test_fejer_riesz_recovers_known_factor():
         zs = np.exp(1j * np.linspace(0, 2 * np.pi, 256, endpoint=False))
         recon = gamma * np.prod(
             np.abs(zs[:, None] - np.asarray(alphas)[None, :]) ** 2, axis=1)
-        target = band.values_on_circle(zs)
+        target = np.abs(npoly.polyval(zs, h)) ** 2
         assert np.abs(recon - target).max() <= 1e-8 * target.max()
 
 
 def test_fejer_riesz_bandwidth_zero():
-    gamma, alphas = fejer_riesz_factor(LaurentHermitian.from_upper([2.5]))
+    gamma, alphas = fejer_riesz_factor([2.5])
     assert gamma == 2.5 and alphas == []
 
 
 def test_fejer_riesz_rejects_sign_changes():
     with pytest.raises(NotPositiveOnCircleError):
-        fejer_riesz_factor(LaurentHermitian.from_upper([0.0, 1.0]))  # 2 cos(t)
+        fejer_riesz_factor([1.0, 0.0, 1.0])  # 2 cos(t)
     with pytest.raises(NotPositiveOnCircleError):
-        fejer_riesz_factor(LaurentHermitian.from_upper([-1.0]))
+        fejer_riesz_factor([-1.0])
 
 
 def test_fejer_riesz_names_the_relative_gate(monkeypatch):
@@ -263,7 +270,7 @@ def test_fejer_riesz_names_the_relative_gate(monkeypatch):
     # maximum, below the relative gate
     monkeypatch.setattr(polyrat, "POSITIVITY_SAMPLES", 4)
     with pytest.raises(NotPositiveOnCircleError) as err:
-        fejer_riesz_factor(LaurentHermitian.from_upper([2.0 + 2e-12, 1.0]))
+        fejer_riesz_factor([1.0, 2.0 + 2e-12, 1.0])
     message = str(err.value)
     assert "relative sampling gate" in message and "1e-10" in message
     assert "min/max of 4 circle samples is 5.000e-13" in message
@@ -274,6 +281,6 @@ def test_fejer_riesz_rejects_root_hiding_between_samples():
     # positivity sampling misses the dip and the root gate must catch it
     w = (1.0 + 1e-9) * cmath.exp(1j * np.pi / 4096)
     assert abs(abs(w) - 1.0) < CIRCLE_ROOT_TOL
-    band = LaurentHermitian.from_upper([1.0 + abs(w) ** 2, -complex(w).conjugate()])
+    band = [-w, 1.0 + abs(w) ** 2, -w.conjugate()]
     with pytest.raises(RootOnCircleError):
         fejer_riesz_factor(band)

@@ -1,0 +1,44 @@
+"""The scripts under scripts/ run against the package as it is."""
+
+import importlib.util
+import os
+import re
+import subprocess
+import sys
+
+from conftest import FIXTURE_NAMES, FIXTURES, ROOT
+
+SCRIPTS = ROOT / "scripts"
+
+
+def _load_script(name: str):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_make_goldens_reproduces_the_fixtures(tmp_path, monkeypatch, capsys):
+    make_goldens = _load_script("make_goldens")
+    monkeypatch.setattr(make_goldens, "FIXTURES", str(tmp_path))
+    make_goldens.main()
+    capsys.readouterr()
+    names = sorted(f"{name}{suffix}" for name in FIXTURE_NAMES
+                   for suffix in (".json", ".golden.json"))
+    assert sorted(os.listdir(tmp_path)) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_random_measure_scan_runs():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "random_measure_scan.py"),
+         "--samples", "8", "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    tally = done.stdout.split("\nverdicts:\n", 1)[1].split("by atom count:")[0]
+    counts = [int(n) for n in re.findall(r"^  \S+: (\d+)$", tally, re.M)]
+    assert counts and sum(counts) == 8

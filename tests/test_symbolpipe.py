@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from cauchydual.polyrat import lagrange_denominators
 from cauchydual.symbolpipe import (
     AntipodalClosedForm,
     CircleMeasure,
@@ -93,8 +94,10 @@ def test_boundary_polynomial_matches_direct_formula():
         for j, c in enumerate(mu.weights):
             others = np.delete(zetas, j)
             direct += c * np.prod(np.abs(zs[:, None] - others[None, :]) ** 2, axis=1)
-        got = band.values_on_circle(zs)
-        assert np.abs(got - direct).max() <= 1e-12 * direct.max()
+        assert band.shape == (2 * k + 1,)
+        got = sum(band[k + m] * zs ** m for m in range(-k, k + 1))
+        assert np.abs(got.imag).max() <= 1e-12 * direct.max()
+        assert np.abs(got.real - direct).max() <= 1e-12 * direct.max()
 
 
 # ------------------------------------------------------------- outer quotient
@@ -215,7 +218,7 @@ def test_empty_measure_gives_zero_symbol():
     sym = measure_to_symbol(CircleMeasure((), ()))
     assert sym.k == 0
     assert sym.coefficients.shape == (0, 1)
-    assert sym.alphas == ()
+    assert sym.alphas.shape == (0,) and sym.alphas.dtype == complex
 
 
 def test_eta_rotation_covariance():
@@ -334,7 +337,13 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
         assert np.abs(sym.q - want_q).max() <= 1e-13 * np.abs(want_q).max()
         C = sym.coefficients[:, 1:]
         assert np.abs(sym.eta - C.conj().T @ C).max() <= 1e-14 * np.abs(sym.eta).max()
-        for derived in (sym.coefficients, sym.q, sym.eta, sym.numerators_at_poles):
+        assert np.array_equal(sym.lagrange_denominators,
+                              lagrange_denominators(sym.alphas))
+        assert np.array_equal(sym.pole_products,
+                              np.outer(sym.alphas, np.conj(sym.alphas)))
+        for derived in (sym.alphas, sym.coefficients, sym.q, sym.eta,
+                        sym.numerators_at_poles, sym.lagrange_denominators,
+                        sym.pole_products):
             assert not derived.flags.writeable
 
 
@@ -350,6 +359,27 @@ def test_directly_built_symbol_needs_a_k_by_k_plus_one_matrix():
         with pytest.raises(ValueError, match=re.escape(
                 f"coefficient matrix has shape {shape}, not (2, 3)")):
             RationalSymbol(poles, np.zeros(shape))
+
+
+def test_symbol_poles_are_a_read_only_1d_copy():
+    poles = np.array([2.0, -3.0])
+    sym = RationalSymbol(poles, np.array([[0.0, 0.1, 0.0], [0.0, 0.0, 0.1]]))
+    assert sym.alphas.dtype == complex and sym.alphas.shape == (2,)
+    with pytest.raises(ValueError):
+        sym.alphas[0] = 4.0
+    poles[0] = 4.0
+    assert sym.alphas[0] == 2.0
+    # a scalar or a column of poles is refused by name, not built: read
+    # flat, either would pass every other check and be certified
+    for alphas, shape in ((2.0, "()"), ([[2.0], [3.0]], "(2, 1)")):
+        k = max(np.size(alphas), 1)
+        C = np.zeros((k, k + 1))
+        C[:, 1] = 0.01
+        with pytest.raises(ValueError, match=re.escape(
+                f"poles have shape {shape}, not (k,)")):
+            RationalSymbol(alphas, C)
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}")):
+            symbol_from_parts(alphas, C)
 
 
 def test_symbol_coefficients_are_a_read_only_copy():
