@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from operator import itemgetter
 
 import numpy as np
 
@@ -138,21 +137,21 @@ def _is_scalar(v) -> bool:
 
 
 def _layout(shape: tuple, indent: int) -> str:
-    """Template of a float block of `shape` written at `indent`, one "%s"
+    """Template of a float block of `shape` written at `indent`, one "%.17g"
     per float, laid out as its nested lists would be: an empty list is
     "[]", a row of floats stays on one line, and any other list puts each
     item on its own line, two spaces deeper."""
     if shape[0] == 0:
         return "[]"
     if len(shape) == 1:
-        return "[" + ", ".join(["%s"] * shape[0]) + "]"
+        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
     pad = "  " * indent
     item = pad + "  " + _layout(shape[1:], indent + 1)
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
 def _template(obj, indent: int, floats: list) -> str:
-    """Text of `obj` at `indent` with "%s" in place of every float, whose
+    """Text of `obj` at `indent` with "%.17g" in place of every float, whose
     values are appended to `floats` in text order; every other "%" is
     doubled, so that filling the template writes it back."""
     pad = "  " * indent
@@ -164,7 +163,7 @@ def _template(obj, indent: int, floats: list) -> str:
         return str(obj)
     if isinstance(obj, float):
         floats.append(obj)
-        return "%s"
+        return "%.17g"
     if isinstance(obj, str):
         return json.dumps(obj).replace("%", "%%")
     if isinstance(obj, np.ndarray):
@@ -196,24 +195,13 @@ def render_json(obj, indent: int = 0) -> str:
     two spaces per level, and a float64 array is written as its nested
     lists would be.
 
-    One pass builds a template with a "%s" field per float. Each distinct
-    magnitude among the floats is then formatted once, all in one %.17g
-    fill; a negative value is "-" and its magnitude's text, as %.17g
-    writes every finite nonzero value, and -0.0, of magnitude 0, is "0".
-    The texts fill the template in one %s fill."""
+    One pass builds a template with a "%.17g" field per float, and one fill
+    writes them all. Adding 0.0 turns -0.0 into 0.0, so every zero is "0"."""
     floats = []
     template = _template(obj, indent, floats)
-    if not floats:
-        return template % ()
-    values = np.array(floats)
-    if not np.isfinite(values).all():
+    if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite float in report")
-    magnitudes, inverse = np.unique(np.abs(values), return_inverse=True)
-    count = len(magnitudes)
-    texts = ("\n".join(["%.17g"] * count) % tuple(magnitudes.tolist())).split("\n")
-    texts += ["-" + text for text in texts]
-    # for one float itemgetter gives a bare string, which fills the one field
-    return template % itemgetter(*(inverse + count * (values < 0)).tolist())(texts)
+    return template % tuple([v + 0.0 for v in floats])
 
 
 def write_atomic(path: str, text: str):
@@ -332,10 +320,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     if sym.k == 1:
         report["rank1"] = _rank1_section(sym, quad_points)
     if dump_tables:
-        report["tables"] = {
-            "K": _cmatrix(kernels.kernel_coeffs(taylor, cfg.trunc)),
-            "B_rows": _cmatrix(taylor),
-        }
+        report["tables"] = {"B_rows": _cmatrix(taylor)}
     return report
 
 
@@ -377,7 +362,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--report", metavar="PATH",
                         help="write the JSON report here (atomic)")
     parser.add_argument("--dump-tables", action="store_true",
-                        help="include kernel and Taylor tables in the report")
+                        help="include the Taylor rows in the report")
     parser.add_argument("--quad-points", type=int, default=4096, metavar="Q",
                         help="quadrature points for the rank-1 measure check, "
                              "at least 1 (default 4096)")

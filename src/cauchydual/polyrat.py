@@ -140,7 +140,8 @@ def fejer_riesz_factor(band):
     Raises
     ------
     ValueError
-        If the band is not 1-D of odd length, or not hermitian.
+        If the band is not 1-D of odd length, has a non-finite entry, or
+        is not hermitian.
     NotPositiveOnCircleError
         If the positivity gate fails.
     RootOnCircleError
@@ -151,6 +152,10 @@ def fejer_riesz_factor(band):
     if full.ndim != 1 or len(full) % 2 != 1:
         raise ValueError(f"band has shape {full.shape}, not (2k + 1,)")
     mid = len(full) // 2
+    bad = np.flatnonzero(~np.isfinite(full))
+    if len(bad):
+        raise ValueError(f"band entry d_{bad[0] - mid} is {full[bad[0]]}, "
+                         "not finite")
     gap = np.abs(full[mid:] - np.conj(full[mid::-1])).max()
     if gap > HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300):
         raise ValueError("band is not hermitian within tolerance")

@@ -1,9 +1,9 @@
 """The report serializer that formats one float per call, kept as a test
 oracle for `cli.render_json`.
 
-`cli.render_json` writes the whole object as one template with a field per
-float and fills it once, formatting each distinct magnitude once; the
-recursion below is the definition its bytes must reproduce.
+`cli.render_json` writes the whole object as one template with a "%.17g"
+field per float and fills them all at once; the recursion below is the
+definition its bytes must reproduce.
 """
 import json
 import math

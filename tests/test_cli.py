@@ -1,5 +1,6 @@
 """Command line: input parsing, report rendering, exit codes, goldens."""
 
+import dataclasses
 import json
 import math
 import os
@@ -131,7 +132,6 @@ def _as_lists(obj):
 @pytest.mark.parametrize("dump_tables,trunc,levels,names", [
     pytest.param(False, 40, 12, FIXTURE_NAMES, id="False"),
     pytest.param(True, 40, 12, FIXTURE_NAMES, id="True"),
-    # K holds 201 x 201 x 2 = 80 802 floats
     pytest.param(True, 200, 12, ("refuter", "single_atom_tau1"), id="True-N200"),
 ])
 def test_render_json_matches_oracle_on_fixture_reports(dump_tables, trunc, levels,
@@ -271,9 +271,9 @@ DISTINCT_MAGNITUDE_CASES = {
 @pytest.mark.parametrize("a", DISTINCT_MAGNITUDE_CASES.values(),
                          ids=DISTINCT_MAGNITUDE_CASES.keys())
 def test_render_json_formats_each_magnitude_once(a):
-    # the text of an entry is found by its magnitude and its sign, so every
-    # repeat of a magnitude, of either sign, must still read as the oracle
-    # writes that entry; one-entry arrays take the gather's bare string
+    # every entry fills its own "%.17g" field in the one fill, so each
+    # repeat of a magnitude, of either sign, must read as the oracle writes
+    # that entry, -0.0 as "0"; a one-entry array fills a one-field template
     for indent in range(3):
         for obj in (a, {"K": a}, [a, a[::-1].copy()]):
             assert (render_json(obj, indent)
@@ -471,15 +471,17 @@ def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch
 
 
 def test_non_finite_table_exits_with_error_code(tmp_path, capsys, monkeypatch):
-    # the tables reach render_json as arrays; a NaN in K is still an error
-    original = kernels.kernel_coeffs
+    # the tables reach render_json as arrays; a NaN in the dumped Taylor
+    # rows is still an error
+    original = certify.run_certificates
 
     def with_nan(*args):
-        K = original(*args)
-        K[3, 2] = complex(float("nan"), 0.0)
-        return K
+        result = original(*args)
+        taylor = result.taylor.copy()
+        taylor[3, 0] = complex(float("nan"), 0.0)
+        return dataclasses.replace(result, taylor=taylor)
 
-    monkeypatch.setattr(kernels, "kernel_coeffs", with_nan)
+    monkeypatch.setattr(certify, "run_certificates", with_nan)
     rc, out = _run_report(tmp_path, "refuter", "--dump-tables")
     assert rc == EXIT_ERROR
     assert "error: non-finite float in report" in capsys.readouterr().err
@@ -524,7 +526,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
                                "tol_orth": 1e-9, "quad_points": 4096}
     assert second["config"] == {"levels": 12, "trunc": 40, "tol_psd": 1e-8,
                                 "tol_orth": 1e-9, "quad_points": 4096}
-    assert len(first["tables"]["K"]) == 31 and "tables" not in second
+    assert len(first["tables"]["B_rows"]) == 35 and "tables" not in second
     capsys.readouterr()
 
     with pytest.raises(SystemExit) as exc:
@@ -604,11 +606,24 @@ def test_report_mode_follows_umask(umask, tmp_path, capsys):
 def test_dump_tables_shapes(tmp_path, capsys):
     _, out = _run_report(tmp_path, "single_atom_tau1", "--dump-tables")
     rep = json.loads(out.read_text())
-    K = rep["tables"]["K"]
-    assert len(K) == 41 and all(len(row) == 41 for row in K)
-    assert all(len(entry) == 2 for row in K for entry in row)
+    assert list(rep["tables"]) == ["B_rows"]
     rows = rep["tables"]["B_rows"]
     assert len(rows) == 52 and all(len(r) == rep["pipeline"]["k"] for r in rows)
+    assert all(len(entry) == 2 for row in rows for entry in row)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("trunc", [40, 200])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dumped_rows_give_the_kernel_table(name, trunc, tmp_path, capsys):
+    # the dump holds the Taylor rows only; README's recompute line turns
+    # them back into the kernel table K bit for bit
+    _, out = _run_report(tmp_path, name, "--dump-tables", "--trunc", str(trunc))
+    B = np.array(json.loads(out.read_text())["tables"]["B_rows"])
+    rows = B[..., 0] + 1j * B[..., 1]; K = kernels.kernel_coeffs(rows, trunc)
+    _, sym = parse_input_document(load_fixture_doc(name))
+    result = certify.run_certificates(sym, certify.CertificateConfig(trunc=trunc))
+    assert np.array_equal(K, kernels.kernel_coeffs(result.taylor, trunc))
     capsys.readouterr()
 
 

@@ -199,6 +199,23 @@ def test_laurent_from_full_averages_and_gates():
             fejer_riesz_factor(band)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("band,entry", [
+    ([NAN], "d_0 is (nan+0j)"),
+    ([NAN, 3.0, NAN], "d_-1 is (nan+0j)"),
+    ([1.0, INF, 1.0], "d_0 is (inf+0j)"),
+    ([INF], "d_0 is (inf+0j)"),
+    ([1.0, 2.5, complex(1.0, NAN)], "d_1 is (1+nanj)"),
+    # a non-finite entry is named before the sides are compared
+    ([-INF, 2.5, 1.0], "d_-1 is (-inf+0j)"),
+], ids=str)
+def test_fejer_riesz_refuses_non_finite_band(band, entry):
+    with pytest.raises(ValueError, match=re.escape(f"band entry {entry}, not finite")):
+        fejer_riesz_factor(band)
+
+
 @given(st.lists(st.tuples(st.floats(min_value=-2, max_value=2),
                           st.floats(min_value=-2, max_value=2)),
                 min_size=1, max_size=5))
