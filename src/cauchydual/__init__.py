@@ -22,18 +22,15 @@ from .symbolpipe import (
     single_atom_symbol,
 )
 from .kernels import (
-    Rank1Model,
     symbol_taylor,
-    rank1_taylor,
     kernel_coeffs,
-    mate_rank1,
 )
 from .certify import (
     CertificateConfig,
     CertificateReport,
     LevelStat,
     NecessaryMeasure,
-    MomentCheck,
+    RepresentingMeasure,
     pole_pairing,
     coincidence_classes,
     orthogonality_test,
@@ -42,7 +39,7 @@ from .certify import (
     agler_pole_test,
     agler_taylor_test,
     necessary_measure_test,
-    rank1_representing_measure,
+    representing_measure,
     exactness_applies,
     run_certificates,
     VERDICT_CERTIFIED,
@@ -56,13 +53,12 @@ __all__ = [
     "boundary_polynomial", "outer_from_measure", "gram_from_outer",
     "measure_to_symbol", "symbol_from_parts", "closed_form_antipodal",
     "single_atom_symbol",
-    "Rank1Model", "symbol_taylor", "rank1_taylor",
-    "kernel_coeffs", "mate_rank1",
+    "symbol_taylor", "kernel_coeffs",
     "CertificateConfig", "CertificateReport", "LevelStat",
-    "NecessaryMeasure", "MomentCheck", "pole_pairing", "coincidence_classes",
-    "orthogonality_test", "pole_basis", "pole_cores",
+    "NecessaryMeasure", "RepresentingMeasure", "pole_pairing",
+    "coincidence_classes", "orthogonality_test", "pole_basis", "pole_cores",
     "agler_pole_test", "agler_taylor_test", "necessary_measure_test",
-    "rank1_representing_measure", "exactness_applies", "run_certificates",
+    "representing_measure", "exactness_applies", "run_certificates",
     "VERDICT_CERTIFIED", "VERDICT_REFUTED", "VERDICT_INCONCLUSIVE",
     "__version__",
 ]

@@ -9,7 +9,9 @@ is a distinct point outside the ray [1, oo), orthogonality is also
 necessary, so its failure refutes without waiting for a truncation
 witness; and last, truncated Agler-type positivity matrices computed by
 two engines (pole side and Taylor side) in one shared basis, with the
-Taylor side's distance from that basis measured once.
+Taylor side's distance from that basis measured once. A symbol that passes
+orthogonality also gets its explicit representing measure, whose moments
+are checked against the kernel table (representing_measure).
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
+from .polyrat import circle_points
 from .symbolpipe import RationalSymbol
 
 VERDICT_CERTIFIED = "CertifiedSubnormal"
@@ -285,61 +288,25 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
     sizes = np.hypot(weights.real, weights.imag)
     locations = classes.locations
     scale = max(sum(sizes.tolist()), 1e-300)
+    step = max(cfg.tol_psd, np.finfo(float).eps) * scale
     # descending weight in steps of tol_psd (at least eps) scale, then location
     # with the real part in steps of COINCIDENCE_TOL: a conjugate pair ties in both
     perm = np.lexsort((locations.imag, np.rint(locations.real / COINCIDENCE_TOL),
-                       -np.rint(sizes / (max(cfg.tol_psd, np.finfo(float).eps) * scale))))
+                       -np.rint(sizes / step)))
     weights, sizes, locations = weights[perm], sizes[perm], locations[perm]
     off = classes.off_segment[perm]
 
     bad = np.where(off, sizes, np.maximum(np.maximum(-weights.real,
                                                      np.abs(weights.imag)), 0.0))
-    worst, worst_loc = 0.0, None
-    if bad.max(initial=0.0) > 0.0:
-        i = int(np.argmax(bad))
-        worst, worst_loc = float(bad[i]), complex(locations[i])
+    worst = float(bad.max(initial=0.0))
+    # the first atom in report order among the largest violations counted in
+    # the same steps, rounded up so that any violation outranks none
+    worst_loc = None
+    if worst > 0.0:
+        worst_loc = complex(locations[np.argmax(np.ceil(bad / step))])
     passed = worst <= cfg.tol_psd * scale
     return NecessaryMeasure(tuple(locations.tolist()), tuple(weights.tolist()),
                             float(worst / scale), worst_loc), passed
-
-
-@dataclass(frozen=True, eq=False)
-class MomentCheck:
-    """Moments of the rank-one representing measure against the kernel table."""
-
-    kernel: np.ndarray
-    moments: np.ndarray
-    max_residual: float
-    mass: float
-
-
-def rank1_representing_measure(model: kernels.Rank1Model, size: int,
-                               quad_points: int = 4096) -> MomentCheck:
-    """Integrate z^m conj(z)^n against the explicit representing measure.
-
-    The measure is the absolutely continuous part with density
-    1 - nu (2 Re 1/(1 - e^{-i theta} beta) - 1) against d theta / 2 pi plus
-    the atom nu delta_beta. Its moment int z^m conj(z)^n dmu must reproduce
-    the kernel table entry K[m][n]; the max residual over m, n <= size is
-    reported. (Expanding the density in powers of e^{i theta} shows the
-    m >= n entry carries beta^{m-n}, matching the table orientation.)
-
-    The quadrature moment of z^m conj(z)^n is the mean of e^{i(m-n) theta}
-    times the density over the quad_points nodes, which is entry
-    (m - n) mod quad_points of the density's inverse DFT.
-    """
-    theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
-    unit = np.exp(1j * theta)
-    density = 1.0 - model.nu * (2.0 * (1.0 / (1.0 - np.conj(unit) * model.beta)).real - 1.0)
-    m = np.arange(size + 1)
-    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % quad_points]
-    bpow = np.power(model.beta, m)
-    moments += model.nu * np.outer(bpow, np.conj(bpow))
-
-    table = kernels.kernel_coeffs(
-        kernels.rank1_taylor(model.gamma, model.beta, max(size, 1)), size)
-    resid = float(np.abs(moments - table).max())
-    return MomentCheck(table, moments, resid, float(moments[0, 0].real))
 
 
 def exactness_applies(classes: CoincidenceClasses) -> bool:
@@ -375,6 +342,7 @@ class CertificateReport:
     exactness: bool
     config: CertificateConfig
     taylor: np.ndarray      # the Taylor rows the Taylor engine ran on
+    pairing: PolePairing
 
     @property
     def exit_code(self) -> int:
@@ -434,4 +402,65 @@ def run_certificates(sym: RationalSymbol,
     return CertificateReport(
         verdict, certified_by, refuted_by, refuted_level, refuted_min_eig,
         orth_residual, orth_passed, pole_stats, taylor_stats, agler_passed,
-        basis_residual, necessary, necessary_passed, exact, cfg, taylor)
+        basis_residual, necessary, necessary_passed, exact, cfg, taylor,
+        pairing)
+
+
+# The moment check compares the kernel table up to this size, or up to the
+# last Taylor row when the table is shorter.
+MEASURE_CHECK_SIZE = 20
+
+
+@dataclass(frozen=True, eq=False)
+class RepresentingMeasure:
+    """Candidate representing measure of a symbol whose numerators are
+    orthogonal at the poles: atoms of mass masses[r] at atoms[r], plus a
+    density on the circle whose smallest quadrature value is density_min.
+    moments[m, n] = int z^m conj(z)^n dmu for m, n <= size, and
+    max_residual is their largest distance from the kernel table."""
+
+    atoms: np.ndarray
+    masses: np.ndarray
+    density_min: float
+    moments: np.ndarray
+    max_residual: float
+    mass: float
+
+
+def representing_measure(sym: RationalSymbol, result: CertificateReport,
+                         quad_points: int = 4096) -> RepresentingMeasure:
+    """Integrate z^m conj(z)^n against the explicit representing measure.
+
+    With beta_r = 1/alpha_r, component j of the symbol is
+    sum_r gamma_jr z / (1 - beta_r z), gamma_jr = -p_j(alpha_r) beta_r^2 / a_r,
+    so the diagonal of gamma^T conj(gamma) is
+    w_r = |beta_r|^4 pair_rr / |a_r|^2, and is all of it when orthogonality
+    holds. The measure then has atoms nu_r delta_{beta_r} with
+    nu_r = w_r / (1 - |beta_r|^2), and density
+    1 - sum_r nu_r (2 Re 1/(1 - conj(z) beta_r) - 1)
+      = 1 - sum_r w_r / |1 - conj(z) beta_r|^2
+    against d theta / 2 pi. Its moment int z^m conj(z)^n dmu must reproduce
+    the kernel table entry K[m][n]; the max residual over m, n <= size, with
+    size = min(MEASURE_CHECK_SIZE, rows in result.taylor), is reported.
+
+    The quadrature moment of z^m conj(z)^n is the mean of z^(m-n) times the
+    density over the quad_points circle points, which is entry
+    (m - n) mod quad_points of the density's inverse DFT.
+    """
+    beta = 1.0 / sym.alphas
+    b2 = (beta * beta.conj()).real
+    w = (b2 * b2 * np.diag(result.pairing.pair).real
+         / np.abs(sym.lagrange_denominators) ** 2)
+    masses = w / (1.0 - b2)
+    gap = 1.0 - np.conj(circle_points(quad_points))[:, None] * beta
+    density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
+    size = min(MEASURE_CHECK_SIZE, len(result.taylor))
+    m = np.arange(size + 1)
+    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % quad_points]
+    bpow = np.power.outer(beta, m)
+    moments += (bpow.T * masses) @ bpow.conj()
+
+    table = kernels.kernel_coeffs(result.taylor, size)
+    resid = float(np.abs(moments - table).max())
+    return RepresentingMeasure(beta, masses, float(density.min()), moments,
+                               resid, float(moments[0, 0].real))

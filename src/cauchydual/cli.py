@@ -17,10 +17,9 @@ import sys
 
 import numpy as np
 
-from . import __version__, certify, kernels, symbolpipe
+from . import __version__, certify, symbolpipe
 
 TOOL_NAME = "cauchydual"
-RANK1_CHECK_SIZE = 20
 
 EXIT_ERROR = 3
 
@@ -150,6 +149,13 @@ def _layout(shape: tuple, indent: int) -> str:
     return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
 
 
+@functools.lru_cache(maxsize=1024)
+def _quoted(text: str) -> str:
+    """`text` as a JSON string with every "%" doubled for the template; the
+    same keys recur in every report, so each is quoted once."""
+    return json.dumps(text).replace("%", "%%")
+
+
 def _template(obj, indent: int, floats: list) -> str:
     """Text of `obj` at `indent` with "%.17g" in place of every float, whose
     values are appended to `floats` in text order; every other "%" is
@@ -165,7 +171,7 @@ def _template(obj, indent: int, floats: list) -> str:
         floats.append(obj)
         return "%.17g"
     if isinstance(obj, str):
-        return json.dumps(obj).replace("%", "%%")
+        return _quoted(obj)
     if isinstance(obj, np.ndarray):
         if obj.dtype != np.float64 or obj.ndim == 0:
             raise TypeError(f"cannot serialize {obj.ndim}-d {obj.dtype} array")
@@ -175,7 +181,7 @@ def _template(obj, indent: int, floats: list) -> str:
         if not obj:
             return "{}"
         inner = ",\n".join(
-            f"{pad}  {json.dumps(str(key)).replace('%', '%%')}: "
+            f"{pad}  {_quoted(str(key))}: "
             f"{_template(val, indent + 1, floats)}"
             for key, val in obj.items())
         return "{\n" + inner + "\n" + pad + "}"
@@ -240,30 +246,18 @@ def _necessary_json(nec: certify.NecessaryMeasure, passed: bool) -> dict:
     }
 
 
-def _rank1_section(sym: symbolpipe.RationalSymbol, quad_points: int):
-    alpha = complex(sym.alphas[0])
-    gamma = -complex(sym.coefficients[0, 1]) / alpha
-    beta = 1.0 / alpha
-    out = {"gamma": _cpx(gamma), "beta": _cpx(beta)}
-    try:
-        model = kernels.mate_rank1(gamma, beta)
-    except ValueError as exc:
-        out["mate_error"] = str(exc)
-        return out
-    check = certify.rank1_representing_measure(
-        model, RANK1_CHECK_SIZE, quad_points)
-    out.update({
-        "rho": model.rho,
-        "sigma": _cpx(model.sigma),
-        "nu": model.nu,
+def _measure_json(measure: certify.RepresentingMeasure, quad_points: int) -> dict:
+    return {
+        "atoms": [_cpx(b) for b in measure.atoms],
+        "masses": measure.masses.tolist(),
+        "density_min": measure.density_min,
         "measure_check": {
-            "size": RANK1_CHECK_SIZE,
+            "size": len(measure.moments) - 1,
             "quad_points": quad_points,
-            "mass": check.mass,
-            "max_residual": check.max_residual,
+            "mass": measure.mass,
+            "max_residual": measure.max_residual,
         },
-    })
-    return out
+    }
 
 
 def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
@@ -317,8 +311,9 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
         },
         "exit_code": result.exit_code,
     }
-    if sym.k == 1:
-        report["rank1"] = _rank1_section(sym, quad_points)
+    if result.orth_passed:
+        report["representing_measure"] = _measure_json(
+            certify.representing_measure(sym, result, quad_points), quad_points)
     if dump_tables:
         report["tables"] = {"B_rows": _cmatrix(taylor)}
     return report
@@ -364,8 +359,8 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--dump-tables", action="store_true",
                         help="include the Taylor rows in the report")
     parser.add_argument("--quad-points", type=int, default=4096, metavar="Q",
-                        help="quadrature points for the rank-1 measure check, "
-                             "at least 1 (default 4096)")
+                        help="quadrature points for the representing-measure "
+                             "check, at least 1 (default 4096)")
     parser.add_argument("--version", action="version",
                         version=f"{TOOL_NAME} {__version__}")
     return parser

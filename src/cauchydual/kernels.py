@@ -1,5 +1,5 @@
-"""Taylor rows of a row symbol, kernel coefficient tables, and the mate of
-a one-pole symbol.
+"""Taylor rows of a row symbol and its kernel coefficient table, which the
+representing-measure check compares against.
 
 The Taylor rows admit two independent derivations (pole expansion and
 power-series division); both are computed and compared, so a bug in
@@ -7,18 +7,11 @@ either path shows up as a loud residual instead of a silently wrong table.
 """
 from __future__ import annotations
 
-import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
-from .polyrat import circle_points
 from .symbolpipe import RationalSymbol
-
-
-class ExtremePointError(ValueError):
-    """1 - |b|^2 vanishes in mean on the circle, so no mate exists."""
 
 
 def _series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
@@ -69,16 +62,6 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> np.ndarray:
     return rows
 
 
-def rank1_taylor(gamma: complex, beta: complex, n_rows: int) -> np.ndarray:
-    """Rows of b(z) = gamma z / (1 - beta z): B_m = gamma beta^(m-1)."""
-    if n_rows < 1:
-        raise ValueError("need at least one row")
-    if abs(beta) >= 1.0:
-        raise ValueError("beta must lie in the open unit disc")
-    ms = np.arange(n_rows)
-    return (complex(gamma) * np.power(complex(beta), ms))[:, None]
-
-
 def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
     """Kernel coefficient table from the Taylor rows: K = I - T T^H, where
     K[m, n], 0 <= m, n <= size, is the (m, n) normalized Taylor coefficient
@@ -89,8 +72,8 @@ def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
     delta_{m,n} - sum_{k=1}^{n} B_{m-n+k} . B_k*. T T^H is accumulated
     along its diagonals, (T T^H)[m, n] = (T T^H)[m-1, n-1] + B_m . B_n*,
     and reflected into the upper triangle; a dense product would sum in
-    another order, and the rank-one measure check compares against this
-    table at the level of rounding. Requires rows up to index `size`.
+    another order, and the representing-measure check compares against
+    this table at the level of rounding. Requires rows up to index `size`.
     """
     if size < 0:
         raise ValueError("size must be nonnegative")
@@ -101,53 +84,3 @@ def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
     for n in range(1, size + 1):
         TT[n:, n] = TT[n - 1:-1, n - 1] + S[n - 1:size, n - 1]
     return np.eye(size + 1) - TT - np.tril(TT, -1).conj().T
-
-
-@dataclass(frozen=True, eq=False)
-class Rank1Model:
-    """One-pole symbol b = gamma z/(1 - beta z) together with its mate
-    a = (rho - sigma z)/(1 - beta z), so |a|^2 + |b|^2 = 1 on the circle,
-    a(0) = rho > 0, and a is outer. phi = b/a drives the Cauchy dual
-    kernel; nu = |gamma|^2 / (1 - |beta|^2) is the point mass of the
-    representing measure at beta."""
-
-    gamma: complex
-    beta: complex
-    rho: float
-    sigma: complex
-    nu: float
-
-
-def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
-    """Mate of b = gamma z/(1 - beta z) via spectral factorization of
-    |1 - beta z|^2 - |gamma|^2 on the circle.
-
-    The factor |rho - sigma z|^2 matches that band when rho^2 solves
-    t^2 - (1 + |beta|^2 - |gamma|^2) t + |beta|^2 = 0; the outer choice is
-    the larger root, which puts the zero rho/sigma on or outside the unit
-    circle (on it exactly when |gamma| = 1 - |beta|, which is still a
-    legal, non-inner symbol).
-    """
-    gamma, beta = complex(gamma), complex(beta)
-    if abs(beta) >= 1.0:
-        raise ValueError("beta must lie in the open unit disc")
-    peak = abs(gamma) / (1.0 - abs(beta))
-    if peak > 1.0 + 1e-12:
-        raise ValueError(f"symbol exceeds the Schur bound: max |b| = {peak}")
-    nu = abs(gamma) ** 2 / (1.0 - abs(beta) ** 2)
-    if nu >= 1.0 - 1e-8:
-        raise ExtremePointError(
-            f"1 - |b|^2 has mean {1.0 - nu:.3e} on the circle")
-    s = 1.0 + abs(beta) ** 2 - abs(gamma) ** 2
-    disc = max(s * s - 4.0 * abs(beta) ** 2, 0.0)
-    rho = math.sqrt((s + math.sqrt(disc)) / 2.0)
-    sigma = beta / rho
-
-    zs = circle_points(512)
-    denom = np.abs(1.0 - beta * zs) ** 2
-    resid = np.abs(
-        (np.abs(rho - sigma * zs) ** 2 + np.abs(gamma * zs) ** 2) / denom - 1.0
-    ).max()
-    if resid > 1e-10:
-        raise RuntimeError(f"mate identity residual {resid:.3e}")
-    return Rank1Model(gamma, beta, rho, sigma, nu)

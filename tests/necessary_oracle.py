@@ -42,14 +42,17 @@ def necessary_measure_test(cross, classes, cfg):
     locations = [locations[i] for i in perm]
     weights = [weights[i] for i in perm]
 
-    worst, worst_loc = 0.0, None
+    # the location is the first atom in report order whose violation, counted
+    # in whole steps rounded up, is largest; the value is the largest itself
+    worst, worst_loc, worst_steps = 0.0, None, 0
     for loc, w in zip(locations, weights):
         if _segment_distance(loc) > SEGMENT_TOL:
             bad = abs(w)
         else:
             bad = max(-w.real, abs(w.imag), 0.0)
-        if bad > worst:
-            worst, worst_loc = bad, loc
+        worst = max(worst, bad)
+        if math.ceil(bad / step) > worst_steps:
+            worst_loc, worst_steps = loc, math.ceil(bad / step)
     passed = worst <= cfg.tol_psd * scale
     return NecessaryMeasure(tuple(locations), tuple(weights),
                             float(worst / scale), worst_loc), passed

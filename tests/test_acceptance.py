@@ -18,25 +18,22 @@ from cauchydual.certify import (
     CertificateConfig,
     orthogonality_test,
     pole_pairing,
-    rank1_representing_measure,
+    representing_measure,
     run_certificates,
 )
 from cauchydual.cli import main
-from cauchydual.kernels import (
-    kernel_coeffs,
-    mate_rank1,
-    rank1_taylor,
-    symbol_taylor,
-)
+from cauchydual.kernels import kernel_coeffs, symbol_taylor
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
     measure_to_symbol,
     single_atom_symbol,
+    symbol_from_parts,
 )
 
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix
 from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_symbol
+from rank1_oracle import mate_rank1, rank1_taylor
 from symbol_oracle import eta_values, rotate_measure
 
 CFG = CertificateConfig()
@@ -198,14 +195,22 @@ def _rank1_golden_models():
 
 
 def test_criterion_07_rank1_representing_measure():
+    # the one-pole models as symbols gamma z / (1 - beta z) = c z / (z - alpha)
+    # with alpha = 1/beta and c = -gamma alpha, then the certified fixtures
     worst = 0.0
-    for gamma, beta in _rank1_golden_models():
-        model = mate_rank1(gamma, beta)
-        check = rank1_representing_measure(model, 20, quad_points=4096)
+    symbols = [symbol_from_parts([1.0 / beta], [[0.0, -gamma / beta]])
+               for gamma, beta in _rank1_golden_models() if beta != 0]
+    symbols += [load_fixture_symbol(name)
+                for name in ("antipodal_1_1", "antipodal_4_1", "single_atom_tau1")]
+    for sym in symbols:
+        result = run_certificates(sym)
+        assert result.orth_passed
+        check = representing_measure(sym, result, quad_points=4096)
         worst = max(worst, check.max_residual)
         assert check.max_residual <= 1e-7
-    _report(7, f"three models, moments vs kernel residual {worst:.2e} at "
-               f"size 20, 4096 quadrature points")
+        assert check.density_min >= -1e-13
+    _report(7, f"{len(symbols)} symbols, moments vs kernel residual "
+               f"{worst:.2e} at size 20, 4096 quadrature points")
 
 
 def test_criterion_08_mate_identity_and_dual_kernel():

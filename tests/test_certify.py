@@ -25,12 +25,12 @@ from cauchydual.certify import (
     pole_basis,
     pole_cores,
     pole_pairing,
-    rank1_representing_measure,
+    representing_measure,
     run_certificates,
     taylor_basis_residual,
     taylor_projection,
 )
-from cauchydual.kernels import mate_rank1, symbol_taylor
+from cauchydual.kernels import symbol_taylor
 from cauchydual.polyrat import _horner
 from cauchydual.symbolpipe import (
     CircleMeasure,
@@ -49,6 +49,7 @@ from monotone_oracle import (
     gamma_moments,
     monotone_passed,
 )
+from rank1_oracle import mate_rank1
 from symbol_oracle import rotate_measure
 
 CFG = CertificateConfig()
@@ -605,6 +606,32 @@ def test_necessary_atom_order_survives_last_bit_changes():
     assert len(checked) >= 100 and set(checked) == set(range(1, 9))
 
 
+def test_necessary_worst_location_survives_last_bit_changes():
+    # violations that tie in exact arithmetic (a conjugate pair, or classes
+    # of equal weight) must not let the last bit pick the reported location
+    checked = flagged = 0
+    for mu in pool_like_measures(61, 15):
+        try:
+            sym = measure_to_symbol(mu)
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+        found = []
+        for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
+            scaled = symbolpipe.RationalSymbol(sym.alphas,
+                                               factor * sym.coefficients)
+            necessary, passed = necessary_measure_test(
+                pole_pairing(scaled).cross, coincidence_classes(scaled), CFG)
+            found.append((necessary.worst_location, passed))
+        for location, passed in found[1:]:
+            assert passed == found[0][1]
+            assert (location is None) == (found[0][0] is None)
+            if location is not None:
+                assert abs(location - found[0][0]) <= 1e-9
+        checked += 1
+        flagged += found[0][0] is not None
+    assert checked >= 100 and flagged >= 50
+
+
 def test_necessary_atom_order_with_tiny_tol_psd(recwarn):
     # a tol_psd whose step underflows still orders the atoms by weight
     sym = make_refuter()
@@ -682,65 +709,104 @@ def test_monotone_oracle_implied_by_necessary_measure():
 # ------------------------------------------------------- representing measure
 
 
+# one-pole models b = gamma z / (1 - beta z); the last one is single_atom_tau1,
+# whose mate has its zero on the circle
+RANK1_MODELS = [(0.4, 0.3 + 0.2j), (0.3, -0.25 + 0.1j),
+                (0.61803398874989479, 0.3819660112501051)]
+
+
+def _one_pole_symbol(gamma, beta):
+    """gamma z / (1 - beta z) as c z / (z - alpha): alpha = 1/beta,
+    c = -gamma alpha."""
+    return symbol_from_parts([1.0 / beta], [[0.0, -gamma / beta]])
+
+
+def _measure_of(sym, quad_points=4096):
+    result = run_certificates(sym)
+    return result, representing_measure(sym, result, quad_points)
+
+
 def test_rank1_representing_measure_checks():
-    for gamma, beta in [(0.5, 0.0), (0.4, 0.3 + 0.2j)]:
+    # at one pole the masses are the mate's point mass nu, and the moments
+    # reproduce the kernel table
+    for gamma, beta in RANK1_MODELS:
         model = mate_rank1(gamma, beta)
-        check = rank1_representing_measure(model, 20)
-        assert check.max_residual <= 1e-7
-        assert abs(check.mass - 1.0) <= 1e-9
-        assert abs(check.kernel[0, 0] - 1.0) <= 1e-14
+        result, measure = _measure_of(_one_pole_symbol(gamma, beta))
+        assert result.orth_passed
+        assert abs(measure.atoms[0] - beta) <= 1e-15
+        assert abs(measure.masses[0] - model.nu) <= 1e-15
+        assert measure.max_residual <= 1e-14
+        assert abs(measure.mass - 1.0) <= 1e-14
+        assert measure.moments.shape == (21, 21)
 
 
 def test_rank1_representing_measure_tangent_model():
     sym = single_atom_symbol(1.0)
-    beta = 1.0 / sym.alphas[0]
-    gamma = -sym.coefficients[0, 1] / sym.alphas[0]
-    model = mate_rank1(gamma, beta)
-    check = rank1_representing_measure(model, 20)
-    assert check.max_residual <= 1e-7
-    assert abs(check.mass - 1.0) <= 1e-9
+    model = mate_rank1(-sym.coefficients[0, 1] / sym.alphas[0], 1.0 / sym.alphas[0])
+    _, measure = _measure_of(sym)
+    assert abs(measure.masses[0] - model.nu) <= 1e-15
+    assert measure.max_residual <= 1e-14
+    assert abs(measure.mass - 1.0) <= 1e-14
 
 
-def _moments_by_power_matrix(model, size, quad_points):
+def _moments_by_power_matrix(atoms, masses, size, quad_points):
     """The quadrature as a dense product, E[m, q] = e^{i m theta_q} against
-    the density, plus the atom at beta: the reference for the moments that
-    rank1_representing_measure takes from one inverse DFT."""
+    the density, plus the atoms: the reference for the moments that
+    representing_measure takes from one inverse DFT."""
     theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
     unit = np.exp(1j * theta)
-    density = 1.0 - model.nu * (
-        2.0 * (1.0 / (1.0 - np.conj(unit) * model.beta)).real - 1.0)
+    density = np.ones(quad_points)
+    for beta, nu in zip(atoms, masses):
+        density -= nu * (2.0 * (1.0 / (1.0 - np.conj(unit) * beta)).real - 1.0)
     E = unit[None, :] ** np.arange(size + 1)[:, None]
     moments = (E * density[None, :] / quad_points) @ np.conj(E).T
-    bpow = np.power(model.beta, np.arange(size + 1))
-    return moments + model.nu * np.outer(bpow, np.conj(bpow))
+    for beta, nu in zip(atoms, masses):
+        bpow = np.power(beta, np.arange(size + 1))
+        moments += nu * np.outer(bpow, np.conj(bpow))
+    return moments
 
 
 def test_rank1_moments_match_power_matrix_quadrature():
-    sym = single_atom_symbol(1.0)
-    tangent = mate_rank1(-sym.coefficients[0, 1] / sym.alphas[0],
-                         1.0 / sym.alphas[0])
-    for model in (mate_rank1(0.5, 0.0), mate_rank1(0.4, 0.3 + 0.2j), tangent):
+    symbols = [_one_pole_symbol(g, b) for g, b in RANK1_MODELS]
+    symbols += [load_fixture_symbol(name) for name in ("antipodal_1_1", "antipodal_4_1")]
+    for sym in symbols:
         # fewer nodes than the 41 distinct m - n alias in both derivations;
         # the moments are at most about 1, and the two summation orders
         # measured up to 6 ulp apart here (at 7 nodes)
         for quad_points in (1, 7, 41, 100, 4096):
-            check = rank1_representing_measure(model, 20, quad_points)
-            oracle = _moments_by_power_matrix(model, 20, quad_points)
-            gap = np.abs(check.moments - oracle).max()
+            _, measure = _measure_of(sym, quad_points)
+            oracle = _moments_by_power_matrix(measure.atoms, measure.masses,
+                                              20, quad_points)
+            gap = np.abs(measure.moments - oracle).max()
             assert gap <= 16 * np.finfo(float).eps
 
 
 def test_rank1_density_is_nonnegative():
     # the absolutely continuous part of the representing measure must be a
     # genuine density for a subnormal model
-    for gamma, beta in [(0.5, 0.0), (0.4, 0.3 + 0.2j)]:
-        model = mate_rank1(gamma, beta)
-        theta = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-        unit = np.exp(1j * theta)
-        density = 1.0 - model.nu * (
-            2.0 * (1.0 / (1.0 - np.conj(unit) * model.beta)).real - 1.0)
-        assert density.min() >= -1e-12
-        assert model.nu >= 0
+    for gamma, beta in RANK1_MODELS:
+        _, measure = _measure_of(_one_pole_symbol(gamma, beta))
+        assert measure.density_min >= -1e-13
+        assert (measure.masses >= 0).all()
+
+
+@pytest.mark.parametrize("sym", [
+    *(load_fixture_symbol(name)
+      for name in ("antipodal_1_1", "antipodal_4_1", "single_atom_tau1")),
+    *(measure_to_symbol(CircleMeasure((0.0, math.pi), (1.0, w)))
+      for w in TWO_POINT_WEIGHTS)],
+    ids=["antipodal_1_1", "antipodal_4_1", "single_atom_tau1",
+         *(f"pi-w={w:g}" for w in TWO_POINT_WEIGHTS)])
+def test_representing_measure_of_certified_symbols(sym):
+    # every symbol certified by orthogonality, at any number of poles, has
+    # a representing measure: a density that stays nonnegative plus one
+    # atom at each reciprocal pole, whose moments are the kernel table
+    result, measure = _measure_of(sym)
+    assert result.certified_by == "orthogonality"
+    assert np.array_equal(measure.atoms, 1.0 / sym.alphas)
+    assert measure.max_residual <= 1e-14
+    assert measure.density_min >= -1e-13
+    assert (measure.masses > 0).all()
 
 
 def _union_find_classes(sym):

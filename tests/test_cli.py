@@ -250,6 +250,16 @@ def _hermitian(size: int, seed: int) -> np.ndarray:
 
 
 MAX_FLOAT = 1.7976931348623157e308
+
+
+def _negatives(count: int, seed: int) -> np.ndarray:
+    """Negative floats over the whole exponent range, subnormals and the
+    extremes included."""
+    rng = np.random.default_rng(seed)
+    mags = np.ldexp(rng.uniform(0.5, 1.0, count), rng.integers(-1073, 1025, count))
+    return -np.concatenate((mags, [5e-324, 2.2250738585072014e-308, 1.0, MAX_FLOAT]))
+
+
 DISTINCT_MAGNITUDE_CASES = {
     "repeats-(40,)": _signed_repeats((40,), 1),
     "repeats-(6,5,2)": _signed_repeats((6, 5, 2), 2),
@@ -265,6 +275,7 @@ DISTINCT_MAGNITUDE_CASES = {
     "(1,1,2)": np.array([[[-MAX_FLOAT, 5e-324]]]),
     "(1,1,2)-one-magnitude": np.array([[[0.75, -0.75]]]),
     "(2,0)": np.zeros((2, 0)),
+    "negatives": _negatives(200, 6),
 }
 
 
@@ -273,16 +284,14 @@ DISTINCT_MAGNITUDE_CASES = {
 def test_render_json_formats_each_magnitude_once(a):
     # every entry fills its own "%.17g" field in the one fill, so each
     # repeat of a magnitude, of either sign, must read as the oracle writes
-    # that entry, -0.0 as "0"; a one-entry array fills a one-field template
+    # that entry, -0.0 as "0"; a one-entry array fills a one-field template,
+    # and a negative entry reads as "-" and its magnitude's text
     for indent in range(3):
         for obj in (a, {"K": a}, [a, a[::-1].copy()]):
             assert (render_json(obj, indent)
                     == render_oracle.render_json(_as_lists(obj), indent))
-
-
-@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
-def test_negative_float_text_is_minus_and_magnitude(x):
-    assert "%.17g" % -x == "-" + "%.17g" % x
+    for x in a[a < 0].tolist():
+        assert render_json([x]) == "[-" + render_json([-x])[1:]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -447,10 +456,16 @@ def test_failed_necessary_measure_refutes_before_orthogonality(
         {"theta_radians": theta, "weight": weight}]}}))
     assert main(["--input", str(path), "--report", str(out)]) == 1
     assert capsys.readouterr().out.startswith("RefutedAtLevel ")
-    cert = json.loads(out.read_text())["certificates"]
+    rep = json.loads(out.read_text())
+    cert = rep["certificates"]
     assert cert["refuted_by"] == "necessary_measure"
     assert cert["orth_passed"] and not cert["necessary"]["passed"]
     assert cert["orthogonality_conflict"] is True
+    # the candidate measure orthogonality offers shows the failure too: a
+    # negative density and moments that miss the kernel table
+    measure = rep["representing_measure"]
+    assert measure["density_min"] <= -1e-6
+    assert measure["measure_check"]["max_residual"] >= 1e-7
 
 
 def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch):
@@ -486,6 +501,14 @@ def test_non_finite_table_exits_with_error_code(tmp_path, capsys, monkeypatch):
     assert rc == EXIT_ERROR
     assert "error: non-finite float in report" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_package_exports_resolve():
+    # every exported name exists, and none is listed twice
+    import cauchydual
+    assert len(set(cauchydual.__all__)) == len(cauchydual.__all__)
+    for name in cauchydual.__all__:
+        assert hasattr(cauchydual, name), name
 
 
 def test_version_flag(capsys):
@@ -642,18 +665,27 @@ def test_report_builds_taylor_table_once(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
 
 
-def test_rank1_section_only_for_one_pole(tmp_path, capsys):
-    _, single = _run_report(tmp_path, "single_atom_tau1")
-    rep = json.loads(single.read_text())
-    sec = rep["rank1"]
-    golden_rho = (math.sqrt(5.0) - 1.0) / 2.0
-    assert abs(sec["rho"] - golden_rho) <= 1e-12
-    assert abs(sec["sigma"][0] - golden_rho) <= 1e-12 and sec["sigma"][1] == 0
-    assert abs(sec["nu"] - 0.44721359549995787) <= 1e-12
-    assert abs(sec["measure_check"]["mass"] - 1.0) <= 1e-9
-    assert sec["measure_check"]["max_residual"] <= 1e-7
-    _, anti = _run_report(tmp_path, "antipodal_1_1")
-    assert "rank1" not in json.loads(anti.read_text())
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_representing_measure_section_only_when_orthogonal(name, tmp_path, capsys):
+    # every symbol that orthogonality certifies, at any number of poles,
+    # carries its representing measure; refuter and inconclusive carry none
+    _, out = _run_report(tmp_path, name)
+    rep = json.loads(out.read_text())
+    assert "rank1" not in rep
+    assert ("representing_measure" in rep) == rep["certificates"]["orth_passed"]
+    assert ("representing_measure" in rep) == (name not in ("refuter", "inconclusive"))
+    if name in ("refuter", "inconclusive"):
+        return
+    sec = rep["representing_measure"]
+    assert len(sec["atoms"]) == len(sec["masses"]) == rep["pipeline"]["k"]
+    for atom, alpha in zip(sec["atoms"], rep["pipeline"]["alphas"]):
+        assert abs(complex(*atom) * complex(*alpha) - 1.0) <= 1e-15
+    assert sec["measure_check"]["size"] == 20
+    assert sec["measure_check"]["quad_points"] == 4096
+    assert abs(sec["measure_check"]["mass"] - 1.0) <= 1e-14
+    if name == "single_atom_tau1":
+        # the one-pole mate's point mass nu = |gamma|^2 / (1 - |beta|^2)
+        assert abs(sec["masses"][0] - 0.44721359549995787) <= 1e-15
     capsys.readouterr()
 
 
@@ -668,7 +700,9 @@ def test_custom_flags_flow_into_report(tmp_path, capsys):
     assert rep["config"] == {"levels": 3, "trunc": 12, "tol_psd": 1e-7,
                              "tol_orth": 1e-8, "quad_points": 512}
     assert len(rep["certificates"]["agler_pole"]) == 3
-    assert rep["rank1"]["measure_check"]["quad_points"] == 512
+    # 15 Taylor rows: the measure is checked up to the last one
+    assert rep["representing_measure"]["measure_check"]["quad_points"] == 512
+    assert rep["representing_measure"]["measure_check"]["size"] == 15
     capsys.readouterr()
 
 

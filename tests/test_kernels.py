@@ -1,4 +1,4 @@
-"""Taylor rows, kernel coefficient tables, and the one-pole mate model."""
+"""Taylor rows, kernel coefficient tables, and the one-pole mate oracle."""
 
 import math
 
@@ -8,14 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from cauchydual import kernels
-from cauchydual.kernels import (
-    ExtremePointError,
-    Rank1Model,
-    kernel_coeffs,
-    mate_rank1,
-    rank1_taylor,
-    symbol_taylor,
-)
+from cauchydual.kernels import kernel_coeffs, symbol_taylor
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -27,11 +20,15 @@ from cauchydual.symbolpipe import (
 from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures
 from polyrat_oracle import series_inverse
 from rank1_oracle import (
+    ExtremePointError,
     GridOutsideDiscError,
+    Rank1Model,
     cauchy_dual_kernel_rank1,
     gram_monomials_rank1,
+    mate_rank1,
     phi_coefficients,
     rank1_kernel_closed_form,
+    rank1_taylor,
 )
 
 REFUTER = symbol_from_parts([2.0, 1.5j], [[0.0, 0.3], [0.0, 0.0, 0.3]])

@@ -27,7 +27,7 @@ from cauchydual.symbolpipe import (
 import symbol_oracle
 from conftest import pool_like_measures
 from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
-from rank1_oracle import GridOutsideDiscError
+from rank1_oracle import ExtremePointError, GridOutsideDiscError
 from symbol_oracle import (
     NotUnimodularError,
     condition,
@@ -518,11 +518,11 @@ def test_eta_values_against_direct_sum():
 def test_exception_hierarchy_is_value_error():
     # the command line maps input and math failures to one exit code; every
     # domain error must therefore derive from ValueError
-    from cauchydual import polyrat, symbolpipe, kernels
+    from cauchydual import polyrat, symbolpipe
     for exc in (polyrat.DegreeZeroError, PolesNotDistinctError,
                 DegreeTooLargeError, polyrat.NotPositiveOnCircleError,
                 polyrat.RootOnCircleError, symbolpipe.EmptyMeasureError,
                 NotUnimodularError, symbolpipe.GramSingularError,
-                symbolpipe.EtaNotPSDError, kernels.ExtremePointError,
+                symbolpipe.EtaNotPSDError, ExtremePointError,
                 GridOutsideDiscError):
         assert issubclass(exc, ValueError)
