@@ -60,7 +60,6 @@ from cauchydual import __version__, certify, cli, kernels, symbolpipe
 
 FIXTURES = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
-QUAD_POINTS = 4096   # the CLI default
 REPEATS = 11         # timed runs per median within a round
 ROUNDS = 11          # alternating rounds per side
 
@@ -121,8 +120,7 @@ def fixture_rows(name: str, tmp: str) -> list:
                 raise RuntimeError(f"{name}: the CLI rejected the fixture")
 
         def build():
-            return cli.build_report(doc, kind, sym, result, QUAD_POINTS,
-                                    dump_tables)
+            return cli.build_report(doc, kind, sym, result, dump_tables)
 
         report = build()
         rows.append({
@@ -213,7 +211,7 @@ def report_rows(mu: symbolpipe.CircleMeasure, sym, result) -> dict:
                                  for theta, weight in zip(mu.thetas, mu.weights)]}}
 
     def build():
-        return cli.build_report(doc, "measure", sym, result, QUAD_POINTS, True)
+        return cli.build_report(doc, "measure", sym, result, True)
 
     report = build()
     return {

@@ -15,7 +15,6 @@ are checked against the kernel table (representing_measure).
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,22 +35,15 @@ class InsufficientRowsError(ValueError):
 
 @dataclass(frozen=True)
 class CertificateConfig:
-    """Truncation sizes and tolerances for the certificate battery."""
+    """Truncation sizes for the certificate battery; the tolerances are
+    the module constants TOL_PSD and TOL_ORTH."""
 
     levels: int = 12
     trunc: int = 40
-    tol_psd: float = 1e-8
-    tol_orth: float = 1e-9
 
     def __post_init__(self):
         if self.levels < 1 or self.trunc < 2:
             raise ValueError("need levels >= 1 and trunc >= 2")
-        if self.tol_psd <= 0.0 or self.tol_orth <= 0.0:
-            raise ValueError("tolerances must be positive")
-        # an infinite tolerance passes every test and a NaN one fails every
-        # comparison, so either would decide the verdict on its own
-        if not (math.isfinite(self.tol_psd) and math.isfinite(self.tol_orth)):
-            raise ValueError("tolerances must be finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,7 +68,7 @@ def pole_pairing(sym: RationalSymbol) -> PolePairing:
     return PolePairing(pair, 0.5 * (C + C.conj().T))
 
 
-def orthogonality_test(pairing: PolePairing, cfg: CertificateConfig):
+def orthogonality_test(pairing: PolePairing):
     """Relative size of the worst off-diagonal numerator pairing at the poles.
 
     Returns (residual, passed); a symbol with fewer than two poles passes
@@ -88,7 +80,7 @@ def orthogonality_test(pairing: PolePairing, cfg: CertificateConfig):
     diag = np.abs(np.diag(pair).real)
     off = np.abs(pair - np.diag(np.diag(pair)))
     residual = float(off.max() / max(diag.max(), 1e-300))
-    return residual, residual <= cfg.tol_orth
+    return residual, residual <= TOL_ORTH
 
 
 @dataclass(frozen=True)
@@ -102,10 +94,10 @@ class LevelStat:
     norm: float
     gap: float = 0.0
 
-    def passes(self, tol_psd: float) -> bool:
-        """min_eig >= -tol_psd norm and gap <= tol_psd norm: a level that
+    def passes(self) -> bool:
+        """min_eig >= -TOL_PSD norm and gap <= TOL_PSD norm: a level that
         drifted beyond the tolerance cannot vouch for positivity."""
-        bound = tol_psd * max(self.norm, 1e-300)
+        bound = TOL_PSD * max(self.norm, 1e-300)
         return self.min_eig >= -bound and self.gap <= bound
 
 
@@ -214,9 +206,14 @@ def taylor_basis_residual(A: np.ndarray, Y: np.ndarray, Q: np.ndarray) -> float:
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location
-# closer than SEGMENT_TOL to [0, 1] counts as lying on it.
+# closer than SEGMENT_TOL to [0, 1] counts as lying on it. TOL_PSD bounds a
+# negative eigenvalue or a drift relative to its norm, and the necessary
+# measure's violations relative to its total variation; TOL_ORTH bounds the
+# off-diagonal numerator pairing relative to the largest diagonal one.
 COINCIDENCE_TOL = 1e-9
 SEGMENT_TOL = 1e-8
+TOL_PSD = 1e-8
+TOL_ORTH = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -274,12 +271,11 @@ class NecessaryMeasure:
     worst_location: complex | None
 
 
-def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
-                           cfg: CertificateConfig):
+def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses):
     """Aggregate the necessary measure and check it is positive on [0, 1].
 
     Weights of classes located off the segment must vanish; weights on the
-    segment must be real and nonnegative, all relative to tol_psd times
+    segment must be real and nonnegative, all relative to TOL_PSD times
     the total variation. Failure refutes subnormality outright.
     """
     raw = (cross / classes.products ** 2).ravel()
@@ -288,8 +284,8 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
     sizes = np.hypot(weights.real, weights.imag)
     locations = classes.locations
     scale = max(sum(sizes.tolist()), 1e-300)
-    step = max(cfg.tol_psd, np.finfo(float).eps) * scale
-    # descending weight in steps of tol_psd (at least eps) scale, then location
+    step = TOL_PSD * scale
+    # descending weight in steps of TOL_PSD scale, then location
     # with the real part in steps of COINCIDENCE_TOL: a conjugate pair ties in both
     perm = np.lexsort((locations.imag, np.rint(locations.real / COINCIDENCE_TOL),
                        -np.rint(sizes / step)))
@@ -304,7 +300,7 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses,
     worst_loc = None
     if worst > 0.0:
         worst_loc = complex(locations[np.argmax(np.ceil(bad / step))])
-    passed = worst <= cfg.tol_psd * scale
+    passed = worst <= step
     return NecessaryMeasure(tuple(locations.tolist()), tuple(weights.tolist()),
                             float(worst / scale), worst_loc), passed
 
@@ -357,18 +353,17 @@ def run_certificates(sym: RationalSymbol,
     A failed necessary measure refutes at level 0, even where
     orthogonality passes; else orthogonality certifies; when the exactness
     condition holds, a failed orthogonality test also refutes at level 0;
-    otherwise a truncation eigenvalue below -10 tol_psd ||M_l|| refutes at
+    otherwise a truncation eigenvalue below -10 TOL_PSD ||M_l|| refutes at
     its level, and anything else stays inconclusive (the 10x hysteresis
     band). agler_passed says that the Taylor basis residual is at most
-    tol_psd and every level of both engines passes (LevelStat.passes).
+    TOL_PSD and every level of both engines passes (LevelStat.passes).
     Refutation reads min_eig only, so drift can keep a level from passing
     but never refutes.
     """
     pairing = pole_pairing(sym)
     classes = coincidence_classes(sym)
-    orth_residual, orth_passed = orthogonality_test(pairing, cfg)
-    necessary, necessary_passed = necessary_measure_test(
-        pairing.cross, classes, cfg)
+    orth_residual, orth_passed = orthogonality_test(pairing)
+    necessary, necessary_passed = necessary_measure_test(pairing.cross, classes)
     taylor = kernels.symbol_taylor(sym, cfg.trunc + cfg.levels)
     Q, R = pole_basis(sym, cfg.trunc)
     cores = pole_cores(sym, pairing.cross, R, cfg.levels)
@@ -377,8 +372,8 @@ def run_certificates(sym: RationalSymbol,
     taylor_stats = agler_taylor_test(Y, cores, cfg)
     basis_residual = taylor_basis_residual(A, Y, Q)
     exact = exactness_applies(classes)
-    agler_passed = basis_residual <= cfg.tol_psd and all(
-        st.passes(cfg.tol_psd) for st in pole_stats + taylor_stats)
+    agler_passed = basis_residual <= TOL_PSD and all(
+        st.passes() for st in pole_stats + taylor_stats)
 
     certified_by = refuted_by = None
     refuted_level = refuted_min_eig = None
@@ -392,7 +387,7 @@ def run_certificates(sym: RationalSymbol,
         verdict = VERDICT_INCONCLUSIVE
         for pole_st, taylor_st in zip(pole_stats, taylor_stats):
             for st in (pole_st, taylor_st):
-                if st.min_eig < -10.0 * cfg.tol_psd * max(st.norm, 1e-300):
+                if st.min_eig < -10.0 * TOL_PSD * max(st.norm, 1e-300):
                     verdict, refuted_by = VERDICT_REFUTED, "agler_truncation"
                     refuted_level, refuted_min_eig = st.level, st.min_eig
                     break
@@ -407,8 +402,10 @@ def run_certificates(sym: RationalSymbol,
 
 
 # The moment check compares the kernel table up to this size, or up to the
-# last Taylor row when the table is shorter.
+# last Taylor row when the table is shorter, integrating the density with
+# QUAD_POINTS equally spaced nodes on the circle.
 MEASURE_CHECK_SIZE = 20
+QUAD_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -427,8 +424,8 @@ class RepresentingMeasure:
     mass: float
 
 
-def representing_measure(sym: RationalSymbol, result: CertificateReport,
-                         quad_points: int = 4096) -> RepresentingMeasure:
+def representing_measure(sym: RationalSymbol,
+                         result: CertificateReport) -> RepresentingMeasure:
     """Integrate z^m conj(z)^n against the explicit representing measure.
 
     With beta_r = 1/alpha_r, component j of the symbol is
@@ -444,19 +441,19 @@ def representing_measure(sym: RationalSymbol, result: CertificateReport,
     size = min(MEASURE_CHECK_SIZE, rows in result.taylor), is reported.
 
     The quadrature moment of z^m conj(z)^n is the mean of z^(m-n) times the
-    density over the quad_points circle points, which is entry
-    (m - n) mod quad_points of the density's inverse DFT.
+    density over the QUAD_POINTS circle points, which is entry
+    (m - n) mod QUAD_POINTS of the density's inverse DFT.
     """
     beta = 1.0 / sym.alphas
     b2 = (beta * beta.conj()).real
     w = (b2 * b2 * np.diag(result.pairing.pair).real
          / np.abs(sym.lagrange_denominators) ** 2)
     masses = w / (1.0 - b2)
-    gap = 1.0 - np.conj(circle_points(quad_points))[:, None] * beta
+    gap = 1.0 - np.conj(circle_points(QUAD_POINTS))[:, None] * beta
     density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
     size = min(MEASURE_CHECK_SIZE, len(result.taylor))
     m = np.arange(size + 1)
-    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % quad_points]
+    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % QUAD_POINTS]
     bpow = np.power.outer(beta, m)
     moments += (bpow.T * masses) @ bpow.conj()
 

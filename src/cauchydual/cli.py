@@ -246,14 +246,14 @@ def _necessary_json(nec: certify.NecessaryMeasure, passed: bool) -> dict:
     }
 
 
-def _measure_json(measure: certify.RepresentingMeasure, quad_points: int) -> dict:
+def _measure_json(measure: certify.RepresentingMeasure) -> dict:
     return {
         "atoms": [_cpx(b) for b in measure.atoms],
         "masses": measure.masses.tolist(),
         "density_min": measure.density_min,
         "measure_check": {
             "size": len(measure.moments) - 1,
-            "quad_points": quad_points,
+            "quad_points": certify.QUAD_POINTS,
             "mass": measure.mass,
             "max_residual": measure.max_residual,
         },
@@ -261,8 +261,7 @@ def _measure_json(measure: certify.RepresentingMeasure, quad_points: int) -> dic
 
 
 def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
-                 result: certify.CertificateReport, quad_points: int,
-                 dump_tables: bool) -> dict:
+                 result: certify.CertificateReport, dump_tables: bool) -> dict:
     cfg = result.config
     taylor = result.taylor
     # numerator j is printed up to its last nonzero coefficient
@@ -276,9 +275,9 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
         "config": {
             "levels": cfg.levels,
             "trunc": cfg.trunc,
-            "tol_psd": cfg.tol_psd,
-            "tol_orth": cfg.tol_orth,
-            "quad_points": quad_points,
+            "tol_psd": certify.TOL_PSD,
+            "tol_orth": certify.TOL_ORTH,
+            "quad_points": certify.QUAD_POINTS,
         },
         "pipeline": {
             "k": sym.k,
@@ -313,7 +312,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     }
     if result.orth_passed:
         report["representing_measure"] = _measure_json(
-            certify.representing_measure(sym, result, quad_points), quad_points)
+            certify.representing_measure(sym, result))
     if dump_tables:
         report["tables"] = {"B_rows": _cmatrix(taylor)}
     return report
@@ -350,17 +349,10 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="max truncation level (default 12)")
     parser.add_argument("--trunc", type=int, default=40, metavar="N",
                         help="matrix truncation size (default 40)")
-    parser.add_argument("--tol-psd", type=float, default=1e-8, metavar="T",
-                        help="positivity tolerance (default 1e-8)")
-    parser.add_argument("--tol-orth", type=float, default=1e-9, metavar="T",
-                        help="relative orthogonality tolerance (default 1e-9)")
     parser.add_argument("--report", metavar="PATH",
                         help="write the JSON report here (atomic)")
     parser.add_argument("--dump-tables", action="store_true",
                         help="include the Taylor rows in the report")
-    parser.add_argument("--quad-points", type=int, default=4096, metavar="Q",
-                        help="quadrature points for the representing-measure "
-                             "check, at least 1 (default 4096)")
     parser.add_argument("--version", action="version",
                         version=f"{TOOL_NAME} {__version__}")
     return parser
@@ -369,9 +361,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.quad_points < 1:
-        parser.error(f"argument --quad-points: must be at least 1, "
-                     f"got {args.quad_points}")
     try:
         with open(args.input) as handle:
             document = json.load(handle)
@@ -384,12 +373,9 @@ def main(argv=None) -> int:
 
     try:
         kind, sym = parse_input_document(document)
-        cfg = certify.CertificateConfig(
-            levels=args.levels, trunc=args.trunc,
-            tol_psd=args.tol_psd, tol_orth=args.tol_orth)
+        cfg = certify.CertificateConfig(levels=args.levels, trunc=args.trunc)
         result = certify.run_certificates(sym, cfg)
-        report = build_report(document, kind, sym, result,
-                              args.quad_points, args.dump_tables)
+        report = build_report(document, kind, sym, result, args.dump_tables)
         text = render_json(report) + "\n" if args.report else None
     except InputError as exc:
         print(f"error: invalid input field {exc}", file=sys.stderr)

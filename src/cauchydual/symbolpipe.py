@@ -208,9 +208,9 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
 
 @dataclass(frozen=True, eq=False)
 class RationalSymbol:
-    """Row symbol (p_1/q, ..., p_k/q) with q = prod_r (z - alpha_r).
+    """Row symbol (p_1/q, ..., p_m/q) with q = prod_r (z - alpha_r).
 
-    The poles and the k x (k + 1) coefficient matrix are the whole symbol,
+    The poles and the m x (k + 1) coefficient matrix are the whole symbol,
     each stored as a read-only complex copy: alphas[r] is pole r and
     coefficients[j, i] is the coefficient of z^i in p_j. k, q, the
     numerator matrix eta, the Lagrange denominators, the pole products and
@@ -226,9 +226,9 @@ class RationalSymbol:
 
     def __post_init__(self):
         """Admit only the class the certificates are stated for: finite
-        poles in a 1-D array and coefficients, a k x (k + 1) matrix (one
-        numerator of degree at most k per pole), each numerator vanishing
-        at 0, k simple poles outside the closed disc, and
+        poles in a 1-D array and coefficients, an m x (k + 1) matrix (m
+        numerators of degree at most k, at least one when k >= 1), each
+        numerator vanishing at 0, k simple poles outside the closed disc, and
         sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
         points."""
         alphas = np.array(self.alphas, dtype=complex)
@@ -243,11 +243,9 @@ class RationalSymbol:
         if not finite.all():
             raise ValueError(f"pole or numerator coefficient "
                              f"{values[int(np.argmin(finite))]} is not finite")
-        if C.ndim == 2 and len(C) != self.k:
-            raise ValueError(f"{len(C)} numerators for a rank-{self.k} symbol")
-        if C.shape != (self.k, self.k + 1):
+        if C.ndim != 2 or C.shape[1] != self.k + 1 or len(C) < min(self.k, 1):
             raise ValueError(f"coefficient matrix has shape {C.shape}, "
-                             f"not ({self.k}, {self.k + 1})")
+                             f"not (m, {self.k + 1}) with m >= {min(self.k, 1)}")
         scale = np.maximum(np.abs(C).max(axis=1), 1.0)
         constant = np.flatnonzero(np.abs(C[:, 0]) > 1e-14 * scale)
         if constant.size:

@@ -12,7 +12,8 @@ import math
 
 import numpy as np
 
-from cauchydual.certify import COINCIDENCE_TOL, NecessaryMeasure, SEGMENT_TOL
+from cauchydual.certify import (COINCIDENCE_TOL, NecessaryMeasure, SEGMENT_TOL,
+                                TOL_PSD)
 
 
 def _segment_distance(x: complex) -> float:
@@ -20,11 +21,11 @@ def _segment_distance(x: complex) -> float:
     return math.hypot(x.real - re, x.imag)
 
 
-def necessary_measure_test(cross, classes, cfg):
+def necessary_measure_test(cross, classes):
     """Aggregate the necessary measure and check it is positive on [0, 1].
 
     Weights of classes located off the segment must vanish; weights on the
-    segment must be real and nonnegative, all relative to tol_psd times
+    segment must be real and nonnegative, all relative to TOL_PSD times
     the total variation. Failure refutes subnormality outright.
     """
     members_of = np.split(classes.order, classes.starts)[1:]
@@ -32,9 +33,9 @@ def necessary_measure_test(cross, classes, cfg):
     weights = [complex(raw[members].sum()) for members in members_of]
     locations = classes.locations.tolist()
     scale = max(sum(abs(w) for w in weights), 1e-300)
-    # descending weight in steps of tol_psd (at least eps) times the total
-    # variation, then location with the real part in steps of COINCIDENCE_TOL
-    step = max(cfg.tol_psd, np.finfo(float).eps) * scale
+    # descending weight in steps of TOL_PSD times the total variation,
+    # then location with the real part in steps of COINCIDENCE_TOL
+    step = TOL_PSD * scale
     perm = sorted(range(len(weights)),
                   key=lambda i: (-round(abs(weights[i]) / step),
                                  round(locations[i].real / COINCIDENCE_TOL),
@@ -53,6 +54,6 @@ def necessary_measure_test(cross, classes, cfg):
         worst = max(worst, bad)
         if math.ceil(bad / step) > worst_steps:
             worst_loc, worst_steps = loc, math.ceil(bad / step)
-    passed = worst <= cfg.tol_psd * scale
+    passed = worst <= TOL_PSD * scale
     return NecessaryMeasure(tuple(locations), tuple(weights),
                             float(worst / scale), worst_loc), passed

@@ -15,7 +15,6 @@ import numpy as np
 
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
-    CertificateConfig,
     orthogonality_test,
     pole_pairing,
     representing_measure,
@@ -35,8 +34,6 @@ from agler_oracle import agler_pole_matrix, agler_taylor_matrix
 from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_symbol
 from rank1_oracle import mate_rank1, rank1_taylor
 from symbol_oracle import eta_values, rotate_measure
-
-CFG = CertificateConfig()
 
 
 def _report(criterion, detail):
@@ -106,7 +103,7 @@ def test_criterion_03_antipodal_orthogonality_certified():
     for _ in range(50):
         c1, c2 = rng.uniform(0.1, 10.0, size=2)
         sym = closed_form_antipodal(c1, c2).to_symbol()
-        residual, passed = orthogonality_test(pole_pairing(sym), CFG)
+        residual, passed = orthogonality_test(pole_pairing(sym))
         worst = max(worst, residual)
         assert passed and residual <= 1e-9
         assert run_certificates(sym).verdict == VERDICT_CERTIFIED
@@ -205,7 +202,7 @@ def test_criterion_07_rank1_representing_measure():
     for sym in symbols:
         result = run_certificates(sym)
         assert result.orth_passed
-        check = representing_measure(sym, result, quad_points=4096)
+        check = representing_measure(sym, result)
         worst = max(worst, check.max_residual)
         assert check.max_residual <= 1e-7
         assert check.density_min >= -1e-13

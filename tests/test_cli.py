@@ -115,7 +115,7 @@ def _fixture_reports(dump_tables: bool, trunc: int = 40, levels: int = 12,
         doc = load_fixture_doc(name)
         kind, sym = parse_input_document(doc)
         result = certify.run_certificates(sym, cfg)
-        yield name, build_report(doc, kind, sym, result, 4096, dump_tables)
+        yield name, build_report(doc, kind, sym, result, dump_tables)
 
 
 def _as_lists(obj):
@@ -260,7 +260,7 @@ def _negatives(count: int, seed: int) -> np.ndarray:
     return -np.concatenate((mags, [5e-324, 2.2250738585072014e-308, 1.0, MAX_FLOAT]))
 
 
-DISTINCT_MAGNITUDE_CASES = {
+ARRAY_EDGE_CASES = {
     "repeats-(40,)": _signed_repeats((40,), 1),
     "repeats-(6,5,2)": _signed_repeats((6, 5, 2), 2),
     "repeats-(3,4,5,2)": _signed_repeats((3, 4, 5, 2), 3),
@@ -279,19 +279,16 @@ DISTINCT_MAGNITUDE_CASES = {
 }
 
 
-@pytest.mark.parametrize("a", DISTINCT_MAGNITUDE_CASES.values(),
-                         ids=DISTINCT_MAGNITUDE_CASES.keys())
-def test_render_json_formats_each_magnitude_once(a):
+@pytest.mark.parametrize("a", ARRAY_EDGE_CASES.values(),
+                         ids=ARRAY_EDGE_CASES.keys())
+def test_render_json_matches_oracle_on_array_edge_cases(a):
     # every entry fills its own "%.17g" field in the one fill, so each
-    # repeat of a magnitude, of either sign, must read as the oracle writes
-    # that entry, -0.0 as "0"; a one-entry array fills a one-field template,
-    # and a negative entry reads as "-" and its magnitude's text
+    # repeat of a value, of either sign, must read as the oracle writes
+    # that entry, -0.0 as "0"; a one-entry array fills a one-field template
     for indent in range(3):
         for obj in (a, {"K": a}, [a, a[::-1].copy()]):
             assert (render_json(obj, indent)
                     == render_oracle.render_json(_as_lists(obj), indent))
-    for x in a[a < 0].tolist():
-        assert render_json([x]) == "[-" + render_json([-x])[1:]
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -418,19 +415,6 @@ def test_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("flag", ["--tol-psd", "--tol-orth"])
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
-@pytest.mark.parametrize("name", ["refuter", "inconclusive"])
-def test_non_finite_tolerance_exits_with_error_code(flag, value, name, capsys):
-    # --tol-orth inf used to certify the refuter, and --tol-psd nan turned
-    # the inconclusive fixture at 30 levels into a necessary-measure
-    # refutation
-    rc = main(["--input", str(FIXTURES / f"{name}.json"), "--levels", "30",
-               f"{flag}={value}"])
-    assert rc == EXIT_ERROR
-    assert "tolerances must be" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("modulus", [1e7, 1e10, 1e20])
 def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     # inverse pole powers underflow towards 0 instead of overflowing
@@ -522,8 +506,10 @@ def test_version_flag(capsys):
     ["--input", "x.json", "--bogus", "7"],   # unknown flag
     [],                                       # required --input missing
     ["--input", "x.json", "--levels", "ten"], # non-integer value
-    ["--input", "x.json", "--quad-points", "0"],   # no quadrature points
-    ["--input", "x.json", "--quad-points", "-3"],
+    # the tolerances and the quadrature size are constants, not flags
+    ["--input", "x.json", "--tol-psd", "1e-7"],
+    ["--input", "x.json", "--tol-orth", "1e-8"],
+    ["--input", "x.json", "--quad-points", "512"],
 ])
 def test_usage_errors_exit_with_input_error_code(argv, capsys):
     # Exit code 2 belongs to the inconclusive verdict; command-line mistakes
@@ -556,8 +542,7 @@ def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
-    for argv in ([], ["--input", fixture, "--levels", "ten"],
-                 ["--input", fixture, "--quad-points", "0"]):
+    for argv in ([], ["--input", fixture, "--levels", "ten"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == EXIT_ERROR
@@ -692,16 +677,14 @@ def test_representing_measure_section_only_when_orthogonal(name, tmp_path, capsy
 def test_custom_flags_flow_into_report(tmp_path, capsys):
     out = tmp_path / "r.json"
     rc = main(["--input", str(FIXTURES / "single_atom_tau1.json"),
-               "--levels", "3", "--trunc", "12", "--tol-psd", "1e-7",
-               "--tol-orth", "1e-8", "--quad-points", "512",
-               "--report", str(out)])
+               "--levels", "3", "--trunc", "12", "--report", str(out)])
     rep = json.loads(out.read_text())
     assert rc == 0
-    assert rep["config"] == {"levels": 3, "trunc": 12, "tol_psd": 1e-7,
-                             "tol_orth": 1e-8, "quad_points": 512}
+    assert rep["config"] == {"levels": 3, "trunc": 12, "tol_psd": 1e-8,
+                             "tol_orth": 1e-9, "quad_points": 4096}
     assert len(rep["certificates"]["agler_pole"]) == 3
     # 15 Taylor rows: the measure is checked up to the last one
-    assert rep["representing_measure"]["measure_check"]["quad_points"] == 512
+    assert rep["representing_measure"]["measure_check"]["quad_points"] == 4096
     assert rep["representing_measure"]["measure_check"]["size"] == 15
     capsys.readouterr()
 

@@ -42,3 +42,16 @@ def test_random_measure_scan_runs():
     tally = done.stdout.split("\nverdicts:\n", 1)[1].split("by atom count:")[0]
     counts = [int(n) for n in re.findall(r"^  \S+: (\d+)$", tally, re.M)]
     assert counts and sum(counts) == 8
+
+
+def test_bench_rows_run(tmp_path, monkeypatch):
+    # the bench script calls build_report directly, so a signature change
+    # must show here and not only when a benchmark is taken
+    bench = _load_script("bench")
+    monkeypatch.setattr(bench, "REPEATS", 2)
+    rows = bench.fixture_rows("refuter", str(tmp_path))
+    assert [row["dump_tables"] for row in rows] == [False, True]
+    mu = bench.grid_measure(2)
+    sym = bench.symbolpipe.measure_to_symbol(mu)
+    row = bench.report_rows(mu, sym, bench.certify.run_certificates(sym))
+    assert row["report_bytes"] > 0 and row["build_report_ms"]["median"] >= 0.0

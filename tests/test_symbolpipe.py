@@ -248,7 +248,7 @@ def test_symbol_from_parts_validation():
     with pytest.raises(ValueError):
         symbol_from_parts([1.05], [[0.0, 1.2]])  # Schur bound violated
     with pytest.raises(ValueError):
-        symbol_from_parts([2.0, 3.0], [[0.0, 0.1]])  # pole count mismatch
+        symbol_from_parts([2.0, 3.0], [])  # poles without a numerator
 
 
 def test_symbol_from_parts_eta_round_trip():
@@ -348,16 +348,21 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
 
 
 def test_directly_built_symbol_needs_one_numerator_per_pole():
+    # flipped: any number m >= 1 of numerators over k poles builds
     poles = (2.0 + 0.0j, -3.0 + 0.0j)
-    with pytest.raises(ValueError, match="1 numerators for a rank-2 symbol"):
-        RationalSymbol(poles, np.array([[0.0, 0.1, 0.0]]))
+    for m in (1, 3):
+        C = np.zeros((m, 3))
+        C[:, 1] = 0.1
+        sym = RationalSymbol(poles, C)
+        assert sym.k == 2 and sym.numerators_at_poles.shape == (m, 2)
 
 
 def test_directly_built_symbol_needs_a_k_by_k_plus_one_matrix():
+    # k + 1 columns (degree at most k) and at least one row over k >= 1 poles
     poles = (2.0 + 0.0j, -3.0 + 0.0j)
-    for shape in ((2, 2), (2, 4), (6,)):
+    for shape in ((2, 2), (2, 4), (6,), (0, 3)):
         with pytest.raises(ValueError, match=re.escape(
-                f"coefficient matrix has shape {shape}, not (2, 3)")):
+                f"coefficient matrix has shape {shape}, not (m, 3) with m >= 1")):
             RationalSymbol(poles, np.zeros(shape))
 
 
