@@ -24,12 +24,13 @@ def inconclusive_input() -> dict:
     # 0.95, rotate a bit of p1 into i z^2, shrink p2 to compensate. The
     # numerators stop being orthogonal at the poles but every refutation
     # channel stays quiet, which pins the InconclusiveAtTruncation verdict.
-    cf = closed_form_antipodal(1.0, 1.0)
+    sym = closed_form_antipodal(1.0, 1.0)
+    alpha1, alpha2 = sym.alphas.real.tolist()
     delta = 1e-4
-    g1 = 0.95 * cf.gamma1
-    g3 = math.sqrt((0.95 * cf.gamma3) ** 2 - delta ** 2)
+    g1 = 0.95 * sym.coefficients[0, 1].real
+    g3 = math.sqrt((0.95 * sym.coefficients[1, 2].real) ** 2 - delta ** 2)
     return {"symbol": {
-        "alphas": [[cf.alpha1, 0.0], [cf.alpha2, 0.0]],
+        "alphas": [[alpha1, 0.0], [alpha2, 0.0]],
         "numerators": [[[0.0, 0.0], [g1, 0.0], [0.0, delta]],
                        [[0.0, 0.0], [0.0, 0.0], [g3, 0.0]]],
     }}

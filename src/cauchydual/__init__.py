@@ -12,7 +12,6 @@ from .polyrat import (
 from .symbolpipe import (
     CircleMeasure,
     RationalSymbol,
-    AntipodalClosedForm,
     boundary_polynomial,
     outer_from_measure,
     gram_from_outer,
@@ -49,7 +48,7 @@ from .certify import (
 
 __all__ = [
     "poly_roots", "lagrange_denominators", "fejer_riesz_factor",
-    "CircleMeasure", "RationalSymbol", "AntipodalClosedForm",
+    "CircleMeasure", "RationalSymbol",
     "boundary_polynomial", "outer_from_measure", "gram_from_outer",
     "measure_to_symbol", "symbol_from_parts", "closed_form_antipodal",
     "single_atom_symbol",

@@ -260,13 +260,14 @@ def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
                               _segment_distance(locations) > SEGMENT_TOL)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NecessaryMeasure:
     """Aggregated necessary measure: one atom per coincidence class of the
-    pole products alpha_r conj(alpha_t), located at 1/(alpha_r conj(alpha_t))."""
+    pole products alpha_r conj(alpha_t), located at 1/(alpha_r conj(alpha_t)).
+    locations and weights are complex arrays in report order."""
 
-    locations: tuple
-    weights: tuple
+    locations: np.ndarray
+    weights: np.ndarray
     worst_violation: float
     worst_location: complex | None
 
@@ -301,8 +302,8 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses):
     if worst > 0.0:
         worst_loc = complex(locations[np.argmax(np.ceil(bad / step))])
     passed = worst <= step
-    return NecessaryMeasure(tuple(locations.tolist()), tuple(weights.tolist()),
-                            float(worst / scale), worst_loc), passed
+    return NecessaryMeasure(locations, weights, float(worst / scale),
+                            worst_loc), passed
 
 
 def exactness_applies(classes: CoincidenceClasses) -> bool:

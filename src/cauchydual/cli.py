@@ -52,7 +52,10 @@ def _check_keys(doc: dict, path: str, required, optional=()):
 def _real(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(path, f"expected a number, got {type(value).__name__}")
-    out = float(value)
+    try:
+        out = float(value)
+    except OverflowError:       # an integer beyond the float range
+        out = math.inf
     if not math.isfinite(out):
         raise InputError(path, "must be finite")
     return out
@@ -107,9 +110,8 @@ def parse_input_document(doc) -> tuple[str, symbolpipe.RationalSymbol]:
 
     if kind == "antipodal":
         _check_keys(body, kind, ("c1", "c2"))
-        closed = symbolpipe.closed_form_antipodal(
+        return kind, symbolpipe.closed_form_antipodal(
             _real(body["c1"], "antipodal.c1"), _real(body["c2"], "antipodal.c2"))
-        return kind, closed.to_symbol()
 
     _check_keys(body, kind, ("tau",), ("theta_radians",))
     tau = _real(body["tau"], "single_atom.tau")
@@ -119,15 +121,11 @@ def parse_input_document(doc) -> tuple[str, symbolpipe.RationalSymbol]:
 
 # ------------------------------------------------------------ JSON output
 
-def _cpx(z: complex) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def _cmatrix(M: np.ndarray) -> np.ndarray:
-    """Real and imaginary parts of M (made at least 2-D) as a trailing axis
-    of length 2: a float64 block that `render_json` writes in one fill."""
-    M = np.atleast_2d(M)
+def _cmatrix(M) -> np.ndarray:
+    """Real and imaginary parts of the complex number or array M as a
+    trailing axis of length 2 (a number becomes [re, im], a vector its rows
+    of pairs): a float64 block that `render_json` writes in one fill."""
+    M = np.asarray(M, dtype=complex)
     return np.stack((M.real, M.imag), -1)
 
 
@@ -237,19 +235,19 @@ def _stats_json(stats, *drift) -> list:
 
 def _necessary_json(nec: certify.NecessaryMeasure, passed: bool) -> dict:
     return {
-        "atoms": [{"location": _cpx(loc), "weight": _cpx(w)}
-                  for loc, w in zip(nec.locations, nec.weights)],
+        "atoms": [{"location": loc, "weight": w} for loc, w
+                  in zip(_cmatrix(nec.locations), _cmatrix(nec.weights))],
         "worst_violation": nec.worst_violation,
         "worst_location": None if nec.worst_location is None
-        else _cpx(nec.worst_location),
+        else _cmatrix(nec.worst_location),
         "passed": passed,
     }
 
 
 def _measure_json(measure: certify.RepresentingMeasure) -> dict:
     return {
-        "atoms": [_cpx(b) for b in measure.atoms],
-        "masses": measure.masses.tolist(),
+        "atoms": _cmatrix(measure.atoms),
+        "masses": measure.masses,
         "density_min": measure.density_min,
         "measure_check": {
             "size": len(measure.moments) - 1,
@@ -282,10 +280,10 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
         "pipeline": {
             "k": sym.k,
             "gamma_fr": sym.gamma_fr,
-            "alphas": [_cpx(a) for a in sym.alphas],
-            "numerators": [[_cpx(c) for c in row[:n]]
+            "alphas": _cmatrix(sym.alphas),
+            "numerators": [_cmatrix(row[:n])
                            for row, n in zip(sym.coefficients, lengths)],
-            "q": [_cpx(c) for c in sym.q],
+            "q": _cmatrix(sym.q),
             "eta": _cmatrix(sym.eta),
             "taylor_digest": {
                 "n_rows": len(taylor),

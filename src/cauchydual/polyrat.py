@@ -76,9 +76,9 @@ def circle_points(n: int) -> np.ndarray:
     return zs
 
 
-def poly_roots(coeffs) -> list[complex]:
+def poly_roots(coeffs) -> np.ndarray:
     """All degree-many roots of the polynomial with ascending coefficients
-    coeffs, from the balanced companion matrix.
+    coeffs, from the balanced companion matrix, as a complex array.
 
     Roots are sorted by (principal argument, modulus) so repeated calls on
     the same coefficients produce the same ordering.
@@ -94,7 +94,7 @@ def poly_roots(coeffs) -> list[complex]:
     roots = npoly.polyroots(cs)
     # hypot is the modulus abs() takes of a complex scalar, to the last bit
     order = np.lexsort((np.hypot(roots.real, roots.imag), np.angle(roots)))
-    return roots[order].tolist()
+    return roots[order]
 
 
 def lagrange_denominators(poles) -> np.ndarray:
@@ -133,9 +133,9 @@ def fejer_riesz_factor(band):
 
     Returns
     -------
-    (gamma, alphas) : (float, list[complex])
-        gamma > 0 and all |alpha_j| > 1. A bandwidth-0 input returns
-        (d_0, []).
+    (gamma, alphas) : (float, complex ndarray)
+        gamma > 0 and all |alpha_j| > 1. A bandwidth-0 input returns d_0
+        and an empty array.
 
     Raises
     ------
@@ -175,10 +175,10 @@ def fejer_riesz_factor(band):
             f"(min {vmin:.3e}, max {vmax:.3e})")
     k = len(upper) - 1
     if k == 0:
-        return float(upper[0].real), []
+        return float(upper[0].real), np.empty(0, dtype=complex)
 
     # z^k R(z) has ascending coefficients equal to the full band of R
-    roots = np.asarray(poly_roots(np.concatenate([np.conj(upper[:0:-1]), upper])))
+    roots = poly_roots(np.concatenate([np.conj(upper[:0:-1]), upper]))
     moduli = np.hypot(roots.real, roots.imag)
     on_circle = np.flatnonzero(np.abs(moduli - 1.0) <= CIRCLE_ROOT_TOL)
     if on_circle.size:
@@ -192,7 +192,7 @@ def fejer_riesz_factor(band):
             f"got {len(outer)} outside and {len(inner)} inside")
     # each outer root in turn takes the nearest inner root not yet taken
     gaps = np.abs(inner[None, :] - 1.0 / np.conj(outer)[:, None])
-    for w, row in zip(outer.tolist(), gaps):
+    for w, row in zip(outer, gaps):
         best = int(np.argmin(row))
         if row[best] > MIRROR_PAIR_TOL:
             raise RootOnCircleError(
@@ -212,4 +212,4 @@ def fejer_riesz_factor(band):
     if resid > 1e-8 * max(vmax, 1e-300):
         raise RuntimeError(
             f"factorization residual {resid:.3e} exceeds 1e-8 * {vmax:.3e}")
-    return gamma, outer.tolist()
+    return gamma, outer

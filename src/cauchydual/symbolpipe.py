@@ -129,14 +129,14 @@ def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
 class OuterData:
     """Outer quotient p/q for a measure: q = prod (z - alpha_j) from the
     spectral factorization and p = (e^{i theta0}/sqrt(gamma)) prod (z - zeta_j),
-    with the phase theta0 chosen so p(0)/q(0) > 0. p and q are ascending
-    coefficient arrays of length k + 1."""
+    with the phase theta0 chosen so p(0)/q(0) > 0; p[-1] is that scale.
+    alphas is the sorted pole array of the factorization; p and q are
+    ascending coefficient arrays of length k + 1."""
 
     gamma_fr: float
-    alphas: tuple[complex, ...]
+    alphas: np.ndarray
     p: np.ndarray
     q: np.ndarray
-    theta0: float
 
 
 def outer_from_measure(mu: CircleMeasure) -> OuterData:
@@ -153,7 +153,7 @@ def outer_from_measure(mu: CircleMeasure) -> OuterData:
     ratio = complex(p[0]) / complex(q[0])
     if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
         raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio}")
-    return OuterData(gamma, tuple(alphas), p, q, theta0)
+    return OuterData(gamma, alphas, p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -414,35 +414,14 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
                           outer.gamma_fr)
 
 
-@dataclass(frozen=True)
-class AntipodalClosedForm:
-    """Closed-form pipeline output for atoms at +1 and -1.
+def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
+    """Two-atom symbol for c1 * delta_{+1} + c2 * delta_{-1}, in closed form.
 
-    gamma1, gamma3 are the nonnegative square roots; the symbol is
+    With gamma1, gamma3 the nonnegative square roots, the symbol is
     p_1 = gamma1 z + gamma2 z^2, p_2 = gamma3 z^2 over
-    q = (z - alpha1)(z - alpha2), and gamma_fr = -1/(alpha1 alpha2).
+    q = (z - alpha1)(z - alpha2) with alpha1 > 1 and alpha2 < -1, and
+    gamma_fr = -1/(alpha1 alpha2).
     """
-
-    c1: float
-    c2: float
-    c_plus: float
-    c_minus: float
-    gamma_fr: float
-    alpha1: float
-    alpha2: float
-    gamma1: float
-    gamma2: float
-    gamma3: float
-
-    def to_symbol(self) -> RationalSymbol:
-        return symbol_from_parts(
-            [self.alpha1, self.alpha2],
-            [[0.0, self.gamma1, self.gamma2], [0.0, 0.0, self.gamma3]],
-            gamma_fr=self.gamma_fr)
-
-
-def closed_form_antipodal(c1: float, c2: float) -> AntipodalClosedForm:
-    """Two-atom symbol for c1 * delta_{+1} + c2 * delta_{-1}, in closed form."""
     c1, c2 = float(c1), float(c2)
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("both weights must be positive")
@@ -471,8 +450,8 @@ def closed_form_antipodal(c1: float, c2: float) -> AntipodalClosedForm:
         1.0 - prod * (3.0 - prod - alpha1 ** 2 - alpha2 ** 2) / (prod - 1.0)
         - g2 * g2,
         "gamma3")
-    return AntipodalClosedForm(c1, c2, cp, cm, gamma_fr, alpha1, alpha2,
-                               g1, g2, g3)
+    return symbol_from_parts([alpha1, alpha2], [[0.0, g1, g2], [0.0, 0.0, g3]],
+                             gamma_fr=gamma_fr)
 
 
 def single_atom_symbol(tau: float, theta: float = 0.0) -> RationalSymbol:

@@ -55,5 +55,6 @@ def necessary_measure_test(cross, classes):
         if math.ceil(bad / step) > worst_steps:
             worst_loc, worst_steps = loc, math.ceil(bad / step)
     passed = worst <= TOL_PSD * scale
-    return NecessaryMeasure(tuple(locations), tuple(weights),
+    return NecessaryMeasure(np.array(locations, dtype=complex),
+                            np.array(weights, dtype=complex),
                             float(worst / scale), worst_loc), passed

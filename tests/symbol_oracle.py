@@ -7,7 +7,6 @@ condition number, which `symbolpipe.gram_from_outer` assembles as array
 passes over all atoms at once.
 """
 import cmath
-import math
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
@@ -59,7 +58,8 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     """
     zetas = mu.zetas()
     k = mu.size
-    scale = cmath.exp(1j * outer.theta0) / math.sqrt(outer.gamma_fr)
+    # p is monic times the scale e^{i theta0}/sqrt(gamma), so p[-1] is it
+    scale = outer.p[-1]
     U = np.array([scale * npoly.polyfromroots(np.delete(zetas, j))
                   for j in range(k)])
 

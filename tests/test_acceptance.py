@@ -69,12 +69,12 @@ def test_criterion_01_antipodal_goldens():
 
     assert abs(cf.gamma_fr - golden_gamma) <= 1e-10
     assert abs(sym.gamma_fr - golden_gamma) <= 1e-10
-    for alphas in ((cf.alpha1, cf.alpha2), tuple(sym.alphas)):
+    for alphas in (cf.alphas, sym.alphas):
         got = sorted(complex(a).real for a in alphas)
         assert max(abs(g) for g in (got[0] + golden_alpha,
                                     got[1] - golden_alpha)) <= 1e-10
         assert max(abs(complex(a).imag) for a in alphas) <= 1e-10
-    for a1, a2, gfr in ((cf.alpha1, cf.alpha2, cf.gamma_fr),
+    for a1, a2, gfr in ((cf.alphas[0], cf.alphas[1], cf.gamma_fr),
                         (sym.alphas[0], sym.alphas[1], sym.gamma_fr)):
         assert abs(gfr + 1.0 / (a1 * a2)) <= 1e-12
 
@@ -88,7 +88,7 @@ def test_criterion_02_pipeline_matches_closed_form_eta():
     pts = _disc_points(10)
     worst = 0.0
     for c1, c2 in ((1.0, 1.0), (4.0, 1.0), (0.5, 2.0)):
-        closed = closed_form_antipodal(c1, c2).to_symbol()
+        closed = closed_form_antipodal(c1, c2)
         piped = measure_to_symbol(CircleMeasure((0.0, math.pi), (c1, c2)))
         gap = np.abs(eta_values(piped, pts, pts)
                      - eta_values(closed, pts, pts)).max()
@@ -102,7 +102,7 @@ def test_criterion_03_antipodal_orthogonality_certified():
     worst = 0.0
     for _ in range(50):
         c1, c2 = rng.uniform(0.1, 10.0, size=2)
-        sym = closed_form_antipodal(c1, c2).to_symbol()
+        sym = closed_form_antipodal(c1, c2)
         residual, passed = orthogonality_test(pole_pairing(sym))
         worst = max(worst, residual)
         assert passed and residual <= 1e-9
@@ -151,7 +151,7 @@ def test_criterion_06_kernel_recursions():
     cases = []
     tab = rank1_taylor(0.4, 0.3 + 0.2j, 40)
     cases.append(("rank-1", tab, kernel_coeffs(tab, 37)))
-    sym = closed_form_antipodal(1.0, 1.0).to_symbol()
+    sym = closed_form_antipodal(1.0, 1.0)
     tab = symbol_taylor(sym, 40)
     cases.append(("antipodal", tab, kernel_coeffs(tab, 37)))
 

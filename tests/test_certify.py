@@ -4,6 +4,7 @@ import cmath
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
@@ -32,7 +33,7 @@ from cauchydual.certify import (
     taylor_projection,
 )
 from cauchydual.kernels import symbol_taylor
-from cauchydual.polyrat import _horner
+from cauchydual.polyrat import _horner, circle_points
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -128,7 +129,7 @@ def test_cross_gram_matches_hand_loop():
 
 
 def test_cross_gram_hermitian_and_psd():
-    for sym in (make_refuter(), closed_form_antipodal(2.0, 0.7).to_symbol()):
+    for sym in (make_refuter(), closed_form_antipodal(2.0, 0.7)):
         C = pole_pairing(sym).cross
         assert np.abs(C - C.conj().T).max() <= 1e-13 * np.abs(C).max()
         assert np.linalg.eigvalsh(C).min() >= -1e-12 * np.abs(C).max()
@@ -197,7 +198,7 @@ def test_orthogonality_antipodal_passes():
     rng = np.random.default_rng(1)
     for _ in range(10):
         c1, c2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
-        sym = closed_form_antipodal(c1, c2).to_symbol()
+        sym = closed_form_antipodal(c1, c2)
         residual, passed = orthogonality_test(pole_pairing(sym))
         assert passed and residual <= 1e-9
 
@@ -217,7 +218,7 @@ def test_orthogonality_vacuous_for_single_pole():
 
 
 def test_engine_equivalence_spot_checks():
-    for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), make_refuter()):
+    for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
         cross = pole_pairing(sym).cross
         taylor = symbol_taylor(sym, 20 + 12)
         for level in (1, 5, 12):
@@ -228,8 +229,8 @@ def test_engine_equivalence_spot_checks():
 
 
 def test_certified_cases_pass_both_engines():
-    for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(),
-                closed_form_antipodal(4.0, 1.0).to_symbol(),
+    for sym in (closed_form_antipodal(1.0, 1.0),
+                closed_form_antipodal(4.0, 1.0),
                 single_atom_symbol(1.0),
                 make_orthogonal_pair()):
         rep = run_certificates(sym)
@@ -329,7 +330,7 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
     rng = np.random.default_rng(44)
     cfg = CertificateConfig(levels=6, trunc=12)
     for sym in (make_refuter(), make_six_equal_atoms(),
-                closed_form_antipodal(1.0, 1.0).to_symbol()):
+                closed_form_antipodal(1.0, 1.0)):
         Q, cores = _basis_and_cores(sym, cfg)
         rows = symbol_taylor(sym, cfg.trunc + cfg.levels)
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
@@ -452,6 +453,40 @@ def test_numerator_count_need_not_match_pole_count(alphas, numerators):
         assert gap <= 1e-8 * max(pole_st.norm, 1e-300)
 
 
+def _orth_residual_50_digits(sym) -> float:
+    """max_{r != t} |p(alpha_r) conj(p(alpha_t))| / max_r |p(alpha_r)|^2 for
+    a scalar symbol, with p evaluated at the poles at 50 digits."""
+    with mpmath.workdps(50):
+        coeffs = [mpmath.mpc(c) for c in sym.coefficients[0][::-1]]
+        sizes = [abs(mpmath.polyval(coeffs, mpmath.mpc(a))) for a in sym.alphas]
+        off = max(sizes[r] * sizes[t] for r in range(sym.k)
+                  for t in range(sym.k) if r != t)
+        return float(off / max(sizes) ** 2)
+
+
+def test_scalar_symbols_with_distinct_pole_products_are_never_certified():
+    # For scalar b = p/q the pairing is v v^H with v_r = p(alpha_r) != 0, so
+    # when the off-diagonal pole products are pairwise distinct each
+    # off-diagonal class block [[0, c], [conj(c), 0]] is indefinite: the
+    # exactness condition holds, orthogonality fails, and b is refuted.
+    rng = np.random.default_rng(2024)
+    zs = circle_points(symbolpipe.SCHUR_SAMPLES)
+    worst = 0.0
+    for _ in range(300):
+        k = int(rng.integers(2, 5))
+        alphas = rng.uniform(1.3, 4.0, k) * np.exp(2j * np.pi * rng.uniform(size=k))
+        p = np.concatenate([[0.0], rng.standard_normal(k) + 1j * rng.standard_normal(k)])
+        q = npoly.polyfromroots(alphas)
+        schur = np.abs(npoly.polyval(zs, p) / npoly.polyval(zs, q))
+        sym = symbol_from_parts(alphas, [0.9 * p / schur.max()])
+        rep = run_certificates(sym)
+        assert rep.exactness and not rep.orth_passed
+        assert rep.verdict == VERDICT_REFUTED
+        want = _orth_residual_50_digits(sym)
+        worst = max(worst, abs(rep.orth_residual - want) / want)
+    assert worst <= 1e-12
+
+
 def test_inconclusive_fixture_report(inconclusive_symbol):
     rep = run_certificates(inconclusive_symbol)
     assert rep.verdict == VERDICT_INCONCLUSIVE
@@ -483,7 +518,8 @@ def test_empty_measure_is_the_zero_symbol():
     zeros = tuple(LevelStat(l, 0.0, 0.0) for l in range(1, CFG.levels + 1))
     assert rep.agler_pole == zeros and rep.agler_taylor == zeros
     assert rep.taylor.shape == (CFG.trunc + CFG.levels, 0)
-    assert rep.necessary.locations == () and not rep.exactness
+    assert rep.necessary.locations.shape == rep.necessary.weights.shape == (0,)
+    assert not rep.exactness
 
 
 def test_rotated_certified_family_stays_certified():
@@ -538,7 +574,7 @@ def test_two_point_measure_certifies_only_when_antipodal(theta, weight):
 
 
 def test_necessary_measure_antipodal_locations():
-    sym = closed_form_antipodal(1.0, 1.0).to_symbol()
+    sym = closed_form_antipodal(1.0, 1.0)
     necessary, passed = necessary_measure_test(
         pole_pairing(sym).cross, coincidence_classes(sym))
     assert passed
@@ -579,8 +615,15 @@ def test_necessary_measure_equals_class_loop_oracle():
             continue    # the pipeline's conditioning limit, not this test's
     for sym in symbols:
         cross, classes = pole_pairing(sym).cross, coincidence_classes(sym)
-        got = necessary_measure_test(cross, classes)
-        assert got == necessary_oracle.necessary_measure_test(cross, classes)
+        (got, passed) = necessary_measure_test(cross, classes)
+        (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
+        assert passed == want_passed
+        for field in ("locations", "weights"):
+            got_array = getattr(got, field)
+            assert isinstance(got_array, np.ndarray) and got_array.dtype == complex
+            assert np.array_equal(got_array, getattr(want, field))
+        assert got.worst_violation == want.worst_violation
+        assert got.worst_location == want.worst_location
     assert len(symbols) >= 50
 
 
@@ -596,7 +639,7 @@ def test_necessary_measure_large_classes_match_oracle(k):
     (got, passed) = necessary_measure_test(cross, classes)
     (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
     assert passed == want_passed
-    assert got.locations == want.locations
+    assert np.array_equal(got.locations, want.locations)
     assert got.worst_location == want.worst_location
     total = sum(abs(w) for w in want.weights)
     assert max(abs(a - b) for a, b in zip(got.weights, want.weights)) <= 1e-15 * total
@@ -672,7 +715,7 @@ def test_necessary_measure_weights_close_under_conjugation():
 
 
 def test_gamma_moments_match_kernel_diagonal():
-    for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), make_refuter()):
+    for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
         cross = pole_pairing(sym).cross
         moments = gamma_moments(sym, cross, 30)
         taylor = symbol_taylor(sym, 31)
@@ -695,7 +738,7 @@ def test_completely_monotone_examples():
 
 
 def test_antipodal_moments_completely_monotone():
-    sym = closed_form_antipodal(4.0, 1.0).to_symbol()
+    sym = closed_form_antipodal(4.0, 1.0)
     moments = gamma_moments(sym, pole_pairing(sym).cross, 53)
     passed, worst = completely_monotone_test(moments, 40, 12)
     assert passed
@@ -865,7 +908,7 @@ def test_coincidence_classes_match_union_find():
     ray = cmath.exp(1j * np.pi / 5)
     symbols = [make_refuter(), single_atom_symbol(1.0),
                symbol_from_parts([], []),
-               closed_form_antipodal(1.0, 1.0).to_symbol(),
+               closed_form_antipodal(1.0, 1.0),
                symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]),
                symbol_from_parts([2.0 * ray, 3.0 * ray, 5.0],
                                  [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]),
@@ -889,7 +932,7 @@ def test_coincidence_classes_match_union_find():
 def test_exactness_applies_cases():
     assert exactness_applies(coincidence_classes(make_refuter()))
     assert not exactness_applies(
-        coincidence_classes(closed_form_antipodal(1.0, 1.0).to_symbol()))
+        coincidence_classes(closed_form_antipodal(1.0, 1.0)))
     assert not exactness_applies(coincidence_classes(single_atom_symbol(1.0)))
     # real pair: the two cross products coincide
     assert not exactness_applies(coincidence_classes(

@@ -19,7 +19,6 @@ from cauchydual.cli import (
     EXIT_ERROR,
     InputError,
     _cmatrix,
-    _cpx,
     build_report,
     main,
     parse_input_document,
@@ -74,6 +73,10 @@ def test_parse_antipodal_and_single_atom():
     ({"measure": {"atoms": "nope"}}, "atoms"),
     ({"symbol": {"alphas": [[2.0, 0.0]], "numerators": [[[0.0, 0.0, 0.0]]]}},
      "re, im"),
+    ({"single_atom": {"tau": 10 ** 400}}, "single_atom.tau: must be finite"),
+    ({"symbol": {"alphas": [[2.0, 0.0]],
+                 "numerators": [[[0.0, 0.0], [0.3, -10 ** 400]]]}},
+     "symbol.numerators[0][1][1]: must be finite"),
 ])
 def test_parse_rejections_name_the_field(doc, needle):
     with pytest.raises(InputError) as exc:
@@ -108,11 +111,25 @@ def test_render_json_round_trips_and_inlines_scalar_rows():
     assert "[1.5, 2, 3]" in render_json({"row": [1.5, 2.0, 3.0]})
 
 
+# documents the fixtures do not cover: pipeline-built numerators of unequal
+# length, an empty symbol, and one numerator over two poles
+IN_MEMORY_DOCS = {
+    "three_atom_measure": {"measure": {"atoms": [
+        {"theta_radians": 0.3, "weight": 1.0},
+        {"theta_radians": 1.8, "weight": 0.5},
+        {"theta_radians": 4.0, "weight": 2.0}]}},
+    "empty_measure": {"measure": {"atoms": []}},
+    "scalar_two_poles": {"symbol": {
+        "alphas": [[2.0, 0.0], [-3.0, 0.0]],
+        "numerators": [[[0.0, 0.0], [0.5, 0.0]]]}},
+}
+
+
 def _fixture_reports(dump_tables: bool, trunc: int = 40, levels: int = 12,
                      names=FIXTURE_NAMES):
     cfg = certify.CertificateConfig(levels=levels, trunc=trunc)
     for name in names:
-        doc = load_fixture_doc(name)
+        doc = IN_MEMORY_DOCS.get(name) or load_fixture_doc(name)
         kind, sym = parse_input_document(doc)
         result = certify.run_certificates(sym, cfg)
         yield name, build_report(doc, kind, sym, result, dump_tables)
@@ -130,8 +147,8 @@ def _as_lists(obj):
 
 
 @pytest.mark.parametrize("dump_tables,trunc,levels,names", [
-    pytest.param(False, 40, 12, FIXTURE_NAMES, id="False"),
-    pytest.param(True, 40, 12, FIXTURE_NAMES, id="True"),
+    pytest.param(False, 40, 12, FIXTURE_NAMES + tuple(IN_MEMORY_DOCS), id="False"),
+    pytest.param(True, 40, 12, FIXTURE_NAMES + tuple(IN_MEMORY_DOCS), id="True"),
     pytest.param(True, 200, 12, ("refuter", "single_atom_tau1"), id="True-N200"),
 ])
 def test_render_json_matches_oracle_on_fixture_reports(dump_tables, trunc, levels,
@@ -197,16 +214,22 @@ def test_cmatrix_and_cpx_match_entrywise_conversion():
     rng = np.random.default_rng(11)
     M = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
     M[0, 0] = complex(-0.0, -0.0)
-    for A in (M, M[1], M.real, np.zeros((0, 2), dtype=complex)):
-        want = [[[float(np.real(z)), float(np.imag(z))] for z in row]
-                for row in np.atleast_2d(A)]
+
+    def pairs(A):
+        """The entrywise [re, im] lists of a number, vector or matrix."""
+        if np.ndim(A) == 0:
+            return [float(np.real(A)), float(np.imag(A))]
+        return [pairs(a) for a in A]
+
+    for A in (M, M[1], M.real, np.zeros((0, 2), dtype=complex),
+              np.zeros(0, dtype=complex),
+              M[2, 1], 1.5, -2, np.float64(0.25), complex(3.0, -0.0)):
+        want = pairs(A)
         got = _cmatrix(A)
         assert got.dtype == np.float64
+        assert got.shape == np.shape(A) + (2,)
         assert got.tolist() == want
         assert render_json(got) == render_oracle.render_json(want)
-    for z in (M[2, 1], 1.5, -2, np.float64(0.25), complex(3.0, -0.0)):
-        assert _cpx(z) == [float(np.real(z)), float(np.imag(z))]
-        assert all(type(x) is float for x in _cpx(z))
 
 
 def _float_array(shape, seed: int) -> np.ndarray:

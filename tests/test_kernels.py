@@ -38,7 +38,7 @@ REFUTER = symbol_from_parts([2.0, 1.5j], [[0.0, 0.3], [0.0, 0.0, 0.3]])
 
 
 def test_taylor_rows_sum_to_symbol_values():
-    sym = closed_form_antipodal(1.0, 1.0).to_symbol()
+    sym = closed_form_antipodal(1.0, 1.0)
     tab = symbol_taylor(sym, 60)
     zs = 0.4 * np.exp(1j * np.linspace(0, 2 * np.pi, 40, endpoint=False))
     powers = zs[:, None] ** np.arange(1, 61)[None, :]
@@ -68,8 +68,8 @@ def test_series_inverse_matches_numpy_scalar_oracle():
 
 def test_taylor_rows_decay_geometrically():
     cases = [
-        closed_form_antipodal(1.0, 1.0).to_symbol(),
-        closed_form_antipodal(4.0, 1.0).to_symbol(),
+        closed_form_antipodal(1.0, 1.0),
+        closed_form_antipodal(4.0, 1.0),
         measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0))),
         REFUTER,
     ]
@@ -116,7 +116,7 @@ def test_zero_symbol_taylor_and_kernel():
 def test_kernel_table_against_grid_evaluation():
     # sum_{m,n} K[m,n] z^m conj(w)^n must reproduce
     # (1 - sum_j b_j(z) conj(b_j(w))) / (1 - z conj(w)) inside the disc
-    for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), REFUTER):
+    for sym in (closed_form_antipodal(1.0, 1.0), REFUTER):
         tab = symbol_taylor(sym, 80)
         K = kernel_coeffs(tab, 80)
         rng = np.random.default_rng(2)
@@ -156,7 +156,7 @@ def _kernel_coeffs_loop(taylor, size):
 def test_kernel_table_equals_entrywise_loop():
     # same arithmetic in the same order, so the tables agree bit for bit
     tables = [rank1_taylor(0.4, 0.3 + 0.2j, 40),
-              symbol_taylor(closed_form_antipodal(1.0, 1.0).to_symbol(), 40),
+              symbol_taylor(closed_form_antipodal(1.0, 1.0), 40),
               symbol_taylor(REFUTER, 40),
               symbol_taylor(measure_to_symbol(
                   CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0))), 40)]
@@ -167,7 +167,7 @@ def test_kernel_table_equals_entrywise_loop():
 
 
 def test_kernel_table_structure():
-    sym = closed_form_antipodal(4.0, 1.0).to_symbol()
+    sym = closed_form_antipodal(4.0, 1.0)
     K = kernel_coeffs(symbol_taylor(sym, 30), 30)
     assert np.abs(K - K.conj().T).max() <= 1e-14 * np.abs(K).max()
     # the symbol vanishes at the origin, so row and column zero are trivial
@@ -222,7 +222,7 @@ def test_rank1_closed_form_property(bmod, barg, garg, gfrac):
 def test_diagonal_differences_are_row_norms():
     # K[m,m] - K[m+1,m+1] = |row m+1|^2: level-zero consistency between the
     # kernel table and the Taylor rows
-    for sym in (closed_form_antipodal(1.0, 1.0).to_symbol(), REFUTER,
+    for sym in (closed_form_antipodal(1.0, 1.0), REFUTER,
                 single_atom_symbol(2.0, 0.7)):
         tab = symbol_taylor(sym, 31)
         K = kernel_coeffs(tab, 31)

@@ -11,7 +11,6 @@ from numpy.polynomial import polynomial as npoly
 
 from cauchydual.polyrat import lagrange_denominators
 from cauchydual.symbolpipe import (
-    AntipodalClosedForm,
     CircleMeasure,
     EmptyMeasureError,
     RationalSymbol,
@@ -121,6 +120,7 @@ def test_outer_quotient_modulus_and_normalization():
         # numerator vanishes exactly at the atoms
         assert np.abs(npoly.polyval(zetas, outer.p)).max() <= 1e-10
         assert outer.p.shape == outer.q.shape == (k + 1,)
+        assert isinstance(outer.alphas, np.ndarray) and outer.alphas.shape == (k,)
         assert all(abs(a) > 1.0 for a in outer.alphas)
 
 
@@ -400,24 +400,35 @@ def test_symbol_coefficients_are_a_read_only_copy():
 # ------------------------------------------------------- antipodal closed form
 
 
+def _closed_form_parts(c1: float, c2: float):
+    """(alpha1, alpha2) and (gamma1, gamma2, gamma3) of the antipodal
+    closed form, read off its symbol: p_1 = gamma1 z + gamma2 z^2 and
+    p_2 = gamma3 z^2, all real."""
+    sym = closed_form_antipodal(c1, c2)
+    C = sym.coefficients
+    assert not sym.alphas.imag.any() and not C.imag.any()
+    assert C[0, 0] == C[1, 0] == C[1, 1] == 0.0
+    return sym, sym.alphas.real, (C[0, 1].real, C[0, 2].real, C[1, 2].real)
+
+
 def test_antipodal_1_1_exact_radicals():
-    cf = closed_form_antipodal(1.0, 1.0)
+    cf, (alpha1, alpha2), (gamma1, gamma2, gamma3) = _closed_form_parts(1.0, 1.0)
     assert abs(cf.gamma_fr - (3.0 - 2.0 * SQ2)) <= 1e-14
-    assert abs(cf.alpha1 - (1.0 + SQ2)) <= 1e-13
-    assert abs(cf.alpha2 + (1.0 + SQ2)) <= 1e-13
-    assert abs(cf.gamma1 - math.sqrt(10.0 + 7.0 * SQ2)) <= 1e-12
-    assert abs(cf.gamma2) <= 1e-14
-    assert abs(cf.gamma3 - math.sqrt(2.0 + SQ2)) <= 1e-13
+    assert abs(alpha1 - (1.0 + SQ2)) <= 1e-13
+    assert abs(alpha2 + (1.0 + SQ2)) <= 1e-13
+    assert abs(gamma1 - math.sqrt(10.0 + 7.0 * SQ2)) <= 1e-12
+    assert abs(gamma2) <= 1e-14
+    assert abs(gamma3 - math.sqrt(2.0 + SQ2)) <= 1e-13
 
 
 def test_antipodal_4_1_frozen_values():
-    cf = closed_form_antipodal(4.0, 1.0)
+    cf, (alpha1, alpha2), (gamma1, gamma2, gamma3) = _closed_form_parts(4.0, 1.0)
     assert abs(cf.gamma_fr - (math.sqrt(13.0) - 3.0) ** 2 / 4.0) <= 1e-14
-    assert abs(cf.alpha1 - 5.344003239065475) <= 1e-10
-    assert abs(cf.alpha2 - (-2.041227601333481)) <= 1e-10
-    assert abs(cf.gamma1 - 9.531355676996421) <= 1e-9
-    assert abs(cf.gamma2 - 3.433402534601493) <= 1e-9
-    assert abs(cf.gamma3 - 2.5393454128848574) <= 1e-9
+    assert abs(alpha1 - 5.344003239065475) <= 1e-10
+    assert abs(alpha2 - (-2.041227601333481)) <= 1e-10
+    assert abs(gamma1 - 9.531355676996421) <= 1e-9
+    assert abs(gamma2 - 3.433402534601493) <= 1e-9
+    assert abs(gamma3 - 2.5393454128848574) <= 1e-9
 
 
 def test_antipodal_rejects_nonpositive_weights():
@@ -431,15 +442,14 @@ def test_antipodal_rejects_nonpositive_weights():
        st.floats(min_value=0.1, max_value=10.0))
 @settings(deadline=None, max_examples=60)
 def test_antipodal_closed_form_invariants(c1, c2):
-    cf = closed_form_antipodal(c1, c2)
-    assert 0.0 < cf.gamma_fr < 1.0
-    assert cf.alpha1 > 1.0 and cf.alpha2 < -1.0
-    assert abs(cf.gamma_fr * cf.alpha1 * cf.alpha2 + 1.0) <= 1e-12 * max(
-        1.0, abs(cf.alpha1 * cf.alpha2))
     # the closed form must pass the Schur validation inside symbol assembly
-    sym = cf.to_symbol()
-    assert isinstance(cf, AntipodalClosedForm)
-    assert sym.k == 2
+    cf, (alpha1, alpha2), _ = _closed_form_parts(c1, c2)
+    assert isinstance(cf, RationalSymbol)
+    assert cf.k == 2
+    assert 0.0 < cf.gamma_fr < 1.0
+    assert alpha1 > 1.0 and alpha2 < -1.0
+    assert abs(cf.gamma_fr * alpha1 * alpha2 + 1.0) <= 1e-12 * max(
+        1.0, abs(alpha1 * alpha2))
 
 
 def test_antipodal_closed_form_matches_pipeline_eta():
@@ -449,9 +459,9 @@ def test_antipodal_closed_form_matches_pipeline_eta():
         sym = measure_to_symbol(mu)
         assert abs(sym.gamma_fr - cf.gamma_fr) <= 1e-12
         got = sorted(sym.alphas, key=lambda a: a.real)
-        want = sorted([cf.alpha1, cf.alpha2])
+        want = sorted(cf.alphas.real)
         assert max(abs(g - w) for g, w in zip(got, want)) <= 1e-10
-        assert np.abs(sym.eta - cf.to_symbol().eta).max() <= 1e-10 * max(
+        assert np.abs(sym.eta - cf.eta).max() <= 1e-10 * max(
             1.0, np.abs(sym.eta).max())
 
 
