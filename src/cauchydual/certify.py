@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .polyrat import circle_points
+from .polyrat import circle_points, inverse_powers, lagrange_denominators
 from .symbolpipe import RationalSymbol
 
 VERDICT_CERTIFIED = "CertifiedSubnormal"
@@ -48,24 +48,27 @@ class CertificateConfig:
 
 @dataclass(frozen=True, eq=False)
 class PolePairing:
-    """Numerator values paired at the poles.
+    """All a certificate reads: the poles alphas, the numerator values
+    values[j, r] = p_j(alpha_r), the Lagrange denominators
+    a_r = prod_{t != r} (alpha_r - alpha_t), products = alpha conj(alpha)^T,
+    pair[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t)) and the cross Gram
+    matrix C = pair / (a conj(a)^T), hermitian with nonnegative diagonal."""
 
-    pair[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t)); cross is the cross
-    Gram matrix C = pair / (a conj(a)^T), hermitian with nonnegative
-    diagonal, where a_r are the Lagrange denominators of the pole set.
-    """
-
+    alphas: np.ndarray
+    values: np.ndarray
+    a: np.ndarray
+    products: np.ndarray
     pair: np.ndarray
     cross: np.ndarray
 
 
-def pole_pairing(sym: RationalSymbol) -> PolePairing:
-    """Evaluate the numerators at the poles once and pair them."""
-    vals = sym.numerators_at_poles
-    pair = (vals.conj().T @ vals).conj()
-    a = sym.lagrange_denominators
+def pole_pairing(alphas: np.ndarray, values: np.ndarray) -> PolePairing:
+    """Build the pole tables and pair the numerator values, once per run."""
+    a = lagrange_denominators(alphas)
+    pair = (values.conj().T @ values).conj()
     C = pair / np.outer(a, np.conj(a))
-    return PolePairing(pair, 0.5 * (C + C.conj().T))
+    return PolePairing(alphas, values, a, np.outer(alphas, np.conj(alphas)),
+                       pair, 0.5 * (C + C.conj().T))
 
 
 def orthogonality_test(pairing: PolePairing):
@@ -117,24 +120,23 @@ def _level_stats(H: np.ndarray, trunc: int, gap=0.0) -> tuple:
                      norms.tolist(), np.broadcast_to(gap, levels).tolist()))
 
 
-def pole_basis(sym: RationalSymbol, trunc: int) -> tuple:
+def pole_basis(pairing: PolePairing, trunc: int) -> tuple:
     """Reduced QR, V^T = Q R, of the trunc x k matrix
     V^T[m, r] = (1/alpha_r)^(m+2): Q is trunc x r with orthonormal columns
     and R is r x k, r = min(k, trunc). Every level matrix of the N x N
     truncation, N = trunc, is V^T X_l conj(V) for a k x k core X_l, so
     both engines work in this basis."""
-    return np.linalg.qr(sym.inverse_pole_powers(trunc + 1)[1:])
+    return np.linalg.qr(inverse_powers(pairing.alphas, trunc + 1)[1:])
 
 
-def pole_cores(sym: RationalSymbol, cross: np.ndarray, R: np.ndarray,
-               levels: int) -> np.ndarray:
+def pole_cores(pairing: PolePairing, R: np.ndarray, levels: int) -> np.ndarray:
     """H[l - 1] = R X_l R^H, hermitian, for l = 1..levels, where
-    X_l = C o G^l with G = 1 - 1/(alpha conj(alpha)^T) is the k x k core
-    of level l: the level's matrix in the pole basis, shape
-    (levels, r, r)."""
-    G = 1.0 - 1.0 / sym.pole_products
+    X_l = C o G^l with the cross Gram C and G = 1 - 1/(alpha conj(alpha)^T)
+    is the k x k core of level l: the level's matrix in the pole basis,
+    shape (levels, r, r)."""
+    G = 1.0 - 1.0 / pairing.products
     X = np.empty((levels,) + G.shape, dtype=complex)
-    np.multiply(cross, G, out=X[0])
+    np.multiply(pairing.cross, G, out=X[0])
     for l in range(1, levels):
         np.multiply(X[l - 1], G, out=X[l])
     H = R @ X @ R.conj().T
@@ -238,10 +240,10 @@ def _segment_distance(x: np.ndarray) -> np.ndarray:
     return np.hypot(x.real - np.clip(x.real, 0.0, 1.0), x.imag)
 
 
-def coincidence_classes(sym: RationalSymbol) -> CoincidenceClasses:
+def coincidence_classes(pairing: PolePairing) -> CoincidenceClasses:
     """Group the pole products once for the necessary measure and the
     exactness condition."""
-    products = sym.pole_products
+    products = pairing.products
     flat = products.ravel()
     close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
     # every product takes the smallest index it is chained to
@@ -361,13 +363,13 @@ def run_certificates(sym: RationalSymbol,
     Refutation reads min_eig only, so drift can keep a level from passing
     but never refutes.
     """
-    pairing = pole_pairing(sym)
-    classes = coincidence_classes(sym)
+    pairing = pole_pairing(sym.alphas, sym.numerators_at_poles)
+    classes = coincidence_classes(pairing)
     orth_residual, orth_passed = orthogonality_test(pairing)
     necessary, necessary_passed = necessary_measure_test(pairing.cross, classes)
-    taylor = kernels.symbol_taylor(sym, cfg.trunc + cfg.levels)
-    Q, R = pole_basis(sym, cfg.trunc)
-    cores = pole_cores(sym, pairing.cross, R, cfg.levels)
+    taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
+    Q, R = pole_basis(pairing, cfg.trunc)
+    cores = pole_cores(pairing, R, cfg.levels)
     pole_stats = agler_pole_test(cores, cfg)
     A, Y = taylor_projection(taylor, Q, cfg)
     taylor_stats = agler_taylor_test(Y, cores, cfg)
@@ -425,8 +427,8 @@ class RepresentingMeasure:
     mass: float
 
 
-def representing_measure(sym: RationalSymbol,
-                         result: CertificateReport) -> RepresentingMeasure:
+def representing_measure(pairing: PolePairing,
+                         taylor: np.ndarray) -> RepresentingMeasure:
     """Integrate z^m conj(z)^n against the explicit representing measure.
 
     With beta_r = 1/alpha_r, component j of the symbol is
@@ -438,27 +440,29 @@ def representing_measure(sym: RationalSymbol,
     1 - sum_r nu_r (2 Re 1/(1 - conj(z) beta_r) - 1)
       = 1 - sum_r w_r / |1 - conj(z) beta_r|^2
     against d theta / 2 pi. Its moment int z^m conj(z)^n dmu must reproduce
-    the kernel table entry K[m][n]; the max residual over m, n <= size, with
-    size = min(MEASURE_CHECK_SIZE, rows in result.taylor), is reported.
+    the kernel table entry K[m][n] of the Taylor rows; the max residual over
+    m, n <= size, with size = min(MEASURE_CHECK_SIZE, len(taylor)), is
+    reported.
 
     The quadrature moment of z^m conj(z)^n is the mean of z^(m-n) times the
-    density over the QUAD_POINTS circle points, which is entry
-    (m - n) mod QUAD_POINTS of the density's inverse DFT.
+    real density over the QUAD_POINTS = Q circle points: with s its rfft and
+    i = (m - n) mod Q, that is conj(s[i]) / Q for i <= Q // 2, else s[Q - i] / Q.
     """
-    beta = 1.0 / sym.alphas
+    beta = 1.0 / pairing.alphas
     b2 = (beta * beta.conj()).real
-    w = (b2 * b2 * np.diag(result.pairing.pair).real
-         / np.abs(sym.lagrange_denominators) ** 2)
+    w = b2 * b2 * np.diag(pairing.pair).real / np.abs(pairing.a) ** 2
     masses = w / (1.0 - b2)
     gap = 1.0 - np.conj(circle_points(QUAD_POINTS))[:, None] * beta
     density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
-    size = min(MEASURE_CHECK_SIZE, len(result.taylor))
+    size = min(MEASURE_CHECK_SIZE, len(taylor))
     m = np.arange(size + 1)
-    moments = np.fft.ifft(density)[(m[:, None] - m[None, :]) % QUAD_POINTS]
+    idx = (m[:, None] - m[None, :]) % QUAD_POINTS
+    folded = np.fft.rfft(density)[np.minimum(idx, QUAD_POINTS - idx)] / QUAD_POINTS
+    moments = np.where(idx <= QUAD_POINTS // 2, folded.conj(), folded)
     bpow = np.power.outer(beta, m)
     moments += (bpow.T * masses) @ bpow.conj()
 
-    table = kernels.kernel_coeffs(result.taylor, size)
+    table = kernels.kernel_coeffs(taylor, size)
     resid = float(np.abs(moments - table).max())
     return RepresentingMeasure(beta, masses, float(density.min()), moments,
                                resid, float(moments[0, 0].real))

@@ -310,7 +310,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     }
     if result.orth_passed:
         report["representing_measure"] = _measure_json(
-            certify.representing_measure(sym, result))
+            certify.representing_measure(result.pairing, result.taylor))
     if dump_tables:
         report["tables"] = {"B_rows": _cmatrix(taylor)}
     return report

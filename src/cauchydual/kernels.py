@@ -11,6 +11,7 @@ import operator
 
 import numpy as np
 
+from .polyrat import inverse_powers
 from .symbolpipe import RationalSymbol
 
 
@@ -30,9 +31,10 @@ def _series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
     return np.array(out)
 
 
-def symbol_taylor(sym: RationalSymbol, n_rows: int) -> np.ndarray:
-    """Taylor rows of the symbol via the residue expansion at its poles:
-    entry [m - 1, j] is the coefficient of z^m in the j-th component.
+def symbol_taylor(sym: RationalSymbol, pairing, n_rows: int) -> np.ndarray:
+    """Taylor rows of the symbol via the residue expansion at its poles,
+    read from its pole pairing (certify.PolePairing): entry [m - 1, j] is
+    the coefficient of z^m in the j-th component.
 
     Component j has the expansion
 
@@ -42,13 +44,13 @@ def symbol_taylor(sym: RationalSymbol, n_rows: int) -> np.ndarray:
     vector contracted against alpha_i^{-m}; RationalSymbol guarantees
     distinct poles with |alpha_i| > 1. The same rows are recomputed by
     dividing each numerator by q as a power series; a mismatch beyond 1e-10
-    relative is an internal error.
+    relative is an internal error. Only this check reads sym.
     """
     if n_rows < 1:
         raise ValueError("need at least one row")
     # weight[j, i] = p_j(alpha_i) / (alpha_i a_i)
-    weight = sym.numerators_at_poles / (sym.alphas * sym.lagrange_denominators)[None, :]
-    rows = -(sym.inverse_pole_powers(n_rows) @ weight.T)
+    weight = pairing.values / (pairing.alphas * pairing.a)[None, :]
+    rows = -(inverse_powers(pairing.alphas, n_rows) @ weight.T)
 
     inv_q = _series_inverse(sym.q, n_rows + 1)
     check = np.zeros_like(rows)

@@ -25,7 +25,6 @@ from .polyrat import (
     _horner,
     fejer_riesz_factor,
     from_roots,
-    lagrange_denominators,
 )
 
 # circle points on which a symbol's Schur bound is checked
@@ -101,25 +100,25 @@ def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
     factors = [
         np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas()
     ]
-
-    def band_product(fs):
-        acc = np.array([1.0 + 0.0j])
-        for f in fs:
-            acc = np.convolve(acc, f)
-        return acc
+    # prefixes[j] = f_0 * ... * f_{j-1}, convolved in one factor at a time
+    prefixes = [np.array([1.0 + 0.0j])]
+    for f in factors:
+        prefixes.append(np.convolve(prefixes[-1], f))
 
     # The summation order is load-bearing: the Fejer-Riesz roots amplify a
     # last-bit change in this band. Building each partial product from
     # shared prefix and suffix products instead moved the Agler numbers of
     # 12 of the 511 symbols the benchmark's measure pool builds past its
     # 1e-8 tolerance (worst 7.3e-7, pool measure 8/12) and made the
-    # pipeline reject measure 6/25.
+    # pipeline reject measure 6/25. Partial j continues prefix j through
+    # f_{j+1}, ..., the order of one left-to-right product.
     k = mu.size
-    total = band_product(factors)
     acc = np.zeros(2 * k + 1, dtype=complex)
-    acc += total
+    acc += prefixes[k]
     for j, c in enumerate(mu.weights):
-        partial = band_product(factors[:j] + factors[j + 1:])
+        partial = prefixes[j]
+        for f in factors[j + 1:]:
+            partial = np.convolve(partial, f)
         lo = (len(acc) - len(partial)) // 2
         acc[lo: lo + len(partial)] += c * partial
     return acc
@@ -213,8 +212,9 @@ class RationalSymbol:
     The poles and the m x (k + 1) coefficient matrix are the whole symbol,
     each stored as a read-only complex copy: alphas[r] is pole r and
     coefficients[j, i] is the coefficient of z^i in p_j. k, q, the
-    numerator matrix eta, the Lagrange denominators, the pole products and
-    the numerators' values at the poles are derived from them, each once.
+    numerator matrix eta and the numerators' values at the poles are
+    derived from them, each once; the certificates read the poles and
+    those values only (certify.PolePairing).
     eta[i, j] is positioned so that
 
         sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
@@ -264,6 +264,8 @@ class RationalSymbol:
             if j == 0:
                 raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
             raise ValueError(f"poles {alphas[i]} and {alphas[j - 1]} coincide")
+        # by Horner: the pole form sum_j |b_j|^2 = h^T pair conj(h) cancels
+        # digits as poles near each other (1.5e-8 off at a gap of 1e-4)
         zs = circle_points(SCHUR_SAMPLES)
         num = (np.abs(_horner(C[:, None, :], zs)) ** 2).sum(axis=0)
         den = np.abs(_horner(self.q, zs)) ** 2
@@ -283,22 +285,6 @@ class RationalSymbol:
         return q
 
     @cached_property
-    def lagrange_denominators(self) -> np.ndarray:
-        """a_r = prod_{t != r} (alpha_r - alpha_t), shared by the pole
-        pairing and the Taylor rows; read-only."""
-        a = lagrange_denominators(self.alphas)
-        a.flags.writeable = False
-        return a
-
-    @cached_property
-    def pole_products(self) -> np.ndarray:
-        """products[r, t] = alpha_r conj(alpha_t), whose reciprocals set the
-        level cores and locate the necessary measure's atoms; read-only."""
-        products = np.outer(self.alphas, np.conj(self.alphas))
-        products.flags.writeable = False
-        return products
-
-    @cached_property
     def eta(self) -> np.ndarray:
         """eta = C^H C, hermitianized, where row t of C holds the
         coefficients of z^1, ..., z^k in p_t; read-only."""
@@ -311,21 +297,10 @@ class RationalSymbol:
     @cached_property
     def numerators_at_poles(self) -> np.ndarray:
         """vals[j, r] = p_j(alpha_r), one Horner pass over the coefficient
-        matrix, computed on first use and shared by the pole pairing and
-        the Taylor rows."""
+        matrix: the values the pole pairing is built from."""
         vals = _horner(self.coefficients[:, None, :], self.alphas)
         vals.flags.writeable = False
         return vals
-
-    def inverse_pole_powers(self, count: int) -> np.ndarray:
-        """P[m - 1, r] = (1/alpha_r)^m for m = 1..count, by running
-        products of the reciprocal. The reciprocal lies in the open disc,
-        so the powers of a far pole underflow towards 0 where alpha_r^-m
-        would overflow. On the benchmark's measure pool, running products
-        left slightly less rounding drift in the Taylor engine's forward
-        differences than numpy's power of the reciprocal."""
-        inverse = 1.0 / self.alphas
-        return np.cumprod(np.broadcast_to(inverse, (count, len(inverse))), axis=0)
 
 
 def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:

@@ -6,7 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cauchydual.certify import pole_pairing
 from cauchydual.cli import parse_input_document
+from cauchydual.kernels import symbol_taylor
 from cauchydual.symbolpipe import CircleMeasure
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -28,6 +30,16 @@ def load_fixture_doc(name: str) -> dict:
 def load_fixture_symbol(name: str):
     _, sym = parse_input_document(load_fixture_doc(name))
     return sym
+
+
+def pairing_of(sym):
+    """The pole pairing run_certificates builds for sym."""
+    return pole_pairing(sym.alphas, sym.numerators_at_poles)
+
+
+def taylor_of(sym, n_rows: int):
+    """The symbol's first n_rows Taylor rows, read from its pole pairing."""
+    return symbol_taylor(sym, pairing_of(sym), n_rows)
 
 
 def pool_like_measures(seed: int, per_k: int) -> list:

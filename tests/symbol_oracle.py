@@ -1,5 +1,7 @@
 """Second derivations of symbol-level quantities, kept as test oracles:
 the rotated measure, for the rotation covariance of the pipeline; the
+boundary band with each partial product convolved from scratch, which
+`symbolpipe.boundary_polynomial` continues from shared prefixes; the
 kernel sum_t p_t(z) conj(p_t(w)) / (q(z) conj(q(w))) evaluated on a grid,
 for comparing symbols built along different routes; and the atom Gram
 matrix built entry by entry from one polynomial per atom, with its
@@ -35,6 +37,30 @@ def rotate_measure(mu: CircleMeasure, zeta: complex) -> CircleMeasure:
         raise NotUnimodularError(f"|zeta| = {abs(zeta)}")
     phi = cmath.phase(zeta)
     return CircleMeasure(tuple(t - phi for t in mu.thetas), mu.weights)
+
+
+def boundary_band(mu: CircleMeasure) -> np.ndarray:
+    """The full hermitian band of prod_j |z-zeta_j|^2 + sum_j c_j
+    prod_{l!=j} |z-zeta_l|^2, every product convolved left to right from
+    [1]: k^2 convolutions for k atoms."""
+    factors = [
+        np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas()
+    ]
+
+    def band_product(fs):
+        acc = np.array([1.0 + 0.0j])
+        for f in fs:
+            acc = np.convolve(acc, f)
+        return acc
+
+    k = mu.size
+    acc = np.zeros(2 * k + 1, dtype=complex)
+    acc += band_product(factors)
+    for j, c in enumerate(mu.weights):
+        partial = band_product(factors[:j] + factors[j + 1:])
+        lo = (len(acc) - len(partial)) // 2
+        acc[lo: lo + len(partial)] += c * partial
+    return acc
 
 
 def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:

@@ -16,12 +16,11 @@ import numpy as np
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     orthogonality_test,
-    pole_pairing,
     representing_measure,
     run_certificates,
 )
 from cauchydual.cli import main
-from cauchydual.kernels import kernel_coeffs, symbol_taylor
+from cauchydual.kernels import kernel_coeffs
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -31,7 +30,8 @@ from cauchydual.symbolpipe import (
 )
 
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix
-from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_symbol
+from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_symbol, pairing_of,
+                      taylor_of)
 from rank1_oracle import mate_rank1, rank1_taylor
 from symbol_oracle import eta_values, rotate_measure
 
@@ -103,7 +103,7 @@ def test_criterion_03_antipodal_orthogonality_certified():
     for _ in range(50):
         c1, c2 = rng.uniform(0.1, 10.0, size=2)
         sym = closed_form_antipodal(c1, c2)
-        residual, passed = orthogonality_test(pole_pairing(sym))
+        residual, passed = orthogonality_test(pairing_of(sym))
         worst = max(worst, residual)
         assert passed and residual <= 1e-9
         assert run_certificates(sym).verdict == VERDICT_CERTIFIED
@@ -133,8 +133,8 @@ def test_criterion_05_engine_equivalence():
         symbols.append(measure_to_symbol(_random_measure(rng, int(rng.integers(2, 4)))))
     worst = 0.0
     for sym in symbols:
-        cross = pole_pairing(sym).cross
-        taylor = symbol_taylor(sym, 40 + 12)
+        cross = pairing_of(sym).cross
+        taylor = taylor_of(sym, 40 + 12)
         for level in range(1, 13):
             A = agler_pole_matrix(sym, cross, level, 40)
             B = agler_taylor_matrix(taylor, level, 40)
@@ -152,7 +152,7 @@ def test_criterion_06_kernel_recursions():
     tab = rank1_taylor(0.4, 0.3 + 0.2j, 40)
     cases.append(("rank-1", tab, kernel_coeffs(tab, 37)))
     sym = closed_form_antipodal(1.0, 1.0)
-    tab = symbol_taylor(sym, 40)
+    tab = taylor_of(sym, 40)
     cases.append(("antipodal", tab, kernel_coeffs(tab, 37)))
 
     def f_table(K, k, span):
@@ -202,7 +202,7 @@ def test_criterion_07_rank1_representing_measure():
     for sym in symbols:
         result = run_certificates(sym)
         assert result.orth_passed
-        check = representing_measure(sym, result)
+        check = representing_measure(result.pairing, result.taylor)
         worst = max(worst, check.max_residual)
         assert check.max_residual <= 1e-7
         assert check.density_min >= -1e-13
@@ -281,8 +281,8 @@ def test_criterion_11_truncation_monotonicity():
     worst = 0.0
     for name in FIXTURE_NAMES:
         sym = load_fixture_symbol(name)
-        cross = pole_pairing(sym).cross
-        taylor = symbol_taylor(sym, 40 + 12)
+        cross = pairing_of(sym).cross
+        taylor = taylor_of(sym, 40 + 12)
         for level in range(1, 13):
             for build in (lambda n: agler_pole_matrix(sym, cross, level, n),
                           lambda n: agler_taylor_matrix(taylor, level, n)):

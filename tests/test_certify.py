@@ -26,16 +26,15 @@ from cauchydual.certify import (
     orthogonality_test,
     pole_basis,
     pole_cores,
-    pole_pairing,
     representing_measure,
     run_certificates,
     taylor_basis_residual,
     taylor_projection,
 )
-from cauchydual.kernels import symbol_taylor
 from cauchydual.polyrat import _horner, circle_points
 from cauchydual.symbolpipe import (
     CircleMeasure,
+    RationalSymbol,
     closed_form_antipodal,
     measure_to_symbol,
     single_atom_symbol,
@@ -44,7 +43,8 @@ from cauchydual.symbolpipe import (
 
 import necessary_oracle
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix, oracle_stats
-from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures
+from conftest import (FIXTURE_NAMES, load_fixture_symbol, pairing_of,
+                      pool_like_measures, taylor_of)
 from monotone_oracle import (
     InsufficientLengthError,
     completely_monotone_test,
@@ -89,8 +89,9 @@ def _fixtures_and_seeded_batch(seed, draws):
 
 def _basis_and_cores(sym, cfg):
     """The pole basis Q and the level cores both engines run on."""
-    Q, R = pole_basis(sym, cfg.trunc)
-    return Q, pole_cores(sym, pole_pairing(sym).cross, R, cfg.levels)
+    pairing = pairing_of(sym)
+    Q, R = pole_basis(pairing, cfg.trunc)
+    return Q, pole_cores(pairing, R, cfg.levels)
 
 
 def _taylor_stats(taylor, Q, cores, cfg):
@@ -114,7 +115,7 @@ def make_orthogonal_pair(eps=0.0, s=0.25):
 
 def test_cross_gram_matches_hand_loop():
     sym = make_refuter()
-    got = pole_pairing(sym).cross
+    got = pairing_of(sym).cross
     alphas = sym.alphas
     denoms = [alphas[0] - alphas[1], alphas[1] - alphas[0]]
     expected = np.empty((2, 2), dtype=complex)
@@ -130,7 +131,7 @@ def test_cross_gram_matches_hand_loop():
 
 def test_cross_gram_hermitian_and_psd():
     for sym in (make_refuter(), closed_form_antipodal(2.0, 0.7)):
-        C = pole_pairing(sym).cross
+        C = pairing_of(sym).cross
         assert np.abs(C - C.conj().T).max() <= 1e-13 * np.abs(C).max()
         assert np.linalg.eigvalsh(C).min() >= -1e-12 * np.abs(C).max()
 
@@ -173,22 +174,80 @@ def test_certificates_evaluate_numerators_once(monkeypatch):
 
 
 def test_certificates_build_pole_tables_once(monkeypatch):
-    # the Lagrange denominators and the pole products are the symbol's own
-    # tables, built on first use: the pole pairing and the Taylor rows read
-    # the same denominators, and the coincidence classes hold the products
+    # the Lagrange denominators and the pole products are tables of the
+    # pole pairing, built once per run: the cross Gram and the Taylor rows
+    # read the same denominators, and the coincidence classes hold the
+    # products
     sym = measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
     calls = []
-    denominators = symbolpipe.lagrange_denominators
+    denominators = certify.lagrange_denominators
 
     def counting(poles):
         calls.append(len(poles))
         return denominators(poles)
 
-    monkeypatch.setattr(symbolpipe, "lagrange_denominators", counting)
+    monkeypatch.setattr(certify, "lagrange_denominators", counting)
     run_certificates(sym)
-    run_certificates(sym, CertificateConfig(levels=3, trunc=10))
-    assert calls == [sym.k]
-    assert coincidence_classes(sym).products is sym.pole_products
+    pairing = run_certificates(sym, CertificateConfig(levels=3, trunc=10)).pairing
+    assert calls == [sym.k, sym.k]
+    assert coincidence_classes(pairing).products is pairing.products
+
+
+def _random_unitary(rng, m):
+    Z = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    Q, R = np.linalg.qr(Z)
+    return Q * (np.diag(R) / np.abs(np.diag(R)))
+
+
+def test_certificates_depend_on_numerators_only_through_the_pairing():
+    # a unitary U mixes the numerators but keeps pair = conj(E^H E), so the
+    # outcome stays and the numbers move only by rounding
+    rng = np.random.default_rng(83)
+    checked = 0
+    for mu in pool_like_measures(89, 16):
+        try:
+            sym = measure_to_symbol(mu)
+        except (ValueError, ArithmeticError, RuntimeError):
+            continue    # the pipeline's conditioning limit, not this test's
+        U = _random_unitary(rng, len(sym.coefficients))
+        mixed = RationalSymbol(sym.alphas, U @ sym.coefficients)
+        want, got = run_certificates(sym), run_certificates(mixed)
+        for field in ("verdict", "certified_by", "refuted_by", "refuted_level",
+                      "orth_passed", "necessary_passed", "agler_passed",
+                      "exactness"):
+            assert getattr(got, field) == getattr(want, field), field
+        for a, b in zip(want.agler_pole + want.agler_taylor,
+                        got.agler_pole + got.agler_taylor):
+            scale = 1e-9 * max(a.norm, 1e-300)
+            assert abs(a.min_eig - b.min_eig) <= scale
+            assert abs(a.norm - b.norm) <= scale
+            assert abs(a.gap - b.gap) <= scale
+        pair = want.pairing.pair
+        assert np.abs(got.pairing.pair - pair).max() <= 1e-9 * np.abs(pair).max()
+        checked += 1
+    assert checked >= 120
+
+
+def test_schur_check_stays_on_the_monomials():
+    # poles 1e-6 apart: sum_j |b_j|^2 read from the pairing,
+    # sum_{r,t} h_r pair[r, t] conj(h_t) with h_r = z / (a_r alpha_r (z - alpha_r)),
+    # cancels digits and is off by about 1e-4, past the 1e-8 Schur
+    # tolerance; Horner on the coefficients admits the symbol at its bound
+    alphas = np.array([2.0, 2.0 + 1e-6], dtype=complex)
+    zs = circle_points(symbolpipe.SCHUR_SAMPLES)
+    p = np.array([0.0, -3.0, 1.0], dtype=complex)
+
+    def horner_max(coeffs):
+        q = _horner(np.array([alphas[0] * alphas[1], -alphas.sum(), 1.0]), zs)
+        return float((np.abs(_horner(coeffs, zs)) ** 2 / np.abs(q) ** 2).max())
+
+    sym = symbol_from_parts(alphas, [math.sqrt(0.9 / horner_max(p)) * p])
+    assert abs(horner_max(sym.coefficients[0]) - 0.9) <= 1e-12
+    pairing = pairing_of(sym)
+    h = zs[:, None] / (pairing.a * alphas * (zs[:, None] - alphas))
+    pole_form = np.einsum("zr,rt,zt->z", h, pairing.pair, h.conj()).real
+    horner = np.abs(_horner(sym.coefficients[0], zs) / _horner(sym.q, zs)) ** 2
+    assert np.abs(pole_form - horner).max() > 1e-8
 
 
 # -------------------------------------------------------------- orthogonality
@@ -199,18 +258,18 @@ def test_orthogonality_antipodal_passes():
     for _ in range(10):
         c1, c2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
         sym = closed_form_antipodal(c1, c2)
-        residual, passed = orthogonality_test(pole_pairing(sym))
+        residual, passed = orthogonality_test(pairing_of(sym))
         assert passed and residual <= 1e-9
 
 
 def test_orthogonality_refuter_value():
-    residual, passed = orthogonality_test(pole_pairing(make_refuter()))
+    residual, passed = orthogonality_test(pairing_of(make_refuter()))
     assert not passed
     assert abs(residual - 0.4743) <= 1e-3
 
 
 def test_orthogonality_vacuous_for_single_pole():
-    residual, passed = orthogonality_test(pole_pairing(single_atom_symbol(1.0)))
+    residual, passed = orthogonality_test(pairing_of(single_atom_symbol(1.0)))
     assert passed and residual == 0.0
 
 
@@ -219,8 +278,8 @@ def test_orthogonality_vacuous_for_single_pole():
 
 def test_engine_equivalence_spot_checks():
     for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
-        cross = pole_pairing(sym).cross
-        taylor = symbol_taylor(sym, 20 + 12)
+        cross = pairing_of(sym).cross
+        taylor = taylor_of(sym, 20 + 12)
         for level in (1, 5, 12):
             A = agler_pole_matrix(sym, cross, level, 20)
             B = agler_taylor_matrix(taylor, level, 20)
@@ -245,7 +304,7 @@ def test_certified_cases_pass_both_engines():
 
 def test_insufficient_rows_for_taylor_engine():
     sym = make_refuter()
-    taylor = symbol_taylor(sym, 15)
+    taylor = taylor_of(sym, 15)
     too_deep = CertificateConfig(levels=6, trunc=10)
     fits = CertificateConfig(levels=5, trunc=10)
     with pytest.raises(InsufficientRowsError):
@@ -262,8 +321,8 @@ def test_engines_match_oracle_eigvalsh():
               (make_refuter(), CertificateConfig(levels=8, trunc=2))]
     assert len(cases) >= 25
     for sym, cfg in cases:
-        cross = pole_pairing(sym).cross
-        taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
+        cross = pairing_of(sym).cross
+        taylor = taylor_of(sym, cfg.trunc + cfg.levels)
         Q, cores = _basis_and_cores(sym, cfg)
         for got, want, tol in (
                 (agler_pole_test(cores, cfg), oracle_stats(
@@ -294,7 +353,7 @@ def test_pole_engine_eigensolves_at_rank(monkeypatch):
         for trunc in (2, 3, 40, 200):
             cfg = CertificateConfig(levels=7, trunc=trunc)
             Q, cores = _basis_and_cores(sym, cfg)
-            taylor = symbol_taylor(sym, trunc + 7)
+            taylor = taylor_of(sym, trunc + 7)
             for engine in (lambda: agler_pole_test(cores, cfg),
                            lambda: _taylor_stats(taylor, Q, cores, cfg)):
                 sides.clear()
@@ -311,7 +370,7 @@ def test_taylor_engine_builds_no_n_by_n_array():
     cfg = CertificateConfig(levels=12, trunc=2000)
     sym = make_refuter()
     Q, cores = _basis_and_cores(sym, cfg)
-    taylor = symbol_taylor(sym, cfg.trunc + cfg.levels)
+    taylor = taylor_of(sym, cfg.trunc + cfg.levels)
     tracemalloc.start()
     try:
         A, Y = taylor_projection(taylor, Q, cfg)
@@ -332,7 +391,7 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
     for sym in (make_refuter(), make_six_equal_atoms(),
                 closed_form_antipodal(1.0, 1.0)):
         Q, cores = _basis_and_cores(sym, cfg)
-        rows = symbol_taylor(sym, cfg.trunc + cfg.levels)
+        rows = taylor_of(sym, cfg.trunc + cfg.levels)
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
         taylor = rows + re + 1j * im
         A = np.hstack([taylor[j:j + cfg.trunc] for j in range(cfg.levels + 1)])
@@ -377,7 +436,7 @@ def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
     # they disagree with the pole cores
     original = kernels.symbol_taylor
     monkeypatch.setattr(kernels, "symbol_taylor",
-                        lambda sym, n: 0.9 * original(sym, n))
+                        lambda sym, pairing, n: 0.9 * original(sym, pairing, n))
     rep = run_certificates(single_atom_symbol(1.0))
     tol = TOL_PSD
     assert rep.taylor_basis_residual <= tol
@@ -576,7 +635,7 @@ def test_two_point_measure_certifies_only_when_antipodal(theta, weight):
 def test_necessary_measure_antipodal_locations():
     sym = closed_form_antipodal(1.0, 1.0)
     necessary, passed = necessary_measure_test(
-        pole_pairing(sym).cross, coincidence_classes(sym))
+        pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
     assert passed
     assert len(necessary.locations) == 2
     locs = sorted(necessary.locations, key=lambda x: x.real)
@@ -595,7 +654,7 @@ def test_necessary_measure_antipodal_locations():
 def test_necessary_measure_single_atom():
     sym = single_atom_symbol(1.0)
     necessary, passed = necessary_measure_test(
-        pole_pairing(sym).cross, coincidence_classes(sym))
+        pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
     assert passed
     assert len(necessary.locations) == 1
     eta = (3.0 - math.sqrt(5.0)) / 2.0
@@ -614,7 +673,7 @@ def test_necessary_measure_equals_class_loop_oracle():
         except (ValueError, ArithmeticError, RuntimeError):
             continue    # the pipeline's conditioning limit, not this test's
     for sym in symbols:
-        cross, classes = pole_pairing(sym).cross, coincidence_classes(sym)
+        cross, classes = pairing_of(sym).cross, coincidence_classes(pairing_of(sym))
         (got, passed) = necessary_measure_test(cross, classes)
         (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
         assert passed == want_passed
@@ -634,7 +693,7 @@ def test_necessary_measure_large_classes_match_oracle(k):
     # the total variation at k = 8).
     sym = measure_to_symbol(CircleMeasure(
         tuple(2.0 * math.pi * j / k for j in range(k)), (1.0,) * k))
-    cross, classes = pole_pairing(sym).cross, coincidence_classes(sym)
+    cross, classes = pairing_of(sym).cross, coincidence_classes(pairing_of(sym))
     assert np.diff(classes.starts, append=k * k).max() == k
     (got, passed) = necessary_measure_test(cross, classes)
     (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
@@ -661,7 +720,7 @@ def test_necessary_atom_order_survives_last_bit_changes():
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
             necessary, _ = necessary_measure_test(
-                pole_pairing(scaled).cross, coincidence_classes(scaled))
+                pairing_of(scaled).cross, coincidence_classes(pairing_of(scaled)))
             orders.append(np.array(necessary.locations))
         for order in orders[1:]:
             assert np.abs(order - orders[0]).max() <= 1e-9
@@ -683,7 +742,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
             necessary, passed = necessary_measure_test(
-                pole_pairing(scaled).cross, coincidence_classes(scaled))
+                pairing_of(scaled).cross, coincidence_classes(pairing_of(scaled)))
             found.append((necessary.worst_location, passed))
         for location, passed in found[1:]:
             assert passed == found[0][1]
@@ -699,7 +758,7 @@ def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
         necessary, _ = necessary_measure_test(
-            pole_pairing(sym).cross, coincidence_classes(sym))
+            pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
         pairs = sorted(zip(necessary.locations, necessary.weights),
                        key=lambda lw: (round(lw[0].real, 9), round(lw[0].imag, 9)))
         conj_pairs = sorted(
@@ -716,9 +775,9 @@ def test_necessary_measure_weights_close_under_conjugation():
 
 def test_gamma_moments_match_kernel_diagonal():
     for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
-        cross = pole_pairing(sym).cross
+        cross = pairing_of(sym).cross
         moments = gamma_moments(sym, cross, 30)
-        taylor = symbol_taylor(sym, 31)
+        taylor = taylor_of(sym, 31)
         norms2 = np.linalg.norm(taylor, axis=1) ** 2
         # gamma_m = |row m+1|^2 = K[m,m] - K[m+1,m+1]; norms2[m] holds
         # exactly that square for the row of index m+1
@@ -739,7 +798,7 @@ def test_completely_monotone_examples():
 
 def test_antipodal_moments_completely_monotone():
     sym = closed_form_antipodal(4.0, 1.0)
-    moments = gamma_moments(sym, pole_pairing(sym).cross, 53)
+    moments = gamma_moments(sym, pairing_of(sym).cross, 53)
     passed, worst = completely_monotone_test(moments, 40, 12)
     assert passed
     assert worst >= -1e-10 * max(1.0, moments.max())
@@ -775,7 +834,7 @@ def _one_pole_symbol(gamma, beta):
 
 def _measure_of(sym):
     result = run_certificates(sym)
-    return result, representing_measure(sym, result)
+    return result, representing_measure(result.pairing, result.taylor)
 
 
 def test_rank1_representing_measure_checks():
@@ -804,7 +863,7 @@ def test_rank1_representing_measure_tangent_model():
 def _moments_by_power_matrix(atoms, masses, size, quad_points):
     """The quadrature as a dense product, E[m, q] = e^{i m theta_q} against
     the density, plus the atoms: the reference for the moments that
-    representing_measure takes from one inverse DFT."""
+    representing_measure takes from one real DFT."""
     theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
     unit = np.exp(1j * theta)
     density = np.ones(quad_points)
@@ -918,7 +977,7 @@ def test_coincidence_classes_match_union_find():
                measure_to_symbol(CircleMeasure((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
                                                (1.0,) * 6))]
     for sym in symbols:
-        classes = coincidence_classes(sym)
+        classes = coincidence_classes(pairing_of(sym))
         expected = _union_find_classes(sym)
         members = np.split(classes.order, classes.starts)[1:]
         assert [m.tolist() for m in members] == [m for m, _ in expected]
@@ -930,22 +989,22 @@ def test_coincidence_classes_match_union_find():
 
 
 def test_exactness_applies_cases():
-    assert exactness_applies(coincidence_classes(make_refuter()))
+    assert exactness_applies(coincidence_classes(pairing_of(make_refuter())))
     assert not exactness_applies(
-        coincidence_classes(closed_form_antipodal(1.0, 1.0)))
-    assert not exactness_applies(coincidence_classes(single_atom_symbol(1.0)))
+        coincidence_classes(pairing_of(closed_form_antipodal(1.0, 1.0))))
+    assert not exactness_applies(coincidence_classes(pairing_of(single_atom_symbol(1.0))))
     # real pair: the two cross products coincide
-    assert not exactness_applies(coincidence_classes(
-        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]])))
+    assert not exactness_applies(coincidence_classes(pairing_of(
+        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]))))
     # common ray: a cross product lands on [1, infinity)
     ray = cmath.exp(1j * np.pi / 5)
-    assert not exactness_applies(coincidence_classes(symbol_from_parts(
+    assert not exactness_applies(coincidence_classes(pairing_of(symbol_from_parts(
         [2.0 * ray, 3.0 * ray, 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]])))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))))
     # generic triple: distinct products, all off the ray
-    assert exactness_applies(coincidence_classes(symbol_from_parts(
+    assert exactness_applies(coincidence_classes(pairing_of(symbol_from_parts(
         [2.0 * ray, 3.0 * ray * cmath.exp(0.3j), 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]])))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))))
 
 
 # --------------------------------------------------------------- configuration

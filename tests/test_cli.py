@@ -27,7 +27,7 @@ from cauchydual.cli import (
 )
 
 import render_oracle
-from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_doc
+from conftest import FIXTURES, FIXTURE_NAMES, ROOT, load_fixture_doc
 
 
 # -------------------------------------------------------------- input parsing
@@ -719,3 +719,18 @@ def test_module_invocation_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "CertifiedSubnormal" in proc.stdout
+
+
+def test_import_leaves_numpy_polynomial_unloaded():
+    # numpy.polynomial costs milliseconds per fresh interpreter, and the
+    # package finds its roots without it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import cauchydual, cauchydual.cli, sys; "
+         "print('numpy.polynomial' in sys.modules)"],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from cauchydual import kernels
-from cauchydual.kernels import kernel_coeffs, symbol_taylor
+from cauchydual.kernels import kernel_coeffs
 from cauchydual.symbolpipe import (
     CircleMeasure,
     closed_form_antipodal,
@@ -17,7 +17,8 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
-from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures
+from conftest import (FIXTURE_NAMES, load_fixture_symbol, pool_like_measures,
+                      taylor_of)
 from polyrat_oracle import series_inverse
 from rank1_oracle import (
     ExtremePointError,
@@ -39,7 +40,7 @@ REFUTER = symbol_from_parts([2.0, 1.5j], [[0.0, 0.3], [0.0, 0.0, 0.3]])
 
 def test_taylor_rows_sum_to_symbol_values():
     sym = closed_form_antipodal(1.0, 1.0)
-    tab = symbol_taylor(sym, 60)
+    tab = taylor_of(sym, 60)
     zs = 0.4 * np.exp(1j * np.linspace(0, 2 * np.pi, 40, endpoint=False))
     powers = zs[:, None] ** np.arange(1, 61)[None, :]
     partial = powers @ tab  # (40, k)
@@ -74,7 +75,7 @@ def test_taylor_rows_decay_geometrically():
         REFUTER,
     ]
     for sym in cases:
-        tab = symbol_taylor(sym, 60)
+        tab = taylor_of(sym, 60)
         rho = 1.0 / min(abs(a) for a in sym.alphas)
         ratios = np.linalg.norm(tab, axis=1) / rho ** np.arange(1, 61)
         # the geometric envelope is already saturated within the first rows
@@ -87,7 +88,7 @@ def test_rank1_taylor_matches_single_atom_expansion():
     c = sym.coefficients[0, 1]
     # c z / (z - alpha) = gamma z / (1 - beta z) with beta = 1/alpha
     gamma, beta = -c / alpha, 1.0 / alpha
-    a = symbol_taylor(sym, 30)
+    a = taylor_of(sym, 30)
     b = rank1_taylor(gamma, beta, 30)
     assert np.abs(a - b).max() <= 1e-13
 
@@ -95,7 +96,7 @@ def test_rank1_taylor_matches_single_atom_expansion():
 def test_taylor_input_validation():
     sym = single_atom_symbol(1.0)
     with pytest.raises(ValueError):
-        symbol_taylor(sym, 0)
+        taylor_of(sym, 0)
     with pytest.raises(ValueError):
         rank1_taylor(0.5, 1.0, 10)  # beta on the circle
     with pytest.raises(ValueError):
@@ -104,7 +105,7 @@ def test_taylor_input_validation():
 
 def test_zero_symbol_taylor_and_kernel():
     sym = symbol_from_parts([], [])
-    tab = symbol_taylor(sym, 5)
+    tab = taylor_of(sym, 5)
     assert tab.shape == (5, 0)
     K = kernel_coeffs(tab, 4)
     assert np.abs(K - np.eye(5)).max() == 0.0
@@ -117,7 +118,7 @@ def test_kernel_table_against_grid_evaluation():
     # sum_{m,n} K[m,n] z^m conj(w)^n must reproduce
     # (1 - sum_j b_j(z) conj(b_j(w))) / (1 - z conj(w)) inside the disc
     for sym in (closed_form_antipodal(1.0, 1.0), REFUTER):
-        tab = symbol_taylor(sym, 80)
+        tab = taylor_of(sym, 80)
         K = kernel_coeffs(tab, 80)
         rng = np.random.default_rng(2)
         zs = 0.45 * np.sqrt(rng.uniform(size=8)) * np.exp(
@@ -156,9 +157,9 @@ def _kernel_coeffs_loop(taylor, size):
 def test_kernel_table_equals_entrywise_loop():
     # same arithmetic in the same order, so the tables agree bit for bit
     tables = [rank1_taylor(0.4, 0.3 + 0.2j, 40),
-              symbol_taylor(closed_form_antipodal(1.0, 1.0), 40),
-              symbol_taylor(REFUTER, 40),
-              symbol_taylor(measure_to_symbol(
+              taylor_of(closed_form_antipodal(1.0, 1.0), 40),
+              taylor_of(REFUTER, 40),
+              taylor_of(measure_to_symbol(
                   CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0))), 40)]
     for tab in tables:
         for size in (0, 1, 17, 40):
@@ -168,7 +169,7 @@ def test_kernel_table_equals_entrywise_loop():
 
 def test_kernel_table_structure():
     sym = closed_form_antipodal(4.0, 1.0)
-    K = kernel_coeffs(symbol_taylor(sym, 30), 30)
+    K = kernel_coeffs(taylor_of(sym, 30), 30)
     assert np.abs(K - K.conj().T).max() <= 1e-14 * np.abs(K).max()
     # the symbol vanishes at the origin, so row and column zero are trivial
     e0 = np.zeros(31)
@@ -184,7 +185,7 @@ def test_kernel_table_is_exactly_hermitian(name, size):
     # computation of it, so K = K^H holds exactly; with zeros made canonical,
     # as the report writes them, the bytes agree too (only the diagonal's
     # imaginary zeros differ in sign)
-    K = kernel_coeffs(symbol_taylor(load_fixture_symbol(name), size + 12), size)
+    K = kernel_coeffs(taylor_of(load_fixture_symbol(name), size + 12), size)
     assert K.shape == (size + 1, size + 1)
     assert (K == K.conj().T).all()
     assert (K + 0.0).tobytes() == (K.conj().T + 0.0).tobytes()
@@ -224,7 +225,7 @@ def test_diagonal_differences_are_row_norms():
     # kernel table and the Taylor rows
     for sym in (closed_form_antipodal(1.0, 1.0), REFUTER,
                 single_atom_symbol(2.0, 0.7)):
-        tab = symbol_taylor(sym, 31)
+        tab = taylor_of(sym, 31)
         K = kernel_coeffs(tab, 31)
         norms2 = np.linalg.norm(tab, axis=1) ** 2
         diffs = np.diag(K).real[:-1] - np.diag(K).real[1:]
@@ -330,6 +331,6 @@ def test_dual_kernel_grid_validation():
 def test_taylor_table_shape_accessors():
     # the rows are a plain (rows, k) array, one column per component
     assert rank1_taylor(0.5, 0.3, 7).shape == (7, 1)
-    tab = symbol_taylor(REFUTER, 7)
+    tab = taylor_of(REFUTER, 7)
     assert isinstance(tab, np.ndarray) and tab.shape == (7, 2)
     assert isinstance(mate_rank1(0.5, 0.0), Rank1Model)

@@ -21,7 +21,9 @@ from cauchydual.polyrat import (
     lagrange_denominators,
     poly_roots,
 )
+from cauchydual.symbolpipe import boundary_polynomial
 
+from conftest import pool_like_measures
 from polyrat_oracle import (
     DegreeTooLargeError,
     PolesNotDistinctError,
@@ -79,6 +81,23 @@ def test_poly_roots_rejects_constants():
     roots = poly_roots(np.array([1.0, 2.0, 0.0]))
     assert isinstance(roots, np.ndarray) and roots.dtype == complex
     assert roots.tolist() == [-0.5 + 0.0j]
+
+
+def _sorted_numpy_roots(coeffs):
+    roots = npoly.polyroots(np.trim_zeros(np.asarray(coeffs, dtype=complex), "b"))
+    return roots[np.lexsort((np.hypot(roots.real, roots.imag), np.angle(roots)))]
+
+
+def test_poly_roots_equal_numpy_polynomial_bit_for_bit():
+    # the same companion matrix and eigensolver as numpy.polynomial, in the
+    # same sorted order, on pool-like boundary bands and random polynomials
+    bands = [boundary_polynomial(mu) for mu in pool_like_measures(73, 16)]
+    rng = np.random.default_rng(79)
+    randoms = [rng.normal(size=(d + 1, 2)) @ [1.0, 1.0j]
+               for d in range(1, 17) for _ in range(8)]
+    for coeffs in bands + randoms:
+        assert np.array_equal(poly_roots(coeffs), _sorted_numpy_roots(coeffs))
+    assert len(bands) == 128 and len(randoms) == 128
 
 
 @st.composite

@@ -24,7 +24,7 @@ from cauchydual.symbolpipe import (
 )
 
 import symbol_oracle
-from conftest import pool_like_measures
+from conftest import pairing_of, pool_like_measures
 from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
 from rank1_oracle import ExtremePointError, GridOutsideDiscError
 from symbol_oracle import (
@@ -97,6 +97,16 @@ def test_boundary_polynomial_matches_direct_formula():
         got = sum(band[k + m] * zs ** m for m in range(-k, k + 1))
         assert np.abs(got.imag).max() <= 1e-12 * direct.max()
         assert np.abs(got.real - direct).max() <= 1e-12 * direct.max()
+
+
+def test_boundary_band_from_shared_prefixes_equals_oracle_bit_for_bit():
+    # continuing prefix j through f_{j+1}, ... repeats the oracle's
+    # left-to-right products exactly, with k + k(k - 1)/2 convolutions
+    measures = pool_like_measures(71, 32)
+    for mu in measures:
+        assert np.array_equal(boundary_polynomial(mu),
+                              symbol_oracle.boundary_band(mu))
+    assert len(measures) == 256
 
 
 # ------------------------------------------------------------- outer quotient
@@ -337,13 +347,12 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
         assert np.abs(sym.q - want_q).max() <= 1e-13 * np.abs(want_q).max()
         C = sym.coefficients[:, 1:]
         assert np.abs(sym.eta - C.conj().T @ C).max() <= 1e-14 * np.abs(sym.eta).max()
-        assert np.array_equal(sym.lagrange_denominators,
-                              lagrange_denominators(sym.alphas))
-        assert np.array_equal(sym.pole_products,
+        pairing = pairing_of(sym)
+        assert np.array_equal(pairing.a, lagrange_denominators(sym.alphas))
+        assert np.array_equal(pairing.products,
                               np.outer(sym.alphas, np.conj(sym.alphas)))
         for derived in (sym.alphas, sym.coefficients, sym.q, sym.eta,
-                        sym.numerators_at_poles, sym.lagrange_denominators,
-                        sym.pole_products):
+                        sym.numerators_at_poles):
             assert not derived.flags.writeable
 
 
