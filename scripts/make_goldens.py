@@ -5,7 +5,9 @@ Usage, from the repository root:
     python3 scripts/make_goldens.py
 
 Rewrites fixtures/*.json in place with a pinned timestamp so reruns are
-byte-identical; review the diff before committing.
+byte-identical, and prints the key path of every value that changed,
+appeared or vanished against the golden it replaces (parsed JSON, so
+only a value change shows); review the diff before committing.
 """
 import json
 import math
@@ -50,11 +52,36 @@ def fixture_inputs() -> dict:
     }
 
 
+def key_diff(old, new, path: str = "") -> list:
+    """(what, path) for each value of the parsed reports that changed,
+    appeared or vanished from `old` to `new`: dicts are compared key by key,
+    lists of equal length item by item, anything else as a whole."""
+    if isinstance(old, dict) and isinstance(new, dict):
+        out = []
+        for key in {**old, **new}:
+            sub = f"{path}.{key}" if path else key
+            if key not in old:
+                out.append(("appeared", sub))
+            elif key not in new:
+                out.append(("vanished", sub))
+            else:
+                out += key_diff(old[key], new[key], sub)
+        return out
+    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
+        return [d for i, (a, b) in enumerate(zip(old, new))
+                for d in key_diff(a, b, f"{path}[{i}]")]
+    return [] if old == new else [("changed", path)]
+
+
 def main():
     os.makedirs(FIXTURES, exist_ok=True)
     for name, doc in fixture_inputs().items():
         in_path = os.path.join(FIXTURES, f"{name}.json")
         golden_path = os.path.join(FIXTURES, f"{name}.golden.json")
+        previous = None
+        if os.path.exists(golden_path):
+            with open(golden_path) as handle:
+                previous = json.load(handle)
         with open(in_path, "w") as handle:
             handle.write(cli.render_json(doc) + "\n")
         code = cli.main(["--input", in_path, "--report", golden_path])
@@ -66,6 +93,9 @@ def main():
         with open(golden_path, "w") as handle:
             handle.write(cli.render_json(report) + "\n")
         print(f"{name}: exit {code}, wrote {os.path.relpath(golden_path)}")
+        if previous is not None:
+            for what, path in key_diff(previous, report):
+                print(f"  {what} {path}")
 
 
 if __name__ == "__main__":

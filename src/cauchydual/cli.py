@@ -251,7 +251,6 @@ def _measure_json(measure: certify.RepresentingMeasure) -> dict:
         "density_min": measure.density_min,
         "measure_check": {
             "size": len(measure.moments) - 1,
-            "quad_points": certify.QUAD_POINTS,
             "mass": measure.mass,
             "max_residual": measure.max_residual,
         },
@@ -279,12 +278,11 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
         },
         "pipeline": {
             "k": sym.k,
-            "gamma_fr": sym.gamma_fr,
+            # a symbol input comes without a measure
+            "gamma_fr": None if kind == "symbol" else sym.gamma_fr,
             "alphas": _cmatrix(sym.alphas),
             "numerators": [_cmatrix(row[:n])
                            for row, n in zip(sym.coefficients, lengths)],
-            "q": _cmatrix(sym.q),
-            "eta": _cmatrix(sym.eta),
             "taylor_digest": {
                 "n_rows": len(taylor),
                 "row_norms": np.linalg.norm(taylor, axis=1),
@@ -373,8 +371,9 @@ def main(argv=None) -> int:
         kind, sym = parse_input_document(document)
         cfg = certify.CertificateConfig(levels=args.levels, trunc=args.trunc)
         result = certify.run_certificates(sym, cfg)
-        report = build_report(document, kind, sym, result, args.dump_tables)
-        text = render_json(report) + "\n" if args.report else None
+        if args.report:
+            text = render_json(build_report(document, kind, sym, result,
+                                            args.dump_tables)) + "\n"
     except InputError as exc:
         print(f"error: invalid input field {exc}", file=sys.stderr)
         return EXIT_ERROR

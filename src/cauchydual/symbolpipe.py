@@ -69,22 +69,25 @@ class CircleMeasure:
                 continue
             kept_t.append(t)
             kept_w.append(w)
-        zs = [cmath.exp(1j * t) for t in kept_t]
-        for i in range(len(zs)):
-            for j in range(i + 1, len(zs)):
-                if abs(zs[i] - zs[j]) <= POLE_GAP:
-                    raise ValueError(
-                        f"atoms {i} and {j} coincide on the circle: "
-                        f"theta {kept_t[i]} vs {kept_t[j]}")
+        zs = np.exp(1j * np.asarray(kept_t, dtype=float))
+        zs.flags.writeable = False
+        # the first pair i < j in row-major order is raised
+        hits = np.flatnonzero(np.triu(np.abs(zs[:, None] - zs) <= POLE_GAP, 1))
+        if hits.size:
+            i, j = divmod(int(hits[0]), len(zs))
+            raise ValueError(f"atoms {i} and {j} coincide on the circle: "
+                             f"theta {kept_t[i]} vs {kept_t[j]}")
         object.__setattr__(self, "thetas", tuple(kept_t))
         object.__setattr__(self, "weights", tuple(kept_w))
+        object.__setattr__(self, "_zetas", zs)
 
     @property
     def size(self) -> int:
         return len(self.thetas)
 
     def zetas(self) -> np.ndarray:
-        return np.exp(1j * np.asarray(self.thetas, dtype=float))
+        """The atoms' points exp(i theta_j), computed once, read-only."""
+        return self._zetas
 
 
 def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
@@ -132,7 +135,6 @@ class OuterData:
     alphas is the sorted pole array of the factorization; p and q are
     ascending coefficient arrays of length k + 1."""
 
-    gamma_fr: float
     alphas: np.ndarray
     p: np.ndarray
     q: np.ndarray
@@ -152,7 +154,7 @@ def outer_from_measure(mu: CircleMeasure) -> OuterData:
     ratio = complex(p[0]) / complex(q[0])
     if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
         raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio}")
-    return OuterData(gamma, alphas, p, q)
+    return OuterData(alphas, p, q)
 
 
 @dataclass(frozen=True, eq=False)
@@ -211,18 +213,14 @@ class RationalSymbol:
 
     The poles and the m x (k + 1) coefficient matrix are the whole symbol,
     each stored as a read-only complex copy: alphas[r] is pole r and
-    coefficients[j, i] is the coefficient of z^i in p_j. k, q, the
-    numerator matrix eta and the numerators' values at the poles are
-    derived from them, each once; the certificates read the poles and
-    those values only (certify.PolePairing).
-    eta[i, j] is positioned so that
-
-        sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
+    coefficients[j, i] is the coefficient of z^i in p_j. k, q, gamma_fr
+    and the numerators' values at the poles are derived from them; the
+    certificates read the poles and those values only
+    (certify.PolePairing).
     """
 
     alphas: np.ndarray
     coefficients: np.ndarray
-    gamma_fr: float | None = None
 
     def __post_init__(self):
         """Admit only the class the certificates are stated for: finite
@@ -284,15 +282,12 @@ class RationalSymbol:
         q.flags.writeable = False
         return q
 
-    @cached_property
-    def eta(self) -> np.ndarray:
-        """eta = C^H C, hermitianized, where row t of C holds the
-        coefficients of z^1, ..., z^k in p_t; read-only."""
-        C = np.ascontiguousarray(self.coefficients[:, 1:])
-        eta = C.conj().T @ C
-        eta = 0.5 * (eta + eta.conj().T)
-        eta.flags.writeable = False
-        return eta
+    @property
+    def gamma_fr(self) -> float:
+        """Fejer-Riesz constant 1/prod_r |alpha_r| of the measure whose
+        symbol this is: the boundary weight gamma |q|^2 has top coefficient
+        of modulus 1. It is 1.0 for the empty symbol."""
+        return 1.0 / float(np.prod(np.abs(self.alphas)))
 
     @cached_property
     def numerators_at_poles(self) -> np.ndarray:
@@ -313,8 +308,7 @@ def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:
 
 
 def symbol_from_parts(alphas: Sequence[complex],
-                      numerators: Sequence[Sequence[complex]],
-                      gamma_fr: float | None = None) -> RationalSymbol:
+                      numerators: Sequence[Sequence[complex]]) -> RationalSymbol:
     """Assemble a symbol from raw poles and numerator coefficient rows.
 
     Each row is ascending; its trailing zeros are dropped and the rest,
@@ -329,7 +323,7 @@ def symbol_from_parts(alphas: Sequence[complex],
         if n > k + 1:
             raise ValueError(f"numerator {j} has degree {n - 1} > {k}")
         C[j, :n] = cs[:n]
-    return RationalSymbol(alphas, C, gamma_fr)
+    return RationalSymbol(alphas, C)
 
 
 def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
@@ -347,7 +341,7 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     The empty measure yields the zero symbol with k = 0.
     """
     if mu.size == 0:
-        return symbol_from_parts((), (), gamma_fr=1.0)
+        return symbol_from_parts((), ())
     outer = outer_from_measure(mu)
     gram = gram_from_outer(mu, outer)
     k = mu.size
@@ -385,8 +379,7 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
         raise RuntimeError(f"cholesky split residual {split:.3e}")
 
     # row t of P holds the coefficients of z^1..z^k in p_t
-    return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]),
-                          outer.gamma_fr)
+    return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]))
 
 
 def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
@@ -394,8 +387,7 @@ def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
 
     With gamma1, gamma3 the nonnegative square roots, the symbol is
     p_1 = gamma1 z + gamma2 z^2, p_2 = gamma3 z^2 over
-    q = (z - alpha1)(z - alpha2) with alpha1 > 1 and alpha2 < -1, and
-    gamma_fr = -1/(alpha1 alpha2).
+    q = (z - alpha1)(z - alpha2) with alpha1 > 1 and alpha2 < -1.
     """
     c1, c2 = float(c1), float(c2)
     if c1 <= 0.0 or c2 <= 0.0:
@@ -404,7 +396,6 @@ def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
     cm = math.sqrt(c1) - math.sqrt(c2)
     rp = math.sqrt(4.0 + cp * cp)
     rm = math.sqrt(4.0 + cm * cm)
-    gamma_fr = (rp - cp) ** 2 / 4.0
     alpha1 = (cm + rm) * (cp + rp) / 4.0
     alpha2 = (cm - rm) * (cp + rp) / 4.0
     s = alpha1 + alpha2
@@ -425,16 +416,15 @@ def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
         1.0 - prod * (3.0 - prod - alpha1 ** 2 - alpha2 ** 2) / (prod - 1.0)
         - g2 * g2,
         "gamma3")
-    return symbol_from_parts([alpha1, alpha2], [[0.0, g1, g2], [0.0, 0.0, g3]],
-                             gamma_fr=gamma_fr)
+    return symbol_from_parts([alpha1, alpha2], [[0.0, g1, g2], [0.0, 0.0, g3]])
 
 
 def single_atom_symbol(tau: float, theta: float = 0.0) -> RationalSymbol:
     """Rank-one symbol for tau * delta at exp(i theta), in closed form.
 
     The contraction parameter eta in (0, 1) solves eta + 1/eta = 2 + tau;
-    the single pole sits at exp(i theta)/eta and the numerator is
-    -sqrt(tau/eta) z.
+    the single pole sits at exp(i theta)/eta, so gamma_fr is eta, and the
+    numerator is -sqrt(tau/eta) z.
     """
     tau = float(tau)
     if tau <= 0.0:
@@ -442,7 +432,4 @@ def single_atom_symbol(tau: float, theta: float = 0.0) -> RationalSymbol:
     s = 2.0 + tau
     eta = (s - math.sqrt(s * s - 4.0)) / 2.0
     lam = cmath.exp(1j * float(theta))
-    return symbol_from_parts(
-        [lam / eta],
-        [[0.0, -math.sqrt(tau / eta)]],
-        gamma_fr=eta)
+    return symbol_from_parts([lam / eta], [[0.0, -math.sqrt(tau / eta)]])

@@ -6,10 +6,15 @@ kernel sum_t p_t(z) conj(p_t(w)) / (q(z) conj(q(w))) evaluated on a grid,
 for comparing symbols built along different routes; and the atom Gram
 matrix built entry by entry from one polynomial per atom, with its
 condition number, which `symbolpipe.gram_from_outer` assembles as array
-passes over all atoms at once.
+passes over all atoms at once; the numerator matrix eta = C^H C, which the
+report no longer prints; and two forms of the Fejer-Riesz constant that
+`RationalSymbol.gamma_fr` reads off the poles, the antipodal closed form
+(rp - cp)^2 / 4 and a 50-digit evaluation at Newton-polished poles.
 """
 import cmath
+import math
 
+import mpmath
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
@@ -74,6 +79,66 @@ def eta_values(sym: RationalSymbol, z, w) -> np.ndarray:
     for p in sym.coefficients:
         acc += np.outer(npoly.polyval(zs, p), np.conj(npoly.polyval(ws, p)))
     return acc / np.outer(npoly.polyval(zs, sym.q), np.conj(npoly.polyval(ws, sym.q)))
+
+
+def eta(sym: RationalSymbol) -> np.ndarray:
+    """Numerator matrix eta = C^H C, hermitianized, where row t of C holds
+    the coefficients of z^1, ..., z^k in p_t, so that
+
+        sum_t p_t(z) conj(p_t(w)) = sum_{i,j} eta[j, i] z^{i+1} conj(w)^{j+1}.
+    """
+    C = np.ascontiguousarray(sym.coefficients[:, 1:])
+    out = C.conj().T @ C
+    return 0.5 * (out + out.conj().T)
+
+
+def antipodal_gamma(c1: float, c2: float) -> float:
+    """Fejer-Riesz constant of c1 delta_{+1} + c2 delta_{-1} in closed
+    form: (rp - cp)^2 / 4 with cp = sqrt(c1) + sqrt(c2) and
+    rp = sqrt(4 + cp^2)."""
+    cp = math.sqrt(c1) + math.sqrt(c2)
+    rp = math.sqrt(4.0 + cp * cp)
+    return (rp - cp) ** 2 / 4.0
+
+
+def _convolve(a: list, b: list) -> list:
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def fejer_riesz_gamma_50_digits(mu: CircleMeasure, alphas) -> float:
+    """The Fejer-Riesz constant gamma = 1/prod_r |alpha_r| at 50 digits.
+
+    On the circle z |z - zeta|^2 = (z - zeta)(1 - conj(zeta) z), so z^k
+    times the boundary weight is the polynomial
+    prod_j h_j + sum_j c_j z prod_{l != j} h_l, built here in mpmath from
+    the exact atoms; each float pole is polished by four Newton steps on
+    it, from the 1e-12 of the float roots to beyond 50 digits."""
+    with mpmath.workdps(50):
+        factors = [[-z, 2, -mpmath.conj(z)]
+                   for z in (mpmath.expj(mpmath.mpf(t)) for t in mu.thetas)]
+
+        def product(fs):
+            acc = [mpmath.mpc(1)]
+            for f in fs:
+                acc = _convolve(acc, f)
+            return acc
+
+        poly = product(factors)
+        for j, c in enumerate(mu.weights):
+            partial = [0] + product(factors[:j] + factors[j + 1:]) + [0]
+            poly = [a + mpmath.mpf(c) * b for a, b in zip(poly, partial)]
+        size = mpmath.mpf(1)
+        for a in alphas:
+            z = mpmath.mpc(a)
+            for _ in range(4):
+                value, slope = mpmath.polyval(poly[::-1], z, derivative=True)
+                z -= value / slope
+            size *= abs(z)
+        return float(1 / size)
 
 
 def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:

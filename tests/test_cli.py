@@ -15,6 +15,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from cauchydual import __version__, certify, cli, kernels
+from cauchydual.polyrat import from_roots
+from cauchydual.symbolpipe import symbol_from_parts
 from cauchydual.cli import (
     EXIT_ERROR,
     InputError,
@@ -27,6 +29,7 @@ from cauchydual.cli import (
 )
 
 import render_oracle
+import symbol_oracle
 from conftest import FIXTURES, FIXTURE_NAMES, ROOT, load_fixture_doc
 
 
@@ -658,6 +661,49 @@ def test_dumped_rows_give_the_kernel_table(name, trunc, tmp_path, capsys):
     capsys.readouterr()
 
 
+MEASURE_DOC = {"measure": {"atoms": [
+    {"theta_radians": t, "weight": w}
+    for t, w in ((0.3, 1.2), (1.7, 0.4), (3.1, 2.5), (4.6, 0.9))]}}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES + ("measure_k4",))
+def test_report_gives_q_and_eta_by_the_readme_lines(name, tmp_path, capsys):
+    # q and the numerator matrix eta are not printed; README's recompute
+    # lines give them back bit for bit from the poles and numerator rows
+    doc = MEASURE_DOC if name == "measure_k4" else load_fixture_doc(name)
+    src = tmp_path / "input.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "report.json"
+    main(["--input", str(src), "--report", str(out)])
+    report = json.loads(out.read_text())
+    P = report["pipeline"]
+    alphas = [complex(*a) for a in P["alphas"]]; q = from_roots(alphas)
+    C = symbol_from_parts(alphas, [[complex(*c) for c in row]
+                                   for row in P["numerators"]]).coefficients[:, 1:]
+    eta = C.conj().T @ C; eta = 0.5 * (eta + eta.conj().T)
+    kind, sym = parse_input_document(doc)
+    assert "q" not in P and "eta" not in P
+    assert np.array_equal(q, from_roots(sym.alphas))
+    assert np.array_equal(eta, symbol_oracle.eta(sym))
+    # gamma_fr is derived from the poles, and a symbol input has no measure
+    assert P["gamma_fr"] == (None if kind == "symbol" else sym.gamma_fr)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_run_without_report_builds_no_report(name, capsys, monkeypatch):
+    # without --report the verdict alone is computed: no report is built
+    # or rendered, and the exit code is the verdict's
+    def refuse(*args, **kwargs):
+        raise AssertionError("report built without --report")
+
+    monkeypatch.setattr(cli, "build_report", refuse)
+    monkeypatch.setattr(cli, "render_json", refuse)
+    golden = json.loads((FIXTURES / f"{name}.golden.json").read_text())
+    assert main(["--input", str(FIXTURES / f"{name}.json")]) == golden["exit_code"]
+    assert capsys.readouterr().out.startswith(golden["certificates"]["verdict"] + " ")
+
+
 def test_report_builds_taylor_table_once(tmp_path, capsys, monkeypatch):
     calls = []
     original = kernels.symbol_taylor
@@ -689,7 +735,8 @@ def test_representing_measure_section_only_when_orthogonal(name, tmp_path, capsy
     for atom, alpha in zip(sec["atoms"], rep["pipeline"]["alphas"]):
         assert abs(complex(*atom) * complex(*alpha) - 1.0) <= 1e-15
     assert sec["measure_check"]["size"] == 20
-    assert sec["measure_check"]["quad_points"] == 4096
+    # the node count is config.quad_points, printed once
+    assert list(sec["measure_check"]) == ["size", "mass", "max_residual"]
     assert abs(sec["measure_check"]["mass"] - 1.0) <= 1e-14
     if name == "single_atom_tau1":
         # the one-pole mate's point mass nu = |gamma|^2 / (1 - |beta|^2)
@@ -707,7 +754,6 @@ def test_custom_flags_flow_into_report(tmp_path, capsys):
                              "tol_orth": 1e-9, "quad_points": 4096}
     assert len(rep["certificates"]["agler_pole"]) == 3
     # 15 Taylor rows: the measure is checked up to the last one
-    assert rep["representing_measure"]["measure_check"]["quad_points"] == 4096
     assert rep["representing_measure"]["measure_check"]["size"] == 15
     capsys.readouterr()
 

@@ -1,8 +1,10 @@
 """The scripts under scripts/ run against the package as it is."""
 
 import importlib.util
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 
@@ -28,6 +30,29 @@ def test_make_goldens_reproduces_the_fixtures(tmp_path, monkeypatch, capsys):
     assert sorted(os.listdir(tmp_path)) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes(), name
+
+
+def test_make_goldens_names_each_changed_key(tmp_path, monkeypatch, capsys):
+    # against the golden it replaces, each changed, appeared or vanished
+    # value is printed by its key path, and an unchanged golden prints none
+    make_goldens = _load_script("make_goldens")
+    for name in FIXTURE_NAMES:
+        for suffix in (".json", ".golden.json"):
+            shutil.copy(FIXTURES / f"{name}{suffix}", tmp_path)
+    stale = tmp_path / "refuter.golden.json"
+    report = json.loads(stale.read_text())
+    report["pipeline"]["alphas"][1][0] = 7.0
+    report["pipeline"]["q"] = [[1.0, 0.0]]
+    report["certificates"]["agler_pole"].pop()
+    del report["exit_code"]
+    stale.write_text(json.dumps(report))
+    monkeypatch.setattr(make_goldens, "FIXTURES", str(tmp_path))
+    make_goldens.main()
+    out = capsys.readouterr().out
+    listed = [line.strip() for line in out.splitlines() if line.startswith("  ")]
+    assert listed == ["changed pipeline.alphas[1][0]", "vanished pipeline.q",
+                      "changed certificates.agler_pole", "appeared exit_code"]
+    assert stale.read_bytes() == (FIXTURES / "refuter.golden.json").read_bytes()
 
 
 def test_random_measure_scan_runs():
