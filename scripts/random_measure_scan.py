@@ -7,7 +7,6 @@ general position, where the necessary-measure condition usually refutes.
 """
 import argparse
 from collections import Counter
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,15 +24,9 @@ LEVELS = 12
 TRUNC = 40
 
 
-@dataclass(frozen=True)
-class ScanConfig:
-    samples: int = 40
-    seed: int = 0
-    max_atoms: int = 4
-
-
-def draw_measure(rng: np.random.Generator, cfg: ScanConfig) -> CircleMeasure:
-    k = int(rng.integers(MIN_ATOMS, cfg.max_atoms + 1))
+def draw_measure(rng: np.random.Generator,
+                 max_atoms: int) -> CircleMeasure:
+    k = int(rng.integers(MIN_ATOMS, max_atoms + 1))
     while True:
         thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
         gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
@@ -45,19 +38,17 @@ def draw_measure(rng: np.random.Generator, cfg: ScanConfig) -> CircleMeasure:
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--samples", type=int, default=ScanConfig.samples)
-    parser.add_argument("--seed", type=int, default=ScanConfig.seed)
-    parser.add_argument("--max-atoms", type=int, default=ScanConfig.max_atoms)
+    parser.add_argument("--samples", type=int, default=40)
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--max-atoms", type=int, default=4)
     args = parser.parse_args()
-    cfg = ScanConfig(samples=args.samples, seed=args.seed,
-                     max_atoms=args.max_atoms)
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(args.seed)
     ccfg = CertificateConfig(levels=LEVELS, trunc=TRUNC)
     tally = Counter()
     by_size = Counter()
-    for i in range(cfg.samples):
-        mu = draw_measure(rng, cfg)
+    for i in range(args.samples):
+        mu = draw_measure(rng, args.max_atoms)
         try:
             report = run_certificates(measure_to_symbol(mu), ccfg)
         except (ValueError, RuntimeError) as exc:

@@ -7,7 +7,8 @@ by Horner's rule in `_horner`. A trigonometric polynomial
 sum_{|m| <= k} d_m z^m is the array of its full hermitian band
 (d_{-k}, ..., d_k). Roots come from the balanced companion matrix, and the
 factorization routine splits the root pairs (w, 1/conj(w)) of such a band
-when it stays strictly positive on the unit circle.
+when it stays strictly positive on the unit circle; one sampling of the band
+there feeds its positivity gate, gamma's R(1) and its residual gate.
 """
 from __future__ import annotations
 
@@ -39,6 +40,8 @@ MIRROR_PAIR_TOL = 1e-6
 POSITIVITY_GATE = 1e-10
 # equispaced circle points on which that gate is checked
 POSITIVITY_SAMPLES = 4096
+# the factorization residual is checked on every RESIDUAL_STRIDE-th of them
+RESIDUAL_STRIDE = 8
 # relative tolerance for the two sides of a full hermitian band to be conjugate
 HERMITIAN_BAND_TOL = 1e-9
 
@@ -90,12 +93,10 @@ def poly_roots(coeffs) -> np.ndarray:
     cs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
     if len(cs) < 2:
         raise DegreeZeroError("root finding needs a polynomial of degree >= 1")
-    if len(cs) == 2:
-        roots = np.array([-cs[0] / cs[1]])
-    else:   # numpy.polynomial's companion matrix, without importing it
-        companion = np.eye(len(cs) - 1, k=-1, dtype=complex)
-        companion[:, -1] -= cs[:-1] / cs[-1]
-        roots = np.linalg.eigvals(companion)
+    # numpy.polynomial's companion matrix, without importing it
+    companion = np.eye(len(cs) - 1, k=-1, dtype=complex)
+    companion[:, -1] -= cs[:-1] / cs[-1]
+    roots = np.linalg.eigvals(companion)
     # hypot is the modulus abs() takes of a complex scalar, to the last bit
     order = np.lexsort((np.hypot(roots.real, roots.imag), np.angle(roots)))
     return roots[order]
@@ -121,13 +122,9 @@ def inverse_powers(points: np.ndarray, count: int) -> np.ndarray:
 
 
 def _band_on_circle(upper: np.ndarray, z) -> np.ndarray:
-    """d_0 + 2 Re sum_{m >= 1} d_m z^m, the exactly real values of the
-    hermitian band with closed side upper = (d_0, ..., d_k) at unimodular
-    points z, by Horner's rule."""
-    acc = np.zeros(np.shape(z), dtype=complex)
-    for d in upper[:0:-1]:
-        acc = (acc + d) * z
-    return upper[0].real + 2.0 * acc.real
+    """d_0 + 2 Re sum_{m >= 1} d_m z^m, the exactly real values at unimodular
+    z of the hermitian band with closed side upper = (d_0, ..., d_k)."""
+    return upper[0].real + 2.0 * (_horner(upper[1:], z) * z).real
 
 
 def fejer_riesz_factor(band):
@@ -138,13 +135,16 @@ def fejer_riesz_factor(band):
     The two sides must be conjugate, d_{-m} = conj(d_m), within
     HERMITIAN_BAND_TOL relative to the largest entry; their average is
     factored, which makes the symmetry and d_0 exactly real, and zero
-    outermost pairs are dropped. R must be strictly positive on the circle
-    (checked on POSITIVITY_SAMPLES equispaced points: min >
-    POSITIVITY_GATE * max). The roots of z^k R(z) come in mirror pairs
-    (w, 1/conj(w)); the representatives outside the closed unit disc are
-    returned sorted by (argument, modulus), and
+    outermost pairs are dropped. R is sampled once, at the POSITIVITY_SAMPLES
+    equispaced circle points from z = 1, and must be strictly positive there
+    (min > POSITIVITY_GATE * max). The roots of z^k R(z) come in mirror
+    pairs (w, 1/conj(w)); the representatives outside the closed unit disc
+    are returned sorted by (argument, modulus), and
 
-        gamma = R(1) / prod_j |1 - alpha_j|^2.
+        gamma = R(1) / prod_j |1 - alpha_j|^2,
+
+    with R(1) read off sample 0. A RuntimeError is raised unless this product
+    form matches R within 1e-8 of its max on every RESIDUAL_STRIDE-th sample.
 
     Returns
     -------
@@ -171,10 +171,11 @@ def fejer_riesz_factor(band):
     if len(bad):
         raise ValueError(f"band entry d_{bad[0] - mid} is {full[bad[0]]}, "
                          "not finite")
-    gap = np.abs(full[mid:] - np.conj(full[mid::-1])).max()
+    closed, mirrored = full[mid:], np.conj(full[mid::-1])
+    gap = np.abs(closed - mirrored).max()
     if gap > HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300):
         raise ValueError("band is not hermitian within tolerance")
-    upper = 0.5 * (full[mid:] + np.conj(full[mid::-1]))
+    upper = 0.5 * (closed + mirrored)
     upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
 
     vals = _band_on_circle(upper, circle_points(POSITIVITY_SAMPLES))
@@ -214,16 +215,14 @@ def fejer_riesz_factor(band):
                 f"no mirror partner for root {w}: nearest is off by {row[best]:.3e}")
         gaps[:, best] = np.inf
 
-    gamma = float(_band_on_circle(upper, 1.0 + 0.0j)) / float(
-        np.prod(np.abs(1.0 - outer) ** 2))
+    gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
     if gamma <= 0.0:
         raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
 
     # residual gate: the reconstruction must match R on the circle
-    zs = circle_points(512)
-    recon = gamma * np.prod(
-        np.abs(zs[:, None] - outer[None, :]) ** 2, axis=1)
-    resid = np.abs(recon - _band_on_circle(upper, zs)).max()
+    zs = circle_points(POSITIVITY_SAMPLES)[::RESIDUAL_STRIDE]
+    recon = gamma * np.prod(np.abs(zs[:, None] - outer) ** 2, axis=1)
+    resid = np.abs(recon - vals[::RESIDUAL_STRIDE]).max()
     if resid > 1e-8 * max(vmax, 1e-300):
         raise RuntimeError(
             f"factorization residual {resid:.3e} exceeds 1e-8 * {vmax:.3e}")

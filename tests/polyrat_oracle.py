@@ -1,12 +1,15 @@
-"""Partial fractions over simple poles, the coefficient-wise conjugate and
-the numpy-scalar power-series inverse, kept as test oracles.
+"""Partial fractions over simple poles, the coefficient-wise conjugate, the
+numpy-scalar power-series inverse and the band's own Horner loop on the
+circle, kept as test oracles.
 
 `kernels.symbol_taylor` expands a symbol at its poles through
 `polyrat.lagrange_denominators` directly; the residues below are the same
 expansion written out, checked against direct evaluation. Its cross-check
 divides by q as a power series in `kernels._series_inverse`, over Python
 complex numbers; `series_inverse` is the same recurrence over numpy
-scalars, the form it had before.
+scalars, the form it had before. `fejer_riesz_factor` samples its band
+through `polyrat._horner`; `band_on_circle` is the dedicated loop it ran
+before, which gives the same samples to the last bit.
 """
 from dataclasses import dataclass
 
@@ -87,3 +90,13 @@ def series_inverse(coeffs: np.ndarray, n_terms: int) -> np.ndarray:
             acc += coeffs[i] * out[m - i]
         out[m] = -acc / q0
     return out
+
+
+def band_on_circle(upper: np.ndarray, z) -> np.ndarray:
+    """d_0 + 2 Re sum_{m >= 1} d_m z^m for the hermitian band with closed
+    side upper = (d_0, ..., d_k) at unimodular points z, by Horner's rule
+    folded as (acc + d_m) z from the top coefficient down."""
+    acc = np.zeros(np.shape(z), dtype=complex)
+    for d in upper[:0:-1]:
+        acc = (acc + d) * z
+    return upper[0].real + 2.0 * acc.real

@@ -11,6 +11,8 @@ from numpy.polynomial import polynomial as npoly
 from cauchydual import polyrat
 from cauchydual.polyrat import (
     CIRCLE_ROOT_TOL,
+    POSITIVITY_SAMPLES,
+    RESIDUAL_STRIDE,
     DegreeZeroError,
     NotPositiveOnCircleError,
     RootOnCircleError,
@@ -27,6 +29,7 @@ from conftest import pool_like_measures
 from polyrat_oracle import (
     DegreeTooLargeError,
     PolesNotDistinctError,
+    band_on_circle,
     conjugate,
     partial_fractions_simple,
 )
@@ -81,6 +84,22 @@ def test_poly_roots_rejects_constants():
     roots = poly_roots(np.array([1.0, 2.0, 0.0]))
     assert isinstance(roots, np.ndarray) and roots.dtype == complex
     assert roots.tolist() == [-0.5 + 0.0j]
+
+
+def test_poly_roots_degree_one_is_the_quotient():
+    # the 1x1 companion matrix [-c0/c1] gives the quotient itself, with
+    # components over 16 decades and some exactly 0 (signed zeros aside)
+    rng = np.random.default_rng(83)
+    draws = rng.normal(size=(4000, 4)) * 10.0 ** rng.uniform(-8, 8, (4000, 4))
+    draws[rng.random(draws.shape) < 0.2] = 0.0
+    checked = 0
+    for cs in draws.view(complex):
+        if cs[1] == 0:
+            continue
+        roots = poly_roots(cs)
+        assert roots.shape == (1,) and roots[0] == -cs[0] / cs[1]
+        checked += 1
+    assert checked > 3800
 
 
 def _sorted_numpy_roots(coeffs):
@@ -258,6 +277,42 @@ def test_laurent_values_real_and_match_direct_sum(pairs):
     assert np.abs(got - direct.real).max() <= 1e-12 * scale
 
 
+def _positive_bands(seed: int, per_degree: int) -> list:
+    """Full bands |h|^2 of per_degree random complex h of each degree 1..20."""
+    rng = np.random.default_rng(seed)
+    hs = [rng.normal(size=(d + 1, 2)) @ [1.0, 1.0j]
+          for d in range(1, 21) for _ in range(per_degree)]
+    return [np.convolve(h, np.conj(h)[::-1]) for h in hs]
+
+
+def test_band_samples_equal_the_loop_oracle(monkeypatch):
+    # fejer_riesz_factor samples the band once, at the positivity points;
+    # the samples, and sample 0 as R(1), are the old loop's to the last bit
+    zs = circle_points(POSITIVITY_SAMPLES)
+    assert zs[0] == 1.0 + 0.0j
+    assert np.array_equal(zs[::RESIDUAL_STRIDE], circle_points(512))
+    calls, sample = [], polyrat._band_on_circle
+
+    def spy(upper, z):
+        calls.append((upper, z, sample(upper, z)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(polyrat, "_band_on_circle", spy)
+    bands = [boundary_polynomial(mu) for mu in pool_like_measures(89, 16)]
+    bands += _positive_bands(91, 50)
+    for band in bands:
+        calls.clear()
+        gamma, alphas = fejer_riesz_factor(band)
+        assert len(calls) == 1
+        upper, z, vals = calls[0]
+        assert z is zs
+        assert np.array_equal(vals, band_on_circle(upper, zs))
+        r1 = band_on_circle(upper, 1.0 + 0.0j)
+        assert vals[0] == r1
+        assert gamma == float(r1) / float(np.prod(np.abs(1.0 - alphas) ** 2))
+    assert len(bands) == 128 + 1000
+
+
 # --------------------------------------------------------- spectral factors
 
 
@@ -325,3 +380,26 @@ def test_fejer_riesz_rejects_root_hiding_between_samples():
     band = [-w, 1.0 + abs(w) ** 2, -w.conjugate()]
     with pytest.raises(RootOnCircleError):
         fejer_riesz_factor(band)
+
+
+def test_fejer_riesz_residual_gate_fires(monkeypatch):
+    # no pool-like band trips the residual gate
+    bands = [boundary_polynomial(mu) for mu in pool_like_measures(73, 16)]
+    for band in bands:
+        fejer_riesz_factor(band)
+    # one outer root w and its mirror move to w (1 + 1e-5) and its mirror:
+    # the mirror gate still pairs them, the product form misses R
+    roots_of = polyrat.poly_roots
+
+    def shifted(coeffs):
+        roots = roots_of(coeffs).copy()
+        j = int(np.flatnonzero(np.abs(roots) > 1.0)[0])
+        i = int(np.argmin(np.abs(roots - 1.0 / np.conj(roots[j]))))
+        roots[j] *= 1.0 + 1e-5
+        roots[i] = 1.0 / np.conj(roots[j])
+        return roots
+
+    monkeypatch.setattr(polyrat, "poly_roots", shifted)
+    for band in bands[::16]:
+        with pytest.raises(RuntimeError, match="factorization residual"):
+            fejer_riesz_factor(band)
