@@ -51,10 +51,12 @@ def main():
         mu = draw_measure(rng, args.max_atoms)
         try:
             report = run_certificates(measure_to_symbol(mu), ccfg)
-        except (ValueError, RuntimeError) as exc:
-            tally["rejected"] += 1
-            by_size[(mu.size, "rejected")] += 1
-            print(f"[{i:3d}] k={mu.size} ! rejected: {exc}")
+        except (ValueError, ArithmeticError, RuntimeError) as exc:
+            # counted by class, so each rejection path has its own line
+            rejected = f"rejected.{type(exc).__name__}"
+            tally[rejected] += 1
+            by_size[(mu.size, rejected)] += 1
+            print(f"[{i:3d}] k={mu.size} ! {rejected}: {exc}")
             continue
         tally[report.verdict] += 1
         by_size[(mu.size, report.verdict)] += 1

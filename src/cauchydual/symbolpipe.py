@@ -3,7 +3,7 @@ rational row symbol of the associated shift-invariant kernel.
 
 The pipeline is exact rational arithmetic in floating point: spectral
 factorization of the boundary weight polynomial, an outer quotient p/q,
-a small hermitian Gram system at the atoms, and a Cholesky split of the
+a small hermitian Gram system at the atoms, and the Cholesky factor of the
 resulting numerator matrix. The output is a row of polynomial numerators
 p_1, ..., p_k over the common denominator q with p_j(0) = 0 and
 
@@ -40,7 +40,7 @@ class GramSingularError(ValueError):
 
 
 class EtaNotPSDError(ValueError):
-    """The numerator matrix has a genuinely negative eigenvalue."""
+    """The numerator matrix is not numerically positive definite."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +153,8 @@ def outer_from_measure(mu: CircleMeasure) -> OuterData:
     p = np.array([scale * c for c in from_roots(zetas).tolist()])
     ratio = complex(p[0]) / complex(q[0])
     if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
-        raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio}")
+        raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio} needs real "
+                           f"part > 0 and |imag| <= 1e-12 * {abs(ratio):.3e}")
     return OuterData(alphas, p, q)
 
 
@@ -197,13 +198,16 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     np.fill_diagonal(G, np.asarray(mu.weights) * zetas * fprime)
     G = 0.5 * (G + G.conj().T)
     evals = np.linalg.eigvalsh(G)
-    if evals.min() <= 1e-13 * max(abs(evals).max(), 1e-300):
-        raise GramSingularError(f"Gram eigenvalues {evals}")
+    top = max(float(abs(evals).max()), 1e-300)
+    if evals.min() <= 1e-13 * top:
+        raise GramSingularError(f"Gram eigenvalue min {evals.min():.3e} is not "
+                                f"above 1e-13 * max {top:.3e}")
     inv = np.linalg.solve(G, np.eye(k, dtype=complex))
     cond = float(abs(evals).max() / abs(evals).min())
     resid = np.abs(G @ inv - np.eye(k)).max()
     if resid > 1e-9 * cond:
-        raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
+        raise GramSingularError(f"Gram inversion residual {resid:.3e} exceeds "
+                                f"1e-9 * condition {cond:.3e}")
     return GramData(G, inv, oprime, U)
 
 
@@ -298,15 +302,6 @@ class RationalSymbol:
         return vals
 
 
-def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:
-    out = R.copy()
-    for i in range(out.shape[0]):
-        d = out[i, i]
-        if abs(d) > 1e-300:
-            out[i, :] *= np.conj(d) / abs(d)
-    return out
-
-
 def symbol_from_parts(alphas: Sequence[complex],
                       numerators: Sequence[Sequence[complex]]) -> RationalSymbol:
     """Assemble a symbol from raw poles and numerator coefficient rows.
@@ -335,8 +330,9 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
         q(z) conj(q(w)) - p(z) conj(p(w)) * (1 + correction(z, w))
 
     in the monomials z^a conj(w)^b, drop the vanishing row and column zero,
-    project the remaining k x k matrix to the PSD cone, and split it as
-    P* P with P upper triangular. Row t of P gives p_t.
+    and split the remaining k x k matrix as P* P by its Cholesky factor P
+    (upper triangular, positive diagonal; EtaNotPSDError where it fails).
+    Row t of P gives p_t.
 
     The empty measure yields the zero symbol with k = 0.
     """
@@ -360,23 +356,24 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     edge = max(float(np.abs(atilde[0, :]).max()), float(np.abs(atilde[:, 0]).max()))
     if edge > 1e-9 * scale:
         raise RuntimeError(
-            f"numerator expansion has nonvanishing degree-zero edge {edge:.3e}")
+            f"numerator expansion has degree-zero edge {edge:.3e}, which "
+            f"exceeds 1e-9 * {scale:.3e}")
 
     A = atilde[1:, 1:].T
     A = 0.5 * (A + A.conj().T)
-    evals, vecs = np.linalg.eigh(A)
-    norm = max(float(np.abs(evals).max()), 1e-300)
-    if evals.min() < -1e-8 * norm:
-        raise EtaNotPSDError(f"numerator matrix eigenvalues {evals}")
-    clipped = np.clip(evals, 0.0, None)
-    A_psd = (vecs * clipped) @ vecs.conj().T
-    A_psd = 0.5 * (A_psd + A_psd.conj().T)
-
-    M = (np.sqrt(clipped)[:, None]) * vecs.conj().T
-    P = _phase_fixed_upper(np.linalg.qr(M)[1])
-    split = np.abs(P.conj().T @ P - A_psd).max()
-    if split > 1e-10 * max(norm, 1.0):
-        raise RuntimeError(f"cholesky split residual {split:.3e}")
+    try:
+        P = np.linalg.cholesky(A).conj().T
+    except np.linalg.LinAlgError:
+        evals = np.linalg.eigvalsh(A)
+        raise EtaNotPSDError(
+            f"numerator matrix has no Cholesky factor: lambda_min {evals[0]:.3e}, "
+            f"lambda_max {evals[-1]:.3e}, lambda_min/lambda_max "
+            f"{evals[0] / max(abs(evals[-1]), 1e-300):.3e}") from None
+    split = float(np.abs(P.conj().T @ P - A).max())
+    bound = 1e-10 * max(float(np.abs(A).max()), 1.0)
+    if split > bound:
+        raise RuntimeError(f"cholesky split residual {split:.3e} exceeds "
+                           f"1e-10 * max(|A|max, 1) = {bound:.3e}")
 
     # row t of P holds the coefficients of z^1..z^k in p_t
     return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]))

@@ -7,9 +7,12 @@ for comparing symbols built along different routes; and the atom Gram
 matrix built entry by entry from one polynomial per atom, with its
 condition number, which `symbolpipe.gram_from_outer` assembles as array
 passes over all atoms at once; the numerator matrix eta = C^H C, which the
-report no longer prints; and two forms of the Fejer-Riesz constant that
-`RationalSymbol.gamma_fr` reads off the poles, the antipodal closed form
-(rp - cp)^2 / 4 and a 50-digit evaluation at Newton-polished poles.
+report no longer prints; the split of a numerator matrix by eigh, a clip
+to the PSD cone and a phase-fixed QR, which `symbolpipe.measure_to_symbol`
+replaced by its Cholesky factor; and two forms of the Fejer-Riesz
+constant that `RationalSymbol.gamma_fr` reads off the poles, the antipodal
+closed form (rp - cp)^2 / 4 and a 50-digit evaluation at Newton-polished
+poles.
 """
 import cmath
 import math
@@ -20,6 +23,7 @@ from numpy.polynomial import polynomial as npoly
 
 from cauchydual.symbolpipe import (
     CircleMeasure,
+    EtaNotPSDError,
     GramData,
     GramSingularError,
     OuterData,
@@ -90,6 +94,37 @@ def eta(sym: RationalSymbol) -> np.ndarray:
     C = np.ascontiguousarray(sym.coefficients[:, 1:])
     out = C.conj().T @ C
     return 0.5 * (out + out.conj().T)
+
+
+def _phase_fixed_upper(R: np.ndarray) -> np.ndarray:
+    out = R.copy()
+    for i in range(out.shape[0]):
+        d = out[i, i]
+        if abs(d) > 1e-300:
+            out[i, :] *= np.conj(d) / abs(d)
+    return out
+
+
+def psd_split(A: np.ndarray) -> np.ndarray:
+    """Upper triangular P with P* P the PSD projection of the hermitian A:
+    eigenvalues below -1e-8 of the largest are an EtaNotPSDError, smaller
+    negative ones are clipped to 0, and the QR factor of
+    sqrt(clipped) V* has each row's phase turned to make its diagonal
+    real and nonnegative."""
+    evals, vecs = np.linalg.eigh(A)
+    norm = max(float(np.abs(evals).max()), 1e-300)
+    if evals.min() < -1e-8 * norm:
+        raise EtaNotPSDError(f"numerator matrix eigenvalues {evals}")
+    clipped = np.clip(evals, 0.0, None)
+    A_psd = (vecs * clipped) @ vecs.conj().T
+    A_psd = 0.5 * (A_psd + A_psd.conj().T)
+
+    M = (np.sqrt(clipped)[:, None]) * vecs.conj().T
+    P = _phase_fixed_upper(np.linalg.qr(M)[1])
+    split = np.abs(P.conj().T @ P - A_psd).max()
+    if split > 1e-10 * max(norm, 1.0):
+        raise RuntimeError(f"cholesky split residual {split:.3e}")
+    return P
 
 
 def antipodal_gamma(c1: float, c2: float) -> float:

@@ -441,6 +441,20 @@ def test_error_exits(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_numerator_matrix_without_cholesky_factor_exits_with_error_code(
+        tmp_path, capsys, monkeypatch):
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    src = tmp_path / "measure.json"
+    src.write_text(json.dumps(IN_MEMORY_DOCS["three_atom_measure"]))
+    assert main(["--input", str(src)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: numerator matrix has no Cholesky factor: "
+                          "lambda_min ")
+
+
 @pytest.mark.parametrize("modulus", [1e7, 1e10, 1e20])
 def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     # inverse pole powers underflow towards 0 instead of overflowing

@@ -8,6 +8,8 @@ import shutil
 import subprocess
 import sys
 
+from cauchydual.symbolpipe import EtaNotPSDError
+
 from conftest import FIXTURE_NAMES, FIXTURES, ROOT
 
 SCRIPTS = ROOT / "scripts"
@@ -67,6 +69,19 @@ def test_random_measure_scan_runs():
     tally = done.stdout.split("\nverdicts:\n", 1)[1].split("by atom count:")[0]
     counts = [int(n) for n in re.findall(r"^  \S+: (\d+)$", tally, re.M)]
     assert counts and sum(counts) == 8
+
+
+def test_random_measure_scan_tallies_rejections_by_class(monkeypatch, capsys):
+    scan = _load_script("random_measure_scan")
+
+    def reject(mu):
+        raise EtaNotPSDError("numerator matrix has no Cholesky factor")
+
+    monkeypatch.setattr(scan, "measure_to_symbol", reject)
+    monkeypatch.setattr(sys, "argv", ["random_measure_scan.py", "--samples", "3"])
+    scan.main()
+    tally = capsys.readouterr().out.split("\nverdicts:\n", 1)[1]
+    assert tally.split("by atom count:")[0] == "  rejected.EtaNotPSDError: 3\n"
 
 
 def test_bench_rows_run(tmp_path, monkeypatch):

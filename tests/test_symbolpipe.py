@@ -15,6 +15,8 @@ from cauchydual.polyrat import lagrange_denominators
 from cauchydual.symbolpipe import (
     CircleMeasure,
     EmptyMeasureError,
+    EtaNotPSDError,
+    GramSingularError,
     OuterData,
     RationalSymbol,
     boundary_polynomial,
@@ -247,6 +249,104 @@ def test_pipeline_symbol_structure():
     assert np.abs(chol.conj().T @ chol - eta).max() <= 1e-10 * np.abs(eta).max()
     # eta is positive semidefinite
     assert np.linalg.eigvalsh(eta).min() >= -1e-10 * np.abs(eta).max()
+
+
+def _spy_on_cholesky(monkeypatch) -> list:
+    """Record every matrix measure_to_symbol hands to np.linalg.cholesky."""
+    seen, cholesky = [], np.linalg.cholesky
+
+    def spy(a):
+        seen.append(np.array(a))
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return seen
+
+
+def test_cholesky_split_matches_the_psd_projection_oracle(monkeypatch):
+    # the numerator matrix A is split by one Cholesky factorization; the
+    # eigh -> clip -> phase-fixed QR split it replaced gives numerators
+    # within 1.2e-11 and a pole pairing Pi, which is all the certificates
+    # read, within 1.8e-14 over the benchmark's measure pool
+    def refuse(*args, **kwargs):
+        raise AssertionError("the split calls eigh, qr or clip")
+
+    seen = _spy_on_cholesky(monkeypatch)
+    for name in ("eigh", "qr"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    monkeypatch.setattr(np, "clip", refuse)
+    measures = pool_like_measures(29, 4)
+    symbols = [measure_to_symbol(mu) for mu in measures]
+    assert len(seen) == len(measures)
+    monkeypatch.undo()
+    for sym, A in zip(symbols, seen):
+        P = sym.coefficients[:, 1:]
+        assert np.array_equal(P, np.triu(P))
+        assert np.all(np.diag(P).imag == 0) and np.all(np.diag(P).real > 0)
+        old = symbol_oracle.psd_split(A)
+        assert np.abs(P - old).max() <= 1e-10 * np.abs(old).max()
+        old_sym = RationalSymbol(sym.alphas, np.hstack([np.zeros((sym.k, 1)), old]))
+        pair, old_pair = pairing_of(sym).pair, pairing_of(old_sym).pair
+        assert np.abs(pair - old_pair).max() <= 1e-13 * np.abs(old_pair).max()
+
+
+def test_numerator_matrix_without_cholesky_factor_names_its_eigenvalues(monkeypatch):
+    mu = pool_like_measures(29, 1)[3]
+    seen = _spy_on_cholesky(monkeypatch)
+    measure_to_symbol(mu)
+
+    def fail(a):
+        raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+    monkeypatch.setattr(np.linalg, "cholesky", fail)
+    with pytest.raises(EtaNotPSDError) as info:
+        measure_to_symbol(mu)
+    lo, hi = np.linalg.eigvalsh(seen[0])[[0, -1]]
+    assert str(info.value) == (
+        f"numerator matrix has no Cholesky factor: lambda_min {lo:.3e}, "
+        f"lambda_max {hi:.3e}, lambda_min/lambda_max {lo / hi:.3e}")
+
+
+def _scaled_solve(a, b, _solve=np.linalg.solve):
+    return 2.0 * _solve(a, b)
+
+
+def _doubled_cholesky(a, _cholesky=np.linalg.cholesky):
+    return 2.0 * _cholesky(a)
+
+
+# a measure near a double atom, lost at the degree-zero edge, and one the
+# pipeline builds unless a step is patched to fail
+NEAR_DOUBLE = CircleMeasure((0.0, 0.05), (1.0, 20.0))
+THREE_ATOMS = CircleMeasure((0.4, 2.2, 4.3), (1.0, 0.7, 2.5))
+
+
+@pytest.mark.parametrize("patch,mu,exc,pattern", [
+    (None, NEAR_DOUBLE, RuntimeError,
+     r"numerator expansion has degree-zero edge \S+, which exceeds 1e-9 \* \S+$"),
+    ((np.linalg, "solve", _scaled_solve), THREE_ATOMS, GramSingularError,
+     r"Gram inversion residual \S+ exceeds 1e-9 \* condition \S+$"),
+    ((np.linalg, "cholesky", _doubled_cholesky), THREE_ATOMS, RuntimeError,
+     r"cholesky split residual \S+ exceeds 1e-10 \* max\(\|A\|max, 1\) = \S+$"),
+    ((cmath, "phase", lambda z: 0.5), THREE_ATOMS, RuntimeError,
+     r"normalization failed: p\(0\)/q\(0\) = \S+ needs real part > 0 and "
+     r"\|imag\| <= 1e-12 \* \S+$"),
+])
+def test_pipeline_rejections_name_value_and_threshold(patch, mu, exc, pattern,
+                                                      monkeypatch):
+    if patch is not None:
+        monkeypatch.setattr(*patch)
+    with pytest.raises(exc, match=pattern):
+        measure_to_symbol(mu)
+
+
+def test_singular_gram_names_its_smallest_eigenvalue():
+    # the outer quotient of one measure with the weights of another: the
+    # diagonal shrinks a millionfold and the Gram matrix is indefinite
+    outer = outer_from_measure(THREE_ATOMS)
+    with pytest.raises(GramSingularError,
+                       match=r"Gram eigenvalue min \S+ is not above 1e-13 \* max \S+$"):
+        gram_from_outer(CircleMeasure(THREE_ATOMS.thetas, (1e-6,) * 3), outer)
 
 
 def test_empty_measure_gives_zero_symbol():
