@@ -67,8 +67,7 @@ ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 # (row name, owner, attribute) of the engine layers, as for the pipeline
 ENGINE_LAYERS = tuple((name, certify, name) for name in (
-    "pole_basis", "pole_cores", "agler_pole_test", "taylor_projection",
-    "agler_taylor_test", "taylor_basis_residual", "coincidence_classes",
+    "agler_pole_test", "agler_taylor_test", "coincidence_classes",
     "necessary_measure_test")) + (
     ("symbol_taylor", kernels, "symbol_taylor"),)
 # (row name, owner, attribute) of the pipeline stages; the constructor is

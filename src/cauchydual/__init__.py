@@ -33,8 +33,6 @@ from .certify import (
     pole_pairing,
     coincidence_classes,
     orthogonality_test,
-    pole_basis,
-    pole_cores,
     agler_pole_test,
     agler_taylor_test,
     necessary_measure_test,
@@ -55,7 +53,7 @@ __all__ = [
     "symbol_taylor", "kernel_coeffs",
     "CertificateConfig", "CertificateReport", "LevelStat",
     "NecessaryMeasure", "RepresentingMeasure", "pole_pairing",
-    "coincidence_classes", "orthogonality_test", "pole_basis", "pole_cores",
+    "coincidence_classes", "orthogonality_test",
     "agler_pole_test", "agler_taylor_test", "necessary_measure_test",
     "representing_measure", "exactness_applies", "run_certificates",
     "VERDICT_CERTIFIED", "VERDICT_REFUTED", "VERDICT_INCONCLUSIVE",

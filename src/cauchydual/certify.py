@@ -63,12 +63,23 @@ class PolePairing:
 
 
 def pole_pairing(alphas: np.ndarray, values: np.ndarray) -> PolePairing:
-    """Build the pole tables and pair the numerator values, once per run."""
+    """Build the pole tables and pair the numerator values, once per run.
+    A table with a non-finite entry, as far poles overflow them, is a
+    ValueError naming the first one of E = values, a, the pole products,
+    Pi = pair and C."""
     a = lagrange_denominators(alphas)
+    products = np.outer(alphas, np.conj(alphas))
     pair = (values.conj().T @ values).conj()
     C = pair / np.outer(a, np.conj(a))
-    return PolePairing(alphas, values, a, np.outer(alphas, np.conj(alphas)),
-                       pair, 0.5 * (C + C.conj().T))
+    C = 0.5 * (C + C.conj().T)
+    for name, table in (("E, the numerator values", values),
+                        ("a, the Lagrange denominators", a),
+                        ("the pole products", products),
+                        ("Pi, the numerator pairing", pair),
+                        ("C, the cross Gram", C)):
+        if not np.isfinite(table).all():
+            raise ValueError(f"pole pairing: {name}, is not finite")
+    return PolePairing(alphas, values, a, products, pair, C)
 
 
 def orthogonality_test(pairing: PolePairing):
@@ -120,91 +131,66 @@ def _level_stats(H: np.ndarray, trunc: int, gap=0.0) -> tuple:
                      norms.tolist(), np.broadcast_to(gap, levels).tolist()))
 
 
-def pole_basis(pairing: PolePairing, trunc: int) -> tuple:
-    """Reduced QR, V^T = Q R, of the trunc x k matrix
-    V^T[m, r] = (1/alpha_r)^(m+2): Q is trunc x r with orthonormal columns
-    and R is r x k, r = min(k, trunc). Every level matrix of the N x N
-    truncation, N = trunc, is V^T X_l conj(V) for a k x k core X_l, so
-    both engines work in this basis."""
-    return np.linalg.qr(inverse_powers(pairing.alphas, trunc + 1)[1:])
-
-
-def pole_cores(pairing: PolePairing, R: np.ndarray, levels: int) -> np.ndarray:
-    """H[l - 1] = R X_l R^H, hermitian, for l = 1..levels, where
-    X_l = C o G^l with the cross Gram C and G = 1 - 1/(alpha conj(alpha)^T)
-    is the k x k core of level l: the level's matrix in the pole basis,
-    shape (levels, r, r)."""
-    G = 1.0 - 1.0 / pairing.products
-    X = np.empty((levels,) + G.shape, dtype=complex)
-    np.multiply(pairing.cross, G, out=X[0])
-    for l in range(1, levels):
-        np.multiply(X[l - 1], G, out=X[l])
-    H = R @ X @ R.conj().T
-    return 0.5 * (H + H.conj().swapaxes(1, 2))
-
-
-def agler_pole_test(cores: np.ndarray, cfg: CertificateConfig) -> tuple:
-    """LevelStat per level 1..levels of the N x N pole-side truncation
+def agler_pole_test(pairing: PolePairing, cfg: CertificateConfig) -> tuple:
+    """(stats, Q, cores): LevelStat per level 1..levels of the N x N
+    pole-side truncation, N = cfg.trunc,
 
         M_l[m, n] = sum_{r,t} C[r,t] (1 - 1/(alpha_r conj(alpha_t)))^l
                     * alpha_r^-(m+2) conj(alpha_t)^-(n+2),
 
-    N = cfg.trunc. M_l = V^T X_l conj(V) = Q (R X_l R^H) Q^H with the
-    pole basis Q, R, so the nonzero eigenvalues of M_l are those of its
-    r x r core from pole_cores, and the other N - r are exactly zero.
+    and the pole basis and cores the Taylor engine runs on. With the
+    reduced QR V^T = Q R of the N x k matrix V^T[m, r] = (1/alpha_r)^(m+2),
+    r = min(k, N), M_l = V^T X_l conj(V) = Q H_l Q^H for the k x k core
+    X_l = C o G^l, G = 1 - 1/(alpha conj(alpha)^T), so the nonzero
+    eigenvalues of M_l are those of H_l = R X_l R^H (cores[l - 1],
+    hermitian r x r) and the other N - r are exactly zero.
     """
-    return _level_stats(cores, cfg.trunc)
+    Q, R = np.linalg.qr(inverse_powers(pairing.alphas, cfg.trunc + 1)[1:])
+    G = 1.0 - 1.0 / pairing.products
+    X = np.empty((cfg.levels,) + G.shape, dtype=complex)
+    np.multiply(pairing.cross, G, out=X[0])
+    for l in range(1, cfg.levels):
+        np.multiply(X[l - 1], G, out=X[l])
+    H = R @ X @ R.conj().T
+    cores = 0.5 * (H + H.conj().swapaxes(1, 2))
+    return _level_stats(cores, cfg.trunc), Q, cores
 
 
-def _taylor_windows(taylor: np.ndarray, cfg: CertificateConfig) -> np.ndarray:
-    """A = [A_0 ... A_L], N x (L + 1) k: A_j holds the Taylor rows j + 1 ..
-    j + N (table rows j .. j + N - 1), N = trunc and L = levels."""
+def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray,
+                      cfg: CertificateConfig) -> tuple:
+    """(stats, basis_residual): LevelStat per level 1..levels of the same
+    truncation from the raw Taylor rows, M_l = sum_{j=0}^{l} (-1)^j
+    binom(l, j) A_j A_j^H, where the window A_j holds the Taylor rows
+    j + 1 .. j + N (table rows j .. j + N - 1), N = trunc and L = levels.
+    With Y_j = Q^H A_j in the pole basis Q of agler_pole_test,
+    P_l = Q^H M_l Q is the l-th forward difference of the r x r Grams
+    Y_j Y_j^H (all levels in one batched eigvalsh, plus a 0 for the N - r
+    directions outside the basis); in exact arithmetic it is the whole
+    level when the windows lie in the basis. gap = ||P_l - cores[l - 1]||_F
+    is where rounding in the alternating sums shows.
+
+    basis_residual = ||A - Q Y||_F / ||A||_F for A = [A_0 ... A_L] and
+    Y = Q^H A (0 for an empty table) is 0 exactly when every window lies
+    in the basis. It bounds the windows, not each level, which sums 2^l
+    window Grams.
+    """
     N, L = cfg.trunc, cfg.levels
     if len(taylor) < N + L:
         raise InsufficientRowsError(
             f"need {N + L} rows, table has {len(taylor)}")
     windows = sliding_window_view(taylor[:N + L], N, axis=0)
-    return windows.transpose(2, 0, 1).reshape(N, -1)
-
-
-def taylor_projection(taylor: np.ndarray, Q: np.ndarray,
-                      cfg: CertificateConfig) -> tuple:
-    """(A, Y): the Taylor windows A of _taylor_windows and their
-    coordinates Y = Q^H A in the pole basis Q, built once for
-    agler_taylor_test and taylor_basis_residual."""
-    A = _taylor_windows(taylor, cfg)
-    return A, Q.conj().T @ A
-
-
-def agler_taylor_test(Y: np.ndarray, cores: np.ndarray,
-                      cfg: CertificateConfig) -> tuple:
-    """LevelStat per level 1..levels of the same truncation from the raw
-    Taylor rows, M_l = sum_{j=0}^{l} (-1)^j binom(l, j) A_j A_j^H with the
-    windows A_j of _taylor_windows. With Y = [Y_0 ... Y_L], Y_j = Q^H A_j
-    in the pole basis Q (taylor_projection), P_l = Q^H M_l Q is the l-th
-    forward difference of the r x r Grams Y_j Y_j^H (all levels in one
-    batched eigvalsh, plus a 0 for the N - r directions outside the basis);
-    in exact arithmetic it is the whole level when the windows lie in the
-    basis (taylor_basis_residual). gap = ||P_l - cores[l - 1]||_F is where
-    rounding in the alternating sums shows.
-    """
-    Y = Y.reshape(len(Y), cfg.levels + 1, Y.shape[1] // (cfg.levels + 1))
-    Y = Y.transpose(1, 0, 2)
-    G = Y @ Y.conj().swapaxes(1, 2)
+    A = windows.transpose(2, 0, 1).reshape(N, -1)
+    Y = Q.conj().T @ A
+    Yj = Y.reshape(len(Y), L + 1, taylor.shape[1]).transpose(1, 0, 2)
+    G = Yj @ Yj.conj().swapaxes(1, 2)
     P = np.empty_like(cores)
-    for l in range(cfg.levels):
+    for l in range(L):
         G = G[:-1] - G[1:]
         P[l] = G[0]
     P = 0.5 * (P + P.conj().swapaxes(1, 2))
-    return _level_stats(P, cfg.trunc, np.linalg.norm(P - cores, axis=(1, 2)))
-
-
-def taylor_basis_residual(A: np.ndarray, Y: np.ndarray, Q: np.ndarray) -> float:
-    """||A - Q Y||_F / ||A||_F, Y = Q^H A, for the Taylor windows A (0 for
-    an empty table): 0 exactly when every window lies in the pole basis Q.
-    It bounds the windows, not each level, which sums 2^l window Grams."""
+    stats = _level_stats(P, N, np.linalg.norm(P - cores, axis=(1, 2)))
     scale = max(np.linalg.norm(A), 1e-300)
-    return float(np.linalg.norm(A - Q @ Y) / scale)
+    return stats, float(np.linalg.norm(A - Q @ Y) / scale)
 
 
 # Two pole products closer than COINCIDENCE_TOL share a class; a location
@@ -368,12 +354,8 @@ def run_certificates(sym: RationalSymbol,
     orth_residual, orth_passed = orthogonality_test(pairing)
     necessary, necessary_passed = necessary_measure_test(pairing.cross, classes)
     taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
-    Q, R = pole_basis(pairing, cfg.trunc)
-    cores = pole_cores(pairing, R, cfg.levels)
-    pole_stats = agler_pole_test(cores, cfg)
-    A, Y = taylor_projection(taylor, Q, cfg)
-    taylor_stats = agler_taylor_test(Y, cores, cfg)
-    basis_residual = taylor_basis_residual(A, Y, Q)
+    pole_stats, Q, cores = agler_pole_test(pairing, cfg)
+    taylor_stats, basis_residual = agler_taylor_test(taylor, Q, cores, cfg)
     exact = exactness_applies(classes)
     agler_passed = basis_residual <= TOL_PSD and all(
         st.passes() for st in pole_stats + taylor_stats)

@@ -363,7 +363,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {args.input} is not valid JSON: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -24,12 +24,8 @@ from cauchydual.certify import (
     exactness_applies,
     necessary_measure_test,
     orthogonality_test,
-    pole_basis,
-    pole_cores,
     representing_measure,
     run_certificates,
-    taylor_basis_residual,
-    taylor_projection,
 )
 from cauchydual.polyrat import _horner, circle_points
 from cauchydual.symbolpipe import (
@@ -87,16 +83,9 @@ def _fixtures_and_seeded_batch(seed, draws):
     return symbols
 
 
-def _basis_and_cores(sym, cfg):
-    """The pole basis Q and the level cores both engines run on."""
-    pairing = pairing_of(sym)
-    Q, R = pole_basis(pairing, cfg.trunc)
-    return Q, pole_cores(pairing, R, cfg.levels)
-
-
-def _taylor_stats(taylor, Q, cores, cfg):
-    """The Taylor engine's stats on the projection of the rows' windows."""
-    return agler_taylor_test(taylor_projection(taylor, Q, cfg)[1], cores, cfg)
+def _pole_engine(sym, cfg):
+    """The pole engine's (stats, Q, cores) on sym's pole pairing."""
+    return agler_pole_test(pairing_of(sym), cfg)
 
 
 def make_orthogonal_pair(eps=0.0, s=0.25):
@@ -308,8 +297,9 @@ def test_insufficient_rows_for_taylor_engine():
     too_deep = CertificateConfig(levels=6, trunc=10)
     fits = CertificateConfig(levels=5, trunc=10)
     with pytest.raises(InsufficientRowsError):
-        _taylor_stats(taylor, *_basis_and_cores(sym, too_deep), too_deep)
-    assert len(_taylor_stats(taylor, *_basis_and_cores(sym, fits), fits)) == 5
+        agler_taylor_test(taylor, *_pole_engine(sym, too_deep)[1:], too_deep)
+    stats, _ = agler_taylor_test(taylor, *_pole_engine(sym, fits)[1:], fits)
+    assert len(stats) == 5
 
 
 def test_engines_match_oracle_eigvalsh():
@@ -323,11 +313,11 @@ def test_engines_match_oracle_eigvalsh():
     for sym, cfg in cases:
         cross = pairing_of(sym).cross
         taylor = taylor_of(sym, cfg.trunc + cfg.levels)
-        Q, cores = _basis_and_cores(sym, cfg)
+        pole_stats, Q, cores = _pole_engine(sym, cfg)
         for got, want, tol in (
-                (agler_pole_test(cores, cfg), oracle_stats(
+                (pole_stats, oracle_stats(
                     lambda l, n: agler_pole_matrix(sym, cross, l, n), cfg), 1e-12),
-                (_taylor_stats(taylor, Q, cores, cfg), oracle_stats(
+                (agler_taylor_test(taylor, Q, cores, cfg)[0], oracle_stats(
                     lambda l, n: agler_taylor_matrix(taylor, l, n), cfg), 1e-10)):
             assert [st.level for st in got] == list(range(1, cfg.levels + 1))
             for st, ref in zip(got, want):
@@ -352,10 +342,11 @@ def test_pole_engine_eigensolves_at_rank(monkeypatch):
                 symbol_from_parts([], [])):
         for trunc in (2, 3, 40, 200):
             cfg = CertificateConfig(levels=7, trunc=trunc)
-            Q, cores = _basis_and_cores(sym, cfg)
+            pairing = pairing_of(sym)
+            _, Q, cores = agler_pole_test(pairing, cfg)
             taylor = taylor_of(sym, trunc + 7)
-            for engine in (lambda: agler_pole_test(cores, cfg),
-                           lambda: _taylor_stats(taylor, Q, cores, cfg)):
+            for engine in (lambda: agler_pole_test(pairing, cfg),
+                           lambda: agler_taylor_test(taylor, Q, cores, cfg)):
                 sides.clear()
                 calls.clear()
                 engine()
@@ -369,13 +360,11 @@ def test_taylor_engine_builds_no_n_by_n_array():
     # projection are N x (L + 1) k, under 1 MB for the refuter's k = 2
     cfg = CertificateConfig(levels=12, trunc=2000)
     sym = make_refuter()
-    Q, cores = _basis_and_cores(sym, cfg)
+    _, Q, cores = _pole_engine(sym, cfg)
     taylor = taylor_of(sym, cfg.trunc + cfg.levels)
     tracemalloc.start()
     try:
-        A, Y = taylor_projection(taylor, Q, cfg)
-        agler_taylor_test(Y, cores, cfg)
-        taylor_basis_residual(A, Y, Q)
+        agler_taylor_test(taylor, Q, cores, cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -390,17 +379,17 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
     cfg = CertificateConfig(levels=6, trunc=12)
     for sym in (make_refuter(), make_six_equal_atoms(),
                 closed_form_antipodal(1.0, 1.0)):
-        Q, cores = _basis_and_cores(sym, cfg)
+        _, Q, cores = _pole_engine(sym, cfg)
         rows = taylor_of(sym, cfg.trunc + cfg.levels)
         re, im = 1e-3 * np.abs(rows).max() * rng.standard_normal((2,) + rows.shape)
         taylor = rows + re + 1j * im
         A = np.hstack([taylor[j:j + cfg.trunc] for j in range(cfg.levels + 1)])
         residual = (np.linalg.norm(A - Q @ Q.conj().T @ A)
                     / np.linalg.norm(A))
-        got = taylor_basis_residual(*taylor_projection(taylor, Q, cfg), Q)
+        stats, got = agler_taylor_test(taylor, Q, cores, cfg)
         assert residual > 1e-4
         assert abs(got - residual) <= 1e-10 * residual
-        for st in _taylor_stats(taylor, Q, cores, cfg):
+        for st in stats:
             M = agler_taylor_matrix(taylor, st.level, cfg.trunc)
             P = Q.conj().T @ M @ Q
             gap = np.linalg.norm(P - cores[st.level - 1])
@@ -452,12 +441,53 @@ def test_basis_residual_alone_keeps_agler_from_passing(monkeypatch):
     sym = single_atom_symbol(1.0)
     assert run_certificates(sym).agler_passed
     tol = TOL_PSD
-    monkeypatch.setattr(certify, "taylor_basis_residual",
-                        lambda A, Y, Q: 2.0 * tol)
+    engine = certify.agler_taylor_test
+    monkeypatch.setattr(certify, "agler_taylor_test", lambda *args: (
+        engine(*args)[0], 2.0 * tol))
     rep = run_certificates(sym)
     assert rep.taylor_basis_residual == 2.0 * tol
     assert all(st.passes() for st in rep.agler_pole + rep.agler_taylor)
     assert not rep.agler_passed
+
+
+def test_run_certificates_leaves_qr_and_eigensolves_to_the_engines(monkeypatch):
+    # with both engines stubbed by their own outputs, run_certificates
+    # makes no QR and no eigvalsh call of its own
+    cfg = CertificateConfig(levels=5, trunc=10)
+    for sym in (make_refuter(), make_six_equal_atoms(), single_atom_symbol(1.0)):
+        pole = _pole_engine(sym, cfg)
+        taylor = agler_taylor_test(taylor_of(sym, cfg.trunc + cfg.levels),
+                                   *pole[1:], cfg)
+        want = run_certificates(sym, cfg)
+        calls = []
+        monkeypatch.setattr(certify, "agler_pole_test", lambda *args: pole)
+        monkeypatch.setattr(certify, "agler_taylor_test", lambda *args: taylor)
+        for name in ("qr", "eigvalsh"):
+            def recording(*args, name=name, fn=getattr(np.linalg, name), **kw):
+                calls.append(name)
+                return fn(*args, **kw)
+            monkeypatch.setattr(np.linalg, name, recording)
+        rep = run_certificates(sym, cfg)
+        monkeypatch.undo()
+        assert calls == []
+        assert (rep.agler_pole, rep.agler_taylor, rep.taylor_basis_residual) == (
+            want.agler_pole, want.agler_taylor, want.taylor_basis_residual)
+
+
+@pytest.mark.parametrize("alphas,numerator,table", [
+    ([1e80, 2e80], [0.0, 1.0, 1.0], "Pi"),
+    ([1e200, 2e200], [0.0, 1.0, 1.0], "E"),
+    ([1e200], [0.0, 1e-200], "the pole products"),
+    ([1e170], [0.0, 1e-100], "the pole products")])
+def test_pole_pairing_refuses_non_finite_tables(alphas, numerator, table):
+    # numerator z + z^2 at poles 1e80, 2e80: the values are finite but
+    # their pairing overflows; at 1e200, 2e200 the values do. One far pole
+    # under a tiny numerator keeps E, a, Pi and C finite while
+    # alpha conj(alpha) overflows.
+    with np.errstate(all="ignore"):
+        sym = symbol_from_parts(alphas, [numerator])
+        with pytest.raises(ValueError, match=f"^pole pairing: {table}, "):
+            pairing_of(sym)
 
 
 # ----------------------------------------------------------- verdict plumbing

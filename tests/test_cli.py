@@ -455,6 +455,30 @@ def test_numerator_matrix_without_cholesky_factor_exits_with_error_code(
                           "lambda_min ")
 
 
+@pytest.mark.parametrize("alphas,numerator,table", [
+    ([1e80, 2e80], [0.0, 1.0, 1.0], "Pi, the numerator pairing"),
+    ([1e200, 2e200], [0.0, 1.0, 1.0], "E, the numerator values"),
+    ([1e200], [0.0, 1e-200], "the pole products")])
+@pytest.mark.parametrize("with_report", [False, True])
+def test_overflowed_pole_pairing_exits_with_error_code(
+        alphas, numerator, table, with_report, tmp_path, capsys):
+    # numerator z + z^2 at poles 1e80, 2e80: the pairing overflows and NaNs
+    # once refuted (exit 1); at 1e200, 2e200 the numerator values overflow
+    # and the exit was 2, or 3 only under --report. A pole at 1e200 under
+    # 1e-200 z overflows only alpha conj(alpha), and its necessary measure
+    # came out with no atom (exit 0)
+    path, out = tmp_path / "far.json", tmp_path / "far.report.json"
+    path.write_text(json.dumps(
+        {"symbol": {"alphas": [[x, 0.0] for x in alphas],
+                    "numerators": [[[c, 0.0] for c in numerator]]}}))
+    argv = ["--input", str(path)] + (["--report", str(out)] if with_report else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: pole pairing: {table}, is not finite\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("modulus", [1e7, 1e10, 1e20])
 def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     # inverse pole powers underflow towards 0 instead of overflowing
@@ -779,6 +803,21 @@ def test_module_invocation_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "CertifiedSubnormal" in proc.stdout
+
+
+def test_undecodable_input_exits_with_error_code(tmp_path):
+    # a UTF-16 byte order mark is no UTF-8 text; an uncaught decode error
+    # would exit 1, the RefutedAtLevel code
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe" + '{"antipodal": {}}'.encode("utf-16-le"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cauchydual", "--input", str(path)],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
 
 
 def test_import_leaves_numpy_polynomial_unloaded():

@@ -1,4 +1,5 @@
-"""The scripts under scripts/ run against the package as it is."""
+"""The scripts under scripts/, and the output check of perfbench/, run
+against the package as it is."""
 
 import importlib.util
 import json
@@ -8,6 +9,7 @@ import shutil
 import subprocess
 import sys
 
+from cauchydual import certify
 from cauchydual.symbolpipe import EtaNotPSDError
 
 from conftest import FIXTURE_NAMES, FIXTURES, ROOT
@@ -15,9 +17,10 @@ from conftest import FIXTURE_NAMES, FIXTURES, ROOT
 SCRIPTS = ROOT / "scripts"
 
 
-def _load_script(name: str):
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+def _load_script(name: str, folder=SCRIPTS):
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module      # for its dataclasses' string annotations
     spec.loader.exec_module(module)
     return module
 
@@ -95,3 +98,32 @@ def test_bench_rows_run(tmp_path, monkeypatch):
     sym = bench.symbolpipe.measure_to_symbol(mu)
     row = bench.report_rows(mu, sym, bench.certify.run_certificates(sym))
     assert row["report_bytes"] > 0 and row["build_report_ms"]["median"] >= 0.0
+
+
+def test_benchmark_check_sees_a_taylor_engine_skew(monkeypatch):
+    # a Taylor engine off by 1e-6 of the norm leaves every verdict of the
+    # measure_scan round as recorded, and perfbench's output check still
+    # flags each built measure; the skew is taken through the engine's
+    # (stats, basis_residual) result, so an operation that raises cannot
+    # stand in for a flagged one
+    workloads = _load_script("workloads", ROOT / "perfbench")
+    wl = workloads.build("measure_scan", 0, str(FIXTURES))
+    workloads.load_expected(wl, str(FIXTURES))
+    built = [(key, mu) for key, mu in wl.items if "outcome" in wl.expected[key]]
+    assert len(built) > 100
+    taylor_test = certify.agler_taylor_test
+
+    def skewed(*args, **kwargs):
+        stats, residual = taylor_test(*args, **kwargs)
+        return tuple(certify.LevelStat(s.level, s.min_eig + 1e-6 * s.norm, s.norm)
+                     for s in stats), residual
+
+    for skew in (True, False):
+        if skew:
+            monkeypatch.setattr(certify, "agler_taylor_test", skewed)
+        for key, mu in built:
+            got = workloads.scan_op(mu)
+            record = workloads.certificate_record(got["report"])
+            assert record["outcome"] == wl.expected[key]["outcome"], key
+            assert workloads.scan_check(wl.expected[key], got) == (skew, skew), key
+        monkeypatch.undo()
