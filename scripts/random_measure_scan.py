@@ -10,8 +10,7 @@ from collections import Counter
 
 import numpy as np
 
-from cauchydual import (CertificateConfig, CircleMeasure, measure_to_symbol,
-                        run_certificates)
+from cauchydual import CircleMeasure, measure_to_symbol, run_certificates
 
 
 MIN_ATOMS = 1
@@ -20,8 +19,6 @@ MAX_WEIGHT = 5.0
 # clustered atoms make the interpolation Gram ill-conditioned and the
 # pipeline rejects the output; keep samples well separated
 MIN_GAP = 0.3
-LEVELS = 12
-TRUNC = 40
 
 
 def draw_measure(rng: np.random.Generator,
@@ -44,13 +41,12 @@ def main():
     args = parser.parse_args()
 
     rng = np.random.default_rng(args.seed)
-    ccfg = CertificateConfig(levels=LEVELS, trunc=TRUNC)
     tally = Counter()
     by_size = Counter()
     for i in range(args.samples):
         mu = draw_measure(rng, args.max_atoms)
         try:
-            report = run_certificates(measure_to_symbol(mu), ccfg)
+            report = run_certificates(measure_to_symbol(mu))
         except (ValueError, ArithmeticError, RuntimeError) as exc:
             # counted by class, so each rejection path has its own line
             rejected = f"rejected.{type(exc).__name__}"

@@ -421,12 +421,14 @@ def single_atom_symbol(tau: float, theta: float = 0.0) -> RationalSymbol:
 
     The contraction parameter eta in (0, 1) solves eta + 1/eta = 2 + tau;
     the single pole sits at exp(i theta)/eta, so gamma_fr is eta, and the
-    numerator is -sqrt(tau/eta) z.
+    numerator is -sqrt(tau/eta) z. eta is the smaller root
+    2/(2 + tau + sqrt(tau (4 + tau))), a sum of positive terms, since the
+    difference form (s - sqrt(s^2 - 4))/2 with s = 2 + tau cancels for
+    large tau and s^2 - 4 cancels for small tau.
     """
     tau = float(tau)
     if tau <= 0.0:
         raise ValueError("atom weight must be positive")
-    s = 2.0 + tau
-    eta = (s - math.sqrt(s * s - 4.0)) / 2.0
+    eta = 2.0 / (2.0 + tau + math.sqrt(tau) * math.sqrt(4.0 + tau))
     lam = cmath.exp(1j * float(theta))
     return symbol_from_parts([lam / eta], [[0.0, -math.sqrt(tau / eta)]])

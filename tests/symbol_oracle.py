@@ -12,7 +12,7 @@ to the PSD cone and a phase-fixed QR, which `symbolpipe.measure_to_symbol`
 replaced by its Cholesky factor; and two forms of the Fejer-Riesz
 constant that `RationalSymbol.gamma_fr` reads off the poles, the antipodal
 closed form (rp - cp)^2 / 4 and a 50-digit evaluation at Newton-polished
-poles.
+poles; and the antipodal closed form's own radicals at 60 digits.
 """
 import cmath
 import math
@@ -134,6 +134,24 @@ def antipodal_gamma(c1: float, c2: float) -> float:
     cp = math.sqrt(c1) + math.sqrt(c2)
     rp = math.sqrt(4.0 + cp * cp)
     return (rp - cp) ** 2 / 4.0
+
+
+def antipodal_radicals_60_digits(c1: float, c2: float):
+    """((alpha1, alpha2), (gamma1, gamma2, gamma3)) of
+    `symbolpipe.closed_form_antipodal(c1, c2)`, its own radicals evaluated
+    at 60 digits."""
+    with mpmath.workdps(60):
+        r1, r2 = mpmath.sqrt(mpmath.mpf(c1)), mpmath.sqrt(mpmath.mpf(c2))
+        cp, cm = r1 + r2, r1 - r2
+        rp, rm = mpmath.sqrt(4 + cp ** 2), mpmath.sqrt(4 + cm ** 2)
+        alpha1, alpha2 = (cm + rm) * (cp + rp) / 4, (cm - rm) * (cp + rp) / 4
+        s, prod = alpha1 + alpha2, alpha1 * alpha2
+        g1 = mpmath.sqrt(s * s + prod * (1 - alpha1 ** 2) * (1 - alpha2 ** 2)
+                         / (prod - 1))
+        g2 = -s * (1 + prod) / g1
+        g3 = mpmath.sqrt(1 - prod * (3 - prod - alpha1 ** 2 - alpha2 ** 2)
+                         / (prod - 1) - g2 * g2)
+        return (alpha1, alpha2), (g1, g2, g3)
 
 
 def _convolve(a: list, b: list) -> list:

@@ -87,17 +87,49 @@ def test_random_measure_scan_tallies_rejections_by_class(monkeypatch, capsys):
     assert tally.split("by atom count:")[0] == "  rejected.EtaNotPSDError: 3\n"
 
 
-def test_bench_rows_run(tmp_path, monkeypatch):
+def test_bench_loads_each_tree_as_its_own_package():
+    bench = _load_script("bench")
+    parent = bench.load_tree("cauchydual_test_parent", str(ROOT / "src"))
+    change = bench.load_tree("cauchydual_test_change", str(ROOT / "src"))
+    assert parent is not change and parent.certify is not change.certify
+    assert parent.certify.run_certificates is not change.certify.run_certificates
+    for tree in (parent, change):
+        for module in (tree, tree.certify, tree.cli, tree.kernels, tree.polyrat,
+                       tree.symbolpipe):
+            assert module.__name__.startswith(tree.__name__)
+            assert os.path.dirname(module.__file__) == str(ROOT / "src" / "cauchydual")
+
+
+def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
     # the bench script calls build_report directly, so a signature change
     # must show here and not only when a benchmark is taken
     bench = _load_script("bench")
-    monkeypatch.setattr(bench, "REPEATS", 2)
-    rows = bench.fixture_rows("refuter", str(tmp_path))
-    assert [row["dump_tables"] for row in rows] == [False, True]
-    mu = bench.grid_measure(2)
-    sym = bench.symbolpipe.measure_to_symbol(mu)
-    row = bench.report_rows(mu, sym, bench.certify.run_certificates(sym))
-    assert row["report_bytes"] > 0 and row["build_report_ms"]["median"] >= 0.0
+    monkeypatch.setattr(bench, "PAIRS", 2)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # main sets it
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--parent", "src", "--out", str(out)]) == 0
+    capsys.readouterr()
+    sets = json.loads(out.read_text())["row_sets"]
+    assert set(sets) == {"parent", "change"}
+    rows = sets["change"]["rows"]
+    assert sorted((row["fixture"], row["dump_tables"]) for row in rows) == sorted(
+        (name, tables) for name in FIXTURE_NAMES for tables in (False, True))
+    assert [len(sets["change"]["engine_rows"]), len(sets["change"]["pipeline_rows"])] == [
+        len(bench.ENGINE_KS) * len(bench.ENGINE_SIZES), len(bench.ENGINE_KS)]
+    for table in bench.TABLES:
+        assert len(sets["parent"][table]) == len(sets["change"][table])
+        for parent, change in zip(sets["parent"][table], sets["change"][table]):
+            assert parent.keys() == change.keys()
+            timed = [key for key in change if key.endswith("_ms")]
+            assert timed
+            for key in timed:
+                assert parent[key].keys() == {"median", "q1", "q3"}
+                assert change[key].keys() == {"median", "q1", "q3", "ratio", "wins"}
+                assert change[key]["ratio"].keys() == {"median", "q1", "q3"}
+                assert 0.0 <= change[key]["wins"] <= 1.0
+    layers = {f"{name}_ms" for name, _, _ in bench.ENGINE_LAYERS}
+    assert layers <= sets["change"]["engine_rows"][0].keys()
 
 
 def test_benchmark_check_sees_a_taylor_engine_skew(monkeypatch):

@@ -6,6 +6,7 @@ import inspect
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -620,6 +621,30 @@ def test_antipodal_closed_form_invariants(c1, c2):
         1.0, abs(alpha1 * alpha2))
 
 
+@pytest.mark.parametrize("c1, c2, pole_tol, numerator_tol", [
+    (1e-4, 1e4, 4e-13, 1e-11),
+    (1e-3, 1e3, 5e-14, 2.5e-13),
+    (1e-2, 1.0, 1e-15, 2e-15),
+    (1e-8, 1.0, 1e-15, 2.5e-12),
+])
+def test_antipodal_closed_form_at_extreme_weights(c1, c2, pole_tol, numerator_tol):
+    """The float closed form against its own radicals at 60 digits, at
+    weight ratios beyond the hypothesis range and mirrored. Measured: poles
+    within 2.0e-13 and numerators within 4.8e-12 of the largest one at
+    1e-4 : 1e4, 2.5e-14 and 1.2e-13 at 1e-3 : 1e3, 3.3e-16 and 5.5e-16 at
+    1e-2 : 1, 8.5e-17 and 1.2e-12 at 1e-8 : 1; each bound is about twice
+    that. At 1e-6 : 1e6 the Schur check refuses the result (max row norm
+    1.0000265)."""
+    for a, b in ((c1, c2), (c2, c1)):
+        _, alphas, gammas = _closed_form_parts(a, b)
+        want_alphas, want_gammas = symbol_oracle.antipodal_radicals_60_digits(a, b)
+        for got, want in zip(alphas, want_alphas):
+            assert abs(got - want) <= pole_tol * abs(want), (a, b)
+        scale = max(abs(want) for want in want_gammas)
+        for got, want in zip(gammas, want_gammas):
+            assert abs(got - want) <= numerator_tol * scale, (a, b)
+
+
 def test_antipodal_closed_form_matches_pipeline_eta():
     for c1, c2 in [(1.0, 1.0), (4.0, 1.0), (0.5, 2.0)]:
         cf = closed_form_antipodal(c1, c2)
@@ -656,6 +681,24 @@ def test_single_atom_tau1_golden_values():
     assert abs(sym.gamma_fr - 0.3819660112501051) <= 1e-12
     assert abs(sym.alphas[0] - 2.6180339887498953) <= 1e-12
     assert abs(sym.coefficients[0, 1] - (-1.618033988749895)) <= 1e-12
+
+
+@pytest.mark.parametrize("tau", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+def test_single_atom_pole_and_numerator_at_50_digits(tau):
+    # the textbook root (s - sqrt(s^2 - 4))/2 of eta + 1/eta = s = 2 + tau
+    # keeps more than 25 of its 50 digits over this range; in floats it
+    # cancels: 3.7e-10 off at tau = 1e4, 34 % at 1e8, a division by zero at
+    # 1e12, and s^2 - 4 itself cancels at 1e-12
+    with mpmath.workdps(50):
+        s = 2 + mpmath.mpf(tau)
+        eta = (s - mpmath.sqrt(s * s - 4)) / 2
+        numerator = mpmath.sqrt(mpmath.mpf(tau) / eta)
+        for theta in (0.0, 2.0, math.pi):
+            sym = single_atom_symbol(tau, theta)
+            pole = mpmath.expj(theta) / eta
+            assert abs(mpmath.mpc(complex(sym.alphas[0])) - pole) <= 1e-14 * abs(pole)
+            got = abs(complex(sym.coefficients[0, 1]))
+            assert abs(got - numerator) <= 1e-14 * numerator
 
 
 def test_single_atom_rotation_moves_pole():
