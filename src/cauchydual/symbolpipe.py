@@ -379,56 +379,55 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]))
 
 
+def _shift_root(c: float) -> float:
+    """The positive root of x^2 - c x - 1 as a sum or quotient of positive
+    terms: (c + sqrt(4 + c^2))/2 for c >= 0, 2/(sqrt(4 + c^2) - c) for c < 0."""
+    r = math.sqrt(4.0 + c * c)
+    return (c + r) / 2.0 if c >= 0.0 else 2.0 / (r - c)
+
+
 def closed_form_antipodal(c1: float, c2: float) -> RationalSymbol:
     """Two-atom symbol for c1 * delta_{+1} + c2 * delta_{-1}, in closed form.
 
-    With gamma1, gamma3 the nonnegative square roots, the symbol is
-    p_1 = gamma1 z + gamma2 z^2, p_2 = gamma3 z^2 over
-    q = (z - alpha1)(z - alpha2) with alpha1 > 1 and alpha2 < -1.
+    p_1 = gamma1 z + gamma2 z^2 and p_2 = gamma3 z^2 over
+    q = (z - alpha1)(z - alpha2). With r_i = sqrt(c_i), h = root(r1 + r2)
+    and k = root(r1 - r2) from _shift_root, and t = 1 + h^2: alpha1 = h k,
+    alpha2 = -h/k, gamma1 = h sqrt((r1 - r2)^2 + 4 r1 r2 h^2/t),
+    gamma2 = (c1 - c2) h^2/gamma1 and gamma3 = 4 r1 r2 h^3/(t gamma1), each
+    a sum or product of positive terms. Why: h^2 - (r1 + r2) h = 1 gives
+    alpha1 alpha2 = -h^2, alpha1 + alpha2 = (r1 - r2) h and
+    1 + alpha1 alpha2 = -(r1 + r2) h. The boundary weight at +-1 is 4 c1
+    and 4 c2 and equals |1 -+ alpha1|^2 |1 -+ alpha2|^2/h^2, so
+    (alpha1^2 - 1)(alpha2^2 - 1) = 4 r1 r2 h^2. Coefficient matching forces
+    gamma1 gamma2 = -(alpha1 + alpha2)(1 + alpha1 alpha2), and sympy factors
+    the numerator Gram determinant as gamma1^2 gamma3^2 = -alpha1 alpha2
+    (alpha1^2 - 1)^2 (alpha2^2 - 1)^2/(alpha1 alpha2 - 1)^2. h^3 is
+    h * h * h, which overflows to inf where ** would raise.
     """
     c1, c2 = float(c1), float(c2)
     if c1 <= 0.0 or c2 <= 0.0:
         raise ValueError("both weights must be positive")
-    cp = math.sqrt(c1) + math.sqrt(c2)
-    cm = math.sqrt(c1) - math.sqrt(c2)
-    rp = math.sqrt(4.0 + cp * cp)
-    rm = math.sqrt(4.0 + cm * cm)
-    alpha1 = (cm + rm) * (cp + rp) / 4.0
-    alpha2 = (cm - rm) * (cp + rp) / 4.0
-    s = alpha1 + alpha2
-    prod = alpha1 * alpha2
-
-    def checked_sqrt(x: float, label: str) -> float:
-        if x < -1e-9 * max(1.0, abs(x)):
-            raise ArithmeticError(f"{label} radicand {x} is negative")
-        return math.sqrt(max(x, 0.0))
-
-    g1 = checked_sqrt(
-        s * s + prod * (1.0 - alpha1 ** 2) * (1.0 - alpha2 ** 2) / (prod - 1.0),
-        "gamma1")
-    # coefficient matching of sum_j p_j(z) conj(p_j(w)) forces
-    # gamma2 gamma1 = -(alpha1 + alpha2)(1 + alpha1 alpha2)
-    g2 = -s * (1.0 + prod) / g1
-    g3 = checked_sqrt(
-        1.0 - prod * (3.0 - prod - alpha1 ** 2 - alpha2 ** 2) / (prod - 1.0)
-        - g2 * g2,
-        "gamma3")
-    return symbol_from_parts([alpha1, alpha2], [[0.0, g1, g2], [0.0, 0.0, g3]])
+    r1, r2 = math.sqrt(c1), math.sqrt(c2)
+    h, k = _shift_root(r1 + r2), _shift_root(r1 - r2)
+    t = 1.0 + h * h
+    g1 = h * math.sqrt((r1 - r2) * (r1 - r2) + 4.0 * r1 * r2 * h * h / t)
+    g2 = (c1 - c2) * h * h / g1
+    g3 = 4.0 * r1 * r2 * h * h * h / (t * g1)
+    return symbol_from_parts([h * k, -h / k], [[0.0, g1, g2], [0.0, 0.0, g3]])
 
 
 def single_atom_symbol(tau: float, theta: float = 0.0) -> RationalSymbol:
     """Rank-one symbol for tau * delta at exp(i theta), in closed form.
 
-    The contraction parameter eta in (0, 1) solves eta + 1/eta = 2 + tau;
-    the single pole sits at exp(i theta)/eta, so gamma_fr is eta, and the
-    numerator is -sqrt(tau/eta) z. eta is the smaller root
-    2/(2 + tau + sqrt(tau (4 + tau))), a sum of positive terms, since the
-    difference form (s - sqrt(s^2 - 4))/2 with s = 2 + tau cancels for
-    large tau and s^2 - 4 cancels for small tau.
+    With s = sqrt(tau) and h = _shift_root(s), the pole is exp(i theta) h^2
+    and the numerator -s h z, so gamma_fr = 1/h^2 is the contraction
+    parameter eta: h - 1/h = s gives eta + 1/eta = 2 + tau, and
+    |s h|^2 = tau/eta.
     """
     tau = float(tau)
     if tau <= 0.0:
         raise ValueError("atom weight must be positive")
-    eta = 2.0 / (2.0 + tau + math.sqrt(tau) * math.sqrt(4.0 + tau))
+    s = math.sqrt(tau)
+    h = _shift_root(s)
     lam = cmath.exp(1j * float(theta))
-    return symbol_from_parts([lam / eta], [[0.0, -math.sqrt(tau / eta)]])
+    return symbol_from_parts([lam * (h * h)], [[0.0, -s * h]])

@@ -1,6 +1,7 @@
 """Shared fixtures: canned input documents and the symbols they define."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,15 @@ FIXTURE_NAMES = (
 )
 
 
+def src_env() -> dict:
+    """The environment with this checkout's src/ first on PYTHONPATH, for
+    child interpreters that import the package."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
+    return env
+
+
 def load_fixture_doc(name: str) -> dict:
     return json.loads((FIXTURES / f"{name}.json").read_text())
 
@@ -42,21 +52,23 @@ def taylor_of(sym, n_rows: int):
     return symbol_taylor(sym, pairing_of(sym), n_rows)
 
 
+def random_measure(rng, k: int, min_gap: float = 0.3) -> CircleMeasure:
+    """k atoms with circular gaps above min_gap, redrawn until they fit,
+    and weights log-uniform in [0.1, 5]."""
+    while True:
+        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
+        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
+        if gaps.min() > min_gap:
+            break
+    weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
+    return CircleMeasure(tuple(thetas), tuple(weights))
+
+
 def pool_like_measures(seed: int, per_k: int) -> list:
     """per_k random measures for each atom count k = 1..8, drawn the way
-    the benchmark's measure pool draws them: circular atom gaps above 0.3,
-    weights log-uniform in [0.1, 5]."""
+    the benchmark's measure pool draws them (random_measure)."""
     rng = np.random.default_rng(seed)
-    measures = []
-    for k in range(1, 9):
-        while len(measures) < k * per_k:
-            thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
-            gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
-            if k > 1 and gaps.min() <= 0.3:
-                continue
-            weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
-            measures.append(CircleMeasure(tuple(thetas), tuple(weights)))
-    return measures
+    return [random_measure(rng, k) for k in range(1, 9) for _ in range(per_k)]
 
 
 @pytest.fixture(scope="session")

@@ -31,7 +31,7 @@ from cauchydual.symbolpipe import (
 
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix
 from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_symbol, pairing_of,
-                      taylor_of)
+                      random_measure, taylor_of)
 from rank1_oracle import mate_rank1, rank1_taylor
 from symbol_oracle import eta_values, rotate_measure
 
@@ -46,16 +46,6 @@ def _disc_points(n=10, radius=0.86):
     radii = radius * js / n
     angles = 2.0 * np.pi * ((js * 0.618033988749895) % 1.0)
     return radii * np.exp(1j * angles)
-
-
-def _random_measure(rng, k, min_gap=0.3):
-    while True:
-        thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
-        gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
-        if gaps.min() > min_gap:
-            break
-    weights = np.exp(rng.uniform(np.log(0.1), np.log(5.0), size=k))
-    return CircleMeasure(tuple(thetas), tuple(weights))
 
 
 def test_criterion_01_antipodal_goldens():
@@ -130,7 +120,7 @@ def test_criterion_05_engine_equivalence():
     symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
     rng = np.random.default_rng(7)
     for _ in range(20):
-        symbols.append(measure_to_symbol(_random_measure(rng, int(rng.integers(2, 4)))))
+        symbols.append(measure_to_symbol(random_measure(rng, int(rng.integers(2, 4)))))
     worst = 0.0
     for sym in symbols:
         cross = pairing_of(sym).cross

@@ -30,7 +30,7 @@ from cauchydual.cli import (
 
 import render_oracle
 import symbol_oracle
-from conftest import FIXTURES, FIXTURE_NAMES, ROOT, load_fixture_doc
+from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_doc, src_env
 
 
 # -------------------------------------------------------------- input parsing
@@ -492,6 +492,45 @@ def test_far_pole_certifies_without_overflow(modulus, tmp_path, capsys):
     assert capsys.readouterr().out.startswith("CertifiedSubnormal ")
 
 
+@pytest.mark.parametrize("c1,c2", [(1e-12, 1e-12), (1e-6, 1e6)])
+def test_antipodal_extreme_weights_certify(c1, c2, tmp_path, capsys):
+    # weights at which the radical form in symbol_oracle cancels in floats:
+    # its gamma3 is 6.7e-5 off at 1e-12 : 1e-12, and its symbol fails the
+    # Schur check at 1e-6 : 1e6
+    path = tmp_path / "antipodal.json"
+    path.write_text(json.dumps({"antipodal": {"c1": c1, "c2": c2}}))
+    assert main(["--input", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("CertifiedSubnormal (orthogonality), ")
+
+
+def test_antipodal_overflowing_weights_exit_with_error_code(tmp_path, capsys):
+    # h^3 is a product, which overflows to inf; h ** 3 would raise
+    # OverflowError and print errno 34 in place of the offending value
+    path = tmp_path / "antipodal.json"
+    path.write_text(json.dumps({"antipodal": {"c1": 1e300, "c2": 1e300}}))
+    assert main(["--input", str(path)]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: pole or numerator coefficient (inf+0j) is not finite\n")
+
+
+def test_antipodal_decade_grid_is_never_refuted(tmp_path, capsys):
+    # PAPER.md: c1 delta_1 + c2 delta_{-1} has a subnormal Cauchy dual for
+    # all c1, c2 > 0, so no pair may be refuted. Past a ratio of 1e14 the
+    # float symbol may fail its Schur check (exit 3, 33 pairs here)
+    path = tmp_path / "antipodal.json"
+    exits = {}
+    for i in range(-12, 13):
+        for j in range(-12, 13):
+            path.write_text(json.dumps({"antipodal": {"c1": 10.0 ** i,
+                                                      "c2": 10.0 ** j}}))
+            exits[i, j] = main(["--input", str(path)])
+            out = capsys.readouterr().out
+            if abs(i - j) <= 14:
+                assert exits[i, j] == 0 and out.startswith(
+                    "CertifiedSubnormal (orthogonality), "), (i, j)
+    assert set(exits.values()) <= {0, EXIT_ERROR}
+
+
 @pytest.mark.parametrize("theta,weight", [(0.1, 100.0), (0.12, 50.0),
                                           (0.15, 50.0), (0.3, 300.0)])
 def test_failed_necessary_measure_refutes_before_orthogonality(
@@ -800,7 +839,7 @@ def test_module_invocation_subprocess():
     proc = subprocess.run(
         [sys.executable, "-m", "cauchydual",
          "--input", str(FIXTURES / "antipodal_1_1.json")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0
     assert "CertifiedSubnormal" in proc.stdout
 
@@ -810,12 +849,9 @@ def test_undecodable_input_exits_with_error_code(tmp_path):
     # would exit 1, the RefutedAtLevel code
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe" + '{"antipodal": {}}'.encode("utf-16-le"))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "cauchydual", "--input", str(path)],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == EXIT_ERROR
     assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
 
@@ -823,13 +859,10 @@ def test_undecodable_input_exits_with_error_code(tmp_path):
 def test_import_leaves_numpy_polynomial_unloaded():
     # numpy.polynomial costs milliseconds per fresh interpreter, and the
     # package finds its roots without it
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c",
          "import cauchydual, cauchydual.cli, sys; "
          "print('numpy.polynomial' in sys.modules)"],
-        capture_output=True, text=True, env=env)
+        capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"

@@ -12,7 +12,7 @@ import sys
 from cauchydual import certify
 from cauchydual.symbolpipe import EtaNotPSDError
 
-from conftest import FIXTURE_NAMES, FIXTURES, ROOT
+from conftest import FIXTURE_NAMES, FIXTURES, ROOT, src_env
 
 SCRIPTS = ROOT / "scripts"
 
@@ -61,13 +61,10 @@ def test_make_goldens_names_each_changed_key(tmp_path, monkeypatch, capsys):
 
 
 def test_random_measure_scan_runs():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     done = subprocess.run(
         [sys.executable, str(SCRIPTS / "random_measure_scan.py"),
          "--samples", "8", "--seed", "0"],
-        env=env, capture_output=True, text=True, timeout=120)
+        env=src_env(), capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     tally = done.stdout.split("\nverdicts:\n", 1)[1].split("by atom count:")[0]
     counts = [int(n) for n in re.findall(r"^  \S+: (\d+)$", tally, re.M)]
