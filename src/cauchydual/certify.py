@@ -123,10 +123,10 @@ def _level_stats(H: np.ndarray, trunc: int, gap=0.0) -> tuple:
     levels, r = len(H), H.shape[-1]
     lows, norms = np.zeros(levels), np.zeros(levels)
     if r:
+        # ascending eigenvalues: the ends hold the minimum and the modulus
         evals = np.linalg.eigvalsh(H)
-        if trunc > r:
-            evals = np.concatenate((evals, np.zeros((levels, 1))), axis=1)
-        lows, norms = evals.min(axis=1), np.abs(evals).max(axis=1)
+        lows = np.minimum(evals[:, 0], 0.0) if trunc > r else evals[:, 0]
+        norms = np.maximum(-evals[:, 0], evals[:, -1])
     return tuple(map(LevelStat, range(1, levels + 1), lows.tolist(),
                      norms.tolist(), np.broadcast_to(gap, levels).tolist()))
 
@@ -387,8 +387,8 @@ def run_certificates(sym: RationalSymbol,
 
 
 # The moment check compares the kernel table up to this size, or up to the
-# last Taylor row when the table is shorter, integrating the density with
-# QUAD_POINTS equally spaced nodes on the circle.
+# last Taylor row when the table is shorter; density_min is the density's
+# smallest value at QUAD_POINTS equally spaced nodes on the circle.
 MEASURE_CHECK_SIZE = 20
 QUAD_POINTS = 4096
 
@@ -396,22 +396,21 @@ QUAD_POINTS = 4096
 @dataclass(frozen=True, eq=False)
 class RepresentingMeasure:
     """Candidate representing measure of a symbol whose numerators are
-    orthogonal at the poles: atoms of mass masses[r] at atoms[r], plus a
-    density on the circle whose smallest quadrature value is density_min.
-    moments[m, n] = int z^m conj(z)^n dmu for m, n <= size, and
-    max_residual is their largest distance from the kernel table."""
+    orthogonal at the poles: point masses masses[r] at atoms[r], plus a
+    density on the circle whose smallest value at the QUAD_POINTS nodes is
+    density_min. moments[m, n] = int z^m conj(z)^n dmu for m, n <= size,
+    and max_residual is their largest distance from the kernel table."""
 
     atoms: np.ndarray
     masses: np.ndarray
     density_min: float
     moments: np.ndarray
     max_residual: float
-    mass: float
 
 
 def representing_measure(pairing: PolePairing,
                          taylor: np.ndarray) -> RepresentingMeasure:
-    """Integrate z^m conj(z)^n against the explicit representing measure.
+    """The explicit representing measure and its moments in closed form.
 
     With beta_r = 1/alpha_r, component j of the symbol is
     sum_r gamma_jr z / (1 - beta_r z), gamma_jr = -p_j(alpha_r) beta_r^2 / a_r,
@@ -426,9 +425,9 @@ def representing_measure(pairing: PolePairing,
     m, n <= size, with size = min(MEASURE_CHECK_SIZE, len(taylor)), is
     reported.
 
-    The quadrature moment of z^m conj(z)^n is the mean of z^(m-n) times the
-    real density over the QUAD_POINTS = Q circle points: with s its rfft and
-    i = (m - n) mod Q, that is conj(s[i]) / Q for i <= Q // 2, else s[Q - i] / Q.
+    With s_j = sum_r nu_r beta_r^j, the density integrates z^j to
+    delta_j0 - s_j and z^-j to its conjugate (j >= 0), so with the atoms
+    moments[m, n] = delta_mn - s_(m-n) + sum_r nu_r beta_r^m conj(beta_r)^n.
     """
     beta = 1.0 / pairing.alphas
     b2 = (beta * beta.conj()).real
@@ -438,13 +437,12 @@ def representing_measure(pairing: PolePairing,
     density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
     size = min(MEASURE_CHECK_SIZE, len(taylor))
     m = np.arange(size + 1)
-    idx = (m[:, None] - m[None, :]) % QUAD_POINTS
-    folded = np.fft.rfft(density)[np.minimum(idx, QUAD_POINTS - idx)] / QUAD_POINTS
-    moments = np.where(idx <= QUAD_POINTS // 2, folded.conj(), folded)
     bpow = np.power.outer(beta, m)
+    lag = m[:, None] - m[None, :]
+    s = (masses @ bpow)[np.abs(lag)]
+    moments = np.eye(size + 1) - np.where(lag < 0, s.conj(), s)
     moments += (bpow.T * masses) @ bpow.conj()
 
     table = kernels.kernel_coeffs(taylor, size)
-    resid = float(np.abs(moments - table).max())
     return RepresentingMeasure(beta, masses, float(density.min()), moments,
-                               resid, float(moments[0, 0].real))
+                               float(np.abs(moments - table).max()))

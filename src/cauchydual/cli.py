@@ -251,7 +251,6 @@ def _measure_json(measure: certify.RepresentingMeasure) -> dict:
         "density_min": measure.density_min,
         "measure_check": {
             "size": len(measure.moments) - 1,
-            "mass": measure.mass,
             "max_residual": measure.max_residual,
         },
     }

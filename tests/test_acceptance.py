@@ -197,7 +197,7 @@ def test_criterion_07_rank1_representing_measure():
         assert check.max_residual <= 1e-7
         assert check.density_min >= -1e-13
     _report(7, f"{len(symbols)} symbols, moments vs kernel residual "
-               f"{worst:.2e} at size 20, 4096 quadrature points")
+               f"{worst:.2e} at size 20, closed-form moments")
 
 
 def test_criterion_08_mate_identity_and_dual_kernel():

@@ -877,7 +877,7 @@ def test_rank1_representing_measure_checks():
         assert abs(measure.atoms[0] - beta) <= 1e-15
         assert abs(measure.masses[0] - model.nu) <= 1e-15
         assert measure.max_residual <= 1e-14
-        assert abs(measure.mass - 1.0) <= 1e-14
+        assert abs(measure.moments[0, 0] - 1.0) <= 1e-14
         assert measure.moments.shape == (21, 21)
 
 
@@ -887,13 +887,14 @@ def test_rank1_representing_measure_tangent_model():
     _, measure = _measure_of(sym)
     assert abs(measure.masses[0] - model.nu) <= 1e-15
     assert measure.max_residual <= 1e-14
-    assert abs(measure.mass - 1.0) <= 1e-14
+    assert abs(measure.moments[0, 0] - 1.0) <= 1e-14
 
 
 def _moments_by_power_matrix(atoms, masses, size, quad_points):
-    """The quadrature as a dense product, E[m, q] = e^{i m theta_q} against
-    the density, plus the atoms: the reference for the moments that
-    representing_measure takes from one real DFT."""
+    """The moments by quadrature as a dense product, E[m, q] =
+    e^{i m theta_q} against the density, plus the atoms: an independent
+    reference for the closed-form moments of representing_measure, exact
+    but for aliasing of about |beta|^quad_points."""
     theta = 2.0 * np.pi * np.arange(quad_points) / quad_points
     unit = np.exp(1j * theta)
     density = np.ones(quad_points)
@@ -907,20 +908,38 @@ def _moments_by_power_matrix(atoms, masses, size, quad_points):
     return moments
 
 
-def test_rank1_moments_match_power_matrix_quadrature(monkeypatch):
+def test_rank1_moments_match_power_matrix_quadrature():
     symbols = [_one_pole_symbol(g, b) for g, b in RANK1_MODELS]
     symbols += [load_fixture_symbol(name) for name in ("antipodal_1_1", "antipodal_4_1")]
     for sym in symbols:
-        # fewer nodes than the 41 distinct m - n alias in both derivations;
-        # the moments are at most about 1, and the two summation orders
-        # measured up to 6 ulp apart here (at 7 nodes)
-        for quad_points in (1, 7, 41, 100, 4096):
-            monkeypatch.setattr(certify, "QUAD_POINTS", quad_points)
-            _, measure = _measure_of(sym)
-            oracle = _moments_by_power_matrix(measure.atoms, measure.masses,
-                                              20, quad_points)
-            gap = np.abs(measure.moments - oracle).max()
-            assert gap <= 16 * np.finfo(float).eps
+        _, measure = _measure_of(sym)
+        # every |beta| here is at most 0.62, so 4096 nodes alias below
+        # 0.62^4096; the moments are at most about 1
+        assert np.abs(measure.atoms).max() <= 0.62
+        oracle = _moments_by_power_matrix(measure.atoms, measure.masses, 20, 4096)
+        gap = np.abs(measure.moments - oracle).max()
+        assert gap <= 16 * np.finfo(float).eps
+
+
+# light atoms put a pole within about sqrt(weight) of the circle
+NEAR_CIRCLE = [
+    *((single_atom_symbol, (tau, theta))
+      for tau in (1e-6, 1e-8, 1e-12) for theta in (0.0, 1.0)),
+    *((closed_form_antipodal, weights) for weights in
+      ((1e-12, 1e-12), (1e-10, 1e-10), (1e-6, 1.0), (1e-12, 1e2)))]
+
+
+@pytest.mark.parametrize("make, args", NEAR_CIRCLE,
+                         ids=[f"{make.__name__}{args}" for make, args in NEAR_CIRCLE])
+def test_representing_measure_with_poles_near_the_circle(make, args):
+    # a quadrature of the density aliases by about |beta|^nodes there
+    # (2e-4 at 4096 nodes for tau = 1e-12); the closed-form moments stay
+    # at rounding
+    result, measure = _measure_of(make(*args))
+    assert result.certified_by == "orthogonality"
+    assert np.abs(measure.atoms).max() > 0.99
+    assert measure.max_residual <= 1e-14
+    assert abs(measure.moments[0, 0] - 1.0) <= 1e-14
 
 
 def test_rank1_density_is_nonnegative():

@@ -30,7 +30,8 @@ from cauchydual.cli import (
 
 import render_oracle
 import symbol_oracle
-from conftest import FIXTURES, FIXTURE_NAMES, load_fixture_doc, src_env
+from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_doc,
+                      load_fixture_symbol, src_env)
 
 
 # -------------------------------------------------------------- input parsing
@@ -812,9 +813,13 @@ def test_representing_measure_section_only_when_orthogonal(name, tmp_path, capsy
     for atom, alpha in zip(sec["atoms"], rep["pipeline"]["alphas"]):
         assert abs(complex(*atom) * complex(*alpha) - 1.0) <= 1e-15
     assert sec["measure_check"]["size"] == 20
-    # the node count is config.quad_points, printed once
-    assert list(sec["measure_check"]) == ["size", "mass", "max_residual"]
-    assert abs(sec["measure_check"]["mass"] - 1.0) <= 1e-14
+    # the density_min grid is config.quad_points, printed once
+    assert list(sec["measure_check"]) == ["size", "max_residual"]
+    assert sec["measure_check"]["max_residual"] <= 1e-14
+    # the report prints no total mass: in closed form it is 1
+    result = certify.run_certificates(load_fixture_symbol(name))
+    moments = certify.representing_measure(result.pairing, result.taylor).moments
+    assert abs(moments[0, 0] - 1.0) <= 1e-14
     if name == "single_atom_tau1":
         # the one-pole mate's point mass nu = |gamma|^2 / (1 - |beta|^2)
         assert abs(sec["masses"][0] - 0.44721359549995787) <= 1e-15
