@@ -31,13 +31,11 @@ from .certify import (
     NecessaryMeasure,
     RepresentingMeasure,
     pole_pairing,
-    coincidence_classes,
     orthogonality_test,
     agler_pole_test,
     agler_taylor_test,
     necessary_measure_test,
     representing_measure,
-    exactness_applies,
     run_certificates,
     VERDICT_CERTIFIED,
     VERDICT_REFUTED,
@@ -53,9 +51,8 @@ __all__ = [
     "symbol_taylor", "kernel_coeffs",
     "CertificateConfig", "CertificateReport", "LevelStat",
     "NecessaryMeasure", "RepresentingMeasure", "pole_pairing",
-    "coincidence_classes", "orthogonality_test",
-    "agler_pole_test", "agler_taylor_test", "necessary_measure_test",
-    "representing_measure", "exactness_applies", "run_certificates",
+    "orthogonality_test", "agler_pole_test", "agler_taylor_test",
+    "necessary_measure_test", "representing_measure", "run_certificates",
     "VERDICT_CERTIFIED", "VERDICT_REFUTED", "VERDICT_INCONCLUSIVE",
     "__version__",
 ]

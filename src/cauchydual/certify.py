@@ -205,50 +205,6 @@ TOL_ORTH = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
-class CoincidenceClasses:
-    """The pole products alpha_r conj(alpha_t), chained into classes of
-    points within COINCIDENCE_TOL of each other. order holds the row-major
-    flat indices of the products class by class, each class in increasing
-    order, and class c takes sizes[c] entries from order[starts[c]] on;
-    classes come in the order of their first member. locations[c] is the
-    reciprocal of the mean product of class c, and off_segment[c] says it
-    lies farther than SEGMENT_TOL from [0, 1]."""
-
-    products: np.ndarray
-    order: np.ndarray
-    starts: np.ndarray
-    sizes: np.ndarray
-    locations: np.ndarray
-    off_segment: np.ndarray
-
-
-def _segment_distance(x: np.ndarray) -> np.ndarray:
-    return np.hypot(x.real - np.clip(x.real, 0.0, 1.0), x.imag)
-
-
-def coincidence_classes(pairing: PolePairing) -> CoincidenceClasses:
-    """Group the pole products once for the necessary measure and the
-    exactness condition."""
-    products = pairing.products
-    flat = products.ravel()
-    close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
-    # every product takes the smallest index it is chained to
-    label = np.arange(flat.size)
-    while flat.size:
-        lowest = np.where(close, label[None, :], flat.size).min(axis=1)
-        if (lowest == label).all():
-            break
-        label = lowest
-    # a label is its class's first member, so a stable sort keeps both orders
-    order = np.argsort(label, kind="stable")
-    starts = np.flatnonzero(label[order] == order)
-    sizes = np.diff(starts, append=flat.size)
-    locations = 1.0 / (np.add.reduceat(flat[order], starts) / sizes)
-    return CoincidenceClasses(products, order, starts, sizes, locations,
-                              _segment_distance(locations) > SEGMENT_TOL)
-
-
-@dataclass(frozen=True, eq=False)
 class NecessaryMeasure:
     """Aggregated necessary measure: one atom per coincidence class of the
     pole products alpha_r conj(alpha_t), located at 1/(alpha_r conj(alpha_t)).
@@ -260,18 +216,46 @@ class NecessaryMeasure:
     worst_location: complex | None
 
 
-def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses):
-    """Aggregate the necessary measure and check it is positive on [0, 1].
+def necessary_measure_test(pairing: PolePairing):
+    """(measure, passed, exact): the necessary measure, whether it is
+    positive on [0, 1], and whether the exactness condition holds.
 
+    The pole products chain into classes of points within COINCIDENCE_TOL
+    of each other, each located at the reciprocal of its mean product.
     Weights of classes located off the segment must vanish; weights on the
     segment must be real and nonnegative, all relative to TOL_PSD times
-    the total variation. Failure refutes subnormality outright.
+    the total variation. Failure refutes subnormality outright. exact says
+    that there are at least two poles and every off-diagonal product is a
+    class of its own located off [0, 1], that is, a distinct complex number
+    off the ray [1, oo); orthogonality is then necessary as well as
+    sufficient.
     """
-    raw = (cross / classes.products ** 2).ravel()
-    weights = np.add.reduceat(raw[classes.order], classes.starts)
+    products = pairing.products
+    k, flat = len(products), products.ravel()
+    close = np.abs(flat[:, None] - flat[None, :]) <= COINCIDENCE_TOL
+    # every product takes the smallest index it is chained to
+    label = np.arange(flat.size)
+    while flat.size:
+        lowest = np.where(close, label[None, :], flat.size).min(axis=1)
+        if (lowest == label).all():
+            break
+        label = lowest
+    # a label is its class's first member, so a stable sort keeps both
+    # orders: class c takes counts[c] flat indices from order[starts[c]] on
+    order = np.argsort(label, kind="stable")
+    starts = np.flatnonzero(label[order] == order)
+    counts = np.diff(starts, append=flat.size)
+    locations = 1.0 / (np.add.reduceat(flat[order], starts) / counts)
+    off = np.hypot(locations.real - np.clip(locations.real, 0.0, 1.0),
+                   locations.imag) > SEGMENT_TOL
+    # flat index r k + t is diagonal when k + 1 divides it
+    lone = (counts == 1) & off & (order[starts] % (k + 1) != 0)
+    exact = k >= 2 and int(np.count_nonzero(lone)) == k * (k - 1)
+
+    raw = (pairing.cross / products ** 2).ravel()
+    weights = np.add.reduceat(raw[order], starts)
     # hypot is the modulus abs() takes of a complex scalar, to the last bit
     sizes = np.hypot(weights.real, weights.imag)
-    locations = classes.locations
     scale = max(sum(sizes.tolist()), 1e-300)
     step = TOL_PSD * scale
     # descending weight in steps of TOL_PSD scale, then location
@@ -279,7 +263,7 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses):
     perm = np.lexsort((locations.imag, np.rint(locations.real / COINCIDENCE_TOL),
                        -np.rint(sizes / step)))
     weights, sizes, locations = weights[perm], sizes[perm], locations[perm]
-    off = classes.off_segment[perm]
+    off = off[perm]
 
     bad = np.where(off, sizes, np.maximum(np.maximum(-weights.real,
                                                      np.abs(weights.imag)), 0.0))
@@ -291,22 +275,7 @@ def necessary_measure_test(cross: np.ndarray, classes: CoincidenceClasses):
         worst_loc = complex(locations[np.argmax(np.ceil(bad / step))])
     passed = worst <= step
     return NecessaryMeasure(locations, weights, float(worst / scale),
-                            worst_loc), passed
-
-
-def exactness_applies(classes: CoincidenceClasses) -> bool:
-    """True when there are at least two poles and every off-diagonal pole
-    product forms a class of its own located off [0, 1], that is, the
-    product is a distinct complex number off the ray [1, oo); orthogonality
-    is then necessary as well as sufficient."""
-    k = len(classes.products)
-    if k < 2:
-        return False
-    # it holds when k (k - 1) classes are a lone off-diagonal product off
-    # the segment; flat index r k + t is diagonal when k + 1 divides it
-    lone = ((classes.sizes == 1) & classes.off_segment
-            & (classes.order[classes.starts] % (k + 1) != 0))
-    return int(np.count_nonzero(lone)) == k * (k - 1)
+                            worst_loc), passed, exact
 
 
 @dataclass(frozen=True, eq=False)
@@ -350,13 +319,11 @@ def run_certificates(sym: RationalSymbol,
     but never refutes.
     """
     pairing = pole_pairing(sym.alphas, sym.numerators_at_poles)
-    classes = coincidence_classes(pairing)
     orth_residual, orth_passed = orthogonality_test(pairing)
-    necessary, necessary_passed = necessary_measure_test(pairing.cross, classes)
+    necessary, necessary_passed, exact = necessary_measure_test(pairing)
     taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
     pole_stats, Q, cores = agler_pole_test(pairing, cfg)
     taylor_stats, basis_residual = agler_taylor_test(taylor, Q, cores, cfg)
-    exact = exactness_applies(classes)
     agler_passed = basis_residual <= TOL_PSD and all(
         st.passes() for st in pole_stats + taylor_stats)
 
@@ -388,7 +355,8 @@ def run_certificates(sym: RationalSymbol,
 
 # The moment check compares the kernel table up to this size, or up to the
 # last Taylor row when the table is shorter; density_min is the density's
-# smallest value at QUAD_POINTS equally spaced nodes on the circle.
+# smallest value at QUAD_POINTS equally spaced nodes on the circle and at
+# the atom directions beta_r / |beta_r|.
 MEASURE_CHECK_SIZE = 20
 QUAD_POINTS = 4096
 
@@ -397,9 +365,10 @@ QUAD_POINTS = 4096
 class RepresentingMeasure:
     """Candidate representing measure of a symbol whose numerators are
     orthogonal at the poles: point masses masses[r] at atoms[r], plus a
-    density on the circle whose smallest value at the QUAD_POINTS nodes is
-    density_min. moments[m, n] = int z^m conj(z)^n dmu for m, n <= size,
-    and max_residual is their largest distance from the kernel table."""
+    density on the circle whose smallest value at the QUAD_POINTS nodes and
+    the atom directions is density_min. moments[m, n] = int z^m conj(z)^n
+    dmu for m, n <= size, and max_residual is their largest distance from
+    the kernel table."""
 
     atoms: np.ndarray
     masses: np.ndarray
@@ -433,8 +402,13 @@ def representing_measure(pairing: PolePairing,
     b2 = (beta * beta.conj()).real
     w = b2 * b2 * np.diag(pairing.pair).real / np.abs(pairing.a) ** 2
     masses = w / (1.0 - b2)
-    gap = 1.0 - np.conj(circle_points(QUAD_POINTS))[:, None] * beta
-    density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
+    # term r peaks at z = beta_r / |beta_r|, between the nodes in general;
+    # the density is at most 1, as w >= 0
+    density_min = 1.0
+    for z in (circle_points(QUAD_POINTS), beta / np.abs(beta)):
+        gap = 1.0 - np.conj(z)[:, None] * beta
+        density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
+        density_min = min(density_min, float(density.min(initial=1.0)))
     size = min(MEASURE_CHECK_SIZE, len(taylor))
     m = np.arange(size + 1)
     bpow = np.power.outer(beta, m)
@@ -444,5 +418,5 @@ def representing_measure(pairing: PolePairing,
     moments += (bpow.T * masses) @ bpow.conj()
 
     table = kernels.kernel_coeffs(taylor, size)
-    return RepresentingMeasure(beta, masses, float(density.min()), moments,
+    return RepresentingMeasure(beta, masses, density_min, moments,
                                float(np.abs(moments - table).max()))

@@ -376,7 +376,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: invalid input field {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, ArithmeticError, RuntimeError,
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError,
             np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

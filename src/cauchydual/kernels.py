@@ -81,7 +81,7 @@ def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
         raise ValueError("size must be nonnegative")
     if len(rows) < size:
         raise ValueError(f"need {size} rows, table has {len(rows)}")
-    S = rows @ rows.conj().T    # S[m-1, n-1] = B_m . B_n*
+    S = rows[:size] @ rows[:size].conj().T    # S[m-1, n-1] = B_m . B_n*
     TT = np.zeros((size + 1, size + 1), dtype=complex)   # lower triangle of T T^H
     for n in range(1, size + 1):
         TT[n:, n] = TT[n - 1:-1, n - 1] + S[n - 1:size, n - 1]

@@ -1,12 +1,12 @@
 """The necessary measure aggregated class by class, kept as a test oracle
 for `certify.necessary_measure_test`.
 
-`necessary_measure_test` sums the weights of all coincidence classes with
-one reduceat over the class order, sorts them with one lexsort and finds
-the worst violation as an array operation; the loops below are the
-definition it must reproduce. The class members and locations are read
-off the arrays `coincidence_classes` returns, which is the only change
-from the loop form.
+`necessary_measure_test` chains the pole products into classes with
+array operations, sums the weights of all classes with one reduceat over
+the class order, sorts them with one lexsort and finds the worst
+violation and the exactness condition as array operations; the loops
+below are the definition it must reproduce. The classes come from a
+pairwise union-find over the same products.
 """
 import math
 
@@ -21,17 +21,55 @@ def _segment_distance(x: complex) -> float:
     return math.hypot(x.real - re, x.imag)
 
 
-def necessary_measure_test(cross, classes):
-    """Aggregate the necessary measure and check it is positive on [0, 1].
+def union_find_classes(products):
+    """Pairwise union-find over the pole products, the reference grouping:
+    (members, mean product) per class, members as row-major flat indices
+    in increasing order, classes by first member. The mean sums the
+    members in that order with np.add.reduceat, whose sum of a large class
+    can differ in the last bit from np.sum's and from a running sum's; the
+    tests compare the grouping, not numpy's summation order."""
+    flat = np.asarray(products, dtype=complex).ravel()
+    parent = list(range(len(flat)))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for i in range(len(flat)):
+        for j in range(i + 1, len(flat)):
+            if abs(flat[i] - flat[j]) <= COINCIDENCE_TOL:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[ri] = rj
+    groups = {}
+    for i in range(len(flat)):
+        groups.setdefault(find(i), []).append(i)
+    return [(members, np.add.reduceat(flat[members], [0])[0] / len(members))
+            for members in groups.values()]
+
+
+def necessary_measure_test(pairing):
+    """Aggregate the necessary measure, check it is positive on [0, 1] and
+    decide the exactness condition: (measure, passed, exact).
 
     Weights of classes located off the segment must vanish; weights on the
     segment must be real and nonnegative, all relative to TOL_PSD times
-    the total variation. Failure refutes subnormality outright.
+    the total variation. Failure refutes subnormality outright. exact holds
+    when there are at least two poles and every off-diagonal product is a
+    class of its own located off the segment.
     """
-    members_of = np.split(classes.order, classes.starts)[1:]
-    raw = (cross / classes.products ** 2).ravel()
-    weights = [complex(raw[members].sum()) for members in members_of]
-    locations = classes.locations.tolist()
+    k = len(pairing.products)
+    classes = union_find_classes(pairing.products)
+    raw = (pairing.cross / pairing.products ** 2).ravel()
+    weights = [complex(raw[members].sum()) for members, _ in classes]
+    locations = [complex(1.0 / mean) for _, mean in classes]
+    lone = sum(len(members) == 1 and members[0] % (k + 1) != 0
+               and _segment_distance(loc) > SEGMENT_TOL
+               for (members, _), loc in zip(classes, locations))
+    exact = k >= 2 and lone == k * (k - 1)
+
     scale = max(sum(abs(w) for w in weights), 1e-300)
     # descending weight in steps of TOL_PSD times the total variation,
     # then location with the real part in steps of COINCIDENCE_TOL
@@ -57,4 +95,4 @@ def necessary_measure_test(cross, classes):
     passed = worst <= TOL_PSD * scale
     return NecessaryMeasure(np.array(locations, dtype=complex),
                             np.array(weights, dtype=complex),
-                            float(worst / scale), worst_loc), passed
+                            float(worst / scale), worst_loc), passed, exact

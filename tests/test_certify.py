@@ -1,6 +1,7 @@
 """Certificate battery: orthogonality, truncated positivity, moment checks."""
 
 import cmath
+import dataclasses
 import math
 import tracemalloc
 
@@ -20,8 +21,6 @@ from cauchydual.certify import (
     LevelStat,
     agler_pole_test,
     agler_taylor_test,
-    coincidence_classes,
-    exactness_applies,
     necessary_measure_test,
     orthogonality_test,
     representing_measure,
@@ -52,6 +51,10 @@ from symbol_oracle import rotate_measure
 
 CFG = CertificateConfig()
 SQ2 = math.sqrt(2.0)
+
+
+def _re_im(z):
+    return z.real, z.imag
 
 
 def make_refuter():
@@ -165,8 +168,8 @@ def test_certificates_evaluate_numerators_once(monkeypatch):
 def test_certificates_build_pole_tables_once(monkeypatch):
     # the Lagrange denominators and the pole products are tables of the
     # pole pairing, built once per run: the cross Gram and the Taylor rows
-    # read the same denominators, and the coincidence classes hold the
-    # products
+    # read the same denominators, and the necessary measure groups the
+    # pairing's products, so doubling them halves every location
     sym = measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
     calls = []
     denominators = certify.lagrange_denominators
@@ -179,7 +182,9 @@ def test_certificates_build_pole_tables_once(monkeypatch):
     run_certificates(sym)
     pairing = run_certificates(sym, CertificateConfig(levels=3, trunc=10)).pairing
     assert calls == [sym.k, sym.k]
-    assert coincidence_classes(pairing).products is pairing.products
+    doubled = dataclasses.replace(pairing, products=2.0 * pairing.products)
+    atoms = [necessary_measure_test(p)[0].locations.tolist() for p in (pairing, doubled)]
+    assert sorted(atoms[1], key=_re_im) == sorted((x / 2.0 for x in atoms[0]), key=_re_im)
 
 
 def _random_unitary(rng, m):
@@ -664,8 +669,7 @@ def test_two_point_measure_certifies_only_when_antipodal(theta, weight):
 
 def test_necessary_measure_antipodal_locations():
     sym = closed_form_antipodal(1.0, 1.0)
-    necessary, passed = necessary_measure_test(
-        pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
+    necessary, passed, _ = necessary_measure_test(pairing_of(sym))
     assert passed
     assert len(necessary.locations) == 2
     locs = sorted(necessary.locations, key=lambda x: x.real)
@@ -683,8 +687,7 @@ def test_necessary_measure_antipodal_locations():
 
 def test_necessary_measure_single_atom():
     sym = single_atom_symbol(1.0)
-    necessary, passed = necessary_measure_test(
-        pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
+    necessary, passed, _ = necessary_measure_test(pairing_of(sym))
     assert passed
     assert len(necessary.locations) == 1
     eta = (3.0 - math.sqrt(5.0)) / 2.0
@@ -703,10 +706,10 @@ def test_necessary_measure_equals_class_loop_oracle():
         except (ValueError, ArithmeticError, RuntimeError):
             continue    # the pipeline's conditioning limit, not this test's
     for sym in symbols:
-        cross, classes = pairing_of(sym).cross, coincidence_classes(pairing_of(sym))
-        (got, passed) = necessary_measure_test(cross, classes)
-        (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
-        assert passed == want_passed
+        pairing = pairing_of(sym)
+        (got, passed, exact) = necessary_measure_test(pairing)
+        (want, want_passed, want_exact) = necessary_oracle.necessary_measure_test(pairing)
+        assert (passed, exact) == (want_passed, want_exact)
         for field in ("locations", "weights"):
             got_array = getattr(got, field)
             assert isinstance(got_array, np.ndarray) and got_array.dtype == complex
@@ -723,11 +726,12 @@ def test_necessary_measure_large_classes_match_oracle(k):
     # the total variation at k = 8).
     sym = measure_to_symbol(CircleMeasure(
         tuple(2.0 * math.pi * j / k for j in range(k)), (1.0,) * k))
-    cross, classes = pairing_of(sym).cross, coincidence_classes(pairing_of(sym))
-    assert np.diff(classes.starts, append=k * k).max() == k
-    (got, passed) = necessary_measure_test(cross, classes)
-    (want, want_passed) = necessary_oracle.necessary_measure_test(cross, classes)
-    assert passed == want_passed
+    pairing = pairing_of(sym)
+    classes = necessary_oracle.union_find_classes(pairing.products)
+    assert max(len(members) for members, _ in classes) == k
+    (got, passed, exact) = necessary_measure_test(pairing)
+    (want, want_passed, want_exact) = necessary_oracle.necessary_measure_test(pairing)
+    assert (passed, exact) == (want_passed, want_exact)
     assert np.array_equal(got.locations, want.locations)
     assert got.worst_location == want.worst_location
     total = sum(abs(w) for w in want.weights)
@@ -749,8 +753,7 @@ def test_necessary_atom_order_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary, _ = necessary_measure_test(
-                pairing_of(scaled).cross, coincidence_classes(pairing_of(scaled)))
+            necessary, _, _ = necessary_measure_test(pairing_of(scaled))
             orders.append(np.array(necessary.locations))
         for order in orders[1:]:
             assert np.abs(order - orders[0]).max() <= 1e-9
@@ -771,8 +774,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary, passed = necessary_measure_test(
-                pairing_of(scaled).cross, coincidence_classes(pairing_of(scaled)))
+            necessary, passed, _ = necessary_measure_test(pairing_of(scaled))
             found.append((necessary.worst_location, passed))
         for location, passed in found[1:]:
             assert passed == found[0][1]
@@ -787,8 +789,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
 def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
-        necessary, _ = necessary_measure_test(
-            pairing_of(sym).cross, coincidence_classes(pairing_of(sym)))
+        necessary, _, _ = necessary_measure_test(pairing_of(sym))
         pairs = sorted(zip(necessary.locations, necessary.weights),
                        key=lambda lw: (round(lw[0].real, 9), round(lw[0].imag, 9)))
         conj_pairs = sorted(
@@ -951,6 +952,17 @@ def test_rank1_density_is_nonnegative():
         assert (measure.masses >= 0).all()
 
 
+@pytest.mark.parametrize("tau, theta", [(1e-8, 1.0), (1e-12, 1.0), (1e-6, 2.5),
+                                        (1.0, 1.0)])
+def test_density_min_samples_the_atom_direction(tau, theta):
+    # one atom of weight tau has w = (1 - eta)^2 with eta = |beta|, so its
+    # density 1 - w / |1 - conj(z) beta|^2 vanishes at z = beta / |beta|;
+    # the 4096 nodes alone miss that dip and read 0.707, 1.0, 0.131 and 2.4e-8
+    result, measure = _measure_of(single_atom_symbol(tau, theta))
+    assert result.certified_by == "orthogonality"
+    assert abs(measure.density_min) <= 1e-9
+
+
 @pytest.mark.parametrize("sym", [
     *(load_fixture_symbol(name)
       for name in ("antipodal_1_1", "antipodal_4_1", "single_atom_tau1")),
@@ -968,31 +980,6 @@ def test_representing_measure_of_certified_symbols(sym):
     assert measure.max_residual <= 1e-14
     assert measure.density_min >= -1e-13
     assert (measure.masses > 0).all()
-
-
-def _union_find_classes(sym):
-    """Pairwise union-find over the pole products, the reference grouping:
-    (members, mean product) per class, classes by first member."""
-    alphas = np.asarray(sym.alphas, dtype=complex)
-    flat = np.outer(alphas, np.conj(alphas)).ravel()
-    parent = list(range(len(flat)))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(len(flat)):
-        for j in range(i + 1, len(flat)):
-            if abs(flat[i] - flat[j]) <= 1e-9:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    groups = {}
-    for i in range(len(flat)):
-        groups.setdefault(find(i), []).append(i)
-    return [(members, np.mean(flat[members])) for members in groups.values()]
 
 
 def _pairwise_exactness(sym):
@@ -1026,34 +1013,40 @@ def test_coincidence_classes_match_union_find():
                measure_to_symbol(CircleMeasure((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
                                                (1.0,) * 6))]
     for sym in symbols:
-        classes = coincidence_classes(pairing_of(sym))
-        expected = _union_find_classes(sym)
-        members = np.split(classes.order, classes.starts)[1:]
-        assert [m.tolist() for m in members] == [m for m, _ in expected]
-        assert list(classes.locations) == [complex(1.0 / p) for _, p in expected]
-        assert exactness_applies(classes) == _pairwise_exactness(sym)
+        pairing = pairing_of(sym)
+        necessary, _, exact = necessary_measure_test(pairing)
+        expected = necessary_oracle.union_find_classes(pairing.products)
+        # one atom per class, at the reciprocal of the class's mean product
+        assert sorted(necessary.locations.tolist(), key=_re_im) == sorted(
+            (complex(1.0 / p) for _, p in expected), key=_re_im)
+        assert exact == necessary_oracle.necessary_measure_test(pairing)[2]
+        assert exact == _pairwise_exactness(sym)
 
 
 # ------------------------------------------------------------------- exactness
 
 
+def _exact(sym):
+    exact = necessary_measure_test(pairing_of(sym))[2]
+    assert exact == necessary_oracle.necessary_measure_test(pairing_of(sym))[2]
+    return exact
+
+
 def test_exactness_applies_cases():
-    assert exactness_applies(coincidence_classes(pairing_of(make_refuter())))
-    assert not exactness_applies(
-        coincidence_classes(pairing_of(closed_form_antipodal(1.0, 1.0))))
-    assert not exactness_applies(coincidence_classes(pairing_of(single_atom_symbol(1.0))))
+    assert _exact(make_refuter())
+    assert not _exact(closed_form_antipodal(1.0, 1.0))
+    assert not _exact(single_atom_symbol(1.0))
     # real pair: the two cross products coincide
-    assert not exactness_applies(coincidence_classes(pairing_of(
-        symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]))))
+    assert not _exact(symbol_from_parts([2.0, 3.0], [[0.0, 0.1], [0.0, 0.0, 0.1]]))
     # common ray: a cross product lands on [1, infinity)
     ray = cmath.exp(1j * np.pi / 5)
-    assert not exactness_applies(coincidence_classes(pairing_of(symbol_from_parts(
+    assert not _exact(symbol_from_parts(
         [2.0 * ray, 3.0 * ray, 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))
     # generic triple: distinct products, all off the ray
-    assert exactness_applies(coincidence_classes(pairing_of(symbol_from_parts(
+    assert _exact(symbol_from_parts(
         [2.0 * ray, 3.0 * ray * cmath.exp(0.3j), 5.0],
-        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))))
+        [[0.0, 0.1], [0.0, 0.0, 0.1], [0.0, 0.0, 0.0, 0.1]]))
 
 
 # --------------------------------------------------------------- configuration

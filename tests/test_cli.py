@@ -591,6 +591,20 @@ def test_non_finite_table_exits_with_error_code(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_failed_allocation_exits_with_error_code(capsys, monkeypatch):
+    # numpy raises MemoryError for an array it cannot allocate, as a huge
+    # --trunc or --levels asks for; that is an error (exit 3), never the
+    # refutation exit 1 of an uncaught exception
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 29.1 TiB")
+
+    monkeypatch.setattr(certify, "run_certificates", out_of_memory)
+    for flag in ("--trunc", "--levels"):
+        argv = ["--input", str(FIXTURES / "refuter.json"), flag, "1000000000000"]
+        assert main(argv) == EXIT_ERROR
+        assert capsys.readouterr().err == "error: Unable to allocate 29.1 TiB\n"
+
+
 def test_package_exports_resolve():
     # every exported name exists, and none is listed twice
     import cauchydual
