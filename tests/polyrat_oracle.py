@@ -1,15 +1,15 @@
 """Partial fractions over simple poles, the coefficient-wise conjugate, the
-numpy-scalar power-series inverse and the band's own Horner loop on the
-circle, kept as test oracles.
+power-series inverse and the band's own Horner loop on the circle, kept as
+test oracles.
 
 `kernels.symbol_taylor` expands a symbol at its poles through
 `polyrat.lagrange_denominators` directly; the residues below are the same
-expansion written out, checked against direct evaluation. Its cross-check
-divides by q as a power series in `kernels._series_inverse`, over Python
-complex numbers; `series_inverse` is the same recurrence over numpy
-scalars, the form it had before. `fejer_riesz_factor` samples its band
-through `polyrat._horner`; `band_on_circle` is the dedicated loop it ran
-before, which gives the same samples to the last bit.
+expansion written out, checked against direct evaluation. It checks its
+rows at runtime by the recurrence q b_j = p_j; `series_inverse`, the power
+series of 1/q, gives the second derivation the tests compare them with,
+each numerator divided by q as a series. `fejer_riesz_factor` samples its
+band through `polyrat._horner`; `band_on_circle` is the dedicated loop it
+ran before, which gives the same samples to the last bit.
 """
 from dataclasses import dataclass
 

@@ -1,5 +1,6 @@
 """Taylor rows, kernel coefficient tables, and the one-pole mate oracle."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -17,8 +18,8 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
-from conftest import (FIXTURE_NAMES, load_fixture_symbol, pool_like_measures,
-                      taylor_of)
+from conftest import (FIXTURE_NAMES, load_fixture_symbol, pairing_of,
+                      pool_like_measures, taylor_of)
 from polyrat_oracle import series_inverse
 from rank1_oracle import (
     ExtremePointError,
@@ -49,22 +50,69 @@ def test_taylor_rows_sum_to_symbol_values():
         assert np.abs(partial[:, j] - direct).max() <= 1e-12
 
 
-def test_series_inverse_matches_numpy_scalar_oracle():
-    # The same recurrence over Python complex numbers instead of numpy
-    # scalars; on this batch the two differ by at most 2.9e-15 of the
-    # largest coefficient, and the cross-check they feed allows 1e-10.
+def _recurrence_residual(sym, rows) -> float:
+    """max |coefficient of z^t in q b_j - p_j|, t = 0..len(rows), by one
+    full convolution per component, over max|q| max|rows|."""
+    n = len(rows)
+    gap = 0.0
+    for j, pc in enumerate(sym.coefficients):
+        prod = np.convolve(sym.q, np.concatenate([[0.0], rows[:, j]]))[:n + 1]
+        prod[:len(pc)] -= pc[:n + 1]
+        gap = max(gap, float(np.abs(prod).max()))
+    return gap / (np.abs(sym.q).max() * np.abs(rows).max())
+
+
+def test_taylor_rows_match_series_division_oracle():
+    # The second derivation: each numerator divided by q as a power
+    # series. On this batch the two differ by a few 1e-15 of the largest
+    # row entry.
     symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
     for mu in pool_like_measures(43, 6):
         try:
             symbols.append(measure_to_symbol(mu))
         except (ValueError, ArithmeticError, RuntimeError):
             continue    # the pipeline's conditioning limit, not this test's
+    n = 52      # N + L at the defaults
     for sym in symbols:
-        want = series_inverse(sym.q, 53)     # N + L + 1 at the defaults
-        got = kernels._series_inverse(sym.q, 53)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+        rows = taylor_of(sym, n)
+        inv_q = series_inverse(sym.q, n + 1)
+        for j, pc in enumerate(sym.coefficients):
+            want = np.convolve(pc, inv_q)[1:n + 1]
+            assert np.abs(rows[:, j] - want).max() <= 1e-13 * np.abs(rows).max()
     assert len(symbols) >= 50
+
+
+def test_taylor_check_fires_on_a_faulty_pairing():
+    # a[0] off by 1e-8 relative moves the rows off q b = p by more than
+    # the normwise bound 1e-10 max|q| max|rows| on every symbol here
+    mus = pool_like_measures(43, 1)
+    symbols = [load_fixture_symbol(name) for name in FIXTURE_NAMES]
+    symbols += [measure_to_symbol(mus[2]), measure_to_symbol(mus[7])]
+    assert [sym.k for sym in symbols[-2:]] == [3, 8]
+    for sym in symbols:
+        pairing = pairing_of(sym)
+        kernels.symbol_taylor(sym, pairing, 52)
+        a = pairing.a.copy()
+        a[0] *= 1.0 + 1e-8
+        with pytest.raises(RuntimeError,
+                           match=r"recurrence residual \S+ exceeds its bound \S+"):
+            kernels.symbol_taylor(sym, dataclasses.replace(pairing, a=a), 52)
+
+
+def test_taylor_recurrence_residual_floor():
+    # Closed forms with poles from 1 + 1e-6 to 1e12 out: the normwise
+    # residual stays near 2e-15, 1000x inside the runtime bound.
+    decades = [10.0 ** e for e in range(-12, 13)]
+    symbols = [single_atom_symbol(tau) for tau in decades]
+    for c1 in decades:
+        for c2 in decades:
+            try:
+                symbols.append(closed_form_antipodal(c1, c2))
+            except (ValueError, ArithmeticError):
+                continue    # the closed form's own limit, not this test's
+    assert len(symbols) >= 600
+    for sym in symbols:
+        assert _recurrence_residual(sym, taylor_of(sym, 52)) <= 1e-13
 
 
 def test_taylor_rows_decay_geometrically():
