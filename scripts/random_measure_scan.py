@@ -10,7 +10,8 @@ from collections import Counter
 
 import numpy as np
 
-from cauchydual import CircleMeasure, measure_to_symbol, run_certificates
+from cauchydual.certify import run_certificates
+from cauchydual.symbolpipe import CircleMeasure, measure_to_symbol
 
 
 MIN_ATOMS = 1

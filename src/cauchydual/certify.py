@@ -43,7 +43,8 @@ class CertificateConfig:
 
     def __post_init__(self):
         if self.levels < 1 or self.trunc < 2:
-            raise ValueError("need levels >= 1 and trunc >= 2")
+            raise ValueError(f"need levels >= 1 and trunc >= 2, got "
+                             f"levels={self.levels}, trunc={self.trunc}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -210,7 +210,10 @@ def render_json(obj, indent: int = 0) -> str:
 
 def write_atomic(path: str, text: str):
     """Write through a temporary file and rename it over `path`. The file
-    is created with mode 0o666, so it gets the umask as a plain `open` would."""
+    is created with mode 0o666, so it gets the umask as a plain `open` would.
+    A directory at `path` is refused before any temporary file is made."""
+    if os.path.isdir(path):
+        raise IsADirectoryError("is a directory")
     directory = os.path.dirname(os.path.abspath(path))
     tmp = os.path.join(directory, f".report-{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
@@ -340,10 +343,12 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--input", required=True, metavar="PATH",
                         help="JSON input document (measure | symbol | "
                              "antipodal | single_atom)")
-    parser.add_argument("--levels", type=int, default=12, metavar="L",
-                        help="max truncation level (default 12)")
-    parser.add_argument("--trunc", type=int, default=40, metavar="N",
-                        help="matrix truncation size (default 40)")
+    parser.add_argument("--levels", type=int, metavar="L",
+                        default=certify.CertificateConfig.levels,
+                        help="max truncation level (default %(default)s)")
+    parser.add_argument("--trunc", type=int, metavar="N",
+                        default=certify.CertificateConfig.trunc,
+                        help="matrix truncation size (default %(default)s)")
     parser.add_argument("--report", metavar="PATH",
                         help="write the JSON report here (atomic)")
     parser.add_argument("--dump-tables", action="store_true",

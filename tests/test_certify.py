@@ -1053,9 +1053,9 @@ def test_exactness_applies_cases():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got levels=0, trunc=40$"):
         CertificateConfig(levels=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"got levels=12, trunc=1$"):
         CertificateConfig(trunc=1)
     small = CertificateConfig(levels=2, trunc=5)
     rep = run_certificates(single_atom_symbol(1.0), small)

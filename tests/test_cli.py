@@ -606,11 +606,48 @@ def test_failed_allocation_exits_with_error_code(capsys, monkeypatch):
 
 
 def test_package_exports_resolve():
-    # every exported name exists, and none is listed twice
+    # the root binds the version and the library modules only: every
+    # function and class has one import path, through its own module
     import cauchydual
-    assert len(set(cauchydual.__all__)) == len(cauchydual.__all__)
-    for name in cauchydual.__all__:
-        assert hasattr(cauchydual, name), name
+    public = {name: value for name, value in vars(cauchydual).items()
+              if not name.startswith("_")}
+    assert {"certify", "kernels", "polyrat", "symbolpipe"} <= public.keys()
+    for name, value in public.items():
+        assert getattr(value, "__name__", None) == f"cauchydual.{name}", name
+    assert isinstance(cauchydual.__version__, str)
+
+
+def test_readme_python_use_runs(capsys):
+    # README's "Python use" block runs as written and prints the verdict
+    # its last comment states
+    readme = (FIXTURES.parent / "README.md").read_text()
+    block = readme.split("## Python use", 1)[1].split("```python\n", 1)[1]
+    code = block.split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+    expected = code.rstrip().rsplit("# ", 1)[1]
+    assert capsys.readouterr().out == expected + "\n"
+
+
+def test_parser_defaults_are_the_config_defaults():
+    args = cli._build_parser().parse_args(["--input", "x.json"])
+    default = certify.CertificateConfig()
+    assert (args.levels, args.trunc) == (default.levels, default.trunc)
+
+
+def test_bad_levels_names_the_value(capsys):
+    argv = ["--input", str(FIXTURES / "refuter.json"), "--levels", "0"]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: need levels >= 1 and trunc >= 2, got levels=0, trunc=40\n")
+
+
+def test_report_path_that_is_a_directory(tmp_path, capsys):
+    # refused by name before a temporary file is made beside it
+    argv = ["--input", str(FIXTURES / "refuter.json"), "--report", str(tmp_path)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == f"error: cannot write {tmp_path}: is a directory\n"
+    assert not list(tmp_path.parent.glob(".report-*.tmp"))
+    assert not any(tmp_path.iterdir())
 
 
 def test_version_flag(capsys):
