@@ -12,12 +12,16 @@ only a value change shows); review the diff before committing.
 import json
 import math
 import os
+import sys
 
-from cauchydual import cli
-from cauchydual.symbolpipe import closed_form_antipodal
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+# the package of this checkout, whether or not it is installed
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-FIXTURES = os.path.abspath(
-    os.path.join(os.path.dirname(__file__), os.pardir, "fixtures"))
+from cauchydual import cli  # noqa: E402
+from cauchydual.symbolpipe import closed_form_antipodal  # noqa: E402
+
+FIXTURES = os.path.join(ROOT, "fixtures")
 PINNED_TIMESTAMP = "1970-01-01T00:00:00+00:00"
 
 

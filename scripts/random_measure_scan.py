@@ -6,12 +6,18 @@ general position, where the necessary-measure condition usually refutes.
     python3 scripts/random_measure_scan.py --samples 40 --seed 1
 """
 import argparse
+import os
+import sys
 from collections import Counter
 
 import numpy as np
 
-from cauchydual.certify import run_certificates
-from cauchydual.symbolpipe import CircleMeasure, measure_to_symbol
+# the package of this checkout, whether or not it is installed
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                os.pardir, "src"))
+
+from cauchydual.certify import run_certificates  # noqa: E402
+from cauchydual.symbolpipe import CircleMeasure, measure_to_symbol  # noqa: E402
 
 
 MIN_ATOMS = 1

@@ -180,6 +180,12 @@ def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray,
         raise InsufficientRowsError(
             f"need {N + L} rows, table has {len(taylor)}")
     windows = sliding_window_view(taylor[:N + L], N, axis=0)
+    # A stays the overlapping strided view: NumPy cannot hand it to BLAS and
+    # sums Q^H @ A in its own loop. A contiguous copy of the same values goes
+    # to BLAS, which sums in another order: at (N, L) = (40, 12) the levels
+    # and basis residual of 64 of the benchmark pool's 511 symbols move in
+    # the last bits, and at (40, 80) so do the one-pole levels that are
+    # pure rounding.
     A = windows.transpose(2, 0, 1).reshape(N, -1)
     Y = Q.conj().T @ A
     Yj = Y.reshape(len(Y), L + 1, taylor.shape[1]).transpose(1, 0, 2)

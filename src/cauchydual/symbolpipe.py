@@ -127,20 +127,13 @@ def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
     return acc
 
 
-@dataclass(frozen=True, eq=False)
-class OuterData:
-    """Outer quotient p/q for a measure: q = prod (z - alpha_j) from the
-    spectral factorization and p = (e^{i theta0}/sqrt(gamma)) prod (z - zeta_j),
-    with the phase theta0 chosen so p(0)/q(0) > 0; p[-1] is that scale.
-    alphas is the sorted pole array of the factorization; p and q are
-    ascending coefficient arrays of length k + 1."""
-
-    alphas: np.ndarray
-    p: np.ndarray
-    q: np.ndarray
-
-
-def outer_from_measure(mu: CircleMeasure) -> OuterData:
+def outer_from_measure(mu: CircleMeasure) -> tuple:
+    """(alphas, p, q): the outer quotient p/q of a measure, with
+    q = prod (z - alpha_j) from the spectral factorization and
+    p = (e^{i theta0}/sqrt(gamma)) prod (z - zeta_j), the phase theta0
+    chosen so p(0)/q(0) > 0; p[-1] is that scale. alphas is the sorted
+    pole array of the factorization; p and q are ascending coefficient
+    arrays of length k + 1."""
     if mu.size == 0:
         raise EmptyMeasureError("the empty measure has no outer quotient")
     gamma, alphas = fejer_riesz_factor(boundary_polynomial(mu))
@@ -155,21 +148,14 @@ def outer_from_measure(mu: CircleMeasure) -> OuterData:
     if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
         raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio} needs real "
                            f"part > 0 and |imag| <= 1e-12 * {abs(ratio):.3e}")
-    return OuterData(alphas, p, q)
+    return alphas, p, q
 
 
-@dataclass(frozen=True, eq=False)
-class GramData:
-    """Gram matrix of the atom interpolation basis and its inverse."""
-
-    gram: np.ndarray
-    inverse: np.ndarray
-    oprime: np.ndarray       # derivative of p/q at each atom
-    U: np.ndarray            # U[j, i]: coefficient of z^i in u_j = p / (z - zeta_j)
-
-
-def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
-    """Hermitian Gram matrix of the functions (p/q) / (O'(zeta_j)(z - zeta_j)).
+def gram_from_outer(mu: CircleMeasure, p: np.ndarray, q: np.ndarray) -> tuple:
+    """(gram, inverse, oprime, U): the hermitian Gram matrix of the atom
+    interpolation basis, the functions (p/q) / (O'(zeta_j)(z - zeta_j)),
+    its inverse, the derivative O' of p/q at each atom, and U, whose row j
+    holds the ascending coefficients of u_j = p / (z - zeta_j).
 
     Diagonal entries are c_j zeta_j f_j'(zeta_j); off-diagonal entries are
     1 / (O'(zeta_i) conj(O'(zeta_j)) (1 - zeta_i conj(zeta_j))).
@@ -179,15 +165,14 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     # U[j, i] is the coefficient of z^i in u_j = p / (z - zeta_j), by
     # synthetic division for all atoms at once: from the top,
     # U[j, k - 1] = p_k and U[j, i - 1] = p_i + zeta_j U[j, i]
-    pc, qc = outer.p, outer.q
     U = np.empty((k, k), dtype=complex)
-    U[:, k - 1] = pc[k]
+    U[:, k - 1] = p[k]
     for i in range(k - 1, 0, -1):
-        U[:, i - 1] = pc[i] + zetas * U[:, i]
+        U[:, i - 1] = p[i] + zetas * U[:, i]
     powers = np.arange(1, k + 1)
     # row j of U at zeta_j, and q at every atom
     u_at, du_at = _horner(U, zetas), _horner(U[:, 1:] * powers[:-1], zetas)
-    q_at, dq_at = _horner(qc, zetas), _horner(qc[1:] * powers, zetas)
+    q_at, dq_at = _horner(q, zetas), _horner(q[1:] * powers, zetas)
     oprime = u_at / q_at
 
     # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
@@ -208,7 +193,7 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     if resid > 1e-9 * cond:
         raise GramSingularError(f"Gram inversion residual {resid:.3e} exceeds "
                                 f"1e-9 * condition {cond:.3e}")
-    return GramData(G, inv, oprime, U)
+    return G, inv, oprime, U
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,16 +323,14 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
     """
     if mu.size == 0:
         return symbol_from_parts((), ())
-    outer = outer_from_measure(mu)
-    gram = gram_from_outer(mu, outer)
+    alphas, pc, qc = outer_from_measure(mu)
+    _, b, oprime, U = gram_from_outer(mu, pc, qc)
     k = mu.size
 
     # weights of the pole-pair correction kernel
-    b = gram.inverse
-    W = np.conj(b) / (gram.oprime[:, None] * np.conj(gram.oprime)[None, :])
-    core = gram.U.T @ W @ np.conj(gram.U)
+    W = np.conj(b) / (oprime[:, None] * np.conj(oprime)[None, :])
+    core = U.T @ W @ np.conj(U)
 
-    qc, pc = outer.q, outer.p
     atilde = np.outer(qc, np.conj(qc)) - np.outer(pc, np.conj(pc))
     atilde[:k, :k] -= core
     atilde[1:, 1:] += core
@@ -376,7 +359,7 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
                            f"1e-10 * max(|A|max, 1) = {bound:.3e}")
 
     # row t of P holds the coefficients of z^1..z^k in p_t
-    return RationalSymbol(outer.alphas, np.hstack([np.zeros((k, 1)), P]))
+    return RationalSymbol(alphas, np.hstack([np.zeros((k, 1)), P]))
 
 
 def _shift_root(c: float) -> float:

@@ -25,9 +25,7 @@ from numpy.polynomial import polynomial as npoly
 from cauchydual.symbolpipe import (
     CircleMeasure,
     EtaNotPSDError,
-    GramData,
     GramSingularError,
-    OuterData,
     RationalSymbol,
 )
 
@@ -197,8 +195,11 @@ def fejer_riesz_gamma_50_digits(mu: CircleMeasure, alphas) -> float:
         return float(1 / size)
 
 
-def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
-    """Hermitian Gram matrix of the functions (p/q) / (O'(zeta_j)(z - zeta_j)).
+def gram_from_outer(mu: CircleMeasure, p: np.ndarray, q: np.ndarray) -> tuple:
+    """(gram, inverse, oprime, U) as `symbolpipe.gram_from_outer` returns
+    them: the hermitian Gram matrix of the functions
+    (p/q) / (O'(zeta_j)(z - zeta_j)), its inverse, O' at each atom and the
+    coefficient rows of u_j = p / (z - zeta_j).
 
     Diagonal entries are c_j zeta_j f_j'(zeta_j); off-diagonal entries are
     1 / (O'(zeta_i) conj(O'(zeta_j)) (1 - zeta_i conj(zeta_j))).
@@ -206,23 +207,23 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     zetas = mu.zetas()
     k = mu.size
     # p is monic times the scale e^{i theta0}/sqrt(gamma), so p[-1] is it
-    scale = outer.p[-1]
+    scale = p[-1]
     U = np.array([scale * npoly.polyfromroots(np.delete(zetas, j))
                   for j in range(k)])
 
     def u(i, z, der=0):
         return npoly.polyval(z, npoly.polyder(U[i], der))
 
-    def q(z, der=0):
-        return npoly.polyval(z, npoly.polyder(outer.q, der))
+    def qv(z, der=0):
+        return npoly.polyval(z, npoly.polyder(q, der))
 
-    oprime = np.array([u(j, zetas[j]) / q(zetas[j]) for j in range(k)])
+    oprime = np.array([u(j, zetas[j]) / qv(zetas[j]) for j in range(k)])
 
     G = np.empty((k, k), dtype=complex)
     for i in range(k):
         # f_i = u_i / (O'(zeta_i) q); quotient rule at the atom itself
         z = zetas[i]
-        fprime = (u(i, z, 1) * q(z) - u(i, z) * q(z, 1)) / (oprime[i] * q(z) ** 2)
+        fprime = (u(i, z, 1) * qv(z) - u(i, z) * qv(z, 1)) / (oprime[i] * qv(z) ** 2)
         G[i, i] = mu.weights[i] * zetas[i] * fprime
         for j in range(k):
             if j == i:
@@ -238,10 +239,10 @@ def gram_from_outer(mu: CircleMeasure, outer: OuterData) -> GramData:
     resid = np.abs(G @ inv - np.eye(k)).max()
     if resid > 1e-9 * cond:
         raise GramSingularError(f"inversion residual {resid:.3e} at condition {cond:.3e}")
-    return GramData(G, inv, oprime, U)
+    return G, inv, oprime, U
 
 
-def condition(gram: GramData) -> float:
-    """Spectral condition number of the Gram matrix."""
-    evals = np.linalg.eigvalsh(gram.gram)
+def condition(G: np.ndarray) -> float:
+    """Spectral condition number of a Gram matrix."""
+    evals = np.linalg.eigvalsh(G)
     return float(evals.max() / evals.min())

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import polynomial as npoly
 
-from cauchydual import certify, kernels, symbolpipe
+from cauchydual import certify, cli, kernels, symbolpipe
 from cauchydual.certify import (
     TOL_PSD,
     VERDICT_CERTIFIED,
@@ -38,8 +38,8 @@ from cauchydual.symbolpipe import (
 
 import necessary_oracle
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix, oracle_stats
-from conftest import (FIXTURE_NAMES, load_fixture_symbol, pairing_of,
-                      pool_like_measures, taylor_of)
+from conftest import (FIXTURE_NAMES, FIXTURES, load_fixture_symbol,
+                      pairing_of, pool_like_measures, taylor_of)
 from monotone_oracle import (
     InsufficientLengthError,
     completely_monotone_test,
@@ -590,6 +590,31 @@ def test_inconclusive_fixture_report(inconclusive_symbol):
     assert not rep.exactness
     assert rep.agler_passed
     assert rep.refuted_by is None and rep.certified_by is None
+
+
+def test_inconclusive_fixture_refutes_at_deep_truncation(inconclusive_symbol,
+                                                         capsys):
+    # The only verdict the Agler levels decide: at (N, L) = (40, 80) and
+    # (120, 40) level 29 has min_eig -2.3238e-4 against a norm of
+    # 2.9507e-3, far below -10 TOL_PSD ||M_29||, while (40, 12) stops short
+    # of it. The pole engine is read first, so its numbers are the report's.
+    for trunc, levels in ((40, 80), (120, 40)):
+        rep = run_certificates(inconclusive_symbol, CertificateConfig(levels, trunc))
+        assert rep.verdict == VERDICT_REFUTED and rep.exit_code == 1
+        assert (rep.refuted_by, rep.refuted_level) == ("agler_truncation", 29)
+        assert rep.certified_by is None and not rep.agler_passed
+        level = rep.agler_pole[28]
+        assert level.level == 29 and rep.refuted_min_eig == level.min_eig
+        assert level.min_eig == pytest.approx(-2.3238e-4, rel=1e-4)
+        assert level.norm == pytest.approx(2.9507e-3, rel=1e-4)
+        # no earlier level of either engine refutes
+        for st in rep.agler_pole[:28] + rep.agler_taylor[:28]:
+            assert st.min_eig >= -10.0 * TOL_PSD * max(st.norm, 1e-300)
+    rep = run_certificates(inconclusive_symbol, CertificateConfig(12, 40))
+    assert rep.verdict == VERDICT_INCONCLUSIVE and rep.refuted_by is None
+    path = str(FIXTURES / "inconclusive.json")
+    assert cli.main(["--input", path, "--levels", "80"]) == 1
+    assert "RefutedAtLevel" in capsys.readouterr().out
 
 
 def test_zero_symbol_certified():

@@ -81,6 +81,11 @@ def test_parse_antipodal_and_single_atom():
     ({"symbol": {"alphas": [[2.0, 0.0]],
                  "numerators": [[[0.0, 0.0], [0.3, -10 ** 400]]]}},
      "symbol.numerators[0][1][1]: must be finite"),
+    ({"measure": 5}, "measure: expected an object, got int"),
+    ({"symbol": {"alphas": {"re": 2.0}, "numerators": []}},
+     "symbol: alphas and numerators must be lists"),
+    ({"symbol": {"alphas": [[2.0, 0.0]], "numerators": [3.0]}},
+     "symbol.numerators[0]: expected a list of [re, im] coefficients"),
 ])
 def test_parse_rejections_name_the_field(doc, needle):
     with pytest.raises(InputError) as exc:

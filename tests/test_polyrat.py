@@ -23,7 +23,7 @@ from cauchydual.polyrat import (
     lagrange_denominators,
     poly_roots,
 )
-from cauchydual.symbolpipe import boundary_polynomial
+from cauchydual.symbolpipe import CircleMeasure, boundary_polynomial
 
 from conftest import pool_like_measures
 from polyrat_oracle import (
@@ -379,6 +379,33 @@ def test_fejer_riesz_rejects_root_hiding_between_samples():
     assert abs(abs(w) - 1.0) < CIRCLE_ROOT_TOL
     band = [-w, 1.0 + abs(w) ** 2, -w.conjugate()]
     with pytest.raises(RootOnCircleError):
+        fejer_riesz_factor(band)
+
+
+def _move_first_inner_root(move):
+    roots_of = polyrat.poly_roots
+
+    def moved(coeffs):
+        roots = roots_of(coeffs).copy()
+        i = int(np.flatnonzero(np.abs(roots) < 1.0)[0])
+        roots[i] = move(roots[i])
+        return roots
+    return moved
+
+
+@pytest.mark.parametrize("move,pattern", [
+    # off its mirror by 1e-5 of its modulus: the pairing gate finds no partner
+    (lambda w: w * (1.0 + 1e-5),
+     r"no mirror partner for root \S+: nearest is off by 3\.062e-06$"),
+    # reflected outside: the split is uneven
+    (lambda w: 1.0 / np.conj(w),
+     r"expected 3 roots on each side of the circle, got 4 outside and 2 inside$"),
+])
+def test_fejer_riesz_root_gates_fire(move, pattern, monkeypatch):
+    band = boundary_polynomial(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
+    fejer_riesz_factor(band)
+    monkeypatch.setattr(polyrat, "poly_roots", _move_first_inner_root(move))
+    with pytest.raises(RootOnCircleError, match=pattern):
         fejer_riesz_factor(band)
 
 

@@ -9,6 +9,8 @@ import shutil
 import subprocess
 import sys
 
+import pytest
+
 from cauchydual import certify
 from cauchydual.symbolpipe import EtaNotPSDError
 
@@ -58,6 +60,23 @@ def test_make_goldens_names_each_changed_key(tmp_path, monkeypatch, capsys):
     assert listed == ["changed pipeline.alphas[1][0]", "vanished pipeline.q",
                       "changed certificates.agler_pole", "appeared exit_code"]
     assert stale.read_bytes() == (FIXTURES / "refuter.golden.json").read_bytes()
+
+
+@pytest.mark.parametrize("name", ["make_goldens", "random_measure_scan"])
+def test_script_imports_the_package_of_its_checkout(name, tmp_path):
+    # run as the usage lines say, with no PYTHONPATH; the run name is not
+    # __main__, so only the imports run and the fixtures stay untouched
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    check = ("import os, runpy, sys; "
+             "runpy.run_path(sys.argv[1], run_name='check'); "
+             "print(os.path.realpath(sys.modules['cauchydual'].__file__))")
+    done = subprocess.run(
+        [sys.executable, "-c", check, str(SCRIPTS / f"{name}.py")],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    package = ROOT / "src" / "cauchydual" / "__init__.py"
+    assert done.stdout == f"{os.path.realpath(package)}\n"
+    assert os.listdir(tmp_path) == []
 
 
 def test_random_measure_scan_runs():

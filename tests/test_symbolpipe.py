@@ -18,7 +18,6 @@ from cauchydual.symbolpipe import (
     EmptyMeasureError,
     EtaNotPSDError,
     GramSingularError,
-    OuterData,
     RationalSymbol,
     boundary_polynomial,
     closed_form_antipodal,
@@ -132,8 +131,8 @@ def test_outer_quotient_modulus_and_normalization():
     rng = np.random.default_rng(5)
     for k in (1, 2, 3):
         mu = random_measure(rng, k)
-        outer = outer_from_measure(mu)
-        ratio = outer.p[0] / outer.q[0]
+        alphas, p, q = outer_from_measure(mu)
+        ratio = p[0] / q[0]
         assert abs(ratio.imag) <= 1e-12 * abs(ratio)
         assert ratio.real > 0
         # |p/q|^2 = 1 / (1 + sum_j c_j / |z - zeta_j|^2) on the circle
@@ -141,35 +140,37 @@ def test_outer_quotient_modulus_and_normalization():
         zetas = mu.zetas()
         weight = 1.0 + sum(
             c / np.abs(zs - zeta) ** 2 for zeta, c in zip(zetas, mu.weights))
-        got = np.abs(npoly.polyval(zs, outer.p) / npoly.polyval(zs, outer.q)) ** 2
+        got = np.abs(npoly.polyval(zs, p) / npoly.polyval(zs, q)) ** 2
         assert np.abs(got - 1.0 / weight).max() <= 1e-10
         # numerator vanishes exactly at the atoms
-        assert np.abs(npoly.polyval(zetas, outer.p)).max() <= 1e-10
-        assert outer.p.shape == outer.q.shape == (k + 1,)
-        assert isinstance(outer.alphas, np.ndarray) and outer.alphas.shape == (k,)
-        assert all(abs(a) > 1.0 for a in outer.alphas)
+        assert np.abs(npoly.polyval(zetas, p)).max() <= 1e-10
+        assert p.shape == q.shape == (k + 1,)
+        assert isinstance(alphas, np.ndarray) and alphas.shape == (k,)
+        assert all(abs(a) > 1.0 for a in alphas)
 
 
 def test_outer_quotient_rejects_empty_measure():
     with pytest.raises(EmptyMeasureError):
         outer_from_measure(CircleMeasure((), ()))
+    with pytest.raises(EmptyMeasureError, match="has no boundary polynomial$"):
+        boundary_polynomial(CircleMeasure((), ()))
 
 
 def test_gram_matrix_is_positive_definite():
     rng = np.random.default_rng(17)
     for k in (2, 3):
         mu = random_measure(rng, k)
-        outer = outer_from_measure(mu)
-        gram = gram_from_outer(mu, outer)
-        assert np.abs(gram.gram - gram.gram.conj().T).max() <= 1e-14 * np.abs(gram.gram).max()
-        evals = np.linalg.eigvalsh(gram.gram)
+        _, p, q = outer_from_measure(mu)
+        G, inverse, _, U = gram_from_outer(mu, p, q)
+        assert np.abs(G - G.conj().T).max() <= 1e-14 * np.abs(G).max()
+        evals = np.linalg.eigvalsh(G)
         assert evals.min() > 0
-        assert np.abs(gram.gram @ gram.inverse - np.eye(k)).max() <= 1e-9 * condition(gram)
+        assert np.abs(G @ inverse - np.eye(k)).max() <= 1e-9 * condition(G)
         # the rows of U are p with one linear factor removed
         zetas = mu.zetas()
         z0 = 0.37 + 0.21j
-        for j, u in enumerate(gram.U):
-            expected = npoly.polyval(z0, outer.p) / (z0 - zetas[j])
+        for j, u in enumerate(U):
+            expected = npoly.polyval(z0, p) / (z0 - zetas[j])
             assert abs(npoly.polyval(z0, u) - expected) <= 1e-10 * max(1.0, abs(expected))
 
 
@@ -186,19 +187,19 @@ def test_gram_from_outer_matches_scalar_oracle():
     # bound leaves a factor of 30 or more.
     measures = FIXTURE_MEASURES + tuple(pool_like_measures(41, 6))
     for mu in measures:
-        outer = outer_from_measure(mu)
-        got = gram_from_outer(mu, outer)
-        want = symbol_oracle.gram_from_outer(mu, outer)
-        scale = np.abs(want.gram).max()
-        assert np.abs(got.gram - want.gram).max() <= 1e-12 * scale
-        assert np.abs(got.gram - got.gram.conj().T).max() == 0.0
-        assert (np.abs(got.oprime - want.oprime) <= 1e-12 * np.abs(want.oprime)).all()
-        inverse_scale = np.abs(want.inverse).max() * condition(want)
-        assert np.abs(got.inverse - want.inverse).max() <= 1e-12 * inverse_scale
-        assert got.U.shape == want.U.shape == (mu.size, mu.size)
+        _, p, q = outer_from_measure(mu)
+        G, inverse, oprime, U = gram_from_outer(mu, p, q)
+        want_G, want_inverse, want_oprime, want_U = symbol_oracle.gram_from_outer(mu, p, q)
+        scale = np.abs(want_G).max()
+        assert np.abs(G - want_G).max() <= 1e-12 * scale
+        assert np.abs(G - G.conj().T).max() == 0.0
+        assert (np.abs(oprime - want_oprime) <= 1e-12 * np.abs(want_oprime)).all()
+        inverse_scale = np.abs(want_inverse).max() * condition(want_G)
+        assert np.abs(inverse - want_inverse).max() <= 1e-12 * inverse_scale
+        assert U.shape == want_U.shape == (mu.size, mu.size)
         # u_j has degree k - 1: its leading coefficient is p's
-        assert np.all(got.U[:, -1] == outer.p[-1])
-        for u, v in zip(got.U, want.U):
+        assert np.all(U[:, -1] == p[-1])
+        for u, v in zip(U, want_U):
             assert np.abs(u - v).max() <= 1e-12 * np.abs(v).max()
     assert len(measures) == 51
 
@@ -213,8 +214,8 @@ def test_pipeline_symbol_row_identity_on_circle():
     for k in (1, 2, 3):
         mu = random_measure(rng, k)
         sym = measure_to_symbol(mu)
-        outer = outer_from_measure(mu)
-        total = np.abs(npoly.polyval(zs, outer.p)) ** 2
+        _, p_outer, _ = outer_from_measure(mu)
+        total = np.abs(npoly.polyval(zs, p_outer)) ** 2
         for p in sym.coefficients:
             total += np.abs(npoly.polyval(zs, p)) ** 2
         qq = np.abs(npoly.polyval(zs, sym.q)) ** 2
@@ -333,10 +334,10 @@ def test_pipeline_rejections_name_value_and_threshold(patch, mu, exc, pattern,
 def test_singular_gram_names_its_smallest_eigenvalue():
     # the outer quotient of one measure with the weights of another: the
     # diagonal shrinks a millionfold and the Gram matrix is indefinite
-    outer = outer_from_measure(THREE_ATOMS)
+    _, p, q = outer_from_measure(THREE_ATOMS)
     with pytest.raises(GramSingularError,
                        match=r"Gram eigenvalue min \S+ is not above 1e-13 \* max \S+$"):
-        gram_from_outer(CircleMeasure(THREE_ATOMS.thetas, (1e-6,) * 3), outer)
+        gram_from_outer(CircleMeasure(THREE_ATOMS.thetas, (1e-6,) * 3), p, q)
 
 
 def test_empty_measure_gives_zero_symbol():
@@ -479,7 +480,10 @@ def test_symbol_is_its_poles_and_numerators():
     assert list(inspect.signature(symbol_from_parts).parameters) == [
         "alphas", "numerators"]
     assert not hasattr(RationalSymbol, "eta")
-    assert [f.name for f in dataclasses.fields(OuterData)] == ["alphas", "p", "q"]
+    # the outer quotient is handed on as plain arrays: poles, p and q
+    outer = outer_from_measure(THREE_ATOMS)
+    assert isinstance(outer, tuple) and len(outer) == 3
+    assert all(isinstance(part, np.ndarray) for part in outer)
 
 
 def test_gamma_fr_is_the_factorization_constant():
