@@ -33,6 +33,14 @@ times the whole call and the time spent inside each of ENGINE_LAYERS. Each
 grid row also times `build_report` with the tables and `render_json` on
 that report, and records the size of the rendered report.
 
+The process rows time, in PROCESS_PAIRS pairs, a fresh interpreter per
+fixture running `python3 -m cauchydual --input FIXTURE` with the side's
+`src` as PYTHONPATH, next to `python3 -c pass` and
+`python3 -c "import numpy"` under the same environment. They show what a
+user of the command waits for, start-up and imports included; whether
+PYTHONDONTWRITEBYTECODE was set is recorded, since where it is every
+process compiles the package source afresh.
+
 Layers are timed by wrapping each tree's own module attributes, so the
 rows also run on a tree whose functions take other arguments; a layer that
 one tree lacks is left out of that side's row. Times come from
@@ -50,6 +58,7 @@ import operator
 import os
 import platform
 import statistics
+import subprocess
 import sys
 import tempfile
 import time
@@ -57,6 +66,7 @@ import time
 ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 FIXTURES = os.path.join(ROOT, "fixtures")
 PAIRS = 121          # timed pairs per row: one call on each tree per pair
+PROCESS_PAIRS = 21   # the same for the process rows, which start interpreters
 
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
@@ -77,7 +87,7 @@ ENGINE_SEED = 6
 # the measures of the grid: atom gaps above MIN_GAP, weights log-uniform
 # in [MIN_WEIGHT, MAX_WEIGHT], as scripts/random_measure_scan.py draws them
 MIN_GAP, MIN_WEIGHT, MAX_WEIGHT = 0.3, 0.1, 5.0
-TABLES = ("rows", "pipeline_rows", "engine_rows")
+TABLES = ("rows", "pipeline_rows", "engine_rows", "process_rows")
 
 
 def load_tree(name: str, src: str):
@@ -98,17 +108,18 @@ def quartiles(values) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def sample(calls: dict, name: str, spent=None) -> dict:
-    """Time calls[side]() in PAIRS pairs, the order of the sides
-    alternating from pair to pair, after one untimed warm-up call per side.
-    Returns per side the per-call times, in ms, under `<name>_ms`, and the
-    time each layer in spent[side] took inside them under `<layer>_ms`."""
+def sample(calls: dict, name: str, spent=None, pairs=None) -> dict:
+    """Time calls[side]() in `pairs` pairs (PAIRS if not given), the order
+    of the sides alternating from pair to pair, after one untimed warm-up
+    call per side. Returns per side the per-call times, in ms, under
+    `<name>_ms`, and the time each layer in spent[side] took inside them
+    under `<layer>_ms`."""
     sides = list(calls)
     spent = spent or {side: {} for side in sides}
     for side in sides:
         calls[side]()
     times = {side: {key: [] for key in [name, *spent[side]]} for side in sides}
-    for index in range(PAIRS):
+    for index in range(pairs or PAIRS):
         for side in sides[::-1] if index % 2 else sides:
             layers = spent[side]
             layers.update(dict.fromkeys(layers, 0.0))
@@ -252,6 +263,29 @@ def engine_rows(trees: dict, draws: dict) -> list:
     return rows
 
 
+def run_process(argv: list, env: dict) -> None:
+    proc = subprocess.run([sys.executable, *argv], env=env,
+                          stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    if proc.returncode not in (0, 1, 2):
+        raise RuntimeError(f"{argv}: exit {proc.returncode}: {proc.stderr.strip()}")
+
+
+def process_rows(srcs: dict, names: list) -> list:
+    """Wall time of one fresh interpreter per command, with srcs[side] as
+    PYTHONPATH: the bare interpreter, `import numpy`, and the command line
+    on each fixture."""
+    envs = {side: dict(os.environ, PYTHONPATH=os.path.abspath(src))
+            for side, src in srcs.items()}
+    commands = [("-c pass", ["-c", "pass"]),
+                ("-c import numpy", ["-c", "import numpy"])]
+    commands += [(f"-m cauchydual --input {name}.json",
+                  ["-m", "cauchydual", "--input", os.path.join(FIXTURES, f"{name}.json")])
+                 for name in names]
+    return [merge({"command": label}, sample(
+        {side: functools.partial(run_process, argv, env) for side, env in envs.items()},
+        "process", pairs=PROCESS_PAIRS)) for label, argv in commands]
+
+
 def summary(rows: list) -> dict:
     """Per side, the rows with every `*_ms` list of times replaced by its
     median and quartiles; on the change side, an entry the parent side
@@ -283,9 +317,10 @@ def main(argv=None) -> int:
     # One BLAS thread, as perfbench/run.py sets it; set before the trees
     # import NumPy.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    trees = {"change": load_tree("cauchydual_change", os.path.join(ROOT, "src"))}
+    srcs = {"change": os.path.join(ROOT, "src")}
     if args.parent:
-        trees = {"parent": load_tree("cauchydual_parent", args.parent), **trees}
+        srcs = {"parent": args.parent, **srcs}
+    trees = {side: load_tree(f"cauchydual_{side}", src) for side, src in srcs.items()}
     import numpy as np
 
     names = sorted(name[:-len(".golden.json")] for name in os.listdir(FIXTURES)
@@ -295,7 +330,8 @@ def main(argv=None) -> int:
     draws = {k: grid_draw(k, trees) for k in ENGINE_KS}
     tables = {"rows": summary(rows),
               "pipeline_rows": summary(pipeline_rows(trees, draws)),
-              "engine_rows": summary(engine_rows(trees, draws))}
+              "engine_rows": summary(engine_rows(trees, draws)),
+              "process_rows": summary(process_rows(srcs, names))}
     bench = {
         "description": (
             "rows: cli.main, build_report and render_json per fixture, with "
@@ -303,7 +339,10 @@ def main(argv=None) -> int:
             "the time inside each pipeline stage, per atom count k; "
             "engine_rows: run_certificates and the time inside each engine "
             "layer, and build_report with the tables and render_json, per k, "
-            "--trunc N and --levels L. Both trees run in one interpreter, in "
+            "--trunc N and --levels L; process_rows: the wall time of a fresh "
+            "interpreter running the command with the side's src as "
+            "PYTHONPATH, per fixture, next to `-c pass` and `-c import numpy`, "
+            "in `process_pairs` pairs. Both trees run in one interpreter, in "
             "`pairs` pairs of one call per tree whose order alternates "
             "(scripts/bench.py). Every *_ms entry is the median and quartiles, "
             "in ms, of its side's per-call times; on the change side `ratio` "
@@ -313,6 +352,8 @@ def main(argv=None) -> int:
             "cancels host drift and the bias of going first, not effects of "
             "that shared state."),
         "pairs": PAIRS,
+        "process_pairs": PROCESS_PAIRS,
+        "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "python": platform.python_version(),
         "numpy": np.__version__,
         "machine": f"{platform.machine()}, {os.cpu_count()} logical CPUs",

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .polyrat import inverse_powers
+from .polyrat import check_at_most, inverse_powers
 from .symbolpipe import RationalSymbol
 
 
@@ -41,12 +41,9 @@ def symbol_taylor(sym: RationalSymbol, pairing, n_rows: int) -> np.ndarray:
     series = np.concatenate([np.zeros((sym.k + 1, rows.shape[1])), rows])
     residual = sliding_window_view(series, sym.k + 1, axis=0) @ sym.q[::-1]
     residual[:sym.k + 1] -= sym.coefficients.T[:n_rows + 1]
-    gap = float(np.abs(residual).max(initial=0.0))
     bound = 1e-10 * float(np.abs(sym.q).max()) * float(np.abs(rows).max(initial=0.0))
-    if gap > bound:
-        raise RuntimeError(
-            f"Taylor rows miss q b = p: recurrence residual {gap:.3e} "
-            f"exceeds its bound {bound:.3e}")
+    check_at_most(float(np.abs(residual).max(initial=0.0)), bound,
+                  "Taylor recurrence residual", RuntimeError)
     return rows
 
 

@@ -46,6 +46,15 @@ RESIDUAL_STRIDE = 8
 HERMITIAN_BAND_TOL = 1e-9
 
 
+def check_at_most(value, bound, what: str, error: type[Exception], *args) -> None:
+    """The rule of the pipeline's self-checks: raise error unless
+    value <= bound, so a NaN value or bound fails (`value > bound` passes
+    it), naming the check, what.format(*args), its value and its bound to
+    9 digits, which tell a row norm of 1 + 4e-7 from a bound of 1 + 1e-8."""
+    if not value <= bound:
+        raise error(f"{what.format(*args)} check: {value:.9g} is not <= {bound:.9g}")
+
+
 def from_roots(roots) -> np.ndarray:
     """Coefficients of the monic polynomial prod_r (z - roots[r]), one
     linear factor convolved in at a time."""
@@ -172,19 +181,19 @@ def fejer_riesz_factor(band):
         raise ValueError(f"band entry d_{bad[0] - mid} is {full[bad[0]]}, "
                          "not finite")
     closed, mirrored = full[mid:], np.conj(full[mid::-1])
-    gap = np.abs(closed - mirrored).max()
-    if gap > HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300):
-        raise ValueError("band is not hermitian within tolerance")
+    check_at_most(np.abs(closed - mirrored).max(),
+                  HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300),
+                  "hermitian band side gap", ValueError)
     upper = 0.5 * (closed + mirrored)
     upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
 
     vals = _band_on_circle(upper, circle_points(POSITIVITY_SAMPLES))
     vmin, vmax = float(vals.min()), float(vals.max())
-    if vmax <= 0.0:
+    if not vmax > 0.0:
         raise NotPositiveOnCircleError(
             f"max of {POSITIVITY_SAMPLES} circle samples is {vmax:.3e}, "
             "not positive")
-    if vmin <= POSITIVITY_GATE * vmax:
+    if not vmin > POSITIVITY_GATE * vmax:
         raise NotPositiveOnCircleError(
             f"relative sampling gate: min/max of {POSITIVITY_SAMPLES} circle "
             f"samples is {vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
@@ -210,20 +219,17 @@ def fejer_riesz_factor(band):
     gaps = np.abs(inner[None, :] - 1.0 / np.conj(outer)[:, None])
     for w, row in zip(outer, gaps):
         best = int(np.argmin(row))
-        if row[best] > MIRROR_PAIR_TOL:
-            raise RootOnCircleError(
-                f"no mirror partner for root {w}: nearest is off by {row[best]:.3e}")
+        check_at_most(row[best], MIRROR_PAIR_TOL,
+                      "no mirror partner for root {}: nearest gap", RootOnCircleError, w)
         gaps[:, best] = np.inf
 
     gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
-    if gamma <= 0.0:
+    if not gamma > 0.0:
         raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
 
     # residual gate: the reconstruction must match R on the circle
     zs = circle_points(POSITIVITY_SAMPLES)[::RESIDUAL_STRIDE]
     recon = gamma * np.prod(np.abs(zs[:, None] - outer) ** 2, axis=1)
-    resid = np.abs(recon - vals[::RESIDUAL_STRIDE]).max()
-    if resid > 1e-8 * max(vmax, 1e-300):
-        raise RuntimeError(
-            f"factorization residual {resid:.3e} exceeds 1e-8 * {vmax:.3e}")
+    check_at_most(np.abs(recon - vals[::RESIDUAL_STRIDE]).max(),
+                  1e-8 * max(vmax, 1e-300), "factorization residual", RuntimeError)
     return gamma, outer

@@ -661,11 +661,12 @@ TWO_POINT_THETAS = [*np.linspace(0.05, math.pi - 0.05, 16).tolist(), math.pi]
 TWO_POINT_WEIGHTS = [0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 20.0]
 # valid measures near a double atom that the pipeline loses to rounding
 TWO_POINT_LOST = {
-    (0.05, 0.05): (ValueError, "RationalSymbol's Schur bound check: max row "
-                               "norm 1.0000004"),
-    (0.05, 0.2): (ValueError, "RationalSymbol's Schur bound check: max row "
-                              "norm 1.00000014"),
-    (0.05, 20.0): (RuntimeError, "measure_to_symbol: degree-zero edge 9.1e-07"),
+    (0.05, 0.05): (ValueError, "Schur row norm check: 1.0000004 is not <= "
+                               "1.00000001"),
+    (0.05, 0.2): (ValueError, "Schur row norm check: 1.00000014 is not <= "
+                              "1.00000001"),
+    (0.05, 20.0): (RuntimeError, "numerator expansion degree-zero edge check: "
+                                 "9.14262728e-07 is not <= 4.92399757e-07"),
 }
 
 

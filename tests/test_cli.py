@@ -4,6 +4,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -653,6 +654,52 @@ def test_report_path_that_is_a_directory(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: cannot write {tmp_path}: is a directory\n"
     assert not list(tmp_path.parent.glob(".report-*.tmp"))
     assert not any(tmp_path.iterdir())
+
+
+def test_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
+    # the temporary report is written, then the rename over PATH fails
+    def no_rename(src, dst):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(os, "replace", no_rename)
+    out = tmp_path / "out.json"
+    argv = ["--input", str(FIXTURES / "refuter.json"), "--report", str(out)]
+    assert main(argv) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        f"error: cannot write {out}: [Errno 28] No space left on device\n")
+    assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("k", [16, 18, 20])
+def test_equally_spaced_atoms_build_or_name_the_failed_check(k, tmp_path, capsys):
+    # ROADMAP aim 3 admits k <= 20 atoms: the pipeline builds a symbol or
+    # names the check that stopped it (k = 18 stops at the degree-zero
+    # edge, k = 20 at the band's hermitian side gap)
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps({"measure": {"atoms": [
+        {"theta_radians": 2.0 * math.pi * j / k, "weight": 1.0} for j in range(k)]}}))
+    code = main(["--input", str(path)])
+    out, err = capsys.readouterr()
+    if code == EXIT_ERROR:
+        # one line that names the check, its value and its bound
+        assert re.fullmatch(r"error: [^\n]+ check: \S+ is not <= \S+\n", err)
+        assert not out
+    else:
+        assert code in (0, 1, 2) and not err
+        assert out.endswith(f"exit={code}\n")
+
+
+def test_overflowing_atom_stops_at_the_schur_check(tmp_path):
+    # tau = 1e300 puts the pole at 1e300: the Schur samples overflow to a
+    # NaN row norm, which the check rejects in one line and no warning
+    path = tmp_path / "tau.json"
+    path.write_text(json.dumps({"single_atom": {"tau": 1e300}}))
+    proc = subprocess.run(
+        [sys.executable, "-m", "cauchydual", "--input", str(path)],
+        capture_output=True, text=True, env=src_env())
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr == "error: Schur row norm check: nan is not <= 1.00000001\n"
+    assert not proc.stdout
 
 
 def test_version_flag(capsys):

@@ -95,7 +95,7 @@ def test_taylor_check_fires_on_a_faulty_pairing():
         a = pairing.a.copy()
         a[0] *= 1.0 + 1e-8
         with pytest.raises(RuntimeError,
-                           match=r"recurrence residual \S+ exceeds its bound \S+"):
+                           match=r"Taylor recurrence residual check: \S+ is not <= \S+$"):
             kernels.symbol_taylor(sym, dataclasses.replace(pairing, a=a), 52)
 
 

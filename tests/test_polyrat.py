@@ -17,6 +17,7 @@ from cauchydual.polyrat import (
     NotPositiveOnCircleError,
     RootOnCircleError,
     _horner,
+    check_at_most,
     circle_points,
     fejer_riesz_factor,
     from_roots,
@@ -212,7 +213,7 @@ def test_laurent_requires_real_constant():
     with pytest.raises(ValueError, match=re.escape("band has shape (0,)")):
         fejer_riesz_factor([])
     for band in ([1.0j], [0.5, 1.0 + 1.0j, 0.5]):
-        with pytest.raises(ValueError, match="not hermitian"):
+        with pytest.raises(ValueError, match="hermitian band side gap check"):
             fejer_riesz_factor(band)
 
 
@@ -237,7 +238,8 @@ def test_laurent_from_full_averages_and_gates():
     for band, message in (([1.0, 2.0, 3.0, 4.0], "shape (4,)"),
                           (np.full((3, 3), 1.0), "shape (3, 3)"),
                           # its average 3 + 1.5 cos(2t) would factor
-                          ([1.0, 0.0, 3.0, 0.0, 0.5], "not hermitian")):
+                          ([1.0, 0.0, 3.0, 0.0, 0.5],
+                           "hermitian band side gap check: 0.5 is not <= 3e-09")):
         with pytest.raises(ValueError, match=re.escape(message)):
             fejer_riesz_factor(band)
 
@@ -257,6 +259,33 @@ NAN, INF = float("nan"), float("inf")
 def test_fejer_riesz_refuses_non_finite_band(band, entry):
     with pytest.raises(ValueError, match=re.escape(f"band entry {entry}, not finite")):
         fejer_riesz_factor(band)
+
+
+@pytest.mark.parametrize("value,bound,shown", [
+    (2.0, 1.0, "2 is not <= 1"),
+    # `value > bound` passes a NaN on either side; the check fails it
+    (NAN, 1.0, "nan is not <= 1"),
+    (0.5, NAN, "0.5 is not <= nan"),
+    (NAN, NAN, "nan is not <= nan"),
+    # a Schur row norm 4e-7 above 1, against the bound 1 + 1e-8
+    (1.0000004, 1.0 + 1e-8, "1.0000004 is not <= 1.00000001"),
+])
+def test_check_at_most_fails_nan_and_names_value_and_bound(value, bound, shown):
+    check_at_most(1.0, 1.0, "toy gap", RootOnCircleError)
+    with pytest.raises(RootOnCircleError, match=re.escape(f"toy gap check: {shown}") + "$"):
+        check_at_most(value, bound, "toy gap", RootOnCircleError)
+    # a name with arguments, as the mirror check names its root
+    check_at_most(1.0, 1.0, "gap of root {}", RootOnCircleError, 2j)
+    with pytest.raises(RootOnCircleError, match=re.escape(f"gap of root 2j check: {shown}")):
+        check_at_most(value, bound, "gap of root {}", RootOnCircleError, 2j)
+
+
+def test_fejer_riesz_rejects_nan_circle_samples(monkeypatch):
+    # NaN samples passed every `<=` floor and the residual gate and came
+    # out as a NaN gamma; the positivity floor now stops them
+    monkeypatch.setattr(polyrat, "_band_on_circle", lambda upper, z: np.full(len(z), NAN))
+    with pytest.raises(NotPositiveOnCircleError, match="samples is nan, not positive"):
+        fejer_riesz_factor([1.0, 2.5, 1.0])
 
 
 @given(st.lists(st.tuples(st.floats(min_value=-2, max_value=2),
@@ -396,7 +425,8 @@ def _move_first_inner_root(move):
 @pytest.mark.parametrize("move,pattern", [
     # off its mirror by 1e-5 of its modulus: the pairing gate finds no partner
     (lambda w: w * (1.0 + 1e-5),
-     r"no mirror partner for root \S+: nearest is off by 3\.062e-06$"),
+     r"no mirror partner for root \S+: nearest gap check: 3\.06\d+e-06 is not "
+     r"<= 1e-06$"),
     # reflected outside: the split is uneven
     (lambda w: 1.0 / np.conj(w),
      r"expected 3 roots on each side of the circle, got 4 outside and 2 inside$"),

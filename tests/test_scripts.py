@@ -121,18 +121,28 @@ def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
     # must show here and not only when a benchmark is taken
     bench = _load_script("bench")
     monkeypatch.setattr(bench, "PAIRS", 2)
+    monkeypatch.setattr(bench, "PROCESS_PAIRS", 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # main sets it
     monkeypatch.chdir(ROOT)
     out = tmp_path / "bench.json"
     assert bench.main(["--parent", "src", "--out", str(out)]) == 0
     capsys.readouterr()
-    sets = json.loads(out.read_text())["row_sets"]
+    bench_file = json.loads(out.read_text())
+    assert bench_file["process_pairs"] == 2
+    assert bench_file["pythondontwritebytecode"] == bool(
+        os.environ.get("PYTHONDONTWRITEBYTECODE"))
+    sets = bench_file["row_sets"]
     assert set(sets) == {"parent", "change"}
     rows = sets["change"]["rows"]
     assert sorted((row["fixture"], row["dump_tables"]) for row in rows) == sorted(
         (name, tables) for name in FIXTURE_NAMES for tables in (False, True))
     assert [len(sets["change"]["engine_rows"]), len(sets["change"]["pipeline_rows"])] == [
         len(bench.ENGINE_KS) * len(bench.ENGINE_SIZES), len(bench.ENGINE_KS)]
+    # one fresh interpreter per fixture, next to the bare interpreter and
+    # the NumPy import
+    assert [row["command"] for row in sets["change"]["process_rows"]] == [
+        "-c pass", "-c import numpy",
+        *(f"-m cauchydual --input {name}.json" for name in sorted(FIXTURE_NAMES))]
     for table in bench.TABLES:
         assert len(sets["parent"][table]) == len(sets["change"][table])
         for parent, change in zip(sets["parent"][table], sets["change"][table]):
