@@ -72,8 +72,8 @@ ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
 # (row name, owner within a tree, attribute) of the engine layers
 ENGINE_LAYERS = tuple((name, "certify", name) for name in (
-    "agler_pole_test", "agler_taylor_test", "necessary_measure_test")) + (
-    ("symbol_taylor", "kernels", "symbol_taylor"),)
+    "pole_pairing", "agler_pole_test", "agler_taylor_test",
+    "necessary_measure_test")) + (("symbol_taylor", "kernels", "symbol_taylor"),)
 # (row name, owner within a tree, attribute) of the pipeline stages; the
 # constructor is timed through its check, which is all it does beyond
 # storing the fields

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from . import kernels
-from .polyrat import circle_points, inverse_powers, lagrange_denominators
+from .polyrat import CIRCLE, _horner, inverse_powers, lagrange_denominators
 from .symbolpipe import RationalSymbol
 
 VERDICT_CERTIFIED = "CertifiedSubnormal"
@@ -49,8 +49,9 @@ class CertificateConfig:
 
 @dataclass(frozen=True, eq=False)
 class PolePairing:
-    """All a certificate reads: the poles alphas, the numerator values
-    values[j, r] = p_j(alpha_r), the Lagrange denominators
+    """All a certificate reads, built from the symbol by pole_pairing: the
+    poles alphas, the numerator values E, values[j, r] = p_j(alpha_r), the
+    Lagrange denominators
     a_r = prod_{t != r} (alpha_r - alpha_t), products = alpha conj(alpha)^T,
     pair[r, t] = sum_j p_j(alpha_r) conj(p_j(alpha_t)) and the cross Gram
     matrix C = pair / (a conj(a)^T), hermitian with nonnegative diagonal."""
@@ -63,16 +64,21 @@ class PolePairing:
     cross: np.ndarray
 
 
-def pole_pairing(alphas: np.ndarray, values: np.ndarray) -> PolePairing:
-    """Build the pole tables and pair the numerator values, once per run.
-    A table with a non-finite entry, as far poles overflow them, is a
-    ValueError naming the first one of E = values, a, the pole products,
-    Pi = pair and C."""
-    a = lagrange_denominators(alphas)
-    products = np.outer(alphas, np.conj(alphas))
-    pair = (values.conj().T @ values).conj()
-    C = pair / np.outer(a, np.conj(a))
-    C = 0.5 * (C + C.conj().T)
+def pole_pairing(sym: RationalSymbol) -> PolePairing:
+    """Build the pole tables of sym once per run: E = values by one Horner
+    pass over the coefficient matrix, then a, the pole products, Pi = pair
+    and C. Far poles overflow them without a warning; a table with a
+    non-finite entry is a ValueError naming the first one of these five."""
+    alphas = sym.alphas
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = _horner(sym.coefficients[:, None, :], alphas)
+        a = lagrange_denominators(alphas)
+        products = np.outer(alphas, np.conj(alphas))
+        pair = (values.conj().T @ values).conj()
+        C = pair / np.outer(a, np.conj(a))
+        C = 0.5 * (C + C.conj().T)
+    # E is shared by every certificate of the run and by the report
+    values.flags.writeable = False
     for name, table in (("E, the numerator values", values),
                         ("a, the Lagrange denominators", a),
                         ("the pole products", products),
@@ -325,7 +331,7 @@ def run_certificates(sym: RationalSymbol,
     Refutation reads min_eig only, so drift can keep a level from passing
     but never refutes.
     """
-    pairing = pole_pairing(sym.alphas, sym.numerators_at_poles)
+    pairing = pole_pairing(sym)
     orth_residual, orth_passed = orthogonality_test(pairing)
     necessary, necessary_passed, exact = necessary_measure_test(pairing)
     taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
@@ -343,15 +349,13 @@ def run_certificates(sym: RationalSymbol,
     elif exact:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "orthogonality_exactness", 0
     else:
+        # the first failing level, the pole engine's before the Taylor one's
+        hit = next((st for level in zip(pole_stats, taylor_stats) for st in level
+                    if st.min_eig < -10.0 * TOL_PSD * max(st.norm, 1e-300)), None)
         verdict = VERDICT_INCONCLUSIVE
-        for pole_st, taylor_st in zip(pole_stats, taylor_stats):
-            for st in (pole_st, taylor_st):
-                if st.min_eig < -10.0 * TOL_PSD * max(st.norm, 1e-300):
-                    verdict, refuted_by = VERDICT_REFUTED, "agler_truncation"
-                    refuted_level, refuted_min_eig = st.level, st.min_eig
-                    break
-            if refuted_by is not None:
-                break
+        if hit is not None:
+            verdict, refuted_by = VERDICT_REFUTED, "agler_truncation"
+            refuted_level, refuted_min_eig = hit.level, hit.min_eig
 
     return CertificateReport(
         verdict, certified_by, refuted_by, refuted_level, refuted_min_eig,
@@ -362,17 +366,15 @@ def run_certificates(sym: RationalSymbol,
 
 # The moment check compares the kernel table up to this size, or up to the
 # last Taylor row when the table is shorter; density_min is the density's
-# smallest value at QUAD_POINTS equally spaced nodes on the circle and at
-# the atom directions beta_r / |beta_r|.
+# smallest value on polyrat.CIRCLE and at the atom directions beta_r / |beta_r|.
 MEASURE_CHECK_SIZE = 20
-QUAD_POINTS = 4096
 
 
 @dataclass(frozen=True, eq=False)
 class RepresentingMeasure:
     """Candidate representing measure of a symbol whose numerators are
     orthogonal at the poles: point masses masses[r] at atoms[r], plus a
-    density on the circle whose smallest value at the QUAD_POINTS nodes and
+    density on the circle whose smallest value on polyrat.CIRCLE and at
     the atom directions is density_min. moments[m, n] = int z^m conj(z)^n
     dmu for m, n <= size, and max_residual is their largest distance from
     the kernel table."""
@@ -412,7 +414,7 @@ def representing_measure(pairing: PolePairing,
     # term r peaks at z = beta_r / |beta_r|, between the nodes in general;
     # the density is at most 1, as w >= 0
     density_min = 1.0
-    for z in (circle_points(QUAD_POINTS), beta / np.abs(beta)):
+    for z in (CIRCLE, beta / np.abs(beta)):
         gap = 1.0 - np.conj(z)[:, None] * beta
         density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
         density_min = min(density_min, float(density.min(initial=1.0)))

@@ -17,7 +17,7 @@ import sys
 
 import numpy as np
 
-from . import __version__, certify, symbolpipe
+from . import __version__, certify, polyrat, symbolpipe
 
 TOOL_NAME = "cauchydual"
 
@@ -276,7 +276,7 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "trunc": cfg.trunc,
             "tol_psd": certify.TOL_PSD,
             "tol_orth": certify.TOL_ORTH,
-            "quad_points": certify.QUAD_POINTS,
+            "quad_points": polyrat.CIRCLE.size,
         },
         "pipeline": {
             "k": sym.k,
@@ -381,8 +381,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: invalid input field {exc}", file=sys.stderr)
         return EXIT_ERROR
-    except (ValueError, ArithmeticError, RuntimeError, MemoryError,
-            np.linalg.LinAlgError) as exc:
+    except (ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -12,8 +12,6 @@ there feeds its positivity gate, gamma's R(1) and its residual gate.
 """
 from __future__ import annotations
 
-from functools import lru_cache
-
 import numpy as np
 
 
@@ -38,9 +36,12 @@ MIRROR_PAIR_TOL = 1e-6
 # a factorization input counts as positive on the circle when its smallest
 # sample exceeds this fraction of its largest
 POSITIVITY_GATE = 1e-10
-# equispaced circle points on which that gate is checked
-POSITIVITY_SAMPLES = 4096
-# the factorization residual is checked on every RESIDUAL_STRIDE-th of them
+# the n = 4096 equispaced circle points exp(2 pi i j / n) from z = 1, shared
+# read-only by every check that samples the circle: that gate and
+# density_min read all of them, the factorization residual and a symbol's
+# Schur bound every RESIDUAL_STRIDE-th
+CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
+CIRCLE.flags.writeable = False
 RESIDUAL_STRIDE = 8
 # relative tolerance for the two sides of a full hermitian band to be conjugate
 HERMITIAN_BAND_TOL = 1e-9
@@ -76,15 +77,6 @@ def _horner(coeffs: np.ndarray, z) -> np.ndarray:
     for i in range(coeffs.shape[-1] - 1, -1, -1):
         acc = acc * z + coeffs[..., i]
     return acc
-
-
-@lru_cache(maxsize=4)
-def circle_points(n: int) -> np.ndarray:
-    """The n equispaced points exp(2 pi i j / n), j = 0..n-1, built once
-    per n and shared read-only by every check that samples the circle."""
-    zs = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False))
-    zs.flags.writeable = False
-    return zs
 
 
 def poly_roots(coeffs) -> np.ndarray:
@@ -144,16 +136,16 @@ def fejer_riesz_factor(band):
     The two sides must be conjugate, d_{-m} = conj(d_m), within
     HERMITIAN_BAND_TOL relative to the largest entry; their average is
     factored, which makes the symmetry and d_0 exactly real, and zero
-    outermost pairs are dropped. R is sampled once, at the POSITIVITY_SAMPLES
-    equispaced circle points from z = 1, and must be strictly positive there
-    (min > POSITIVITY_GATE * max). The roots of z^k R(z) come in mirror
-    pairs (w, 1/conj(w)); the representatives outside the closed unit disc
-    are returned sorted by (argument, modulus), and
+    outermost pairs are dropped. R is sampled once, on CIRCLE, and must be
+    strictly positive there (min > POSITIVITY_GATE * max). The roots of
+    z^k R(z) come in mirror pairs (w, 1/conj(w)); the representatives
+    outside the closed unit disc are returned sorted by (argument,
+    modulus), and
 
         gamma = R(1) / prod_j |1 - alpha_j|^2,
 
     with R(1) read off sample 0. A RuntimeError is raised unless this product
-    form matches R within 1e-8 of its max on every RESIDUAL_STRIDE-th sample.
+    form matches R within 1e-8 of its max on CIRCLE[::RESIDUAL_STRIDE].
 
     Returns
     -------
@@ -187,15 +179,15 @@ def fejer_riesz_factor(band):
     upper = 0.5 * (closed + mirrored)
     upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
 
-    vals = _band_on_circle(upper, circle_points(POSITIVITY_SAMPLES))
+    vals = _band_on_circle(upper, CIRCLE)
     vmin, vmax = float(vals.min()), float(vals.max())
     if not vmax > 0.0:
         raise NotPositiveOnCircleError(
-            f"max of {POSITIVITY_SAMPLES} circle samples is {vmax:.3e}, "
+            f"max of {CIRCLE.size} circle samples is {vmax:.3e}, "
             "not positive")
     if not vmin > POSITIVITY_GATE * vmax:
         raise NotPositiveOnCircleError(
-            f"relative sampling gate: min/max of {POSITIVITY_SAMPLES} circle "
+            f"relative sampling gate: min/max of {CIRCLE.size} circle "
             f"samples is {vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
             f"(min {vmin:.3e}, max {vmax:.3e})")
     k = len(upper) - 1
@@ -228,7 +220,7 @@ def fejer_riesz_factor(band):
         raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
 
     # residual gate: the reconstruction must match R on the circle
-    zs = circle_points(POSITIVITY_SAMPLES)[::RESIDUAL_STRIDE]
+    zs = CIRCLE[::RESIDUAL_STRIDE]
     recon = gamma * np.prod(np.abs(zs[:, None] - outer) ** 2, axis=1)
     check_at_most(np.abs(recon - vals[::RESIDUAL_STRIDE]).max(),
                   1e-8 * max(vmax, 1e-300), "factorization residual", RuntimeError)

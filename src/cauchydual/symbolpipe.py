@@ -20,16 +20,14 @@ from typing import Sequence
 import numpy as np
 
 from .polyrat import (
+    CIRCLE,
     POLE_GAP,
+    RESIDUAL_STRIDE,
     check_at_most,
-    circle_points,
     _horner,
     fejer_riesz_factor,
     from_roots,
 )
-
-# circle points on which a symbol's Schur bound is checked
-SCHUR_SAMPLES = 512
 
 
 class EmptyMeasureError(ValueError):
@@ -201,10 +199,9 @@ class RationalSymbol:
 
     The poles and the m x (k + 1) coefficient matrix are the whole symbol,
     each stored as a read-only complex copy: alphas[r] is pole r and
-    coefficients[j, i] is the coefficient of z^i in p_j. k, q, gamma_fr
-    and the numerators' values at the poles are derived from them; the
-    certificates read the poles and those values only
-    (certify.PolePairing).
+    coefficients[j, i] is the coefficient of z^i in p_j. k, q and gamma_fr
+    are derived from them; the certificates read the poles and the
+    numerators' values there only, which certify.pole_pairing builds.
     """
 
     alphas: np.ndarray
@@ -215,8 +212,8 @@ class RationalSymbol:
         poles in a 1-D array and coefficients, an m x (k + 1) matrix (m
         numerators of degree at most k, at least one when k >= 1), each
         numerator vanishing at 0, k simple poles outside the closed disc, and
-        sum_j |p_j/q|^2 <= 1 on the circle, checked on SCHUR_SAMPLES
-        points."""
+        sum_j |p_j/q|^2 <= 1 on the circle, checked on
+        CIRCLE[::RESIDUAL_STRIDE]."""
         alphas = np.array(self.alphas, dtype=complex)
         if alphas.ndim != 1:
             raise ValueError(f"poles have shape {alphas.shape}, not (k,)")
@@ -252,8 +249,10 @@ class RationalSymbol:
             raise ValueError(f"poles {alphas[i]} and {alphas[j - 1]} coincide")
         # by Horner: the pole form sum_j |b_j|^2 = h^T pair conj(h) cancels
         # digits as poles near each other (1.5e-8 off at a gap of 1e-4); far
-        # poles overflow the samples to a NaN row norm, which the check rejects
-        zs = circle_points(SCHUR_SAMPLES)
+        # poles overflow the samples to a NaN row norm, which the check
+        # rejects. Horner reads the points k + 1 times, and NumPy's complex
+        # loops run about 1.5x slower on the strided view than on a copy
+        zs = np.ascontiguousarray(CIRCLE[::RESIDUAL_STRIDE])
         with np.errstate(over="ignore", invalid="ignore"):
             num = (np.abs(_horner(C[:, None, :], zs)) ** 2).sum(axis=0)
             norm = float((num / np.abs(_horner(self.q, zs)) ** 2).max())
@@ -276,14 +275,6 @@ class RationalSymbol:
         symbol this is: the boundary weight gamma |q|^2 has top coefficient
         of modulus 1. It is 1.0 for the empty symbol."""
         return 1.0 / float(np.prod(np.abs(self.alphas)))
-
-    @cached_property
-    def numerators_at_poles(self) -> np.ndarray:
-        """vals[j, r] = p_j(alpha_r), one Horner pass over the coefficient
-        matrix: the values the pole pairing is built from."""
-        vals = _horner(self.coefficients[:, None, :], self.alphas)
-        vals.flags.writeable = False
-        return vals
 
 
 def symbol_from_parts(alphas: Sequence[complex],

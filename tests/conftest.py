@@ -44,7 +44,7 @@ def load_fixture_symbol(name: str):
 
 def pairing_of(sym):
     """The pole pairing run_certificates builds for sym."""
-    return pole_pairing(sym.alphas, sym.numerators_at_poles)
+    return pole_pairing(sym)
 
 
 def taylor_of(sym, n_rows: int):

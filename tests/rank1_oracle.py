@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from cauchydual.polyrat import circle_points
+from cauchydual.polyrat import CIRCLE, RESIDUAL_STRIDE
 
 
 class ExtremePointError(ValueError):
@@ -72,7 +72,7 @@ def mate_rank1(gamma: complex, beta: complex) -> Rank1Model:
     rho = math.sqrt((s + math.sqrt(disc)) / 2.0)
     sigma = beta / rho
 
-    zs = circle_points(512)
+    zs = CIRCLE[::RESIDUAL_STRIDE]
     denom = np.abs(1.0 - beta * zs) ** 2
     resid = np.abs(
         (np.abs(rho - sigma * zs) ** 2 + np.abs(gamma * zs) ** 2) / denom - 1.0

@@ -462,6 +462,22 @@ def test_numerator_matrix_without_cholesky_factor_exits_with_error_code(
                           "lambda_min ")
 
 
+def test_linalg_error_in_the_certificates_exits_with_error_code(
+        tmp_path, capsys, monkeypatch):
+    # LinAlgError is a ValueError, so an eigensolver that gives up inside
+    # run_certificates prints one error line and exits 3, not 1
+    def fail(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    src = tmp_path / "refuter.json"
+    src.write_text(json.dumps(load_fixture_doc("refuter")))
+    assert main(["--input", str(src)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.err == "error: Eigenvalues did not converge\n"
+    assert not captured.out
+
+
 @pytest.mark.parametrize("alphas,numerator,table", [
     ([1e80, 2e80], [0.0, 1.0, 1.0], "Pi, the numerator pairing"),
     ([1e200, 2e200], [0.0, 1.0, 1.0], "E, the numerator values"),
@@ -473,16 +489,23 @@ def test_overflowed_pole_pairing_exits_with_error_code(
     # once refuted (exit 1); at 1e200, 2e200 the numerator values overflow
     # and the exit was 2, or 3 only under --report. A pole at 1e200 under
     # 1e-200 z overflows only alpha conj(alpha), and its necessary measure
-    # came out with no atom (exit 0)
+    # came out with no atom (exit 0). The tables are built without a NumPy
+    # warning, so the error line is all the output, also when warnings
+    # are errors (then a warning escaping main was a traceback and exit 1)
     path, out = tmp_path / "far.json", tmp_path / "far.report.json"
     path.write_text(json.dumps(
         {"symbol": {"alphas": [[x, 0.0] for x in alphas],
                     "numerators": [[[c, 0.0] for c in numerator]]}}))
     argv = ["--input", str(path)] + (["--report", str(out)] if with_report else [])
+    message = f"error: pole pairing: {table}, is not finite\n"
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+        warnings.simplefilter("error", RuntimeWarning)
         assert main(argv) == EXIT_ERROR
-    assert capsys.readouterr().err == f"error: pole pairing: {table}, is not finite\n"
+    assert capsys.readouterr().err == message
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "cauchydual"] + argv,
+        capture_output=True, text=True, env=src_env())
+    assert (proc.returncode, proc.stderr, proc.stdout) == (EXIT_ERROR, message, "")
     assert not out.exists()
 
 

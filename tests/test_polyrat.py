@@ -10,15 +10,14 @@ from numpy.polynomial import polynomial as npoly
 
 from cauchydual import polyrat
 from cauchydual.polyrat import (
+    CIRCLE,
     CIRCLE_ROOT_TOL,
-    POSITIVITY_SAMPLES,
     RESIDUAL_STRIDE,
     DegreeZeroError,
     NotPositiveOnCircleError,
     RootOnCircleError,
     _horner,
     check_at_most,
-    circle_points,
     fejer_riesz_factor,
     from_roots,
     lagrange_denominators,
@@ -69,10 +68,11 @@ def test_conjugate_polynomial_identity():
 
 
 def test_circle_points_built_once_and_read_only():
-    for n in (512, 4096):
-        zs = circle_points(n)
-        assert circle_points(n) is zs
-        assert not zs.flags.writeable
+    # one module array; the residual and Schur grid is a view of it
+    for stride in (RESIDUAL_STRIDE, 1):
+        zs = CIRCLE[::stride]
+        n = 4096 // stride
+        assert zs.base is CIRCLE and not zs.flags.writeable
         assert np.array_equal(
             zs, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
 
@@ -317,9 +317,10 @@ def _positive_bands(seed: int, per_degree: int) -> list:
 def test_band_samples_equal_the_loop_oracle(monkeypatch):
     # fejer_riesz_factor samples the band once, at the positivity points;
     # the samples, and sample 0 as R(1), are the old loop's to the last bit
-    zs = circle_points(POSITIVITY_SAMPLES)
+    zs = CIRCLE
     assert zs[0] == 1.0 + 0.0j
-    assert np.array_equal(zs[::RESIDUAL_STRIDE], circle_points(512))
+    assert np.array_equal(zs[::RESIDUAL_STRIDE], np.exp(
+        1j * np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)))
     calls, sample = [], polyrat._band_on_circle
 
     def spy(upper, z):
@@ -392,8 +393,8 @@ def test_fejer_riesz_rejects_sign_changes():
 
 def test_fejer_riesz_names_the_relative_gate(monkeypatch):
     # 2 + 2e-12 + 2 cos(t) is positive but dips to about 5e-13 of its
-    # maximum, below the relative gate
-    monkeypatch.setattr(polyrat, "POSITIVITY_SAMPLES", 4)
+    # maximum, below the relative gate, on the 4 points 1, i, -1, -i
+    monkeypatch.setattr(polyrat, "CIRCLE", CIRCLE[::1024])
     with pytest.raises(NotPositiveOnCircleError) as err:
         fejer_riesz_factor([1.0, 2.0 + 2e-12, 1.0])
     message = str(err.value)

@@ -476,8 +476,10 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
         assert np.array_equal(pairing.a, lagrange_denominators(sym.alphas))
         assert np.array_equal(pairing.products,
                               np.outer(sym.alphas, np.conj(sym.alphas)))
-        for derived in (sym.alphas, sym.coefficients, sym.q,
-                        sym.numerators_at_poles):
+        # the numerator values at the poles are a pairing table, built
+        # per call like a and the products, not held by the symbol
+        assert pairing.values.shape == (len(sym.coefficients), sym.k)
+        for derived in (sym.alphas, sym.coefficients, sym.q, pairing.values):
             assert not derived.flags.writeable
 
 
@@ -524,7 +526,7 @@ def test_directly_built_symbol_needs_one_numerator_per_pole():
         C = np.zeros((m, 3))
         C[:, 1] = 0.1
         sym = RationalSymbol(poles, C)
-        assert sym.k == 2 and sym.numerators_at_poles.shape == (m, 2)
+        assert sym.k == 2 and pairing_of(sym).values.shape == (m, 2)
 
 
 def test_directly_built_symbol_needs_a_k_by_k_plus_one_matrix():
