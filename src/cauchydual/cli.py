@@ -8,7 +8,6 @@ prints a one-line verdict, and optionally writes a structured JSON report
 from __future__ import annotations
 
 import argparse
-import datetime
 import functools
 import json
 import math
@@ -268,7 +267,6 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
     lengths = ((C != 0) * np.arange(1, C.shape[1] + 1)).max(axis=1, initial=0)
     report = {
         "tool": {"name": TOOL_NAME, "version": __version__},
-        "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
         "input": input_echo,
         "input_kind": kind,
         "config": {

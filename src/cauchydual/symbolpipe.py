@@ -213,7 +213,7 @@ class RationalSymbol:
         numerators of degree at most k, at least one when k >= 1), each
         numerator vanishing at 0, k simple poles outside the closed disc, and
         sum_j |p_j/q|^2 <= 1 on the circle, checked on
-        CIRCLE[::RESIDUAL_STRIDE]."""
+        CIRCLE[::RESIDUAL_STRIDE] and at each pole's direction."""
         alphas = np.array(self.alphas, dtype=complex)
         if alphas.ndim != 1:
             raise ValueError(f"poles have shape {alphas.shape}, not (k,)")
@@ -250,10 +250,10 @@ class RationalSymbol:
         # by Horner: the pole form sum_j |b_j|^2 = h^T pair conj(h) cancels
         # digits as poles near each other (1.5e-8 off at a gap of 1e-4); far
         # poles overflow the samples to a NaN row norm, which the check
-        # rejects. Horner reads the points k + 1 times, and NumPy's complex
-        # loops run about 1.5x slower on the strided view than on a copy
-        zs = np.ascontiguousarray(CIRCLE[::RESIDUAL_STRIDE])
+        # rejects. Pole r's term peaks at z = alpha_r / |alpha_r|, between
+        # the grid points in general, so those points are sampled too
         with np.errstate(over="ignore", invalid="ignore"):
+            zs = np.concatenate([CIRCLE[::RESIDUAL_STRIDE], alphas / np.abs(alphas)])
             num = (np.abs(_horner(C[:, None, :], zs)) ** 2).sum(axis=0)
             norm = float((num / np.abs(_horner(self.q, zs)) ** 2).max())
         check_at_most(norm, 1.0 + 1e-8, "Schur row norm", ValueError)

@@ -1,7 +1,9 @@
 """Shared fixtures: canned input documents and the symbols they define."""
 
+import importlib.util
 import json
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +33,16 @@ def src_env() -> dict:
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, (str(ROOT / "src"), env.get("PYTHONPATH"))))
     return env
+
+
+def load_script(name: str, folder: Path = ROOT / "scripts"):
+    """Import folder/name.py as the module `name`, which only reads it:
+    the run name is not __main__, so its main does not run."""
+    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module      # for its dataclasses' string annotations
+    spec.loader.exec_module(module)
+    return module
 
 
 def load_fixture_doc(name: str) -> dict:

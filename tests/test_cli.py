@@ -1,5 +1,6 @@
 """Command line: input parsing, report rendering, exit codes, goldens."""
 
+import cmath
 import dataclasses
 import json
 import math
@@ -725,6 +726,21 @@ def test_overflowing_atom_stops_at_the_schur_check(tmp_path):
     assert not proc.stdout
 
 
+def test_spike_symbol_stops_at_the_schur_check(tmp_path, capsys):
+    # |B| = 1.5e-4 / (|alpha| - 1) = 1.5 at the pole's direction
+    # exp(i pi / 512), which lies between the Schur grid's points, where
+    # the row norm stays below 6e-4
+    alpha = 1.0001 * cmath.exp(1j * math.pi / 512)
+    path = tmp_path / "spike.json"
+    path.write_text(json.dumps(
+        {"symbol": {"alphas": [[alpha.real, alpha.imag]],
+                    "numerators": [[[0.0, 0.0], [1.5e-4, 0.0]]]}}))
+    assert main(["--input", str(path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert err == "error: Schur row norm check: 2.25 is not <= 1.00000001\n"
+    assert not out
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])
@@ -793,24 +809,19 @@ def _run_report(tmp_path, name, *extra):
     return rc, out
 
 
-def _strip_timestamp(text):
-    return [line for line in text.splitlines() if '"timestamp"' not in line]
-
-
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_reports_match_goldens(name, tmp_path, capsys):
     _, out = _run_report(tmp_path, name)
-    golden = (FIXTURES / f"{name}.golden.json").read_text()
-    assert _strip_timestamp(out.read_text()) == _strip_timestamp(golden)
+    assert out.read_bytes() == (FIXTURES / f"{name}.golden.json").read_bytes()
     capsys.readouterr()
 
 
 def test_reports_are_deterministic(tmp_path, capsys):
     _, first = _run_report(tmp_path, "refuter")
-    text1 = first.read_text()
+    text1 = first.read_bytes()
     first.unlink()
     _, second = _run_report(tmp_path, "refuter")
-    assert _strip_timestamp(text1) == _strip_timestamp(second.read_text())
+    assert second.read_bytes() == text1
     capsys.readouterr()
 
 
@@ -966,13 +977,23 @@ def test_custom_flags_flow_into_report(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_module_invocation_subprocess():
+FIXTURE_EXITS = {"antipodal_1_1": (0, "CertifiedSubnormal"),
+                 "antipodal_4_1": (0, "CertifiedSubnormal"),
+                 "single_atom_tau1": (0, "CertifiedSubnormal"),
+                 "refuter": (1, "RefutedAtLevel"),
+                 "inconclusive": (2, "InconclusiveAtTruncation")}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_module_invocation_subprocess(name):
+    code, verdict = FIXTURE_EXITS[name]
     proc = subprocess.run(
         [sys.executable, "-m", "cauchydual",
-         "--input", str(FIXTURES / "antipodal_1_1.json")],
+         "--input", str(FIXTURES / f"{name}.json")],
         capture_output=True, text=True, env=src_env())
-    assert proc.returncode == 0
-    assert "CertifiedSubnormal" in proc.stdout
+    assert proc.returncode == code
+    assert proc.stdout.startswith(f"{verdict} (")
+    assert not proc.stderr
 
 
 def test_undecodable_input_exits_with_error_code(tmp_path):

@@ -1,7 +1,6 @@
 """The scripts under scripts/, and the output check of perfbench/, run
 against the package as it is."""
 
-import importlib.util
 import json
 import os
 import re
@@ -14,21 +13,16 @@ import pytest
 from cauchydual import certify
 from cauchydual.symbolpipe import EtaNotPSDError
 
-from conftest import FIXTURE_NAMES, FIXTURES, ROOT, src_env
+from conftest import FIXTURE_NAMES, FIXTURES, ROOT, load_script, src_env
 
 SCRIPTS = ROOT / "scripts"
 
 
-def _load_script(name: str, folder=SCRIPTS):
-    spec = importlib.util.spec_from_file_location(name, folder / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module      # for its dataclasses' string annotations
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_make_goldens_reproduces_the_fixtures(tmp_path, monkeypatch, capsys):
-    make_goldens = _load_script("make_goldens")
+    # from the committed inputs alone, which it leaves as they are
+    make_goldens = load_script("make_goldens")
+    for name in FIXTURE_NAMES:
+        shutil.copy(FIXTURES / f"{name}.json", tmp_path)
     monkeypatch.setattr(make_goldens, "FIXTURES", str(tmp_path))
     make_goldens.main()
     capsys.readouterr()
@@ -42,7 +36,7 @@ def test_make_goldens_reproduces_the_fixtures(tmp_path, monkeypatch, capsys):
 def test_make_goldens_names_each_changed_key(tmp_path, monkeypatch, capsys):
     # against the golden it replaces, each changed, appeared or vanished
     # value is printed by its key path, and an unchanged golden prints none
-    make_goldens = _load_script("make_goldens")
+    make_goldens = load_script("make_goldens")
     for name in FIXTURE_NAMES:
         for suffix in (".json", ".golden.json"):
             shutil.copy(FIXTURES / f"{name}{suffix}", tmp_path)
@@ -91,7 +85,7 @@ def test_random_measure_scan_runs():
 
 
 def test_random_measure_scan_tallies_rejections_by_class(monkeypatch, capsys):
-    scan = _load_script("random_measure_scan")
+    scan = load_script("random_measure_scan")
 
     def reject(mu):
         raise EtaNotPSDError("numerator matrix has no Cholesky factor")
@@ -104,7 +98,7 @@ def test_random_measure_scan_tallies_rejections_by_class(monkeypatch, capsys):
 
 
 def test_bench_loads_each_tree_as_its_own_package():
-    bench = _load_script("bench")
+    bench = load_script("bench")
     parent = bench.load_tree("cauchydual_test_parent", str(ROOT / "src"))
     change = bench.load_tree("cauchydual_test_change", str(ROOT / "src"))
     assert parent is not change and parent.certify is not change.certify
@@ -119,14 +113,28 @@ def test_bench_loads_each_tree_as_its_own_package():
 def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
     # the bench script calls build_report directly, so a signature change
     # must show here and not only when a benchmark is taken
-    bench = _load_script("bench")
+    # the process rows' child interpreters are stubbed: each call records
+    # its command line and environment, and the parent side's src is a
+    # link to this checkout's, so that the two sides' PYTHONPATHs differ
+    bench = load_script("bench")
     monkeypatch.setattr(bench, "PAIRS", 2)
     monkeypatch.setattr(bench, "PROCESS_PAIRS", 2)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # main sets it
-    monkeypatch.chdir(ROOT)
+    started = []
+    monkeypatch.setattr(bench, "run_process",
+                        lambda argv, env: started.append((argv, env["PYTHONPATH"])))
+    parent_src = tmp_path / "parent_src"
+    parent_src.symlink_to(ROOT / "src", target_is_directory=True)
     out = tmp_path / "bench.json"
-    assert bench.main(["--parent", "src", "--out", str(out)]) == 0
+    assert bench.main(["--parent", str(parent_src), "--out", str(out)]) == 0
     capsys.readouterr()
+    # per command and side, one warm-up call and one per pair
+    argvs = [["-c", "pass"], ["-c", "import numpy"],
+             *(["-m", "cauchydual", "--input", str(FIXTURES / f"{name}.json")]
+               for name in sorted(FIXTURE_NAMES))]
+    sides = [str(parent_src), str(ROOT / "src")]
+    assert sorted(started) == sorted((argv, src) for argv in argvs
+                                     for src in sides for _ in range(3))
     bench_file = json.loads(out.read_text())
     assert bench_file["process_pairs"] == 2
     assert bench_file["pythondontwritebytecode"] == bool(
@@ -169,7 +177,7 @@ def test_benchmark_check_sees_a_taylor_engine_skew(monkeypatch):
     # flags each built measure; the skew is taken through the engine's
     # (stats, basis_residual) result, so an operation that raises cannot
     # stand in for a flagged one
-    workloads = _load_script("workloads", ROOT / "perfbench")
+    workloads = load_script("workloads", ROOT / "perfbench")
     wl = workloads.build("measure_scan", 0, str(FIXTURES))
     workloads.load_expected(wl, str(FIXTURES))
     built = [(key, mu) for key, mu in wl.items if "outcome" in wl.expected[key]]

@@ -29,7 +29,7 @@ from cauchydual.symbolpipe import (
 )
 
 import symbol_oracle
-from conftest import pairing_of, pool_like_measures, random_measure
+from conftest import ROOT, load_script, pairing_of, pool_like_measures, random_measure
 from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
 from rank1_oracle import ExtremePointError, GridOutsideDiscError
 from symbol_oracle import (
@@ -422,6 +422,53 @@ def test_directly_built_symbol_is_checked():
         RationalSymbol((1.05 + 0.0j,), np.array([[0.0, 1.2]]))
     with pytest.raises(ValueError, match="numerator 1 has nonzero constant term"):
         RationalSymbol((2.0, 3.0), np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.1]]))
+
+
+# The row norm of a measure's symbol is 1 at each atom exactly, and at these
+# pool measures (perfbench's pool keys k/index) the pipeline's symbol
+# exceeds the Schur bound there, by up to 5.1e-6 (5/10); the sampled
+# check passes them, as no sample lands on an atom
+POOL_OVER_AT_ATOMS = ("5/10", "5/16", "5/62", "6/37", "6/43", "7/15", "7/40",
+                      "8/12", "8/20", "8/30", "8/35", "8/52", "8/55")
+SCHUR_BOUND = 1.0 + 1e-8
+
+
+@pytest.fixture(scope="module")
+def pool_atom_row_norms():
+    """Per pool measure the pipeline builds, the largest row norm
+    sum_j |p_j/q|^2 of its symbol at the measure's atoms."""
+    workloads = load_script("workloads", ROOT / "perfbench")
+    norms = {}
+    for k in workloads.POOL_KS:
+        for index in range(workloads.POOL_PER_K):
+            mu = workloads.draw_measure(k, index)
+            try:
+                sym = measure_to_symbol(mu)
+            except (ValueError, ArithmeticError, RuntimeError):
+                continue
+            zs = mu.zetas()
+            num = sum(np.abs(npoly.polyval(zs, p)) ** 2 for p in sym.coefficients)
+            norms[workloads.pool_key(k, index)] = float(
+                (num / np.abs(npoly.polyval(zs, sym.q)) ** 2).max())
+    return norms
+
+
+@pytest.mark.parametrize("key", [
+    pytest.param(key, marks=pytest.mark.xfail(
+        strict=True, raises=AssertionError,
+        reason="row norm above 1 + 1e-8 at an atom"))
+    for key in POOL_OVER_AT_ATOMS])
+def test_pool_symbol_meets_the_schur_bound_at_its_atoms(key, pool_atom_row_norms):
+    assert pool_atom_row_norms[key] <= SCHUR_BOUND
+
+
+def test_other_pool_symbols_meet_the_schur_bound_at_their_atoms(pool_atom_row_norms):
+    # 511 of the 512 pool measures build (5/2 is rejected)
+    assert len(pool_atom_row_norms) == 511
+    rest = {key: norm for key, norm in pool_atom_row_norms.items()
+            if key not in POOL_OVER_AT_ATOMS}
+    assert len(rest) == 498
+    assert max(rest.values()) <= SCHUR_BOUND
 
 
 @pytest.mark.parametrize("alphas, numerators", [
