@@ -33,6 +33,12 @@ times the whole call and the time spent inside each of ENGINE_LAYERS. Each
 grid row also times `build_report` with the tables and `render_json` on
 that report, and records the size of the rendered report.
 
+The scan row times, in SCAN_PAIRS pairs, one round of perfbench's
+measure_scan workload: `measure_to_symbol` and `run_certificates` at
+(N, L) = (40, 12) on SCAN_PER_K seeded measures for each k in SCAN_KS,
+drawn like the grid's. Its ratio is the in-process counterpart of
+measure_scan's throughput.
+
 The process rows time, in PROCESS_PAIRS pairs, a fresh interpreter per
 fixture running `python3 -m cauchydual --input FIXTURE` with the side's
 `src` as PYTHONPATH, next to `python3 -c pass` and
@@ -67,6 +73,7 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
 FIXTURES = os.path.join(ROOT, "fixtures")
 PAIRS = 121          # timed pairs per row: one call on each tree per pair
 PROCESS_PAIRS = 21   # the same for the process rows, which start interpreters
+SCAN_PAIRS = 21      # the same for the scan row, whose call is one whole round
 
 ENGINE_KS = (2, 4, 8)
 ENGINE_SIZES = ((40, 12), (200, 12), (40, 80))
@@ -87,7 +94,11 @@ ENGINE_SEED = 6
 # the measures of the grid: atom gaps above MIN_GAP, weights log-uniform
 # in [MIN_WEIGHT, MAX_WEIGHT], as scripts/random_measure_scan.py draws them
 MIN_GAP, MIN_WEIGHT, MAX_WEIGHT = 0.3, 0.1, 5.0
-TABLES = ("rows", "pipeline_rows", "engine_rows", "process_rows")
+# the scan row's round: SCAN_PER_K measures for each atom count in SCAN_KS,
+# the counts of one round of perfbench's measure_scan
+SCAN_KS = tuple(range(1, 9))
+SCAN_PER_K = 16
+TABLES = ("rows", "pipeline_rows", "engine_rows", "scan_rows", "process_rows")
 
 
 def load_tree(name: str, src: str):
@@ -180,12 +191,12 @@ def fixture_rows(trees: dict, name: str, tmp: str) -> list:
     return rows
 
 
-def grid_draw(k: int, trees: dict) -> tuple:
+def grid_draw(k: int, trees: dict, *index: int) -> tuple:
     """(thetas, weights) of a seeded random measure with k atoms that every
-    tree's pipeline accepts; a draw one rejects is redrawn from the same
-    generator."""
+    tree's pipeline accepts, from the generator seeded with
+    (ENGINE_SEED, k, *index); a draw one rejects is redrawn from it."""
     import numpy as np
-    rng = np.random.default_rng([ENGINE_SEED, k])
+    rng = np.random.default_rng([ENGINE_SEED, k, *index])
     while True:
         thetas = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=k))
         gaps = np.diff(np.concatenate([thetas, [thetas[0] + 2.0 * np.pi]]))
@@ -263,6 +274,22 @@ def engine_rows(trees: dict, draws: dict) -> list:
     return rows
 
 
+def scan_round(tree, measures: list, cfg) -> None:
+    for mu in measures:
+        tree.certify.run_certificates(tree.symbolpipe.measure_to_symbol(mu), cfg)
+
+
+def scan_rows(trees: dict, draws: list) -> list:
+    """One row: a round of `measure_to_symbol` and `run_certificates` at
+    (N, L) = (40, 12) over `draws`, timed in SCAN_PAIRS pairs."""
+    rounds = {side: functools.partial(
+        scan_round, tree, [tree.symbolpipe.CircleMeasure(*draw) for draw in draws],
+        tree.certify.CertificateConfig(levels=12, trunc=40))
+        for side, tree in trees.items()}
+    return [merge({"measures": len(draws), "trunc": 40, "levels": 12},
+                  sample(rounds, "scan", pairs=SCAN_PAIRS))]
+
+
 def run_process(argv: list, env: dict) -> None:
     proc = subprocess.run([sys.executable, *argv], env=env,
                           stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
@@ -328,9 +355,12 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rows = [row for name in names for row in fixture_rows(trees, name, tmp)]
     draws = {k: grid_draw(k, trees) for k in ENGINE_KS}
+    # in measure_scan's order: index j of every k, then index j + 1
+    scan_draws = [grid_draw(k, trees, j) for j in range(SCAN_PER_K) for k in SCAN_KS]
     tables = {"rows": summary(rows),
               "pipeline_rows": summary(pipeline_rows(trees, draws)),
               "engine_rows": summary(engine_rows(trees, draws)),
+              "scan_rows": summary(scan_rows(trees, scan_draws)),
               "process_rows": summary(process_rows(srcs, names))}
     bench = {
         "description": (
@@ -339,7 +369,11 @@ def main(argv=None) -> int:
             "the time inside each pipeline stage, per atom count k; "
             "engine_rows: run_certificates and the time inside each engine "
             "layer, and build_report with the tables and render_json, per k, "
-            "--trunc N and --levels L; process_rows: the wall time of a fresh "
+            "--trunc N and --levels L; scan_rows: one round of "
+            "measure_to_symbol and run_certificates at (N, L) = (40, 12) over "
+            "`scan_per_k` seeded measures per atom count k = 1..8, perfbench's "
+            "measure_scan in process, in `scan_pairs` pairs; "
+            "process_rows: the wall time of a fresh "
             "interpreter running the command with the side's src as "
             "PYTHONPATH, per fixture, next to `-c pass` and `-c import numpy`, "
             "in `process_pairs` pairs. Both trees run in one interpreter, in "
@@ -353,6 +387,8 @@ def main(argv=None) -> int:
             "that shared state."),
         "pairs": PAIRS,
         "process_pairs": PROCESS_PAIRS,
+        "scan_pairs": SCAN_PAIRS,
+        "scan_per_k": SCAN_PER_K,
         "pythondontwritebytecode": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
         "python": platform.python_version(),
         "numpy": np.__version__,

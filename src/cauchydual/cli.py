@@ -192,7 +192,7 @@ def _template(obj, indent: int, floats: list) -> str:
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def render_json(obj, indent: int = 0) -> str:
+def render_json(obj) -> str:
     """Serializer with fixed float formatting (17 significant digits, zero
     as "0"); lists of scalars stay on one line, everything else is indented
     two spaces per level, and a float64 array is written as its nested
@@ -201,7 +201,7 @@ def render_json(obj, indent: int = 0) -> str:
     One pass builds a template with a "%.17g" field per float, and one fill
     writes them all. Adding 0.0 turns -0.0 into 0.0, so every zero is "0"."""
     floats = []
-    template = _template(obj, indent, floats)
+    template = _template(obj, 0, floats)
     if not all(map(math.isfinite, floats)):
         raise ValueError("non-finite float in report")
     return template % tuple([v + 0.0 for v in floats])

@@ -48,12 +48,19 @@ HERMITIAN_BAND_TOL = 1e-9
 
 
 def check_at_most(value, bound, what: str, error: type[Exception], *args) -> None:
-    """The rule of the pipeline's self-checks: raise error unless
+    """The rule of the pipeline's checks against a bound: raise error unless
     value <= bound, so a NaN value or bound fails (`value > bound` passes
     it), naming the check, what.format(*args), its value and its bound to
     9 digits, which tell a row norm of 1 + 4e-7 from a bound of 1 + 1e-8."""
     if not value <= bound:
         raise error(f"{what.format(*args)} check: {value:.9g} is not <= {bound:.9g}")
+
+
+def check_above(value, floor, what: str, error: type[Exception], *args) -> None:
+    """check_at_most's strict twin: raise error unless value > floor, so a
+    NaN fails, naming the check, its value and its floor the same way."""
+    if not value > floor:
+        raise error(f"{what.format(*args)} check: {value:.9g} is not > {floor:.9g}")
 
 
 def from_roots(roots) -> np.ndarray:
@@ -181,15 +188,9 @@ def fejer_riesz_factor(band):
 
     vals = _band_on_circle(upper, CIRCLE)
     vmin, vmax = float(vals.min()), float(vals.max())
-    if not vmax > 0.0:
-        raise NotPositiveOnCircleError(
-            f"max of {CIRCLE.size} circle samples is {vmax:.3e}, "
-            "not positive")
-    if not vmin > POSITIVITY_GATE * vmax:
-        raise NotPositiveOnCircleError(
-            f"relative sampling gate: min/max of {CIRCLE.size} circle "
-            f"samples is {vmin / vmax:.3e}, needs > {POSITIVITY_GATE:.0e} "
-            f"(min {vmin:.3e}, max {vmax:.3e})")
+    check_above(vmax, 0.0, "largest circle sample", NotPositiveOnCircleError)
+    check_above(vmin, POSITIVITY_GATE * vmax, "smallest circle sample vs {:g} x largest",
+                NotPositiveOnCircleError, POSITIVITY_GATE)
     k = len(upper) - 1
     if k == 0:
         return float(upper[0].real), np.empty(0, dtype=complex)
@@ -197,10 +198,10 @@ def fejer_riesz_factor(band):
     # z^k R(z) has ascending coefficients equal to the full band of R
     roots = poly_roots(np.concatenate([np.conj(upper[:0:-1]), upper]))
     moduli = np.hypot(roots.real, roots.imag)
-    on_circle = np.flatnonzero(np.abs(moduli - 1.0) <= CIRCLE_ROOT_TOL)
-    if on_circle.size:
-        w = complex(roots[on_circle[0]])
-        raise RootOnCircleError(f"root {w} has modulus {abs(w)}")
+    distance = np.abs(moduli - 1.0)
+    closest = int(np.argmin(distance))
+    check_above(distance[closest], CIRCLE_ROOT_TOL, "distance to the circle of root {}",
+                RootOnCircleError, roots[closest])
     # both are subsequences of the sorted roots, so sorted themselves
     outer, inner = roots[moduli > 1.0], roots[moduli < 1.0]
     if len(outer) != k or len(inner) != k:
@@ -216,8 +217,7 @@ def fejer_riesz_factor(band):
         gaps[:, best] = np.inf
 
     gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
-    if not gamma > 0.0:
-        raise NotPositiveOnCircleError(f"factor constant {gamma} is not positive")
+    check_above(gamma, 0.0, "factor constant gamma", NotPositiveOnCircleError)
 
     # residual gate: the reconstruction must match R on the circle
     zs = CIRCLE[::RESIDUAL_STRIDE]

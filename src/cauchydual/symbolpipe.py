@@ -23,6 +23,7 @@ from .polyrat import (
     CIRCLE,
     POLE_GAP,
     RESIDUAL_STRIDE,
+    check_above,
     check_at_most,
     _horner,
     fejer_riesz_factor,
@@ -70,12 +71,12 @@ class CircleMeasure:
             kept_w.append(w)
         zs = np.exp(1j * np.asarray(kept_t, dtype=float))
         zs.flags.writeable = False
-        # the first pair i < j in row-major order is raised
-        hits = np.flatnonzero(np.triu(np.abs(zs[:, None] - zs) <= POLE_GAP, 1))
-        if hits.size:
-            i, j = divmod(int(hits[0]), len(zs))
-            raise ValueError(f"atoms {i} and {j} coincide on the circle: "
-                             f"theta {kept_t[i]} vs {kept_t[j]}")
+        # each coinciding pair i < j fails, so the first in row-major order raises
+        gaps = np.abs(zs[:, None] - zs)
+        for hit in np.flatnonzero(np.triu(gaps <= POLE_GAP, 1)):
+            i, j = divmod(int(hit), len(zs))
+            check_above(gaps[i, j], POLE_GAP, "gap of atoms {} and {} (theta {} vs {})",
+                        ValueError, i, j, kept_t[i], kept_t[j])
         object.__setattr__(self, "thetas", tuple(kept_t))
         object.__setattr__(self, "weights", tuple(kept_w))
         object.__setattr__(self, "_zetas", zs)
@@ -144,9 +145,9 @@ def outer_from_measure(mu: CircleMeasure) -> tuple:
     # Python's complex product, not numpy's, which differs in the last bit
     p = np.array([scale * c for c in from_roots(zetas).tolist()])
     ratio = complex(p[0]) / complex(q[0])
-    if not (abs(ratio.imag) <= 1e-12 * abs(ratio) and ratio.real > 0.0):
-        raise RuntimeError(f"normalization failed: p(0)/q(0) = {ratio} needs real "
-                           f"part > 0 and |imag| <= 1e-12 * {abs(ratio):.3e}")
+    check_at_most(abs(ratio.imag), 1e-12 * abs(ratio),
+                  "normalization |Im p(0)/q(0)|", RuntimeError)
+    check_above(ratio.real, 0.0, "normalization Re p(0)/q(0)", RuntimeError)
     return alphas, p, q
 
 
@@ -183,9 +184,7 @@ def gram_from_outer(mu: CircleMeasure, p: np.ndarray, q: np.ndarray) -> tuple:
     G = 0.5 * (G + G.conj().T)
     evals = np.linalg.eigvalsh(G)
     top = max(float(abs(evals).max()), 1e-300)
-    if not evals.min() > 1e-13 * top:
-        raise GramSingularError(f"Gram eigenvalue min {evals.min():.3e} is not "
-                                f"above 1e-13 * max {top:.3e}")
+    check_above(evals.min(), 1e-13 * top, "smallest Gram eigenvalue", GramSingularError)
     inv = np.linalg.solve(G, np.eye(k, dtype=complex))
     cond = float(abs(evals).max() / abs(evals).min())
     check_at_most(np.abs(G @ inv - np.eye(k)).max(), 1e-9 * cond,
@@ -229,31 +228,31 @@ class RationalSymbol:
         if C.ndim != 2 or C.shape[1] != self.k + 1 or len(C) < min(self.k, 1):
             raise ValueError(f"coefficient matrix has shape {C.shape}, "
                              f"not (m, {self.k + 1}) with m >= {min(self.k, 1)}")
-        scale = np.maximum(np.abs(C).max(axis=1), 1.0)
-        constant = np.flatnonzero(np.abs(C[:, 0]) > 1e-14 * scale)
-        if constant.size:
-            raise ValueError(f"numerator {constant[0]} has nonzero constant term")
+        const = np.abs(C[:, 0])
+        bound = 1e-14 * np.maximum(np.abs(C).max(axis=1), 1.0)
+        for j in np.flatnonzero(const > bound):     # the first one raises
+            check_at_most(const[j], bound[j], "numerator {} constant term", ValueError, j)
         # scan[i, 0]: pole i lies in the closed disc; scan[i, 1 + j]: poles
-        # i < j coincide. The first hit in row-major order is raised, the
-        # order of checking pole 0, its pairs (0, j), pole 1, ...
+        # i < j coincide. Each hit fails its check, so the first in row-major
+        # order is raised, the order of checking pole 0, its pairs (0, j), ...
         index = np.arange(self.k)
+        moduli, gaps = np.abs(alphas), np.abs(alphas[:, None] - alphas)
         scan = np.empty((self.k, self.k + 1), dtype=bool)
-        scan[:, 0] = np.abs(alphas) <= 1.0
-        scan[:, 1:] = ((np.abs(alphas[:, None] - alphas) <= POLE_GAP)
-                       & (index[:, None] < index))
-        hits = np.flatnonzero(scan)
-        if hits.size:
-            i, j = divmod(int(hits[0]), self.k + 1)
+        scan[:, 0] = moduli <= 1.0
+        scan[:, 1:] = (gaps <= POLE_GAP) & (index[:, None] < index)
+        for hit in np.flatnonzero(scan):
+            i, j = divmod(int(hit), self.k + 1)
             if j == 0:
-                raise ValueError(f"pole {alphas[i]} is not outside the closed disc")
-            raise ValueError(f"poles {alphas[i]} and {alphas[j - 1]} coincide")
+                check_above(moduli[i], 1.0, "modulus of pole {}", ValueError, alphas[i])
+            check_above(gaps[i, j - 1], POLE_GAP, "gap of poles {} and {}",
+                        ValueError, alphas[i], alphas[j - 1])
         # by Horner: the pole form sum_j |b_j|^2 = h^T pair conj(h) cancels
         # digits as poles near each other (1.5e-8 off at a gap of 1e-4); far
         # poles overflow the samples to a NaN row norm, which the check
         # rejects. Pole r's term peaks at z = alpha_r / |alpha_r|, between
         # the grid points in general, so those points are sampled too
         with np.errstate(over="ignore", invalid="ignore"):
-            zs = np.concatenate([CIRCLE[::RESIDUAL_STRIDE], alphas / np.abs(alphas)])
+            zs = np.concatenate([CIRCLE[::RESIDUAL_STRIDE], alphas / moduli])
             num = (np.abs(_horner(C[:, None, :], zs)) ** 2).sum(axis=0)
             norm = float((num / np.abs(_horner(self.q, zs)) ** 2).max())
         check_at_most(norm, 1.0 + 1e-8, "Schur row norm", ValueError)

@@ -691,6 +691,35 @@ def test_two_point_measure_certifies_only_when_antipodal(theta, weight):
         assert (rep.verdict, rep.refuted_by) == (VERDICT_REFUTED, "necessary_measure")
 
 
+# The near-antipodal family of ROADMAP items 2 and 17: atoms at 0 and
+# pi - eps with weights 1 and 3. Its orthogonality residual is about
+# 0.031 eps, so below eps = 3e-8 the tolerance TOL_ORTH = 1e-9, not an
+# error bound, decides the verdict: eps = 3e-8, 1e-8 and 1e-9 certify with
+# residuals 9.3e-10, 3.1e-10 and 3.1e-11.
+def _near_antipodal(eps: float):
+    return run_certificates(measure_to_symbol(
+        CircleMeasure((0.0, math.pi - eps), (1.0, 3.0))))
+
+
+@pytest.mark.parametrize("eps,refuted_by", [(1e-6, "necessary_measure"),
+                                            (1e-7, "orthogonality_exactness")])
+def test_near_antipodal_measure_is_refuted(eps, refuted_by):
+    rep = _near_antipodal(eps)
+    assert (rep.verdict, rep.refuted_by) == (VERDICT_REFUTED, refuted_by)
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-7, 3e-8, 1e-8, 1e-9])
+def test_near_antipodal_orthogonality_residual_is_linear_in_eps(eps):
+    assert 0.030 <= _near_antipodal(eps).orth_residual / eps <= 0.032
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="TOL_ORTH decides: a residual below 1e-9 certifies")
+@pytest.mark.parametrize("eps", [3e-8, 1e-8, 1e-9])
+def test_near_antipodal_measure_is_not_certified(eps):
+    assert _near_antipodal(eps).verdict != VERDICT_CERTIFIED
+
+
 # ------------------------------------------------------------ necessary measure
 
 

@@ -157,6 +157,14 @@ def _as_lists(obj):
     return obj
 
 
+def _nested(obj, depth: int):
+    """`obj` as the only item of `depth` nested lists, which a serializer
+    writes `depth` levels deep: every line of it indented by 2 * depth."""
+    for _ in range(depth):
+        obj = [obj]
+    return obj
+
+
 @pytest.mark.parametrize("dump_tables,trunc,levels,names", [
     pytest.param(False, 40, 12, FIXTURE_NAMES + tuple(IN_MEMORY_DOCS), id="False"),
     pytest.param(True, 40, 12, FIXTURE_NAMES + tuple(IN_MEMORY_DOCS), id="True"),
@@ -261,12 +269,10 @@ def test_render_json_writes_an_array_as_its_lists(shape):
     a = _float_array(shape, seed=len(shape) + sum(shape))
     arrays = [a, a.T.copy().T]   # C order, and the same values in Fortran order
     for arr in arrays:
-        for indent in range(4):
-            assert (render_json(arr, indent)
-                    == render_oracle.render_json(arr.tolist(), indent))
-            for obj in ({"outer": {"inner": arr}}, [[arr], arr], [arr, 1.5, "x"]):
-                assert (render_json(obj, indent)
-                        == render_oracle.render_json(_as_lists(obj), indent))
+        for depth in range(4):
+            for obj in (arr, {"outer": {"inner": arr}}, [[arr], arr], [arr, 1.5, "x"]):
+                deep = _nested(obj, depth)
+                assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
 
 
 def _signed_repeats(shape, seed: int) -> np.ndarray:
@@ -319,10 +325,10 @@ def test_render_json_matches_oracle_on_array_edge_cases(a):
     # every entry fills its own "%.17g" field in the one fill, so each
     # repeat of a value, of either sign, must read as the oracle writes
     # that entry, -0.0 as "0"; a one-entry array fills a one-field template
-    for indent in range(3):
+    for depth in range(3):
         for obj in (a, {"K": a}, [a, a[::-1].copy()]):
-            assert (render_json(obj, indent)
-                    == render_oracle.render_json(_as_lists(obj), indent))
+            deep = _nested(obj, depth)
+            assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
@@ -354,9 +360,9 @@ def test_render_json_writes_percent_signs_as_given(text):
     a = np.array([[-1.5, 0.25], [text.count("%") + 0.5, -0.0]])
     for obj in (text, [text], {text: text}, {text: 1.5, "x": [text, -2.0]},
                 [text, a, {text: a}], {"k": a, text: [0.1, text], "z": text}):
-        for indent in range(3):
-            assert (render_json(obj, indent)
-                    == render_oracle.render_json(_as_lists(obj), indent))
+        for depth in range(3):
+            deep = _nested(obj, depth)
+            assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
     assert json.loads(render_json({text: [text, 1.5]})) == {text: [text, 1.5]}
 
 
@@ -364,9 +370,9 @@ def test_render_json_without_floats():
     obj = {"tool": {"name": "cauchydual", "version": "1%"}, "n": 3,
            "flags": [True, False, None], "empty": np.zeros((2, 0)),
            "nested": [[], {}, ["%s", 7]], "pct%": "%%"}
-    for indent in range(3):
-        assert (render_json(obj, indent)
-                == render_oracle.render_json(_as_lists(obj), indent))
+    for depth in range(3):
+        deep = _nested(obj, depth)
+        assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
 
 
 def test_render_json_fills_floats_in_text_order():
@@ -377,9 +383,9 @@ def test_render_json_fills_floats_in_text_order():
                "e": np.zeros((0, 2)), "w": 5e-324}
     as_list = [1.5, a, -2.25, b, [0.1, -0.1], 7, np.zeros((0,)), -MAX_FLOAT]
     for obj in (as_dict, as_list, (as_list[0], as_dict, as_list[1])):
-        for indent in range(3):
-            assert (render_json(obj, indent)
-                    == render_oracle.render_json(_as_lists(obj), indent))
+        for depth in range(3):
+            deep = _nested(obj, depth)
+            assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
         assert json.loads(render_json(obj)) == json.loads(
             json.dumps(_as_lists(obj)))
 
@@ -403,8 +409,9 @@ _JSON_TREES = st.recursive(
 
 @settings(deadline=None, max_examples=200)
 @given(_JSON_TREES, st.integers(0, 2))
-def test_render_json_matches_oracle_on_random_trees(obj, indent):
-    assert render_json(obj, indent) == render_oracle.render_json(_as_lists(obj), indent)
+def test_render_json_matches_oracle_on_random_trees(obj, depth):
+    deep = _nested(obj, depth)
+    assert render_json(deep) == render_oracle.render_json(_as_lists(deep))
 
 
 def test_write_atomic_leaves_no_droppings(tmp_path):
@@ -705,12 +712,35 @@ def test_equally_spaced_atoms_build_or_name_the_failed_check(k, tmp_path, capsys
     code = main(["--input", str(path)])
     out, err = capsys.readouterr()
     if code == EXIT_ERROR:
-        # one line that names the check, its value and its bound
-        assert re.fullmatch(r"error: [^\n]+ check: \S+ is not <= \S+\n", err)
+        # one line that names the check, its value and its bound or floor
+        assert re.fullmatch(r"error: [^\n]+ check: \S+ is not (<=|>) \S+\n", err)
         assert not out
     else:
         assert code in (0, 1, 2) and not err
         assert out.endswith(f"exit={code}\n")
+
+
+@pytest.mark.parametrize("doc,line", [
+    ({"measure": {"atoms": [{"theta_radians": 0.0, "weight": 1.0},
+                            {"theta_radians": 2.0 * math.pi, "weight": 2.0}]}},
+     f"gap of atoms 0 and 1 (theta 0.0 vs {2.0 * math.pi}) check: 2.4492936e-16 "
+     "is not > 1e-09"),
+    ({"symbol": {"alphas": [[0.5, 0.0]], "numerators": [[[0, 0], [0.1, 0]]]}},
+     "modulus of pole (0.5+0j) check: 0.5 is not > 1"),
+    ({"symbol": {"alphas": [[2.0, 0.0], [2.0, 0.0]],
+                 "numerators": [[[0, 0], [0.1, 0]], [[0, 0], [0, 0], [0.1, 0]]]}},
+     "gap of poles (2+0j) and (2+0j) check: 0 is not > 1e-09"),
+    ({"symbol": {"alphas": [[2.0, 0.0]], "numerators": [[[0.1, 0], [0.1, 0]]]}},
+     "numerator 0 constant term check: 0.1 is not <= 1e-14"),
+], ids=["atom-gap", "pole-modulus", "pole-gap", "constant-term"])
+def test_admissibility_checks_exit_with_one_line(doc, line, tmp_path, capsys):
+    # the admissible-class checks print their value and bound or floor as
+    # the pipeline's self-checks do
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(doc))
+    assert main(["--input", str(path)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert err == f"error: {line}\n" and not out
 
 
 def test_overflowing_atom_stops_at_the_schur_check(tmp_path):

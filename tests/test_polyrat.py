@@ -284,7 +284,19 @@ def test_fejer_riesz_rejects_nan_circle_samples(monkeypatch):
     # NaN samples passed every `<=` floor and the residual gate and came
     # out as a NaN gamma; the positivity floor now stops them
     monkeypatch.setattr(polyrat, "_band_on_circle", lambda upper, z: np.full(len(z), NAN))
-    with pytest.raises(NotPositiveOnCircleError, match="samples is nan, not positive"):
+    with pytest.raises(NotPositiveOnCircleError,
+                       match=re.escape("largest circle sample check: nan is not > 0") + "$"):
+        fejer_riesz_factor([1.0, 2.5, 1.0])
+
+
+def test_fejer_riesz_names_a_factor_constant_that_is_not_positive(monkeypatch):
+    # roots at 1e200 and its mirror 1e-200 pass the root and mirror gates,
+    # and |1 - alpha|^2 overflows, so gamma = R(1) / inf is 0
+    monkeypatch.setattr(polyrat, "poly_roots",
+                        lambda coeffs: np.array([1e-200, 1e200], dtype=complex))
+    with np.errstate(over="ignore"), pytest.raises(
+            NotPositiveOnCircleError,
+            match=re.escape("factor constant gamma check: 0 is not > 0") + "$"):
         fejer_riesz_factor([1.0, 2.5, 1.0])
 
 
@@ -394,12 +406,12 @@ def test_fejer_riesz_rejects_sign_changes():
 def test_fejer_riesz_names_the_relative_gate(monkeypatch):
     # 2 + 2e-12 + 2 cos(t) is positive but dips to about 5e-13 of its
     # maximum, below the relative gate, on the 4 points 1, i, -1, -i
+    # (min 2e-12 against a floor of 1e-10 x max 4)
     monkeypatch.setattr(polyrat, "CIRCLE", CIRCLE[::1024])
-    with pytest.raises(NotPositiveOnCircleError) as err:
+    with pytest.raises(NotPositiveOnCircleError,
+                       match=r"smallest circle sample vs 1e-10 x largest check: "
+                             r"2\.000\d*e-12 is not > 4e-10$"):
         fejer_riesz_factor([1.0, 2.0 + 2e-12, 1.0])
-    message = str(err.value)
-    assert "relative sampling gate" in message and "1e-10" in message
-    assert "min/max of 4 circle samples is 5.000e-13" in message
 
 
 def test_fejer_riesz_rejects_root_hiding_between_samples():
@@ -408,7 +420,8 @@ def test_fejer_riesz_rejects_root_hiding_between_samples():
     w = (1.0 + 1e-9) * cmath.exp(1j * np.pi / 4096)
     assert abs(abs(w) - 1.0) < CIRCLE_ROOT_TOL
     band = [-w, 1.0 + abs(w) ** 2, -w.conjugate()]
-    with pytest.raises(RootOnCircleError):
+    with pytest.raises(RootOnCircleError,
+                       match=r"distance to the circle of root \S+ check: \S+ is not > 1e-07$"):
         fejer_riesz_factor(band)
 
 

@@ -119,6 +119,8 @@ def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
     bench = load_script("bench")
     monkeypatch.setattr(bench, "PAIRS", 2)
     monkeypatch.setattr(bench, "PROCESS_PAIRS", 2)
+    monkeypatch.setattr(bench, "SCAN_PAIRS", 2)
+    monkeypatch.setattr(bench, "SCAN_PER_K", 1)
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")     # main sets it
     started = []
     monkeypatch.setattr(bench, "run_process",
@@ -136,7 +138,8 @@ def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
     assert sorted(started) == sorted((argv, src) for argv in argvs
                                      for src in sides for _ in range(3))
     bench_file = json.loads(out.read_text())
-    assert bench_file["process_pairs"] == 2
+    assert [bench_file[key] for key in ("process_pairs", "scan_pairs", "scan_per_k")] == [
+        2, 2, 1]
     assert bench_file["pythondontwritebytecode"] == bool(
         os.environ.get("PYTHONDONTWRITEBYTECODE"))
     sets = bench_file["row_sets"]
@@ -146,6 +149,10 @@ def test_bench_writes_paired_rows(tmp_path, monkeypatch, capsys):
         (name, tables) for name in FIXTURE_NAMES for tables in (False, True))
     assert [len(sets["change"]["engine_rows"]), len(sets["change"]["pipeline_rows"])] == [
         len(bench.ENGINE_KS) * len(bench.ENGINE_SIZES), len(bench.ENGINE_KS)]
+    # one round over SCAN_PER_K measures for each atom count
+    [scan] = sets["change"]["scan_rows"]
+    assert (scan["measures"], scan["trunc"], scan["levels"]) == (len(bench.SCAN_KS), 40, 12)
+    assert "scan_ms" in scan
     # one fresh interpreter per fixture, next to the bare interpreter and
     # the NumPy import
     assert [row["command"] for row in sets["change"]["process_rows"]] == [

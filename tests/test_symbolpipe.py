@@ -69,14 +69,22 @@ def test_measure_circle_points_are_computed_once():
 
 @pytest.mark.parametrize("thetas, weights, message", [
     # kept indices, after the zero-weight atom is dropped
-    ((0.0, 5.0, 1.0, 2.0 * np.pi, 1.0 + 2.0 * np.pi), (1.0, 0.0, 1.0, 1.0, 1.0),
-     f"atoms 0 and 2 coincide on the circle: theta 0.0 vs {2.0 * np.pi}"),
+    pytest.param(
+        (0.0, 5.0, 1.0, 2.0 * np.pi, 1.0 + 2.0 * np.pi), (1.0, 0.0, 1.0, 1.0, 1.0),
+        f"gap of atoms 0 and 2 (theta 0.0 vs {2.0 * np.pi}) check: 2.4492936e-16 "
+        "is not > 1e-09",
+        id=f"thetas0-weights0-atoms 0 and 2 coincide on the circle: theta 0.0 vs "
+           f"{2.0 * np.pi}"),
     # pair (0, 3) is scanned before pair (1, 2)
-    ((0.5, 1.0, 1.0 + 2.0 * np.pi, 0.5 + 2.0 * np.pi), (1.0, 1.0, 1.0, 1.0),
-     f"atoms 0 and 3 coincide on the circle: theta 0.5 vs {0.5 + 2.0 * np.pi}"),
+    pytest.param(
+        (0.5, 1.0, 1.0 + 2.0 * np.pi, 0.5 + 2.0 * np.pi), (1.0, 1.0, 1.0, 1.0),
+        f"gap of atoms 0 and 3 (theta 0.5 vs {0.5 + 2.0 * np.pi}) check: "
+        "2.48253415e-16 is not > 1e-09",
+        id=f"thetas1-weights1-atoms 0 and 3 coincide on the circle: theta 0.5 vs "
+           f"{0.5 + 2.0 * np.pi}"),
 ])
 def test_coincident_atoms_name_the_first_pair(thetas, weights, message):
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         CircleMeasure(thetas, weights)
 
 
@@ -319,9 +327,12 @@ THREE_ATOMS = CircleMeasure((0.4, 2.2, 4.3), (1.0, 0.7, 2.5))
      r"Gram inversion residual check: \S+ is not <= \S+$"),
     ((np.linalg, "cholesky", _doubled_cholesky), THREE_ATOMS, RuntimeError,
      r"cholesky split residual check: \S+ is not <= \S+$"),
+    # a wrong phase leaves p(0)/q(0) off the real axis; a phase off by pi
+    # makes it negative
     ((cmath, "phase", lambda z: 0.5), THREE_ATOMS, RuntimeError,
-     r"normalization failed: p\(0\)/q\(0\) = \S+ needs real part > 0 and "
-     r"\|imag\| <= 1e-12 \* \S+$"),
+     r"normalization \|Im p\(0\)/q\(0\)\| check: \S+ is not <= \S+$"),
+    ((cmath, "phase", lambda z, _phase=cmath.phase: _phase(z) + math.pi), THREE_ATOMS,
+     RuntimeError, r"normalization Re p\(0\)/q\(0\) check: -\S+ is not > 0$"),
 ])
 def test_pipeline_rejections_name_value_and_threshold(patch, mu, exc, pattern,
                                                       monkeypatch):
@@ -336,7 +347,7 @@ def test_singular_gram_names_its_smallest_eigenvalue():
     # diagonal shrinks a millionfold and the Gram matrix is indefinite
     _, p, q = outer_from_measure(THREE_ATOMS)
     with pytest.raises(GramSingularError,
-                       match=r"Gram eigenvalue min \S+ is not above 1e-13 \* max \S+$"):
+                       match=r"smallest Gram eigenvalue check: -\S+ is not > \S+$"):
         gram_from_outer(CircleMeasure(THREE_ATOMS.thetas, (1e-6,) * 3), p, q)
 
 
@@ -344,7 +355,8 @@ def test_nan_gram_eigenvalue_fails_the_floor(monkeypatch):
     # `min <= floor` passed a NaN eigenvalue on to the inversion
     _, p, q = outer_from_measure(THREE_ATOMS)
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: np.full(len(a), np.nan))
-    with pytest.raises(GramSingularError, match="Gram eigenvalue min nan is not above"):
+    with pytest.raises(GramSingularError,
+                       match=r"smallest Gram eigenvalue check: nan is not > \S+$"):
         gram_from_outer(THREE_ATOMS, p, q)
 
 
@@ -416,11 +428,13 @@ def test_zero_rank_symbol_from_parts():
 def test_directly_built_symbol_is_checked():
     # the constructor itself rejects a symbol outside the admissible class,
     # without going through symbol_from_parts or measure_to_symbol
-    with pytest.raises(ValueError, match="not outside the closed disc"):
+    with pytest.raises(ValueError, match=re.escape(
+            "modulus of pole (0.9+0j) check: 0.9 is not > 1") + "$"):
         RationalSymbol((0.9 + 0.0j,), np.array([[0.0, 0.1]]))
     with pytest.raises(ValueError, match=r"Schur row norm check: \S+ is not <= 1\.00000001$"):
         RationalSymbol((1.05 + 0.0j,), np.array([[0.0, 1.2]]))
-    with pytest.raises(ValueError, match="numerator 1 has nonzero constant term"):
+    with pytest.raises(ValueError, match=re.escape(
+            "numerator 1 constant term check: 0.1 is not <= 1e-14") + "$"):
         RationalSymbol((2.0, 3.0), np.array([[0.0, 0.1, 0.0], [0.1, 0.0, 0.1]]))
 
 
@@ -493,19 +507,25 @@ def test_non_finite_message_names_the_first_value():
 
 
 @pytest.mark.parametrize("alphas, message", [
-    ([0.5, 0.3], "pole (0.5+0j) is not outside the closed disc"),
+    pytest.param([0.5, 0.3], "modulus of pole (0.5+0j) check: 0.5 is not > 1",
+                 id="alphas0-pole (0.5+0j) is not outside the closed disc"),
     # pair (0, 2) is scanned before pole 1
-    ([2.0, 0.5, 2.0], "poles (2+0j) and (2+0j) coincide"),
+    pytest.param([2.0, 0.5, 2.0], "gap of poles (2+0j) and (2+0j) check: 0 is not > 1e-09",
+                 id="alphas1-poles (2+0j) and (2+0j) coincide"),
     # pole 1 is scanned before pair (2, 3)
-    ([2.0, 0.5, 3.0, 3.0], "pole (0.5+0j) is not outside the closed disc"),
+    pytest.param([2.0, 0.5, 3.0, 3.0], "modulus of pole (0.5+0j) check: 0.5 is not > 1",
+                 id="alphas2-pole (0.5+0j) is not outside the closed disc"),
     # pair (0, 3) is scanned before pair (1, 2)
-    ([2.0, 3.0, 3.0, 2.0], "poles (2+0j) and (2+0j) coincide"),
-    ([2.0, -1.0, 3.0], "pole (-1+0j) is not outside the closed disc"),
+    pytest.param([2.0, 3.0, 3.0, 2.0], "gap of poles (2+0j) and (2+0j) check: 0 is not > 1e-09",
+                 id="alphas3-poles (2+0j) and (2+0j) coincide"),
+    # a pole on the circle fails the strict check
+    pytest.param([2.0, -1.0, 3.0], "modulus of pole (-1+0j) check: 1 is not > 1",
+                 id="alphas4-pole (-1+0j) is not outside the closed disc"),
 ])
 def test_pole_checks_name_the_first_offender(alphas, message):
     # the order of the pole-by-pole scan: pole i, then its pairs (i, j > i)
     numerators = [[0.0, 0.01]] * len(alphas)
-    with pytest.raises(ValueError, match=re.escape(message)):
+    with pytest.raises(ValueError, match=re.escape(message) + "$"):
         symbol_from_parts(alphas, numerators)
 
 
