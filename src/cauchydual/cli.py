@@ -24,11 +24,10 @@ EXIT_ERROR = 3
 
 
 class InputError(Exception):
-    """Invalid input document; `path` names the offending field."""
+    """Invalid input document; the message starts with the field's path."""
 
     def __init__(self, path: str, message: str):
         super().__init__(f"{path}: {message}")
-        self.path = path
 
 
 # ---------------------------------------------------------------- parsing

@@ -8,7 +8,7 @@ sum_{|m| <= k} d_m z^m is the array of its full hermitian band
 (d_{-k}, ..., d_k). Roots come from the balanced companion matrix, and the
 factorization routine splits the root pairs (w, 1/conj(w)) of such a band
 when it stays strictly positive on the unit circle; one sampling of the band
-there feeds its positivity gate, gamma's R(1) and its residual gate.
+there feeds its positivity gate and gamma's R(1).
 """
 from __future__ import annotations
 
@@ -38,8 +38,8 @@ MIRROR_PAIR_TOL = 1e-6
 POSITIVITY_GATE = 1e-10
 # the n = 4096 equispaced circle points exp(2 pi i j / n) from z = 1, shared
 # read-only by every check that samples the circle: that gate and
-# density_min read all of them, the factorization residual and a symbol's
-# Schur bound every RESIDUAL_STRIDE-th
+# density_min read all of them, a symbol's Schur bound every
+# RESIDUAL_STRIDE-th
 CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
 CIRCLE.flags.writeable = False
 RESIDUAL_STRIDE = 8
@@ -151,14 +151,15 @@ def fejer_riesz_factor(band):
 
         gamma = R(1) / prod_j |1 - alpha_j|^2,
 
-    with R(1) read off sample 0. A RuntimeError is raised unless this product
-    form matches R within 1e-8 of its max on CIRCLE[::RESIDUAL_STRIDE].
+    with R(1) read off sample 0. A RuntimeError is raised unless the
+    coefficients of gamma q(z) z^k conj(q(1/conj z)), q = prod_j (z - alpha_j),
+    match those of z^k R(z) within 1e-8 of R's max sample in l1.
 
     Returns
     -------
-    (gamma, alphas) : (float, complex ndarray)
-        gamma > 0 and all |alpha_j| > 1. A bandwidth-0 input returns d_0
-        and an empty array.
+    (gamma, alphas, q) : (float, complex ndarray, complex ndarray)
+        gamma > 0, all |alpha_j| > 1 and q = from_roots(alphas). A
+        bandwidth-0 input returns d_0, an empty array and q = [1].
 
     Raises
     ------
@@ -193,10 +194,11 @@ def fejer_riesz_factor(band):
                 NotPositiveOnCircleError, POSITIVITY_GATE)
     k = len(upper) - 1
     if k == 0:
-        return float(upper[0].real), np.empty(0, dtype=complex)
+        return float(upper[0].real), np.empty(0, dtype=complex), from_roots(())
 
-    # z^k R(z) has ascending coefficients equal to the full band of R
-    roots = poly_roots(np.concatenate([np.conj(upper[:0:-1]), upper]))
+    # the averaged, trimmed band: the ascending coefficients of z^k R(z)
+    band = np.concatenate([np.conj(upper[:0:-1]), upper])
+    roots = poly_roots(band)
     moduli = np.hypot(roots.real, roots.imag)
     distance = np.abs(moduli - 1.0)
     closest = int(np.argmin(distance))
@@ -219,9 +221,8 @@ def fejer_riesz_factor(band):
     gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
     check_above(gamma, 0.0, "factor constant gamma", NotPositiveOnCircleError)
 
-    # residual gate: the reconstruction must match R on the circle
-    zs = CIRCLE[::RESIDUAL_STRIDE]
-    recon = gamma * np.prod(np.abs(zs[:, None] - outer) ** 2, axis=1)
-    check_at_most(np.abs(recon - vals[::RESIDUAL_STRIDE]).max(),
+    # residual gate: on |z| = 1 the l1 gap bounds |gamma |q(z)|^2 - R(z)|
+    q = from_roots(outer)
+    check_at_most(np.abs(gamma * np.convolve(q, np.conj(q[::-1])) - band).sum(),
                   1e-8 * max(vmax, 1e-300), "factorization residual", RuntimeError)
-    return gamma, outer
+    return gamma, outer, q

@@ -136,8 +136,7 @@ def outer_from_measure(mu: CircleMeasure) -> tuple:
     arrays of length k + 1."""
     if mu.size == 0:
         raise EmptyMeasureError("the empty measure has no outer quotient")
-    gamma, alphas = fejer_riesz_factor(boundary_polynomial(mu))
-    q = from_roots(alphas)
+    gamma, alphas, q = fejer_riesz_factor(boundary_polynomial(mu))
     zetas = mu.zetas()
     monic_at_zero = complex(np.prod(-zetas))
     theta0 = -cmath.phase(monic_at_zero / complex(q[0]))

@@ -33,7 +33,7 @@ from cauchydual.cli import (
 import render_oracle
 import symbol_oracle
 from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_doc,
-                      load_fixture_symbol, src_env)
+                      load_fixture_symbol, random_measure, src_env)
 
 
 # -------------------------------------------------------------- input parsing
@@ -701,14 +701,26 @@ def test_failed_rename_leaves_no_temporary_file(tmp_path, capsys, monkeypatch):
     assert not any(tmp_path.iterdir())
 
 
-@pytest.mark.parametrize("k", [16, 18, 20])
-def test_equally_spaced_atoms_build_or_name_the_failed_check(k, tmp_path, capsys):
+def _random_twenty_atoms(i: int) -> list:
+    """Seeded draw i of 20 atoms at circular gaps above 0.05, weights
+    log-uniform in [0.1, 5]."""
+    mu = random_measure(np.random.default_rng([0, 20, i]), 20, min_gap=0.05)
+    return list(zip(mu.thetas, mu.weights))
+
+
+@pytest.mark.parametrize("atoms", [
+    *([(2.0 * math.pi * j / k, 1.0) for j in range(k)] for k in (16, 18, 20)),
+    *(_random_twenty_atoms(i) for i in range(8)),
+], ids=["16", "18", "20", *(f"random20-{i}" for i in range(8))])
+def test_equally_spaced_atoms_build_or_name_the_failed_check(atoms, tmp_path, capsys):
     # ROADMAP aim 3 admits k <= 20 atoms: the pipeline builds a symbol or
-    # names the check that stopped it (k = 18 stops at the degree-zero
-    # edge, k = 20 at the band's hermitian side gap)
+    # names the check that stopped it (the ring of 18 stops at the
+    # degree-zero edge, the ring of 20 at the band's hermitian side gap;
+    # of the random draws, 3 stops at the factorization residual, 4 at the
+    # smallest circle sample and the others at the degree-zero edge)
     path = tmp_path / "ring.json"
     path.write_text(json.dumps({"measure": {"atoms": [
-        {"theta_radians": 2.0 * math.pi * j / k, "weight": 1.0} for j in range(k)]}}))
+        {"theta_radians": theta, "weight": weight} for theta, weight in atoms]}}))
     code = main(["--input", str(path)])
     out, err = capsys.readouterr()
     if code == EXIT_ERROR:

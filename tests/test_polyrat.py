@@ -221,9 +221,11 @@ def test_fejer_riesz_drops_zero_outer_pairs():
     padded = fejer_riesz_factor([0.0, 1.0, 2.5, 1.0, 0.0])
     bare = fejer_riesz_factor([1.0, 2.5, 1.0])
     assert padded[0] == bare[0] and np.array_equal(padded[1], bare[1])
-    assert len(bare[1]) == 1
-    gamma, alphas = fejer_riesz_factor([0.0, 0.0, 2.5, 0.0, 0.0])
+    assert np.array_equal(padded[2], bare[2])
+    assert len(bare[1]) == 1 and len(bare[2]) == 2
+    gamma, alphas, q = fejer_riesz_factor([0.0, 0.0, 2.5, 0.0, 0.0])
     assert gamma == 2.5 and alphas.shape == (0,) and alphas.dtype == complex
+    assert np.array_equal(q, [1.0]) and q.dtype == complex
 
 
 def test_laurent_from_full_averages_and_gates():
@@ -231,9 +233,10 @@ def test_laurent_from_full_averages_and_gates():
     near = np.array([0.5 + 0.5j + 1e-12, 2.5, 0.5 - 0.5j])
     average = 0.5 * (near + np.conj(near[::-1]))
     assert not np.array_equal(near, average)
-    gamma, alphas = fejer_riesz_factor(near)
-    gamma_avg, alphas_avg = fejer_riesz_factor(average)
+    gamma, alphas, q = fejer_riesz_factor(near)
+    gamma_avg, alphas_avg, q_avg = fejer_riesz_factor(average)
     assert gamma == gamma_avg and np.array_equal(alphas, alphas_avg)
+    assert np.array_equal(q, q_avg)
     assert len(alphas) == 1 and abs(alphas[0]) > 1.0
     for band, message in (([1.0, 2.0, 3.0, 4.0], "shape (4,)"),
                           (np.full((3, 3), 1.0), "shape (3, 3)"),
@@ -344,7 +347,7 @@ def test_band_samples_equal_the_loop_oracle(monkeypatch):
     bands += _positive_bands(91, 50)
     for band in bands:
         calls.clear()
-        gamma, alphas = fejer_riesz_factor(band)
+        gamma, alphas, _ = fejer_riesz_factor(band)
         assert len(calls) == 1
         upper, z, vals = calls[0]
         assert z is zs
@@ -376,7 +379,7 @@ def test_fejer_riesz_recovers_known_factor():
         lead = complex(rng.normal(), rng.normal()) + 1.5
         h = lead * from_roots(np.concatenate([inner, outer]))
         band = _band_of_abs_squared(h)
-        gamma, alphas = fejer_riesz_factor(band)
+        gamma, alphas, _ = fejer_riesz_factor(band)
         assert gamma > 0
         assert all(abs(a) > 1.0 for a in alphas)
         expected = sorted(
@@ -392,8 +395,9 @@ def test_fejer_riesz_recovers_known_factor():
 
 
 def test_fejer_riesz_bandwidth_zero():
-    gamma, alphas = fejer_riesz_factor([2.5])
+    gamma, alphas, q = fejer_riesz_factor([2.5])
     assert gamma == 2.5 and alphas.shape == (0,) and alphas.dtype == complex
+    assert np.array_equal(q, from_roots(alphas)) and q.shape == (1,)
 
 
 def test_fejer_riesz_rejects_sign_changes():
@@ -472,5 +476,53 @@ def test_fejer_riesz_residual_gate_fires(monkeypatch):
 
     monkeypatch.setattr(polyrat, "poly_roots", shifted)
     for band in bands[::16]:
-        with pytest.raises(RuntimeError, match="factorization residual"):
+        with pytest.raises(RuntimeError, match=r"factorization residual check: \S+ is not "
+                                                 r"<= \S+$"):
             fejer_riesz_factor(band)
+
+
+def _rings_and_close_pairs() -> list:
+    """Equally spaced rings of k = 3..18 atoms at weight 1 each, total
+    mass 0.1 and total mass 1; atoms 0.05 apart with weights 1:1, 1:3 and
+    1:100; the near-antipodal pairs at 0 and pi - eps, weights 1 and 3."""
+    rings = [CircleMeasure(tuple(2.0 * cmath.pi * j / k for j in range(k)), (w,) * k)
+             for k in range(3, 19) for w in (1.0, 0.1 / k, 1.0 / k)]
+    pairs = [CircleMeasure((0.0, 0.05), (1.0, w)) for w in (1.0, 3.0, 100.0)]
+    antipodal = [CircleMeasure((0.0, cmath.pi - eps), (1.0, 3.0))
+                 for eps in (1e-6, 1e-7, 3e-8, 1e-8, 1e-9)]
+    return rings + pairs + antipodal
+
+
+def test_coefficient_residual_bounds_the_sampled_one():
+    # the residual gate compares gamma q(z) z^k conj(q(1/conj z)) with
+    # z^k R(z) coefficient by coefficient; its l1 gap bounds the gap on
+    # the whole circle, so it is never below the product form's gap on
+    # every RESIDUAL_STRIDE-th CIRCLE point, the gate it replaced, up to
+    # that oracle's own rounding of about one unit roundoff per factor
+    eps = np.finfo(float).eps
+    measures = pool_like_measures(73, 16) + _rings_and_close_pairs()
+    checked = 0
+    for mu in measures:
+        band = boundary_polynomial(mu)
+        try:
+            gamma, alphas, q = fejer_riesz_factor(band)
+        except ValueError as err:
+            # only a ring too ill-conditioned to be hermitian within tolerance
+            assert "hermitian band side gap check" in str(err)
+            continue
+        assert np.array_equal(q, from_roots(alphas))
+        mid = len(band) // 2
+        upper = 0.5 * (band[mid:] + np.conj(band[mid::-1]))
+        k = len(alphas)
+        assert len(upper) == k + 1
+        vals = band_on_circle(upper, CIRCLE)
+        vmax = float(vals.max())
+        zs = CIRCLE[::RESIDUAL_STRIDE]
+        recon = gamma * np.prod(np.abs(zs[:, None] - alphas) ** 2, axis=1)
+        sampled = float(np.abs(recon - vals[::RESIDUAL_STRIDE]).max())
+        trimmed = np.concatenate([np.conj(upper[:0:-1]), upper])
+        l1 = float(np.abs(gamma * np.convolve(q, np.conj(q[::-1])) - trimmed).sum())
+        assert l1 >= sampled - (2 * k + 2) * eps * vmax
+        assert max(l1, sampled) <= 1e-8 * vmax
+        checked += 1
+    assert checked == len(measures) - 1
