@@ -31,8 +31,6 @@ class RootOnCircleError(ValueError):
 POLE_GAP = 1e-9
 # a root this close to |w| = 1 cannot be assigned to either side of the circle
 CIRCLE_ROOT_TOL = 1e-7
-# absolute tolerance when matching a root w against the mirror 1/conj(w)
-MIRROR_PAIR_TOL = 1e-6
 # a factorization input counts as positive on the circle when its smallest
 # sample exceeds this fraction of its largest
 POSITIVITY_GATE = 1e-10
@@ -170,7 +168,7 @@ def fejer_riesz_factor(band):
         If the positivity gate fails.
     RootOnCircleError
         If any root sits within CIRCLE_ROOT_TOL of the circle, or the
-        mirror pairing cannot be completed within MIRROR_PAIR_TOL.
+        roots do not split k outside and k inside.
     """
     full = np.asarray(band, dtype=complex)
     if full.ndim != 1 or len(full) % 2 != 1:
@@ -204,19 +202,12 @@ def fejer_riesz_factor(band):
     closest = int(np.argmin(distance))
     check_above(distance[closest], CIRCLE_ROOT_TOL, "distance to the circle of root {}",
                 RootOnCircleError, roots[closest])
-    # both are subsequences of the sorted roots, so sorted themselves
-    outer, inner = roots[moduli > 1.0], roots[moduli < 1.0]
-    if len(outer) != k or len(inner) != k:
+    # a subsequence of the sorted roots, so sorted itself
+    outer = roots[moduli > 1.0]
+    if len(outer) != k:
         raise RootOnCircleError(
             f"expected {k} roots on each side of the circle, "
-            f"got {len(outer)} outside and {len(inner)} inside")
-    # each outer root in turn takes the nearest inner root not yet taken
-    gaps = np.abs(inner[None, :] - 1.0 / np.conj(outer)[:, None])
-    for w, row in zip(outer, gaps):
-        best = int(np.argmin(row))
-        check_at_most(row[best], MIRROR_PAIR_TOL,
-                      "no mirror partner for root {}: nearest gap", RootOnCircleError, w)
-        gaps[:, best] = np.inf
+            f"got {len(outer)} outside and {2 * k - len(outer)} inside")
 
     gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
     check_above(gamma, 0.0, "factor constant gamma", NotPositiveOnCircleError)

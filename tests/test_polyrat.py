@@ -277,7 +277,7 @@ def test_check_at_most_fails_nan_and_names_value_and_bound(value, bound, shown):
     check_at_most(1.0, 1.0, "toy gap", RootOnCircleError)
     with pytest.raises(RootOnCircleError, match=re.escape(f"toy gap check: {shown}") + "$"):
         check_at_most(value, bound, "toy gap", RootOnCircleError)
-    # a name with arguments, as the mirror check names its root
+    # a name with arguments, as the root gate names its root
     check_at_most(1.0, 1.0, "gap of root {}", RootOnCircleError, 2j)
     with pytest.raises(RootOnCircleError, match=re.escape(f"gap of root 2j check: {shown}")):
         check_at_most(value, bound, "gap of root {}", RootOnCircleError, 2j)
@@ -293,8 +293,8 @@ def test_fejer_riesz_rejects_nan_circle_samples(monkeypatch):
 
 
 def test_fejer_riesz_names_a_factor_constant_that_is_not_positive(monkeypatch):
-    # roots at 1e200 and its mirror 1e-200 pass the root and mirror gates,
-    # and |1 - alpha|^2 overflows, so gamma = R(1) / inf is 0
+    # roots at 1e200 and its mirror 1e-200 pass the root gate and the
+    # split check, and |1 - alpha|^2 overflows, so gamma = R(1) / inf is 0
     monkeypatch.setattr(polyrat, "poly_roots",
                         lambda coeffs: np.array([1e-200, 1e200], dtype=complex))
     with np.errstate(over="ignore"), pytest.raises(
@@ -441,18 +441,23 @@ def _move_first_inner_root(move):
 
 
 @pytest.mark.parametrize("move,pattern", [
-    # off its mirror by 1e-5 of its modulus: the pairing gate finds no partner
-    (lambda w: w * (1.0 + 1e-5),
-     r"no mirror partner for root \S+: nearest gap check: 3\.06\d+e-06 is not "
-     r"<= 1e-06$"),
+    # off its mirror by 1e-5 of its modulus: no returned value reads an
+    # inner root, so the factor comes out bit for bit the same
+    pytest.param(lambda w: w * (1.0 + 1e-5), None, id="inner-root-moved"),
     # reflected outside: the split is uneven
     (lambda w: 1.0 / np.conj(w),
      r"expected 3 roots on each side of the circle, got 4 outside and 2 inside$"),
 ])
 def test_fejer_riesz_root_gates_fire(move, pattern, monkeypatch):
     band = boundary_polynomial(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))
-    fejer_riesz_factor(band)
+    unpatched = fejer_riesz_factor(band)
     monkeypatch.setattr(polyrat, "poly_roots", _move_first_inner_root(move))
+    if pattern is None:
+        gamma, alphas, q = fejer_riesz_factor(band)
+        assert gamma == unpatched[0]
+        assert alphas.tobytes() == unpatched[1].tobytes()
+        assert q.tobytes() == unpatched[2].tobytes()
+        return
     with pytest.raises(RootOnCircleError, match=pattern):
         fejer_riesz_factor(band)
 
@@ -462,23 +467,26 @@ def test_fejer_riesz_residual_gate_fires(monkeypatch):
     bands = [boundary_polynomial(mu) for mu in pool_like_measures(73, 16)]
     for band in bands:
         fejer_riesz_factor(band)
-    # one outer root w and its mirror move to w (1 + 1e-5) and its mirror:
-    # the mirror gate still pairs them, the product form misses R
     roots_of = polyrat.poly_roots
 
-    def shifted(coeffs):
+    def shift_outer(coeffs, with_mirror):
         roots = roots_of(coeffs).copy()
         j = int(np.flatnonzero(np.abs(roots) > 1.0)[0])
         i = int(np.argmin(np.abs(roots - 1.0 / np.conj(roots[j]))))
         roots[j] *= 1.0 + 1e-5
-        roots[i] = 1.0 / np.conj(roots[j])
+        if with_mirror:
+            roots[i] = 1.0 / np.conj(roots[j])
         return roots
 
-    monkeypatch.setattr(polyrat, "poly_roots", shifted)
-    for band in bands[::16]:
-        with pytest.raises(RuntimeError, match=r"factorization residual check: \S+ is not "
-                                                 r"<= \S+$"):
-            fejer_riesz_factor(band)
+    # one outer root w moves to w (1 + 1e-5), alone or with its mirror:
+    # the pole is off, and the coefficients of gamma |q|^2 miss R's
+    for with_mirror in (False, True):
+        monkeypatch.setattr(polyrat, "poly_roots",
+                            lambda coeffs, m=with_mirror: shift_outer(coeffs, m))
+        for band in bands[::16]:
+            with pytest.raises(RuntimeError, match=r"factorization residual check: \S+ is not "
+                                                     r"<= \S+$"):
+                fejer_riesz_factor(band)
 
 
 def _rings_and_close_pairs() -> list:
