@@ -3,7 +3,7 @@
 Reads a JSON input document describing a measure, a symbol, or one of the
 two closed-form families, runs the pipeline and the certificate battery,
 prints a one-line verdict, and optionally writes a structured JSON report
-(atomically, floats at 17 significant digits so goldens are diff-stable).
+(atomically, as one line of JSON).
 """
 from __future__ import annotations
 
@@ -122,88 +122,23 @@ def parse_input_document(doc) -> tuple[str, symbolpipe.RationalSymbol]:
 def _cmatrix(M) -> np.ndarray:
     """Real and imaginary parts of the complex number or array M as a
     trailing axis of length 2 (a number becomes [re, im], a vector its rows
-    of pairs): a float64 block that `render_json` writes in one fill."""
+    of pairs): a float64 block that `render_json` writes as its lists."""
     M = np.asarray(M, dtype=complex)
     return np.stack((M.real, M.imag), -1)
 
 
-def _is_scalar(v) -> bool:
-    return v is None or isinstance(v, (bool, int, float, str))
-
-
-def _layout(shape: tuple, indent: int) -> str:
-    """Template of a float block of `shape` written at `indent`, one "%.17g"
-    per float, laid out as its nested lists would be: an empty list is
-    "[]", a row of floats stays on one line, and any other list puts each
-    item on its own line, two spaces deeper."""
-    if shape[0] == 0:
-        return "[]"
-    if len(shape) == 1:
-        return "[" + ", ".join(["%.17g"] * shape[0]) + "]"
-    pad = "  " * indent
-    item = pad + "  " + _layout(shape[1:], indent + 1)
-    return "[\n" + ",\n".join([item] * shape[0]) + "\n" + pad + "]"
-
-
-@functools.lru_cache(maxsize=1024)
-def _quoted(text: str) -> str:
-    """`text` as a JSON string with every "%" doubled for the template; the
-    same keys recur in every report, so each is quoted once."""
-    return json.dumps(text).replace("%", "%%")
-
-
-def _template(obj, indent: int, floats: list) -> str:
-    """Text of `obj` at `indent` with "%.17g" in place of every float, whose
-    values are appended to `floats` in text order; every other "%" is
-    doubled, so that filling the template writes it back."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        floats.append(obj)
-        return "%.17g"
-    if isinstance(obj, str):
-        return _quoted(obj)
-    if isinstance(obj, np.ndarray):
-        if obj.dtype != np.float64 or obj.ndim == 0:
-            raise TypeError(f"cannot serialize {obj.ndim}-d {obj.dtype} array")
-        floats += obj.ravel().tolist()
-        return _layout(obj.shape, indent)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        inner = ",\n".join(
-            f"{pad}  {_quoted(str(key))}: "
-            f"{_template(val, indent + 1, floats)}"
-            for key, val in obj.items())
-        return "{\n" + inner + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if all(map(_is_scalar, obj)):
-            return "[" + ", ".join(_template(v, 0, floats) for v in obj) + "]"
-        inner = ",\n".join(f"{pad}  {_template(v, indent + 1, floats)}" for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+def _lists(block):
+    """An array in a report as its nested lists, with 0.0 added so that
+    -0.0 is written as 0.0; any other object that JSON lacks is refused."""
+    if isinstance(block, np.ndarray):
+        return (block + 0.0).tolist()
+    raise TypeError(f"cannot serialize {type(block).__name__}")
 
 
 def render_json(obj) -> str:
-    """Serializer with fixed float formatting (17 significant digits, zero
-    as "0"); lists of scalars stay on one line, everything else is indented
-    two spaces per level, and a float64 array is written as its nested
-    lists would be.
-
-    One pass builds a template with a "%.17g" field per float, and one fill
-    writes them all. Adding 0.0 turns -0.0 into 0.0, so every zero is "0"."""
-    floats = []
-    template = _template(obj, 0, floats)
-    if not all(map(math.isfinite, floats)):
-        raise ValueError("non-finite float in report")
-    return template % tuple([v + 0.0 for v in floats])
+    """The report as one line of JSON, every float at the shortest text
+    that reads back to the same double; a NaN or infinity is a ValueError."""
+    return json.dumps(obj, allow_nan=False, default=_lists)
 
 
 def write_atomic(path: str, text: str):

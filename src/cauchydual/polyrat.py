@@ -182,10 +182,11 @@ def fejer_riesz_factor(band):
     check_at_most(np.abs(closed - mirrored).max(),
                   HERMITIAN_BAND_TOL * max(np.abs(full).max(), 1e-300),
                   "hermitian band side gap", ValueError)
-    upper = 0.5 * (closed + mirrored)
-    upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
-
-    vals = _band_on_circle(upper, CIRCLE)
+    # a band near the float range overflows to samples the gate rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        upper = 0.5 * (closed + mirrored)
+        upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
+        vals = _band_on_circle(upper, CIRCLE)
     vmin, vmax = float(vals.min()), float(vals.max())
     check_above(vmax, 0.0, "largest circle sample", NotPositiveOnCircleError)
     check_above(vmin, POSITIVITY_GATE * vmax, "smallest circle sample vs {:g} x largest",
@@ -209,7 +210,9 @@ def fejer_riesz_factor(band):
             f"expected {k} roots on each side of the circle, "
             f"got {len(outer)} outside and {2 * k - len(outer)} inside")
 
-    gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
+    # roots near the float range overflow the product, and gamma is 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        gamma = float(vals[0]) / float(np.prod(np.abs(1.0 - outer) ** 2))
     check_above(gamma, 0.0, "factor constant gamma", NotPositiveOnCircleError)
 
     # residual gate: on |z| = 1 the l1 gap bounds |gamma |q(z)|^2 - R(z)|

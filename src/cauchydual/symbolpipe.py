@@ -329,18 +329,20 @@ def measure_to_symbol(mu: CircleMeasure) -> RationalSymbol:
                   RuntimeError)
 
     A = atilde[1:, 1:].T
-    A = 0.5 * (A + A.conj().T)
-    try:
-        P = np.linalg.cholesky(A).conj().T
-    except np.linalg.LinAlgError:
-        evals = np.linalg.eigvalsh(A)
-        raise EtaNotPSDError(
-            f"numerator matrix has no Cholesky factor: lambda_min {evals[0]:.3e}, "
-            f"lambda_max {evals[-1]:.3e}, lambda_min/lambda_max "
-            f"{evals[0] / max(abs(evals[-1]), 1e-300):.3e}") from None
-    check_at_most(float(np.abs(P.conj().T @ P - A).max()),
-                  1e-10 * max(float(np.abs(A).max()), 1.0),
-                  "cholesky split residual", RuntimeError)
+    # entries near the float range overflow A to NaN, which the check rejects
+    with np.errstate(over="ignore", invalid="ignore"):
+        A = 0.5 * (A + A.conj().T)
+        try:
+            P = np.linalg.cholesky(A).conj().T
+        except np.linalg.LinAlgError:
+            evals = np.linalg.eigvalsh(A)
+            raise EtaNotPSDError(
+                f"numerator matrix has no Cholesky factor: lambda_min {evals[0]:.3e}, "
+                f"lambda_max {evals[-1]:.3e}, lambda_min/lambda_max "
+                f"{evals[0] / max(abs(evals[-1]), 1e-300):.3e}") from None
+        check_at_most(float(np.abs(P.conj().T @ P - A).max()),
+                      1e-10 * max(float(np.abs(A).max()), 1.0),
+                      "cholesky split residual", RuntimeError)
 
     # row t of P holds the coefficients of z^1..z^k in p_t
     return RationalSymbol(alphas, np.hstack([np.zeros((k, 1)), P]))
