@@ -96,11 +96,9 @@ def orthogonality_test(pairing: PolePairing):
     vacuously with residual 0.
     """
     pair = pairing.pair
-    if len(pair) <= 1:
-        return 0.0, True
     diag = np.abs(np.diag(pair).real)
     off = np.abs(pair - np.diag(np.diag(pair)))
-    residual = float(off.max() / max(diag.max(), 1e-300))
+    residual = float(off.max(initial=0.0) / max(diag.max(initial=0.0), 1e-300))
     return residual, residual <= TOL_ORTH
 
 
@@ -413,11 +411,10 @@ def representing_measure(pairing: PolePairing,
     masses = w / (1.0 - b2)
     # term r peaks at z = beta_r / |beta_r|, between the nodes in general;
     # the density is at most 1, as w >= 0
-    density_min = 1.0
-    for z in (CIRCLE, beta / np.abs(beta)):
-        gap = 1.0 - np.conj(z)[:, None] * beta
-        density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
-        density_min = min(density_min, float(density.min(initial=1.0)))
+    z = np.concatenate([CIRCLE, beta / np.abs(beta)])
+    gap = 1.0 - np.conj(z)[:, None] * beta
+    density = 1.0 - (1.0 / (gap.real ** 2 + gap.imag ** 2)) @ w
+    density_min = float(density.min())
     size = min(MEASURE_CHECK_SIZE, len(taylor))
     m = np.arange(size + 1)
     bpow = np.power.outer(beta, m)

@@ -40,6 +40,8 @@ POSITIVITY_GATE = 1e-10
 # RESIDUAL_STRIDE-th
 CIRCLE = np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False))
 CIRCLE.flags.writeable = False
+# not 1: on all of CIRCLE, float excess near the atoms of five perfbench pool
+# symbols (5/10 by 5.1e-6) breaks the Schur bound; the 512 points miss it
 RESIDUAL_STRIDE = 8
 # relative tolerance for the two sides of a full hermitian band to be conjugate
 HERMITIAN_BAND_TOL = 1e-9

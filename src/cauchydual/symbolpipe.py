@@ -31,10 +31,6 @@ from .polyrat import (
 )
 
 
-class EmptyMeasureError(ValueError):
-    """Operation needs at least one atom."""
-
-
 class GramSingularError(ValueError):
     """The atom Gram matrix is numerically singular."""
 
@@ -98,8 +94,6 @@ def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
     |z - zeta|^2 = 2 - conj(zeta) z - zeta conj(z) on |z| = 1; this is the
     array fejer_riesz_factor takes.
     """
-    if mu.size == 0:
-        raise EmptyMeasureError("the empty measure has no boundary polynomial")
     factors = [
         np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas()
     ]
@@ -134,8 +128,6 @@ def outer_from_measure(mu: CircleMeasure) -> tuple:
     chosen so p(0)/q(0) > 0; p[-1] is that scale. alphas is the sorted
     pole array of the factorization; p and q are ascending coefficient
     arrays of length k + 1."""
-    if mu.size == 0:
-        raise EmptyMeasureError("the empty measure has no outer quotient")
     gamma, alphas, q = fejer_riesz_factor(boundary_polynomial(mu))
     zetas = mu.zetas()
     monic_at_zero = complex(np.prod(-zetas))
@@ -231,20 +223,15 @@ class RationalSymbol:
         bound = 1e-14 * np.maximum(np.abs(C).max(axis=1), 1.0)
         for j in np.flatnonzero(const > bound):     # the first one raises
             check_at_most(const[j], bound[j], "numerator {} constant term", ValueError, j)
-        # scan[i, 0]: pole i lies in the closed disc; scan[i, 1 + j]: poles
-        # i < j coincide. Each hit fails its check, so the first in row-major
-        # order is raised, the order of checking pole 0, its pairs (0, j), ...
-        index = np.arange(self.k)
+        # each fault fails its check, so the first raises: moduli first, then
+        # the coinciding pairs i < j in row-major order
         moduli, gaps = np.abs(alphas), np.abs(alphas[:, None] - alphas)
-        scan = np.empty((self.k, self.k + 1), dtype=bool)
-        scan[:, 0] = moduli <= 1.0
-        scan[:, 1:] = (gaps <= POLE_GAP) & (index[:, None] < index)
-        for hit in np.flatnonzero(scan):
-            i, j = divmod(int(hit), self.k + 1)
-            if j == 0:
-                check_above(moduli[i], 1.0, "modulus of pole {}", ValueError, alphas[i])
-            check_above(gaps[i, j - 1], POLE_GAP, "gap of poles {} and {}",
-                        ValueError, alphas[i], alphas[j - 1])
+        for i in np.flatnonzero(moduli <= 1.0):
+            check_above(moduli[i], 1.0, "modulus of pole {}", ValueError, alphas[i])
+        for hit in np.flatnonzero(np.triu(gaps <= POLE_GAP, 1)):
+            i, j = divmod(int(hit), self.k)
+            check_above(gaps[i, j], POLE_GAP, "gap of poles {} and {}",
+                        ValueError, alphas[i], alphas[j])
         # by Horner: the pole form sum_j |b_j|^2 = h^T pair conj(h) cancels
         # digits as poles near each other (1.5e-8 off at a gap of 1e-4); far
         # poles overflow the samples to a NaN row norm, which the check

@@ -264,8 +264,10 @@ def test_orthogonality_refuter_value():
 
 
 def test_orthogonality_vacuous_for_single_pole():
-    residual, passed = orthogonality_test(pairing_of(single_atom_symbol(1.0)))
-    assert passed and residual == 0.0
+    # and for the empty symbol: no off-diagonal pairing to measure
+    for sym in (single_atom_symbol(1.0), symbol_from_parts((), ())):
+        residual, passed = orthogonality_test(pairing_of(sym))
+        assert passed and residual == 0.0
 
 
 # -------------------------------------------------------------- Agler engines

@@ -15,7 +15,6 @@ from numpy.polynomial import polynomial as npoly
 from cauchydual.polyrat import lagrange_denominators
 from cauchydual.symbolpipe import (
     CircleMeasure,
-    EmptyMeasureError,
     EtaNotPSDError,
     GramSingularError,
     RationalSymbol,
@@ -157,11 +156,13 @@ def test_outer_quotient_modulus_and_normalization():
         assert all(abs(a) > 1.0 for a in alphas)
 
 
-def test_outer_quotient_rejects_empty_measure():
-    with pytest.raises(EmptyMeasureError):
-        outer_from_measure(CircleMeasure((), ()))
-    with pytest.raises(EmptyMeasureError, match="has no boundary polynomial$"):
-        boundary_polynomial(CircleMeasure((), ()))
+def test_empty_measure_has_unit_weight_and_outer_quotient():
+    # weight 1 on the circle, so O = 1/1
+    mu = CircleMeasure((), ())
+    assert np.array_equal(boundary_polynomial(mu), [1.0])
+    alphas, p, q = outer_from_measure(mu)
+    assert alphas.shape == (0,)
+    assert np.array_equal(p, [1.0]) and np.array_equal(q, [1.0])
 
 
 def test_gram_matrix_is_positive_definite():
@@ -509,13 +510,13 @@ def test_non_finite_message_names_the_first_value():
 @pytest.mark.parametrize("alphas, message", [
     pytest.param([0.5, 0.3], "modulus of pole (0.5+0j) check: 0.5 is not > 1",
                  id="alphas0-pole (0.5+0j) is not outside the closed disc"),
-    # pair (0, 2) is scanned before pole 1
-    pytest.param([2.0, 0.5, 2.0], "gap of poles (2+0j) and (2+0j) check: 0 is not > 1e-09",
-                 id="alphas1-poles (2+0j) and (2+0j) coincide"),
-    # pole 1 is scanned before pair (2, 3)
+    # moduli first: pole 1 before pair (0, 2)
+    pytest.param([2.0, 0.5, 2.0], "modulus of pole (0.5+0j) check: 0.5 is not > 1",
+                 id="alphas1-pole (0.5+0j) is not outside the closed disc"),
+    # moduli first: pole 1 before pair (2, 3)
     pytest.param([2.0, 0.5, 3.0, 3.0], "modulus of pole (0.5+0j) check: 0.5 is not > 1",
                  id="alphas2-pole (0.5+0j) is not outside the closed disc"),
-    # pair (0, 3) is scanned before pair (1, 2)
+    # then pairs in row-major order: pair (0, 3) before pair (1, 2)
     pytest.param([2.0, 3.0, 3.0, 2.0], "gap of poles (2+0j) and (2+0j) check: 0 is not > 1e-09",
                  id="alphas3-poles (2+0j) and (2+0j) coincide"),
     # a pole on the circle fails the strict check
@@ -523,7 +524,7 @@ def test_non_finite_message_names_the_first_value():
                  id="alphas4-pole (-1+0j) is not outside the closed disc"),
 ])
 def test_pole_checks_name_the_first_offender(alphas, message):
-    # the order of the pole-by-pole scan: pole i, then its pairs (i, j > i)
+    # moduli first, then pairs in row-major order
     numerators = [[0.0, 0.01]] * len(alphas)
     with pytest.raises(ValueError, match=re.escape(message) + "$"):
         symbol_from_parts(alphas, numerators)
@@ -823,7 +824,7 @@ def test_exception_hierarchy_is_value_error():
     from cauchydual import polyrat, symbolpipe
     for exc in (polyrat.DegreeZeroError, PolesNotDistinctError,
                 DegreeTooLargeError, polyrat.NotPositiveOnCircleError,
-                polyrat.RootOnCircleError, symbolpipe.EmptyMeasureError,
+                polyrat.RootOnCircleError,
                 NotUnimodularError, symbolpipe.GramSingularError,
                 symbolpipe.EtaNotPSDError, ExtremePointError,
                 GridOutsideDiscError):
