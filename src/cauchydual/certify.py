@@ -15,7 +15,7 @@ are checked against the kernel table (representing_measure).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -219,17 +219,22 @@ TOL_ORTH = 1e-9
 class NecessaryMeasure:
     """Aggregated necessary measure: one atom per coincidence class of the
     pole products alpha_r conj(alpha_t), located at 1/(alpha_r conj(alpha_t)).
-    locations and weights are complex arrays in report order."""
+    locations and weights are complex arrays in report order. passed says
+    that the measure is positive on [0, 1], and exact that the exactness
+    condition holds."""
 
     locations: np.ndarray
     weights: np.ndarray
     worst_violation: float
     worst_location: complex | None
+    passed: bool
+    exact: bool
 
 
-def necessary_measure_test(pairing: PolePairing):
-    """(measure, passed, exact): the necessary measure, whether it is
-    positive on [0, 1], and whether the exactness condition holds.
+def necessary_measure_test(pairing: PolePairing) -> NecessaryMeasure:
+    """The necessary measure of the pairing in one record, with whether it
+    is positive on [0, 1] (passed) and whether the exactness condition
+    holds (exact).
 
     The pole products chain into classes of points within COINCIDENCE_TOL
     of each other, each located at the reciprocal of its mean product.
@@ -284,13 +289,16 @@ def necessary_measure_test(pairing: PolePairing):
     worst_loc = None
     if worst > 0.0:
         worst_loc = complex(locations[np.argmax(np.ceil(bad / step))])
-    passed = worst <= step
     return NecessaryMeasure(locations, weights, float(worst / scale),
-                            worst_loc), passed, exact
+                            worst_loc, worst <= step, exact)
 
 
 @dataclass(frozen=True, eq=False)
 class CertificateReport:
+    """The battery's outcome; its repr fields, in declaration order, are
+    the report's certificates section. orthogonality_conflict says that
+    orthogonality passed where the necessary measure failed."""
+
     verdict: str
     certified_by: str | None
     refuted_by: str | None
@@ -298,16 +306,16 @@ class CertificateReport:
     refuted_min_eig: float | None
     orth_residual: float
     orth_passed: bool
+    orthogonality_conflict: bool
     agler_pole: tuple
     agler_taylor: tuple
     agler_passed: bool
     taylor_basis_residual: float
     necessary: NecessaryMeasure
-    necessary_passed: bool
-    exactness: bool
-    config: CertificateConfig
-    taylor: np.ndarray      # the Taylor rows the Taylor engine ran on
-    pairing: PolePairing
+    config: CertificateConfig = field(repr=False)
+    # the Taylor rows the Taylor engine ran on
+    taylor: np.ndarray = field(repr=False)
+    pairing: PolePairing = field(repr=False)
 
     @property
     def exit_code(self) -> int:
@@ -331,7 +339,7 @@ def run_certificates(sym: RationalSymbol,
     """
     pairing = pole_pairing(sym)
     orth_residual, orth_passed = orthogonality_test(pairing)
-    necessary, necessary_passed, exact = necessary_measure_test(pairing)
+    necessary = necessary_measure_test(pairing)
     taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
     pole_stats, Q, cores = agler_pole_test(pairing, cfg)
     taylor_stats, basis_residual = agler_taylor_test(taylor, Q, cores, cfg)
@@ -340,11 +348,11 @@ def run_certificates(sym: RationalSymbol,
 
     certified_by = refuted_by = None
     refuted_level = refuted_min_eig = None
-    if not necessary_passed:
+    if not necessary.passed:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "necessary_measure", 0
     elif orth_passed:
         verdict, certified_by = VERDICT_CERTIFIED, "orthogonality"
-    elif exact:
+    elif necessary.exact:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "orthogonality_exactness", 0
     else:
         # the first failing level, the pole engine's before the Taylor one's
@@ -357,9 +365,9 @@ def run_certificates(sym: RationalSymbol,
 
     return CertificateReport(
         verdict, certified_by, refuted_by, refuted_level, refuted_min_eig,
-        orth_residual, orth_passed, pole_stats, taylor_stats, agler_passed,
-        basis_residual, necessary, necessary_passed, exact, cfg, taylor,
-        pairing)
+        orth_residual, orth_passed, orth_passed and not necessary.passed,
+        pole_stats, taylor_stats, agler_passed, basis_residual, necessary,
+        cfg, taylor, pairing)
 
 
 # The moment check compares the kernel table up to this size, or up to the
@@ -380,7 +388,8 @@ class RepresentingMeasure:
     atoms: np.ndarray
     masses: np.ndarray
     density_min: float
-    moments: np.ndarray
+    moments: np.ndarray = field(repr=False)
+    size: int
     max_residual: float
 
 
@@ -424,5 +433,5 @@ def representing_measure(pairing: PolePairing,
     moments += (bpow.T * masses) @ bpow.conj()
 
     table = kernels.kernel_coeffs(taylor, size)
-    return RepresentingMeasure(beta, masses, density_min, moments,
+    return RepresentingMeasure(beta, masses, density_min, moments, size,
                                float(np.abs(moments - table).max()))

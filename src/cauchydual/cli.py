@@ -3,11 +3,13 @@
 Reads a JSON input document describing a measure, a symbol, or one of the
 two closed-form families, runs the pipeline and the certificate battery,
 prints a one-line verdict, and optionally writes a structured JSON report
-(atomically, as one line of JSON).
+(atomically, as one line of JSON). The report holds the certificate
+records themselves; render_json writes each as its repr-shown fields.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -119,26 +121,37 @@ def parse_input_document(doc) -> tuple[str, symbolpipe.RationalSymbol]:
 
 # ------------------------------------------------------------ JSON output
 
-def _cmatrix(M) -> np.ndarray:
-    """Real and imaginary parts of the complex number or array M as a
-    trailing axis of length 2 (a number becomes [re, im], a vector its rows
-    of pairs): a float64 block that `render_json` writes as its lists."""
-    M = np.asarray(M, dtype=complex)
-    return np.stack((M.real, M.imag), -1)
+@functools.cache
+def _repr_fields(cls) -> tuple | None:
+    """The names of the repr-shown fields of the dataclass `cls`, in
+    declaration order; None for a class that is no dataclass."""
+    if not dataclasses.is_dataclass(cls):
+        return None
+    return tuple(f.name for f in dataclasses.fields(cls) if f.repr)
 
 
-def _lists(block):
-    """An array in a report as its nested lists, with 0.0 added so that
-    -0.0 is written as 0.0; any other object that JSON lacks is refused."""
-    if isinstance(block, np.ndarray):
-        return (block + 0.0).tolist()
-    raise TypeError(f"cannot serialize {type(block).__name__}")
+def _encode(value):
+    """What JSON lacks, as JSON writes it: a certificate record (a
+    dataclass) as its repr-shown fields, a complex number or array as its
+    real and imaginary parts on a last axis of length 2, and an array as
+    its nested lists, with 0.0 added so that -0.0 is written as 0.0. Any
+    other object is refused."""
+    names = _repr_fields(type(value))
+    if names is not None:
+        return {name: getattr(value, name) for name in names}
+    if isinstance(value, (complex, np.ndarray)):
+        if np.iscomplexobj(value):
+            # a complex double is stored as its real part, then its imaginary
+            value = np.ascontiguousarray(value, dtype=complex).view(float).reshape(
+                np.shape(value) + (2,))
+        return (value + 0.0).tolist()
+    raise TypeError(f"cannot serialize {type(value).__name__}")
 
 
 def render_json(obj) -> str:
     """The report as one line of JSON, every float at the shortest text
     that reads back to the same double; a NaN or infinity is a ValueError."""
-    return json.dumps(obj, allow_nan=False, default=_lists)
+    return json.dumps(obj, allow_nan=False, default=_encode)
 
 
 def write_atomic(path: str, text: str):
@@ -162,38 +175,10 @@ def write_atomic(path: str, text: str):
 
 # ------------------------------------------------------------- reporting
 
-def _stats_json(stats, *drift) -> list:
-    """Level, min_eig and norm per level, then the named drift fields."""
-    return [{"level": st.level, "min_eig": st.min_eig, "norm": st.norm,
-             **{name: getattr(st, name) for name in drift}}
-            for st in stats]
-
-
-def _necessary_json(nec: certify.NecessaryMeasure, passed: bool) -> dict:
-    return {
-        "atoms": [{"location": loc, "weight": w} for loc, w
-                  in zip(_cmatrix(nec.locations), _cmatrix(nec.weights))],
-        "worst_violation": nec.worst_violation,
-        "worst_location": None if nec.worst_location is None
-        else _cmatrix(nec.worst_location),
-        "passed": passed,
-    }
-
-
-def _measure_json(measure: certify.RepresentingMeasure) -> dict:
-    return {
-        "atoms": _cmatrix(measure.atoms),
-        "masses": measure.masses,
-        "density_min": measure.density_min,
-        "measure_check": {
-            "size": len(measure.moments) - 1,
-            "max_residual": measure.max_residual,
-        },
-    }
-
-
 def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
                  result: certify.CertificateReport, dump_tables: bool) -> dict:
+    """The report: the certificate records themselves, under the run's
+    input, configuration and pipeline, for render_json to write."""
     cfg = result.config
     taylor = result.taylor
     # numerator j is printed up to its last nonzero coefficient
@@ -214,37 +199,21 @@ def build_report(input_echo, kind: str, sym: symbolpipe.RationalSymbol,
             "k": sym.k,
             # a symbol input comes without a measure
             "gamma_fr": None if kind == "symbol" else sym.gamma_fr,
-            "alphas": _cmatrix(sym.alphas),
-            "numerators": [_cmatrix(row[:n])
-                           for row, n in zip(sym.coefficients, lengths)],
+            "alphas": sym.alphas,
+            "numerators": [row[:n] for row, n in zip(C, lengths)],
             "taylor_digest": {
                 "n_rows": len(taylor),
                 "row_norms": np.linalg.norm(taylor, axis=1),
             },
         },
-        "certificates": {
-            "verdict": result.verdict,
-            "certified_by": result.certified_by,
-            "refuted_by": result.refuted_by,
-            "refuted_level": result.refuted_level,
-            "refuted_min_eig": result.refuted_min_eig,
-            "orth_residual": result.orth_residual,
-            "orth_passed": result.orth_passed,
-            "orthogonality_conflict": result.orth_passed and not result.necessary_passed,
-            "agler_pole": _stats_json(result.agler_pole),
-            "agler_taylor": _stats_json(result.agler_taylor, "gap"),
-            "agler_passed": result.agler_passed,
-            "taylor_basis_residual": result.taylor_basis_residual,
-            "necessary": _necessary_json(result.necessary, result.necessary_passed),
-            "exactness_applies": result.exactness,
-        },
+        "certificates": result,
         "exit_code": result.exit_code,
     }
     if result.orth_passed:
-        report["representing_measure"] = _measure_json(
-            certify.representing_measure(result.pairing, result.taylor))
+        report["representing_measure"] = certify.representing_measure(
+            result.pairing, taylor)
     if dump_tables:
-        report["tables"] = {"B_rows": _cmatrix(taylor)}
+        report["tables"] = {"B_rows": taylor}
     return report
 
 

@@ -95,4 +95,5 @@ def necessary_measure_test(pairing):
     passed = worst <= TOL_PSD * scale
     return NecessaryMeasure(np.array(locations, dtype=complex),
                             np.array(weights, dtype=complex),
-                            float(worst / scale), worst_loc), passed, exact
+                            float(worst / scale), worst_loc, passed,
+                            exact), passed, exact

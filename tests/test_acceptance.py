@@ -263,7 +263,7 @@ def test_criterion_10_refutation_path(capsys):
     rep = run_certificates(load_fixture_symbol("refuter"))
     assert rep.refuted_by in ("necessary_measure", "orthogonality_exactness")
     assert rep.refuted_level == 0
-    assert rep.exactness  # pole products distinct and off [1, infinity)
+    assert rep.necessary.exact  # pole products distinct and off [1, infinity)
     _report(10, f"refuter exits 1, refuted at level 0 by {rep.refuted_by}")
 
 

@@ -184,7 +184,7 @@ def test_certificates_build_pole_tables_once(monkeypatch):
     pairing = run_certificates(sym, CertificateConfig(levels=3, trunc=10)).pairing
     assert calls == [sym.k, sym.k]
     doubled = dataclasses.replace(pairing, products=2.0 * pairing.products)
-    atoms = [necessary_measure_test(p)[0].locations.tolist() for p in (pairing, doubled)]
+    atoms = [necessary_measure_test(p).locations.tolist() for p in (pairing, doubled)]
     assert sorted(atoms[1], key=_re_im) == sorted((x / 2.0 for x in atoms[0]), key=_re_im)
 
 
@@ -208,9 +208,10 @@ def test_certificates_depend_on_numerators_only_through_the_pairing():
         mixed = RationalSymbol(sym.alphas, U @ sym.coefficients)
         want, got = run_certificates(sym), run_certificates(mixed)
         for field in ("verdict", "certified_by", "refuted_by", "refuted_level",
-                      "orth_passed", "necessary_passed", "agler_passed",
-                      "exactness"):
+                      "orth_passed", "agler_passed"):
             assert getattr(got, field) == getattr(want, field), field
+        for field in ("passed", "exact"):
+            assert getattr(got.necessary, field) == getattr(want.necessary, field), field
         for a, b in zip(want.agler_pole + want.agler_taylor,
                         got.agler_pole + got.agler_taylor):
             scale = 1e-9 * max(a.norm, 1e-300)
@@ -508,7 +509,7 @@ def test_refuter_full_report():
     assert rep.refuted_level == 0
     assert rep.exit_code == 1
     assert not rep.orth_passed
-    assert rep.exactness
+    assert rep.necessary.exact
     assert abs(rep.necessary.worst_violation - 0.219) <= 1e-2
     assert abs(rep.necessary.worst_location + 1j / 3.0) <= 1e-9
     # the truncated positivity tests independently cross the refutation
@@ -527,7 +528,7 @@ def test_exactness_window_refutes_at_level_zero():
     assert rep.refuted_by == "orthogonality_exactness"
     assert rep.refuted_level == 0
     assert not rep.orth_passed
-    assert rep.necessary_passed
+    assert rep.necessary.passed
     assert rep.exit_code == 1
 
 
@@ -577,7 +578,7 @@ def test_scalar_symbols_with_distinct_pole_products_are_never_certified():
         schur = np.abs(npoly.polyval(zs, p) / npoly.polyval(zs, q))
         sym = symbol_from_parts(alphas, [0.9 * p / schur.max()])
         rep = run_certificates(sym)
-        assert rep.exactness and not rep.orth_passed
+        assert rep.necessary.exact and not rep.orth_passed
         assert rep.verdict == VERDICT_REFUTED
         want = _orth_residual_50_digits(sym)
         worst = max(worst, abs(rep.orth_residual - want) / want)
@@ -589,8 +590,8 @@ def test_inconclusive_fixture_report(inconclusive_symbol):
     assert rep.verdict == VERDICT_INCONCLUSIVE
     assert rep.exit_code == 2
     assert not rep.orth_passed
-    assert rep.necessary_passed
-    assert not rep.exactness
+    assert rep.necessary.passed
+    assert not rep.necessary.exact
     assert rep.agler_passed
     assert rep.refuted_by is None and rep.certified_by is None
 
@@ -641,7 +642,7 @@ def test_empty_measure_is_the_zero_symbol():
     assert rep.agler_pole == zeros and rep.agler_taylor == zeros
     assert rep.taylor.shape == (CFG.trunc + CFG.levels, 0)
     assert rep.necessary.locations.shape == rep.necessary.weights.shape == (0,)
-    assert not rep.exactness
+    assert not rep.necessary.exact
 
 
 def test_rotated_certified_family_stays_certified():
@@ -727,8 +728,8 @@ def test_near_antipodal_measure_is_not_certified(eps):
 
 def test_necessary_measure_antipodal_locations():
     sym = closed_form_antipodal(1.0, 1.0)
-    necessary, passed, _ = necessary_measure_test(pairing_of(sym))
-    assert passed
+    necessary = necessary_measure_test(pairing_of(sym))
+    assert necessary.passed
     assert len(necessary.locations) == 2
     locs = sorted(necessary.locations, key=lambda x: x.real)
     gamma_fr = 3.0 - 2.0 * SQ2  # 1 / alpha^2
@@ -745,8 +746,8 @@ def test_necessary_measure_antipodal_locations():
 
 def test_necessary_measure_single_atom():
     sym = single_atom_symbol(1.0)
-    necessary, passed, _ = necessary_measure_test(pairing_of(sym))
-    assert passed
+    necessary = necessary_measure_test(pairing_of(sym))
+    assert necessary.passed
     assert len(necessary.locations) == 1
     eta = (3.0 - math.sqrt(5.0)) / 2.0
     assert abs(necessary.locations[0] - eta ** 2) <= 1e-12
@@ -765,9 +766,9 @@ def test_necessary_measure_equals_class_loop_oracle():
             continue    # the pipeline's conditioning limit, not this test's
     for sym in symbols:
         pairing = pairing_of(sym)
-        (got, passed, exact) = necessary_measure_test(pairing)
+        got = necessary_measure_test(pairing)
         (want, want_passed, want_exact) = necessary_oracle.necessary_measure_test(pairing)
-        assert (passed, exact) == (want_passed, want_exact)
+        assert (got.passed, got.exact) == (want_passed, want_exact)
         for field in ("locations", "weights"):
             got_array = getattr(got, field)
             assert isinstance(got_array, np.ndarray) and got_array.dtype == complex
@@ -787,9 +788,9 @@ def test_necessary_measure_large_classes_match_oracle(k):
     pairing = pairing_of(sym)
     classes = necessary_oracle.union_find_classes(pairing.products)
     assert max(len(members) for members, _ in classes) == k
-    (got, passed, exact) = necessary_measure_test(pairing)
+    got = necessary_measure_test(pairing)
     (want, want_passed, want_exact) = necessary_oracle.necessary_measure_test(pairing)
-    assert (passed, exact) == (want_passed, want_exact)
+    assert (got.passed, got.exact) == (want_passed, want_exact)
     assert np.array_equal(got.locations, want.locations)
     assert got.worst_location == want.worst_location
     total = sum(abs(w) for w in want.weights)
@@ -811,7 +812,7 @@ def test_necessary_atom_order_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary, _, _ = necessary_measure_test(pairing_of(scaled))
+            necessary = necessary_measure_test(pairing_of(scaled))
             orders.append(np.array(necessary.locations))
         for order in orders[1:]:
             assert np.abs(order - orders[0]).max() <= 1e-9
@@ -832,8 +833,8 @@ def test_necessary_worst_location_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary, passed, _ = necessary_measure_test(pairing_of(scaled))
-            found.append((necessary.worst_location, passed))
+            necessary = necessary_measure_test(pairing_of(scaled))
+            found.append((necessary.worst_location, necessary.passed))
         for location, passed in found[1:]:
             assert passed == found[0][1]
             assert (location is None) == (found[0][0] is None)
@@ -847,7 +848,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
 def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
-        necessary, _, _ = necessary_measure_test(pairing_of(sym))
+        necessary = necessary_measure_test(pairing_of(sym))
         pairs = sorted(zip(necessary.locations, necessary.weights),
                        key=lambda lw: (round(lw[0].real, 9), round(lw[0].imag, 9)))
         conj_pairs = sorted(
@@ -900,7 +901,7 @@ def test_monotone_oracle_implied_by_necessary_measure():
     symbols = _fixtures_and_seeded_batch(2103, 120)
     checked = 0
     for sym in symbols:
-        if run_certificates(sym).necessary_passed:
+        if run_certificates(sym).necessary.passed:
             checked += 1
             assert monotone_passed(sym, CFG)
     assert len(symbols) >= 100 and checked >= 20
@@ -1072,7 +1073,8 @@ def test_coincidence_classes_match_union_find():
                                                (1.0,) * 6))]
     for sym in symbols:
         pairing = pairing_of(sym)
-        necessary, _, exact = necessary_measure_test(pairing)
+        necessary = necessary_measure_test(pairing)
+        exact = necessary.exact
         expected = necessary_oracle.union_find_classes(pairing.products)
         # one atom per class, at the reciprocal of the class's mean product
         assert sorted(necessary.locations.tolist(), key=_re_im) == sorted(
@@ -1085,7 +1087,7 @@ def test_coincidence_classes_match_union_find():
 
 
 def _exact(sym):
-    exact = necessary_measure_test(pairing_of(sym))[2]
+    exact = necessary_measure_test(pairing_of(sym)).exact
     assert exact == necessary_oracle.necessary_measure_test(pairing_of(sym))[2]
     return exact
 
