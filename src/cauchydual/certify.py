@@ -29,10 +29,6 @@ VERDICT_REFUTED = "RefutedAtLevel"
 VERDICT_INCONCLUSIVE = "InconclusiveAtTruncation"
 
 
-class InsufficientRowsError(ValueError):
-    """Taylor table is too short for the requested truncation and levels."""
-
-
 @dataclass(frozen=True)
 class CertificateConfig:
     """Truncation sizes for the certificate battery; the tolerances are
@@ -177,13 +173,10 @@ def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray,
     basis_residual = ||A - Q Y||_F / ||A||_F for A = [A_0 ... A_L] and
     Y = Q^H A (0 for an empty table) is 0 exactly when every window lies
     in the basis. It bounds the windows, not each level, which sums 2^l
-    window Grams.
+    window Grams. run_certificates passes exactly N + L rows.
     """
     N, L = cfg.trunc, cfg.levels
-    if len(taylor) < N + L:
-        raise InsufficientRowsError(
-            f"need {N + L} rows, table has {len(taylor)}")
-    windows = sliding_window_view(taylor[:N + L], N, axis=0)
+    windows = sliding_window_view(taylor, N, axis=0)
     # A stays the overlapping strided view: NumPy cannot hand it to BLAS and
     # sums Q^H @ A in its own loop. A contiguous copy of the same values goes
     # to BLAS, which sums in another order: at (N, L) = (40, 12) the levels

@@ -150,8 +150,11 @@ def _encode(value):
 
 def render_json(obj) -> str:
     """The report as one line of JSON, every float at the shortest text
-    that reads back to the same double; a NaN or infinity is a ValueError."""
-    return json.dumps(obj, allow_nan=False, default=_encode)
+    that reads back to the same double; a NaN or infinity is a ValueError.
+    build_report makes a tree, so json's cycle check is off: a cycle would
+    be a RecursionError."""
+    return json.dumps(obj, allow_nan=False, default=_encode,
+                      check_circular=False)
 
 
 def write_atomic(path: str, text: str):

@@ -29,10 +29,8 @@ def symbol_taylor(sym: RationalSymbol, pairing, n_rows: int) -> np.ndarray:
     q b_j = p_j: the coefficients of z^0..z^n_rows of q times each row
     series, less the numerator's, form a residual, and one beyond
     1e-10 max|q| max|rows| (normwise) is an internal error. Only this
-    check reads sym.
+    check reads sym. run_certificates asks for n_rows = trunc + levels >= 3.
     """
-    if n_rows < 1:
-        raise ValueError("need at least one row")
     # weight[j, i] = p_j(alpha_i) / (alpha_i a_i)
     weight = pairing.values / (pairing.alphas * pairing.a)[None, :]
     rows = -(inverse_powers(pairing.alphas, n_rows) @ weight.T)
@@ -58,12 +56,9 @@ def kernel_coeffs(rows: np.ndarray, size: int) -> np.ndarray:
     along its diagonals, (T T^H)[m, n] = (T T^H)[m-1, n-1] + B_m . B_n*,
     and reflected into the upper triangle; a dense product would sum in
     another order, and the representing-measure check compares against
-    this table at the level of rounding. Requires rows up to index `size`.
+    this table at the level of rounding. representing_measure passes
+    0 <= size <= len(rows), so the rows reach index `size`.
     """
-    if size < 0:
-        raise ValueError("size must be nonnegative")
-    if len(rows) < size:
-        raise ValueError(f"need {size} rows, table has {len(rows)}")
     S = rows[:size] @ rows[:size].conj().T    # S[m-1, n-1] = B_m . B_n*
     TT = np.zeros((size + 1, size + 1), dtype=complex)   # lower triangle of T T^H
     for n in range(1, size + 1):

@@ -15,10 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 
-class DegreeZeroError(ValueError):
-    """Root finding needs degree >= 1."""
-
-
 class NotPositiveOnCircleError(ValueError):
     """Input is not strictly positive on the unit circle."""
 
@@ -91,16 +87,10 @@ def poly_roots(coeffs) -> np.ndarray:
     coeffs, from the balanced companion matrix, as a complex array.
 
     Roots are sorted by (principal argument, modulus) so repeated calls on
-    the same coefficients produce the same ordering.
-
-    Raises
-    ------
-    DegreeZeroError
-        If the polynomial is constant (the zero polynomial included).
+    the same coefficients produce the same ordering. The caller's z^k R(z)
+    has degree 2k >= 2 and a top coefficient of modulus 1 (boundary_polynomial).
     """
-    cs = np.trim_zeros(np.asarray(coeffs, dtype=complex), "b")
-    if len(cs) < 2:
-        raise DegreeZeroError("root finding needs a polynomial of degree >= 1")
+    cs = np.asarray(coeffs, dtype=complex)
     # numpy.polynomial's companion matrix, without importing it
     companion = np.eye(len(cs) - 1, k=-1, dtype=complex)
     companion[:, -1] -= cs[:-1] / cs[-1]
@@ -138,13 +128,14 @@ def _band_on_circle(upper: np.ndarray, z) -> np.ndarray:
 def fejer_riesz_factor(band):
     """Factor R(z) = gamma * prod_j |z - alpha_j|^2 on |z| = 1, where R is
     the hermitian band sum_{|m| <= k} d_m z^m given as the full array
-    (d_{-k}, ..., d_k), ascending in the exponent.
+    (d_{-k}, ..., d_k), ascending in the exponent; boundary_polynomial
+    gives a 1-D band of length 2k + 1 with ends of modulus 1.
 
     The two sides must be conjugate, d_{-m} = conj(d_m), within
     HERMITIAN_BAND_TOL relative to the largest entry; their average is
-    factored, which makes the symmetry and d_0 exactly real, and zero
-    outermost pairs are dropped. R is sampled once, on CIRCLE, and must be
-    strictly positive there (min > POSITIVITY_GATE * max). The roots of
+    factored, which makes the symmetry and d_0 exactly real. R is sampled
+    once, on CIRCLE, and must be strictly positive there
+    (min > POSITIVITY_GATE * max, which a NaN sample fails). The roots of
     z^k R(z) come in mirror pairs (w, 1/conj(w)); the representatives
     outside the closed unit disc are returned sorted by (argument,
     modulus), and
@@ -164,8 +155,7 @@ def fejer_riesz_factor(band):
     Raises
     ------
     ValueError
-        If the band is not 1-D of odd length, has a non-finite entry, or
-        is not hermitian.
+        If the band has a non-finite entry or is not hermitian.
     NotPositiveOnCircleError
         If the positivity gate fails.
     RootOnCircleError
@@ -173,8 +163,6 @@ def fejer_riesz_factor(band):
         roots do not split k outside and k inside.
     """
     full = np.asarray(band, dtype=complex)
-    if full.ndim != 1 or len(full) % 2 != 1:
-        raise ValueError(f"band has shape {full.shape}, not (2k + 1,)")
     mid = len(full) // 2
     bad = np.flatnonzero(~np.isfinite(full))
     if len(bad):
@@ -187,17 +175,15 @@ def fejer_riesz_factor(band):
     # a band near the float range overflows to samples the gate rejects
     with np.errstate(over="ignore", invalid="ignore"):
         upper = 0.5 * (closed + mirrored)
-        upper = upper[:int(np.flatnonzero(upper).max(initial=0)) + 1]
         vals = _band_on_circle(upper, CIRCLE)
     vmin, vmax = float(vals.min()), float(vals.max())
-    check_above(vmax, 0.0, "largest circle sample", NotPositiveOnCircleError)
     check_above(vmin, POSITIVITY_GATE * vmax, "smallest circle sample vs {:g} x largest",
                 NotPositiveOnCircleError, POSITIVITY_GATE)
     k = len(upper) - 1
     if k == 0:
         return float(upper[0].real), np.empty(0, dtype=complex), from_roots(())
 
-    # the averaged, trimmed band: the ascending coefficients of z^k R(z)
+    # the averaged band: the ascending coefficients of z^k R(z)
     band = np.concatenate([np.conj(upper[:0:-1]), upper])
     roots = poly_roots(band)
     moduli = np.hypot(roots.real, roots.imag)

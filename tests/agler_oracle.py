@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 
-from cauchydual.certify import InsufficientRowsError, LevelStat
+from cauchydual.certify import LevelStat
 
 
 def agler_pole_matrix(sym, cross: np.ndarray, level: int, size: int) -> np.ndarray:
@@ -35,7 +35,7 @@ def agler_taylor_matrix(taylor, level: int, size: int) -> np.ndarray:
     Needs rows up to index size + level.
     """
     if len(taylor) < size + level:
-        raise InsufficientRowsError(
+        raise ValueError(
             f"need {size + level} rows for size {size} at level {level}, "
             f"table has {len(taylor)}")
     S = taylor @ taylor.conj().T

@@ -17,7 +17,6 @@ from cauchydual.certify import (
     VERDICT_INCONCLUSIVE,
     VERDICT_REFUTED,
     CertificateConfig,
-    InsufficientRowsError,
     LevelStat,
     agler_pole_test,
     agler_taylor_test,
@@ -300,17 +299,6 @@ def test_certified_cases_pass_both_engines():
         assert rep.exit_code == 0
 
 
-def test_insufficient_rows_for_taylor_engine():
-    sym = make_refuter()
-    taylor = taylor_of(sym, 15)
-    too_deep = CertificateConfig(levels=6, trunc=10)
-    fits = CertificateConfig(levels=5, trunc=10)
-    with pytest.raises(InsufficientRowsError):
-        agler_taylor_test(taylor, *_pole_engine(sym, too_deep)[1:], too_deep)
-    stats, _ = agler_taylor_test(taylor, *_pole_engine(sym, fits)[1:], fits)
-    assert len(stats) == 5
-
-
 def test_engines_match_oracle_eigvalsh():
     six = make_six_equal_atoms()
     cases = [(sym, CFG) for sym in _fixtures_and_seeded_batch(31, 30)]
@@ -442,6 +430,32 @@ def test_engine_gap_alone_keeps_agler_from_passing(monkeypatch):
                for st in rep.agler_pole + rep.agler_taylor)
     assert all(st.gap > tol * st.norm for st in rep.agler_taylor)
     assert not rep.agler_passed
+
+
+@pytest.mark.parametrize("cfg", [CertificateConfig(levels=1, trunc=2), CFG],
+                         ids=["levels=1,trunc=2", "default"])
+def test_run_certificates_builds_exactly_trunc_plus_levels_rows(cfg, monkeypatch):
+    # the row count symbol_taylor and agler_taylor_test take without
+    # re-checking it, made here
+    seen = []
+    symbol_taylor, taylor_test = kernels.symbol_taylor, certify.agler_taylor_test
+
+    def taylor_spy(sym, pairing, n_rows):
+        rows = symbol_taylor(sym, pairing, n_rows)
+        seen.append(("symbol_taylor", n_rows, len(rows)))
+        return rows
+
+    def engine_spy(taylor, *args):
+        seen.append(("agler_taylor_test", len(taylor)))
+        return taylor_test(taylor, *args)
+
+    monkeypatch.setattr(kernels, "symbol_taylor", taylor_spy)
+    monkeypatch.setattr(certify, "agler_taylor_test", engine_spy)
+    n = cfg.trunc + cfg.levels
+    for name in FIXTURE_NAMES:
+        seen.clear()
+        run_certificates(load_fixture_symbol(name), cfg)
+        assert seen == [("symbol_taylor", n, n), ("agler_taylor_test", n)], name
 
 
 def test_basis_residual_alone_keeps_agler_from_passing(monkeypatch):
@@ -939,6 +953,25 @@ def test_rank1_representing_measure_checks():
         assert measure.max_residual <= 1e-14
         assert abs(measure.moments[0, 0] - 1.0) <= 1e-14
         assert measure.moments.shape == (21, 21)
+
+
+def test_representing_measure_sizes_the_kernel_table_within_the_rows(monkeypatch):
+    # the size kernel_coeffs takes without re-checking it, made here: at
+    # (levels, trunc) = (1, 2) the three rows cap MEASURE_CHECK_SIZE = 20
+    sizes = []
+    kernel_coeffs = kernels.kernel_coeffs
+
+    def spy(rows, size):
+        sizes.append((size, len(rows)))
+        return kernel_coeffs(rows, size)
+
+    monkeypatch.setattr(kernels, "kernel_coeffs", spy)
+    for cfg, size in ((CertificateConfig(levels=1, trunc=2), 3), (CFG, 20)):
+        result = run_certificates(load_fixture_symbol("antipodal_1_1"), cfg)
+        sizes.clear()
+        measure = representing_measure(result.pairing, result.taylor)
+        assert sizes == [(size, cfg.trunc + cfg.levels)]
+        assert measure.size == size and measure.moments.shape == (size + 1,) * 2
 
 
 def test_rank1_representing_measure_tangent_model():

@@ -529,6 +529,26 @@ def test_unrenderable_report_exits_with_error_code(tmp_path, capsys, monkeypatch
     assert not out.exists()
 
 
+def test_cyclic_report_exits_with_error_code(tmp_path, capsys, monkeypatch):
+    # render_json skips json's cycle check, as build_report makes a tree; a
+    # cycle would still end as a RecursionError, an error (exit 3), with no
+    # report written
+    original = cli.build_report
+
+    def cyclic(*args):
+        report = original(*args)
+        report["cyclic"] = report
+        return report
+
+    monkeypatch.setattr(cli, "build_report", cyclic)
+    rc, out = _run_report(tmp_path, "refuter")
+    assert rc == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: maximum recursion depth exceeded")
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_non_finite_table_exits_with_error_code(tmp_path, capsys, monkeypatch):
     # the tables reach render_json as arrays; a NaN in the dumped Taylor
     # rows is still an error

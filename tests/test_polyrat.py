@@ -13,7 +13,6 @@ from cauchydual.polyrat import (
     CIRCLE,
     CIRCLE_ROOT_TOL,
     RESIDUAL_STRIDE,
-    DegreeZeroError,
     NotPositiveOnCircleError,
     RootOnCircleError,
     _horner,
@@ -39,13 +38,10 @@ from polyrat_oracle import (
 
 
 def test_zero_polynomial_degree_and_eval():
-    # no coefficients, or only zeros: the value is 0 everywhere, and the
-    # degree is below the 1 root finding needs
+    # no coefficients, or only zeros: the value is 0 everywhere
     z = np.array([2.3 + 1.0j, -0.5])
     for coeffs in (np.zeros(0, dtype=complex), np.zeros(3, dtype=complex)):
         assert np.array_equal(_horner(coeffs, z), np.zeros(2))
-        with pytest.raises(DegreeZeroError):
-            poly_roots(coeffs)
 
 
 def test_from_roots_evaluates_to_product():
@@ -77,16 +73,6 @@ def test_circle_points_built_once_and_read_only():
             zs, np.exp(1j * np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)))
 
 
-def test_poly_roots_rejects_constants():
-    for coeffs in ([3.0], [], [3.0, 0.0, 0.0]):
-        with pytest.raises(DegreeZeroError):
-            poly_roots(np.array(coeffs, dtype=complex))
-    # trailing zeros do not add roots
-    roots = poly_roots(np.array([1.0, 2.0, 0.0]))
-    assert isinstance(roots, np.ndarray) and roots.dtype == complex
-    assert roots.tolist() == [-0.5 + 0.0j]
-
-
 def test_poly_roots_degree_one_is_the_quotient():
     # the 1x1 companion matrix [-c0/c1] gives the quotient itself, with
     # components over 16 decades and some exactly 0 (signed zeros aside)
@@ -98,7 +84,8 @@ def test_poly_roots_degree_one_is_the_quotient():
         if cs[1] == 0:
             continue
         roots = poly_roots(cs)
-        assert roots.shape == (1,) and roots[0] == -cs[0] / cs[1]
+        assert roots.dtype == complex and roots.shape == (1,)
+        assert roots[0] == -cs[0] / cs[1]
         checked += 1
     assert checked > 3800
 
@@ -209,21 +196,12 @@ def test_partial_fractions_residue_values():
 
 
 def test_laurent_requires_real_constant():
-    # an empty band has no d_0; a non-real d_0 is its own non-conjugate pair
-    with pytest.raises(ValueError, match=re.escape("band has shape (0,)")):
-        fejer_riesz_factor([])
+    # a non-real d_0 is its own non-conjugate pair
     for band in ([1.0j], [0.5, 1.0 + 1.0j, 0.5]):
         with pytest.raises(ValueError, match="hermitian band side gap check"):
             fejer_riesz_factor(band)
-
-
-def test_fejer_riesz_drops_zero_outer_pairs():
-    padded = fejer_riesz_factor([0.0, 1.0, 2.5, 1.0, 0.0])
-    bare = fejer_riesz_factor([1.0, 2.5, 1.0])
-    assert padded[0] == bare[0] and np.array_equal(padded[1], bare[1])
-    assert np.array_equal(padded[2], bare[2])
-    assert len(bare[1]) == 1 and len(bare[2]) == 2
-    gamma, alphas, q = fejer_riesz_factor([0.0, 0.0, 2.5, 0.0, 0.0])
+    # a real d_0 alone is bandwidth 0: gamma = d_0, no poles, q = [1]
+    gamma, alphas, q = fejer_riesz_factor([2.5])
     assert gamma == 2.5 and alphas.shape == (0,) and alphas.dtype == complex
     assert np.array_equal(q, [1.0]) and q.dtype == complex
 
@@ -238,13 +216,10 @@ def test_laurent_from_full_averages_and_gates():
     assert gamma == gamma_avg and np.array_equal(alphas, alphas_avg)
     assert np.array_equal(q, q_avg)
     assert len(alphas) == 1 and abs(alphas[0]) > 1.0
-    for band, message in (([1.0, 2.0, 3.0, 4.0], "shape (4,)"),
-                          (np.full((3, 3), 1.0), "shape (3, 3)"),
-                          # its average 3 + 1.5 cos(2t) would factor
-                          ([1.0, 0.0, 3.0, 0.0, 0.5],
-                           "hermitian band side gap check: 0.5 is not <= 3e-09")):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            fejer_riesz_factor(band)
+    # its average 3 + 1.5 cos(2t) would factor
+    with pytest.raises(ValueError, match=re.escape(
+            "hermitian band side gap check: 0.5 is not <= 3e-09")):
+        fejer_riesz_factor([1.0, 0.0, 3.0, 0.0, 0.5])
 
 
 NAN, INF = float("nan"), float("inf")
@@ -285,10 +260,10 @@ def test_check_at_most_fails_nan_and_names_value_and_bound(value, bound, shown):
 
 def test_fejer_riesz_rejects_nan_circle_samples(monkeypatch):
     # NaN samples passed every `<=` floor and the residual gate and came
-    # out as a NaN gamma; the positivity floor now stops them
+    # out as a NaN gamma; the positivity gate's strict `>` stops them
     monkeypatch.setattr(polyrat, "_band_on_circle", lambda upper, z: np.full(len(z), NAN))
-    with pytest.raises(NotPositiveOnCircleError,
-                       match=re.escape("largest circle sample check: nan is not > 0") + "$"):
+    with pytest.raises(NotPositiveOnCircleError, match=re.escape(
+            "smallest circle sample vs 1e-10 x largest check: nan is not > nan") + "$"):
         fejer_riesz_factor([1.0, 2.5, 1.0])
 
 

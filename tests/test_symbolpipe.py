@@ -131,6 +131,25 @@ def test_boundary_band_from_shared_prefixes_equals_oracle_bit_for_bit():
     assert len(measures) == 256
 
 
+def test_boundary_band_has_length_2k_plus_1_and_unimodular_ends():
+    # the band fejer_riesz_factor and poly_roots take without re-checking:
+    # 1-D of length 2k + 1, its averaged outermost coefficient
+    # prod_j (-conj(zeta_j)) of modulus 1, whatever the weights. Measured:
+    # within 4.5e-16 on these measures
+    decades = 10.0 ** np.arange(-12, 13)
+    measures = [
+        *pool_like_measures(73, 16),
+        *(CircleMeasure(tuple(2.0 * np.pi * np.arange(k) / k), (mass,) * k)
+          for k in range(1, 25) for mass in (0.1, 1.0, float(k))),
+        *(CircleMeasure((0.0, np.pi), (c1, c2)) for c1 in decades for c2 in decades)]
+    for mu in measures:
+        band = boundary_polynomial(mu)
+        assert band.shape == (2 * mu.size + 1,)
+        top = 0.5 * (band[-1] + np.conj(band[0]))
+        assert abs(abs(top) - 1.0) <= 1e-15, mu
+    assert len(measures) == 128 + 72 + 625
+
+
 # ------------------------------------------------------------- outer quotient
 
 
@@ -822,7 +841,7 @@ def test_exception_hierarchy_is_value_error():
     # the command line maps input and math failures to one exit code; every
     # domain error must therefore derive from ValueError
     from cauchydual import polyrat, symbolpipe
-    for exc in (polyrat.DegreeZeroError, PolesNotDistinctError,
+    for exc in (PolesNotDistinctError,
                 DegreeTooLargeError, polyrat.NotPositiveOnCircleError,
                 polyrat.RootOnCircleError,
                 NotUnimodularError, symbolpipe.GramSingularError,
