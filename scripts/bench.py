@@ -8,11 +8,10 @@ directory at PARENT_SRC:
     python3 scripts/bench.py --parent PARENT_SRC --out BENCH_<n>.json
 
 This checkout's `src/cauchydual` is loaded as the package
-`cauchydual_change` and, with --parent, PARENT_SRC/cauchydual as
-`cauchydual_parent`; each tree's relative imports resolve inside it. Every
-row is timed in PAIRS pairs: a pair calls the row once on each tree, the
-order alternates from pair to pair, and each tree gets one untimed warm-up
-call first. Each `*_ms` entry is the median and quartiles of one side's
+`cauchydual_change` and PARENT_SRC/cauchydual as `cauchydual_parent`;
+each tree's relative imports resolve inside it. Every row is timed in
+PAIRS pairs: a pair calls the row once on each tree, the order alternates
+from pair to pair, and each tree gets one untimed warm-up call first. Each `*_ms` entry is the median and quartiles of one side's
 per-call times; on the change side it also holds the quartiles of the
 per-pair ratio change/parent and `wins`, the share of pairs in which the
 change was faster.
@@ -323,7 +322,7 @@ def summary(rows: list) -> dict:
         for side, got in row.items():
             entry = {key: quartiles(value) if key.endswith("_ms") else value
                      for key, value in got.items()}
-            base = row.get("parent", {}) if side == "change" else {}
+            base = row["parent"] if side == "change" else {}
             for key, times in got.items():
                 if key.endswith("_ms") and key in base:
                     pairs = list(zip(times, base[key]))
@@ -335,7 +334,7 @@ def summary(rows: list) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", metavar="SRC",
+    parser.add_argument("--parent", metavar="SRC", required=True,
                         help="the parent checkout's src directory")
     parser.add_argument("--out", metavar="PATH", required=True,
                         help="BENCH_<n>.json to write")
@@ -344,9 +343,7 @@ def main(argv=None) -> int:
     # One BLAS thread, as perfbench/run.py sets it; set before the trees
     # import NumPy.
     os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    srcs = {"change": os.path.join(ROOT, "src")}
-    if args.parent:
-        srcs = {"parent": args.parent, **srcs}
+    srcs = {"parent": args.parent, "change": os.path.join(ROOT, "src")}
     trees = {side: load_tree(f"cauchydual_{side}", src) for side, src in srcs.items()}
     import numpy as np
 

@@ -157,12 +157,11 @@ def agler_pole_test(pairing: PolePairing, cfg: CertificateConfig) -> tuple:
     return _level_stats(cores, cfg.trunc), Q, cores
 
 
-def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray,
-                      cfg: CertificateConfig) -> tuple:
+def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray) -> tuple:
     """(stats, basis_residual): LevelStat per level 1..levels of the same
     truncation from the raw Taylor rows, M_l = sum_{j=0}^{l} (-1)^j
     binom(l, j) A_j A_j^H, where the window A_j holds the Taylor rows
-    j + 1 .. j + N (table rows j .. j + N - 1), N = trunc and L = levels.
+    j + 1 .. j + N (table rows j .. j + N - 1), N = len(Q) and L = len(cores).
     With Y_j = Q^H A_j in the pole basis Q of agler_pole_test,
     P_l = Q^H M_l Q is the l-th forward difference of the r x r Grams
     Y_j Y_j^H (all levels in one batched eigvalsh, plus a 0 for the N - r
@@ -173,9 +172,9 @@ def agler_taylor_test(taylor: np.ndarray, Q: np.ndarray, cores: np.ndarray,
     basis_residual = ||A - Q Y||_F / ||A||_F for A = [A_0 ... A_L] and
     Y = Q^H A (0 for an empty table) is 0 exactly when every window lies
     in the basis. It bounds the windows, not each level, which sums 2^l
-    window Grams. run_certificates passes exactly N + L rows.
+    window Grams. The caller passes a taylor of exactly N + L rows.
     """
-    N, L = cfg.trunc, cfg.levels
+    N, L = len(Q), len(cores)
     windows = sliding_window_view(taylor, N, axis=0)
     # A stays the overlapping strided view: NumPy cannot hand it to BLAS and
     # sums Q^H @ A in its own loop. A contiguous copy of the same values goes
@@ -335,7 +334,7 @@ def run_certificates(sym: RationalSymbol,
     necessary = necessary_measure_test(pairing)
     taylor = kernels.symbol_taylor(sym, pairing, cfg.trunc + cfg.levels)
     pole_stats, Q, cores = agler_pole_test(pairing, cfg)
-    taylor_stats, basis_residual = agler_taylor_test(taylor, Q, cores, cfg)
+    taylor_stats, basis_residual = agler_taylor_test(taylor, Q, cores)
     agler_passed = basis_residual <= TOL_PSD and all(
         st.passes() for st in pole_stats + taylor_stats)
 

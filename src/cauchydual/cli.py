@@ -266,7 +266,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        with open(args.input) as handle:
+        with open(args.input, encoding="utf-8") as handle:
             document = json.load(handle)
     except OSError as exc:
         print(f"error: cannot read {args.input}: {exc}", file=sys.stderr)

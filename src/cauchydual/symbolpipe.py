@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
 
@@ -45,11 +45,13 @@ class CircleMeasure:
 
     Weights must be nonnegative; zero-weight atoms are dropped during
     construction and the surviving atom locations must be pairwise
-    distinct. The empty measure is allowed.
+    distinct. The empty measure is allowed. zetas holds the kept atoms'
+    points exp(i theta_j), made once, read-only.
     """
 
     thetas: tuple[float, ...] = ()
     weights: tuple[float, ...] = ()
+    zetas: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.thetas) != len(self.weights):
@@ -75,15 +77,11 @@ class CircleMeasure:
                         ValueError, i, j, kept_t[i], kept_t[j])
         object.__setattr__(self, "thetas", tuple(kept_t))
         object.__setattr__(self, "weights", tuple(kept_w))
-        object.__setattr__(self, "_zetas", zs)
+        object.__setattr__(self, "zetas", zs)
 
     @property
     def size(self) -> int:
         return len(self.thetas)
-
-    def zetas(self) -> np.ndarray:
-        """The atoms' points exp(i theta_j), computed once, read-only."""
-        return self._zetas
 
 
 def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
@@ -95,7 +93,7 @@ def boundary_polynomial(mu: CircleMeasure) -> np.ndarray:
     array fejer_riesz_factor takes.
     """
     factors = [
-        np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas()
+        np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas
     ]
     # prefixes[j] = f_0 * ... * f_{j-1}, convolved in one factor at a time
     prefixes = [np.array([1.0 + 0.0j])]
@@ -129,12 +127,11 @@ def outer_from_measure(mu: CircleMeasure) -> tuple:
     pole array of the factorization; p and q are ascending coefficient
     arrays of length k + 1."""
     gamma, alphas, q = fejer_riesz_factor(boundary_polynomial(mu))
-    zetas = mu.zetas()
-    monic_at_zero = complex(np.prod(-zetas))
+    monic_at_zero = complex(np.prod(-mu.zetas))
     theta0 = -cmath.phase(monic_at_zero / complex(q[0]))
     scale = cmath.exp(1j * theta0) / math.sqrt(gamma)
     # Python's complex product, not numpy's, which differs in the last bit
-    p = np.array([scale * c for c in from_roots(zetas).tolist()])
+    p = np.array([scale * c for c in from_roots(mu.zetas).tolist()])
     ratio = complex(p[0]) / complex(q[0])
     check_at_most(abs(ratio.imag), 1e-12 * abs(ratio),
                   "normalization |Im p(0)/q(0)|", RuntimeError)
@@ -151,7 +148,7 @@ def gram_from_outer(mu: CircleMeasure, p: np.ndarray, q: np.ndarray) -> tuple:
     Diagonal entries are c_j zeta_j f_j'(zeta_j); off-diagonal entries are
     1 / (O'(zeta_i) conj(O'(zeta_j)) (1 - zeta_i conj(zeta_j))).
     """
-    zetas = mu.zetas()
+    zetas = mu.zetas
     k = mu.size
     # U[j, i] is the coefficient of z^i in u_j = p / (z - zeta_j), by
     # synthetic division for all atoms at once: from the top,

@@ -54,14 +54,9 @@ def load_fixture_symbol(name: str):
     return sym
 
 
-def pairing_of(sym):
-    """The pole pairing run_certificates builds for sym."""
-    return pole_pairing(sym)
-
-
 def taylor_of(sym, n_rows: int):
     """The symbol's first n_rows Taylor rows, read from its pole pairing."""
-    return symbol_taylor(sym, pairing_of(sym), n_rows)
+    return symbol_taylor(sym, pole_pairing(sym), n_rows)
 
 
 def random_measure(rng, k: int, min_gap: float = 0.3) -> CircleMeasure:

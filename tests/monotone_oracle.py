@@ -9,9 +9,7 @@ import math
 
 import numpy as np
 
-from cauchydual.certify import TOL_PSD
-
-from conftest import pairing_of
+from cauchydual.certify import TOL_PSD, pole_pairing
 
 
 class InsufficientLengthError(ValueError):
@@ -51,6 +49,6 @@ def completely_monotone_test(seq, depth: int, levels: int = 12,
 def monotone_passed(sym, cfg) -> bool:
     """The monotone certificate as the battery used to run it: depth
     cfg.trunc, cfg.levels differences, tolerance TOL_PSD."""
-    moments = gamma_moments(sym, pairing_of(sym).cross,
+    moments = gamma_moments(sym, pole_pairing(sym).cross,
                             cfg.trunc + cfg.levels + 1)
     return completely_monotone_test(moments, cfg.trunc, cfg.levels, TOL_PSD)[0]

@@ -52,7 +52,7 @@ def boundary_band(mu: CircleMeasure) -> np.ndarray:
     prod_{l!=j} |z-zeta_l|^2, every product convolved left to right from
     [1]: k^2 convolutions for k atoms."""
     factors = [
-        np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas()
+        np.array([-z, 2.0, -np.conj(z)], dtype=complex) for z in mu.zetas
     ]
 
     def band_product(fs):
@@ -204,7 +204,7 @@ def gram_from_outer(mu: CircleMeasure, p: np.ndarray, q: np.ndarray) -> tuple:
     Diagonal entries are c_j zeta_j f_j'(zeta_j); off-diagonal entries are
     1 / (O'(zeta_i) conj(O'(zeta_j)) (1 - zeta_i conj(zeta_j))).
     """
-    zetas = mu.zetas()
+    zetas = mu.zetas
     k = mu.size
     # p is monic times the scale e^{i theta0}/sqrt(gamma), so p[-1] is it
     scale = p[-1]

@@ -16,6 +16,7 @@ import numpy as np
 from cauchydual.certify import (
     VERDICT_CERTIFIED,
     orthogonality_test,
+    pole_pairing,
     representing_measure,
     run_certificates,
 )
@@ -30,8 +31,8 @@ from cauchydual.symbolpipe import (
 )
 
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix
-from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_symbol, pairing_of,
-                      random_measure, taylor_of)
+from conftest import (FIXTURES, FIXTURE_NAMES, load_fixture_symbol, random_measure,
+                      taylor_of)
 from rank1_oracle import mate_rank1, rank1_taylor
 from symbol_oracle import eta_values, rotate_measure
 
@@ -93,7 +94,7 @@ def test_criterion_03_antipodal_orthogonality_certified():
     for _ in range(50):
         c1, c2 = rng.uniform(0.1, 10.0, size=2)
         sym = closed_form_antipodal(c1, c2)
-        residual, passed = orthogonality_test(pairing_of(sym))
+        residual, passed = orthogonality_test(pole_pairing(sym))
         worst = max(worst, residual)
         assert passed and residual <= 1e-9
         assert run_certificates(sym).verdict == VERDICT_CERTIFIED
@@ -123,7 +124,7 @@ def test_criterion_05_engine_equivalence():
         symbols.append(measure_to_symbol(random_measure(rng, int(rng.integers(2, 4)))))
     worst = 0.0
     for sym in symbols:
-        cross = pairing_of(sym).cross
+        cross = pole_pairing(sym).cross
         taylor = taylor_of(sym, 40 + 12)
         for level in range(1, 13):
             A = agler_pole_matrix(sym, cross, level, 40)
@@ -271,7 +272,7 @@ def test_criterion_11_truncation_monotonicity():
     worst = 0.0
     for name in FIXTURE_NAMES:
         sym = load_fixture_symbol(name)
-        cross = pairing_of(sym).cross
+        cross = pole_pairing(sym).cross
         taylor = taylor_of(sym, 40 + 12)
         for level in range(1, 13):
             for build in (lambda n: agler_pole_matrix(sym, cross, level, n),

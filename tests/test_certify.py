@@ -22,6 +22,7 @@ from cauchydual.certify import (
     agler_taylor_test,
     necessary_measure_test,
     orthogonality_test,
+    pole_pairing,
     representing_measure,
     run_certificates,
 )
@@ -38,7 +39,7 @@ from cauchydual.symbolpipe import (
 import necessary_oracle
 from agler_oracle import agler_pole_matrix, agler_taylor_matrix, oracle_stats
 from conftest import (FIXTURE_NAMES, FIXTURES, load_fixture_symbol,
-                      pairing_of, pool_like_measures, taylor_of)
+                      pool_like_measures, taylor_of)
 from monotone_oracle import (
     InsufficientLengthError,
     completely_monotone_test,
@@ -87,7 +88,7 @@ def _fixtures_and_seeded_batch(seed, draws):
 
 def _pole_engine(sym, cfg):
     """The pole engine's (stats, Q, cores) on sym's pole pairing."""
-    return agler_pole_test(pairing_of(sym), cfg)
+    return agler_pole_test(pole_pairing(sym), cfg)
 
 
 def make_orthogonal_pair(eps=0.0, s=0.25):
@@ -106,7 +107,7 @@ def make_orthogonal_pair(eps=0.0, s=0.25):
 
 def test_cross_gram_matches_hand_loop():
     sym = make_refuter()
-    got = pairing_of(sym).cross
+    got = pole_pairing(sym).cross
     alphas = sym.alphas
     denoms = [alphas[0] - alphas[1], alphas[1] - alphas[0]]
     expected = np.empty((2, 2), dtype=complex)
@@ -122,7 +123,7 @@ def test_cross_gram_matches_hand_loop():
 
 def test_cross_gram_hermitian_and_psd():
     for sym in (make_refuter(), closed_form_antipodal(2.0, 0.7)):
-        C = pairing_of(sym).cross
+        C = pole_pairing(sym).cross
         assert np.abs(C - C.conj().T).max() <= 1e-13 * np.abs(C).max()
         assert np.linalg.eigvalsh(C).min() >= -1e-12 * np.abs(C).max()
 
@@ -136,7 +137,7 @@ def test_numerators_at_poles_equal_scalar_horner():
         scalar = np.array([[_horner(np.trim_zeros(p, "b"), np.asarray(a))
                             for a in sym.alphas]
                            for p in sym.coefficients], dtype=complex)
-        values = pairing_of(sym).values
+        values = pole_pairing(sym).values
         assert np.array_equal(values, scalar)
         want = np.array([npoly.polyval(np.array(sym.alphas), p)
                          for p in sym.coefficients])
@@ -238,7 +239,7 @@ def test_schur_check_stays_on_the_monomials():
 
     sym = symbol_from_parts(alphas, [math.sqrt(0.9 / horner_max(p)) * p])
     assert abs(horner_max(sym.coefficients[0]) - 0.9) <= 1e-12
-    pairing = pairing_of(sym)
+    pairing = pole_pairing(sym)
     h = zs[:, None] / (pairing.a * alphas * (zs[:, None] - alphas))
     pole_form = np.einsum("zr,rt,zt->z", h, pairing.pair, h.conj()).real
     horner = np.abs(_horner(sym.coefficients[0], zs) / _horner(sym.q, zs)) ** 2
@@ -253,12 +254,12 @@ def test_orthogonality_antipodal_passes():
     for _ in range(10):
         c1, c2 = np.exp(rng.uniform(np.log(0.1), np.log(10.0), size=2))
         sym = closed_form_antipodal(c1, c2)
-        residual, passed = orthogonality_test(pairing_of(sym))
+        residual, passed = orthogonality_test(pole_pairing(sym))
         assert passed and residual <= 1e-9
 
 
 def test_orthogonality_refuter_value():
-    residual, passed = orthogonality_test(pairing_of(make_refuter()))
+    residual, passed = orthogonality_test(pole_pairing(make_refuter()))
     assert not passed
     assert abs(residual - 0.4743) <= 1e-3
 
@@ -266,7 +267,7 @@ def test_orthogonality_refuter_value():
 def test_orthogonality_vacuous_for_single_pole():
     # and for the empty symbol: no off-diagonal pairing to measure
     for sym in (single_atom_symbol(1.0), symbol_from_parts((), ())):
-        residual, passed = orthogonality_test(pairing_of(sym))
+        residual, passed = orthogonality_test(pole_pairing(sym))
         assert passed and residual == 0.0
 
 
@@ -275,7 +276,7 @@ def test_orthogonality_vacuous_for_single_pole():
 
 def test_engine_equivalence_spot_checks():
     for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
-        cross = pairing_of(sym).cross
+        cross = pole_pairing(sym).cross
         taylor = taylor_of(sym, 20 + 12)
         for level in (1, 5, 12):
             A = agler_pole_matrix(sym, cross, level, 20)
@@ -308,13 +309,13 @@ def test_engines_match_oracle_eigvalsh():
               (make_refuter(), CertificateConfig(levels=8, trunc=2))]
     assert len(cases) >= 25
     for sym, cfg in cases:
-        cross = pairing_of(sym).cross
+        cross = pole_pairing(sym).cross
         taylor = taylor_of(sym, cfg.trunc + cfg.levels)
         pole_stats, Q, cores = _pole_engine(sym, cfg)
         for got, want, tol in (
                 (pole_stats, oracle_stats(
                     lambda l, n: agler_pole_matrix(sym, cross, l, n), cfg), 1e-12),
-                (agler_taylor_test(taylor, Q, cores, cfg)[0], oracle_stats(
+                (agler_taylor_test(taylor, Q, cores)[0], oracle_stats(
                     lambda l, n: agler_taylor_matrix(taylor, l, n), cfg), 1e-10)):
             assert [st.level for st in got] == list(range(1, cfg.levels + 1))
             for st, ref in zip(got, want):
@@ -339,11 +340,11 @@ def test_pole_engine_eigensolves_at_rank(monkeypatch):
                 symbol_from_parts([], [])):
         for trunc in (2, 3, 40, 200):
             cfg = CertificateConfig(levels=7, trunc=trunc)
-            pairing = pairing_of(sym)
+            pairing = pole_pairing(sym)
             _, Q, cores = agler_pole_test(pairing, cfg)
             taylor = taylor_of(sym, trunc + 7)
             for engine in (lambda: agler_pole_test(pairing, cfg),
-                           lambda: agler_taylor_test(taylor, Q, cores, cfg)):
+                           lambda: agler_taylor_test(taylor, Q, cores)):
                 sides.clear()
                 calls.clear()
                 engine()
@@ -361,7 +362,7 @@ def test_taylor_engine_builds_no_n_by_n_array():
     taylor = taylor_of(sym, cfg.trunc + cfg.levels)
     tracemalloc.start()
     try:
-        agler_taylor_test(taylor, Q, cores, cfg)
+        agler_taylor_test(taylor, Q, cores)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -383,7 +384,7 @@ def test_taylor_residual_and_gap_match_oracle_matrix():
         A = np.hstack([taylor[j:j + cfg.trunc] for j in range(cfg.levels + 1)])
         residual = (np.linalg.norm(A - Q @ Q.conj().T @ A)
                     / np.linalg.norm(A))
-        stats, got = agler_taylor_test(taylor, Q, cores, cfg)
+        stats, got = agler_taylor_test(taylor, Q, cores)
         assert residual > 1e-4
         assert abs(got - residual) <= 1e-10 * residual
         for st in stats:
@@ -479,8 +480,7 @@ def test_run_certificates_leaves_qr_and_eigensolves_to_the_engines(monkeypatch):
     cfg = CertificateConfig(levels=5, trunc=10)
     for sym in (make_refuter(), make_six_equal_atoms(), single_atom_symbol(1.0)):
         pole = _pole_engine(sym, cfg)
-        taylor = agler_taylor_test(taylor_of(sym, cfg.trunc + cfg.levels),
-                                   *pole[1:], cfg)
+        taylor = agler_taylor_test(taylor_of(sym, cfg.trunc + cfg.levels), *pole[1:])
         want = run_certificates(sym, cfg)
         calls = []
         monkeypatch.setattr(certify, "agler_pole_test", lambda *args: pole)
@@ -510,7 +510,7 @@ def test_pole_pairing_refuses_non_finite_tables(alphas, numerator, table):
     with np.errstate(all="ignore"):
         sym = symbol_from_parts(alphas, [numerator])
         with pytest.raises(ValueError, match=f"^pole pairing: {table}, "):
-            pairing_of(sym)
+            pole_pairing(sym)
 
 
 # ----------------------------------------------------------- verdict plumbing
@@ -742,7 +742,7 @@ def test_near_antipodal_measure_is_not_certified(eps):
 
 def test_necessary_measure_antipodal_locations():
     sym = closed_form_antipodal(1.0, 1.0)
-    necessary = necessary_measure_test(pairing_of(sym))
+    necessary = necessary_measure_test(pole_pairing(sym))
     assert necessary.passed
     assert len(necessary.locations) == 2
     locs = sorted(necessary.locations, key=lambda x: x.real)
@@ -760,7 +760,7 @@ def test_necessary_measure_antipodal_locations():
 
 def test_necessary_measure_single_atom():
     sym = single_atom_symbol(1.0)
-    necessary = necessary_measure_test(pairing_of(sym))
+    necessary = necessary_measure_test(pole_pairing(sym))
     assert necessary.passed
     assert len(necessary.locations) == 1
     eta = (3.0 - math.sqrt(5.0)) / 2.0
@@ -779,7 +779,7 @@ def test_necessary_measure_equals_class_loop_oracle():
         except (ValueError, ArithmeticError, RuntimeError):
             continue    # the pipeline's conditioning limit, not this test's
     for sym in symbols:
-        pairing = pairing_of(sym)
+        pairing = pole_pairing(sym)
         got = necessary_measure_test(pairing)
         (want, want_passed, want_exact) = necessary_oracle.necessary_measure_test(pairing)
         assert (got.passed, got.exact) == (want_passed, want_exact)
@@ -799,7 +799,7 @@ def test_necessary_measure_large_classes_match_oracle(k):
     # the total variation at k = 8).
     sym = measure_to_symbol(CircleMeasure(
         tuple(2.0 * math.pi * j / k for j in range(k)), (1.0,) * k))
-    pairing = pairing_of(sym)
+    pairing = pole_pairing(sym)
     classes = necessary_oracle.union_find_classes(pairing.products)
     assert max(len(members) for members, _ in classes) == k
     got = necessary_measure_test(pairing)
@@ -826,7 +826,7 @@ def test_necessary_atom_order_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary = necessary_measure_test(pairing_of(scaled))
+            necessary = necessary_measure_test(pole_pairing(scaled))
             orders.append(np.array(necessary.locations))
         for order in orders[1:]:
             assert np.abs(order - orders[0]).max() <= 1e-9
@@ -847,7 +847,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
         for factor in (1.0, 1.0 + 1e-14, 1.0 - 1e-14):
             scaled = symbolpipe.RationalSymbol(sym.alphas,
                                                factor * sym.coefficients)
-            necessary = necessary_measure_test(pairing_of(scaled))
+            necessary = necessary_measure_test(pole_pairing(scaled))
             found.append((necessary.worst_location, necessary.passed))
         for location, passed in found[1:]:
             assert passed == found[0][1]
@@ -862,7 +862,7 @@ def test_necessary_worst_location_survives_last_bit_changes():
 def test_necessary_measure_weights_close_under_conjugation():
     for sym in (make_refuter(),
                 measure_to_symbol(CircleMeasure((0.3, 1.8, 4.0), (1.0, 0.5, 2.0)))):
-        necessary = necessary_measure_test(pairing_of(sym))
+        necessary = necessary_measure_test(pole_pairing(sym))
         pairs = sorted(zip(necessary.locations, necessary.weights),
                        key=lambda lw: (round(lw[0].real, 9), round(lw[0].imag, 9)))
         conj_pairs = sorted(
@@ -879,7 +879,7 @@ def test_necessary_measure_weights_close_under_conjugation():
 
 def test_gamma_moments_match_kernel_diagonal():
     for sym in (closed_form_antipodal(1.0, 1.0), make_refuter()):
-        cross = pairing_of(sym).cross
+        cross = pole_pairing(sym).cross
         moments = gamma_moments(sym, cross, 30)
         taylor = taylor_of(sym, 31)
         norms2 = np.linalg.norm(taylor, axis=1) ** 2
@@ -902,7 +902,7 @@ def test_completely_monotone_examples():
 
 def test_antipodal_moments_completely_monotone():
     sym = closed_form_antipodal(4.0, 1.0)
-    moments = gamma_moments(sym, pairing_of(sym).cross, 53)
+    moments = gamma_moments(sym, pole_pairing(sym).cross, 53)
     passed, worst = completely_monotone_test(moments, 40, 12)
     assert passed
     assert worst >= -1e-10 * max(1.0, moments.max())
@@ -1105,7 +1105,7 @@ def test_coincidence_classes_match_union_find():
                measure_to_symbol(CircleMeasure((0.0, 1.0, 2.0, 3.0, 4.0, 5.0),
                                                (1.0,) * 6))]
     for sym in symbols:
-        pairing = pairing_of(sym)
+        pairing = pole_pairing(sym)
         necessary = necessary_measure_test(pairing)
         exact = necessary.exact
         expected = necessary_oracle.union_find_classes(pairing.products)
@@ -1120,8 +1120,8 @@ def test_coincidence_classes_match_union_find():
 
 
 def _exact(sym):
-    exact = necessary_measure_test(pairing_of(sym)).exact
-    assert exact == necessary_oracle.necessary_measure_test(pairing_of(sym))[2]
+    exact = necessary_measure_test(pole_pairing(sym)).exact
+    assert exact == necessary_oracle.necessary_measure_test(pole_pairing(sym))[2]
     return exact
 
 

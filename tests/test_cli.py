@@ -1066,13 +1066,30 @@ def test_undecodable_input_exits_with_error_code(tmp_path):
     assert proc.stderr.startswith(f"error: {path} is not valid JSON: ")
 
 
+def test_input_is_read_as_utf8_in_an_ascii_locale(tmp_path):
+    # in the C locale with UTF-8 mode and locale coercion off the preferred
+    # encoding is ASCII; the document is still UTF-8, so the field is named
+    path = tmp_path / "accent.json"
+    path.write_bytes('{"antipodal": {"c1": 1, "c2": 1, "é": 0}}'.encode("utf-8"))
+    env = dict(src_env(), LC_ALL="C", LANG="C", PYTHONUTF8="0",
+               PYTHONCOERCECLOCALE="0")
+    proc = subprocess.run(
+        [sys.executable, "-m", "cauchydual", "--input", str(path)],
+        capture_output=True, env=env)
+    assert proc.returncode == EXIT_ERROR
+    assert proc.stderr.startswith(b"error: invalid input field antipodal."), proc.stderr
+    assert proc.stderr.rstrip().endswith(b": unknown field"), proc.stderr
+
+
 def test_import_leaves_numpy_polynomial_unloaded():
-    # numpy.polynomial costs milliseconds per fresh interpreter, and the
-    # package finds its roots without it
+    # each of these costs milliseconds per fresh interpreter, and the
+    # package needs none of them: it finds its roots without
+    # numpy.polynomial and imports no SciPy
+    unwanted = ("numpy.polynomial", "scipy", "numpy.ma", "numpy.fft", "numpy.random")
     proc = subprocess.run(
         [sys.executable, "-c",
          "import cauchydual, cauchydual.cli, sys; "
-         "print('numpy.polynomial' in sys.modules)"],
+         f"print([name for name in {unwanted!r} if name in sys.modules])"],
         capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"

@@ -9,6 +9,7 @@ from hypothesis import assume, given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
 from cauchydual import kernels
+from cauchydual.certify import pole_pairing
 from cauchydual.kernels import kernel_coeffs
 from cauchydual.symbolpipe import (
     CircleMeasure,
@@ -18,8 +19,7 @@ from cauchydual.symbolpipe import (
     symbol_from_parts,
 )
 
-from conftest import (FIXTURE_NAMES, load_fixture_symbol, pairing_of,
-                      pool_like_measures, taylor_of)
+from conftest import FIXTURE_NAMES, load_fixture_symbol, pool_like_measures, taylor_of
 from polyrat_oracle import series_inverse
 from rank1_oracle import (
     ExtremePointError,
@@ -90,7 +90,7 @@ def test_taylor_check_fires_on_a_faulty_pairing():
     symbols += [measure_to_symbol(mus[2]), measure_to_symbol(mus[7])]
     assert [sym.k for sym in symbols[-2:]] == [3, 8]
     for sym in symbols:
-        pairing = pairing_of(sym)
+        pairing = pole_pairing(sym)
         kernels.symbol_taylor(sym, pairing, 52)
         a = pairing.a.copy()
         a[0] *= 1.0 + 1e-8

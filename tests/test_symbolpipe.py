@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.polynomial import polynomial as npoly
 
+from cauchydual.certify import pole_pairing
 from cauchydual.polyrat import lagrange_denominators
 from cauchydual.symbolpipe import (
     CircleMeasure,
@@ -28,7 +29,7 @@ from cauchydual.symbolpipe import (
 )
 
 import symbol_oracle
-from conftest import ROOT, load_script, pairing_of, pool_like_measures, random_measure
+from conftest import ROOT, load_script, pool_like_measures, random_measure
 from polyrat_oracle import DegreeTooLargeError, PolesNotDistinctError
 from rank1_oracle import ExtremePointError, GridOutsideDiscError
 from symbol_oracle import (
@@ -60,10 +61,10 @@ def test_measure_drops_zero_weights_and_validates():
 
 def test_measure_circle_points_are_computed_once():
     mu = CircleMeasure((0.3, 0.0, 2.5, 4.0), (1.0, 0.0, 0.5, 2.0))
-    zetas = mu.zetas()
-    assert zetas is mu.zetas() and not zetas.flags.writeable
+    zetas = mu.zetas
+    assert zetas is mu.zetas and not zetas.flags.writeable
     assert np.array_equal(zetas, np.exp(1j * np.array([0.3, 2.5, 4.0])))
-    assert CircleMeasure().zetas().shape == (0,)
+    assert CircleMeasure().zetas.shape == (0,)
 
 
 @pytest.mark.parametrize("thetas, weights, message", [
@@ -91,7 +92,7 @@ def test_rotate_measure_shifts_atoms():
     # pull-back along z -> zeta z: each atom moves to conj(zeta) * atom
     mu = CircleMeasure((0.5, 2.0), (1.0, 2.0))
     rot = rotate_measure(mu, cmath.exp(0.7j))
-    zs = sorted(rot.zetas(), key=lambda z: cmath.phase(z))
+    zs = sorted(rot.zetas, key=lambda z: cmath.phase(z))
     expected = sorted(np.exp(1j * (np.array([0.5, 2.0]) - 0.7)),
                       key=lambda z: cmath.phase(z))
     assert max(abs(a - b) for a, b in zip(zs, expected)) <= 1e-12
@@ -109,7 +110,7 @@ def test_boundary_polynomial_matches_direct_formula():
         mu = random_measure(rng, k)
         band = boundary_polynomial(mu)
         zs = np.exp(1j * np.linspace(0, 2 * np.pi, 101, endpoint=False))
-        zetas = mu.zetas()
+        zetas = mu.zetas
         prod_all = np.prod(np.abs(zs[:, None] - zetas[None, :]) ** 2, axis=1)
         direct = prod_all.copy()
         for j, c in enumerate(mu.weights):
@@ -163,7 +164,7 @@ def test_outer_quotient_modulus_and_normalization():
         assert ratio.real > 0
         # |p/q|^2 = 1 / (1 + sum_j c_j / |z - zeta_j|^2) on the circle
         zs = np.exp(1j * np.linspace(0, 2 * np.pi, 101, endpoint=False))
-        zetas = mu.zetas()
+        zetas = mu.zetas
         weight = 1.0 + sum(
             c / np.abs(zs - zeta) ** 2 for zeta, c in zip(zetas, mu.weights))
         got = np.abs(npoly.polyval(zs, p) / npoly.polyval(zs, q)) ** 2
@@ -195,7 +196,7 @@ def test_gram_matrix_is_positive_definite():
         assert evals.min() > 0
         assert np.abs(G @ inverse - np.eye(k)).max() <= 1e-9 * condition(G)
         # the rows of U are p with one linear factor removed
-        zetas = mu.zetas()
+        zetas = mu.zetas
         z0 = 0.37 + 0.21j
         for j, u in enumerate(U):
             expected = npoly.polyval(z0, p) / (z0 - zetas[j])
@@ -305,7 +306,7 @@ def test_cholesky_split_matches_the_psd_projection_oracle(monkeypatch):
         old = symbol_oracle.psd_split(A)
         assert np.abs(P - old).max() <= 1e-10 * np.abs(old).max()
         old_sym = RationalSymbol(sym.alphas, np.hstack([np.zeros((sym.k, 1)), old]))
-        pair, old_pair = pairing_of(sym).pair, pairing_of(old_sym).pair
+        pair, old_pair = pole_pairing(sym).pair, pole_pairing(old_sym).pair
         assert np.abs(pair - old_pair).max() <= 1e-13 * np.abs(old_pair).max()
 
 
@@ -480,7 +481,7 @@ def pool_atom_row_norms():
                 sym = measure_to_symbol(mu)
             except (ValueError, ArithmeticError, RuntimeError):
                 continue
-            zs = mu.zetas()
+            zs = mu.zetas
             num = sum(np.abs(npoly.polyval(zs, p)) ** 2 for p in sym.coefficients)
             norms[workloads.pool_key(k, index)] = float(
                 (num / np.abs(npoly.polyval(zs, sym.q)) ** 2).max())
@@ -559,7 +560,7 @@ def test_derived_fields_follow_poles_and_numerators(fixture_symbols):
         C = sym.coefficients[:, 1:]
         eta = symbol_oracle.eta(sym)
         assert np.abs(eta - C.conj().T @ C).max() <= 1e-14 * np.abs(eta).max()
-        pairing = pairing_of(sym)
+        pairing = pole_pairing(sym)
         assert np.array_equal(pairing.a, lagrange_denominators(sym.alphas))
         assert np.array_equal(pairing.products,
                               np.outer(sym.alphas, np.conj(sym.alphas)))
@@ -613,7 +614,7 @@ def test_directly_built_symbol_needs_one_numerator_per_pole():
         C = np.zeros((m, 3))
         C[:, 1] = 0.1
         sym = RationalSymbol(poles, C)
-        assert sym.k == 2 and pairing_of(sym).values.shape == (m, 2)
+        assert sym.k == 2 and pole_pairing(sym).values.shape == (m, 2)
 
 
 def test_directly_built_symbol_needs_a_k_by_k_plus_one_matrix():
