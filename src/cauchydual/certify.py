@@ -7,9 +7,9 @@ refutation even where orthogonality passes; exact numerator orthogonality
 at the poles, a sufficient condition; when every off-diagonal pole product
 is a distinct point outside the ray [1, oo), orthogonality is also
 necessary, so its failure refutes without waiting for a truncation
-witness; and last, truncated Agler-type positivity matrices computed by
-two engines (pole side and Taylor side) in one shared basis, with the
-Taylor side's distance from that basis measured once. A symbol that passes
+witness; and last, truncated Agler-type positivity matrices: the pole
+engine's decide, and the Taylor engine cross-checks them in the same
+basis, with its distance from that basis measured once. A symbol that passes
 orthogonality also gets its explicit representing measure, whose moments
 are checked against the kernel table (representing_measure).
 """
@@ -322,12 +322,12 @@ def run_certificates(sym: RationalSymbol,
     A failed necessary measure refutes at level 0, even where
     orthogonality passes; else orthogonality certifies; when the exactness
     condition holds, a failed orthogonality test also refutes at level 0;
-    otherwise a truncation eigenvalue below -10 TOL_PSD ||M_l|| refutes at
-    its level, and anything else stays inconclusive (the 10x hysteresis
-    band). agler_passed says that the Taylor basis residual is at most
-    TOL_PSD and every level of both engines passes (LevelStat.passes).
-    Refutation reads min_eig only, so drift can keep a level from passing
-    but never refutes.
+    otherwise the first pole-engine level with min_eig below
+    -10 TOL_PSD ||M_l|| refutes, and anything else stays inconclusive (the
+    10x hysteresis band). agler_passed says that the Taylor basis residual
+    is at most TOL_PSD and every level of both engines passes
+    (LevelStat.passes); the Taylor engine is the cross-check, whose drift
+    (like 2^l eps) can keep agler_passed false but never refutes.
     """
     pairing = pole_pairing(sym)
     orth_residual, orth_passed = orthogonality_test(pairing)
@@ -338,8 +338,7 @@ def run_certificates(sym: RationalSymbol,
     agler_passed = basis_residual <= TOL_PSD and all(
         st.passes() for st in pole_stats + taylor_stats)
 
-    certified_by = refuted_by = None
-    refuted_level = refuted_min_eig = None
+    certified_by = refuted_by = refuted_level = refuted_min_eig = None
     if not necessary.passed:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "necessary_measure", 0
     elif orth_passed:
@@ -347,8 +346,7 @@ def run_certificates(sym: RationalSymbol,
     elif necessary.exact:
         verdict, refuted_by, refuted_level = VERDICT_REFUTED, "orthogonality_exactness", 0
     else:
-        # the first failing level, the pole engine's before the Taylor one's
-        hit = next((st for level in zip(pole_stats, taylor_stats) for st in level
+        hit = next((st for st in pole_stats
                     if st.min_eig < -10.0 * TOL_PSD * max(st.norm, 1e-300)), None)
         verdict = VERDICT_INCONCLUSIVE
         if hit is not None:

@@ -265,6 +265,8 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    if args.report == "":
+        parser.error("argument --report: expected a non-empty path")
     try:
         with open(args.input, encoding="utf-8") as handle:
             document = json.load(handle)

@@ -84,10 +84,5 @@ def fixture_symbols():
 
 
 @pytest.fixture(scope="session")
-def refuter_symbol():
-    return load_fixture_symbol("refuter")
-
-
-@pytest.fixture(scope="session")
 def inconclusive_symbol():
     return load_fixture_symbol("inconclusive")

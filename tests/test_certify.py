@@ -615,7 +615,7 @@ def test_inconclusive_fixture_refutes_at_deep_truncation(inconclusive_symbol,
     # The only verdict the Agler levels decide: at (N, L) = (40, 80) and
     # (120, 40) level 29 has min_eig -2.3238e-4 against a norm of
     # 2.9507e-3, far below -10 TOL_PSD ||M_29||, while (40, 12) stops short
-    # of it. The pole engine is read first, so its numbers are the report's.
+    # of it. Only the pole engine refutes, so its numbers are the report's.
     for trunc, levels in ((40, 80), (120, 40)):
         rep = run_certificates(inconclusive_symbol, CertificateConfig(levels, trunc))
         assert rep.verdict == VERDICT_REFUTED and rep.exit_code == 1
@@ -625,14 +625,79 @@ def test_inconclusive_fixture_refutes_at_deep_truncation(inconclusive_symbol,
         assert level.level == 29 and rep.refuted_min_eig == level.min_eig
         assert level.min_eig == pytest.approx(-2.3238e-4, rel=1e-4)
         assert level.norm == pytest.approx(2.9507e-3, rel=1e-4)
-        # no earlier level of either engine refutes
-        for st in rep.agler_pole[:28] + rep.agler_taylor[:28]:
+        # no earlier pole level refutes
+        for st in rep.agler_pole[:28]:
             assert st.min_eig >= -10.0 * TOL_PSD * max(st.norm, 1e-300)
     rep = run_certificates(inconclusive_symbol, CertificateConfig(12, 40))
     assert rep.verdict == VERDICT_INCONCLUSIVE and rep.refuted_by is None
     path = str(FIXTURES / "inconclusive.json")
     assert cli.main(["--input", path, "--levels", "80"]) == 1
     assert "RefutedAtLevel" in capsys.readouterr().out
+
+
+def make_ray(delta):
+    """The ray family: poles 1.5 and 3 with numerator values
+    E = [[1, -delta], [0, 1]], E[j, r] = p_j(alpha_r). Each p_j = z r_j(z),
+    deg r_j < 2, is solved from the Vandermonde system, and all are scaled
+    by one factor to 0.9 of the Schur bound sup |B| on 8192 circle points.
+    The off-diagonal pole product 4.5 is real and above 1, and the pairwise
+    residual is about delta."""
+    alphas = np.array([1.5, 3.0])
+    E = np.array([[1.0, -delta], [0.0, 1.0]])
+    coeffs = np.linalg.solve(alphas[:, None] ** np.arange(1, 3), E.T).T
+    numerators = np.hstack([np.zeros((2, 1)), coeffs])
+    z = np.exp(2j * np.pi * np.arange(8192) / 8192)
+    rows = npoly.polyval(z, numerators.T) / npoly.polyvalfromroots(z, alphas)
+    sup = math.sqrt(float((np.abs(rows) ** 2).sum(axis=0).max()))
+    return symbol_from_parts(alphas, 0.9 / sup * numerators)
+
+
+RAY_DELTAS = (1e-6, 1e-4, 1e-2, 0.1)
+DEEP_CONFIGS = (CertificateConfig(12, 40), CertificateConfig(12, 200),
+                CertificateConfig(80, 40), CertificateConfig(40, 120))
+
+
+def test_every_truncation_refutation_names_a_pole_level():
+    # the first pole-engine level below -10 TOL_PSD ||M_l|| decides, and
+    # the report reads its min_eig; the Taylor engine's levels never do
+    symbols = [(name, load_fixture_symbol(name)) for name in FIXTURE_NAMES]
+    symbols += [(f"ray {delta}", make_ray(delta)) for delta in RAY_DELTAS]
+    refuted = []
+    for cfg in DEEP_CONFIGS:
+        for name, sym in symbols:
+            rep = run_certificates(sym, cfg)
+            failing = [st for st in rep.agler_pole
+                       if st.min_eig < -10.0 * TOL_PSD * max(st.norm, 1e-300)]
+            if rep.refuted_by == "agler_truncation":
+                level = rep.agler_pole[rep.refuted_level - 1]
+                assert level is failing[0], (name, cfg)
+                assert rep.refuted_min_eig == level.min_eig
+                refuted.append((name, cfg.trunc, cfg.levels, rep.refuted_level))
+            elif rep.verdict == VERDICT_INCONCLUSIVE:
+                assert not failing, (name, cfg)
+    assert refuted == [("inconclusive", 40, 80, 29), ("ray 0.1", 40, 80, 23),
+                       ("inconclusive", 120, 40, 29), ("ray 0.1", 120, 40, 23)]
+
+
+@pytest.mark.parametrize("delta", RAY_DELTAS)
+def test_ray_family_is_refuted_only_by_a_negative_pole_core(delta):
+    # no member is orthogonal and none meets the exactness condition, so
+    # the truncation levels decide. At (N, L) = (40, 80) the Taylor engine's
+    # alternating sums drift far from the pole cores, which keeps
+    # agler_passed false but refutes nothing: delta <= 1e-2 stays
+    # inconclusive, and delta = 0.1 is refuted at level 23, its first
+    # negative core in 60-digit arithmetic
+    rep = run_certificates(make_ray(delta), CertificateConfig(80, 40))
+    assert rep.orth_residual == pytest.approx(delta, rel=0.02)
+    assert rep.necessary.passed and not rep.necessary.exact
+    assert not rep.agler_passed
+    if delta < 0.1:
+        assert rep.verdict == VERDICT_INCONCLUSIVE and rep.refuted_by is None
+        return
+    assert rep.verdict == VERDICT_REFUTED
+    assert (rep.refuted_by, rep.refuted_level) == ("agler_truncation", 23)
+    level = rep.agler_pole[22]
+    assert rep.refuted_min_eig / level.norm == pytest.approx(-4.6648e-6, rel=1e-3)
 
 
 def test_zero_symbol_certified():

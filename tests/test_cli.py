@@ -761,6 +761,7 @@ def test_version_flag(capsys):
     ["--input", "x.json", "--tol-psd", "1e-7"],
     ["--input", "x.json", "--tol-orth", "1e-8"],
     ["--input", "x.json", "--quad-points", "512"],
+    ["--input", "x.json", "--report", ""],    # empty report path
 ])
 def test_usage_errors_exit_with_input_error_code(argv, capsys):
     # Exit code 2 belongs to the inconclusive verdict; command-line mistakes
